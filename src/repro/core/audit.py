@@ -125,7 +125,11 @@ def audit(engine: SparseDynamicMSF, *, lsds: bool = True,
                 if e.key < expect[cu.id, cv.id]:
                     expect[cu.id, cv.id] = e.key
                     expect[cv.id, cu.id] = e.key
-        mism = np.nonzero(space.C != expect)
+        got = space.C
+        if got is None:  # not allocated yet: every entry reads INF_KEY
+            got = np.empty((space.Jcap, space.Jcap), dtype=object)
+            got.fill(INF_KEY)
+        mism = np.nonzero(got != expect)
         assert len(mism[0]) == 0, f"C mismatch at {list(zip(*mism))[:5]}"
 
     # --- forest equals the unique MSF

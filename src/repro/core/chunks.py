@@ -133,13 +133,14 @@ class ChunkSpace:
         self.K = K if K is not None else default_K(n_max, flavor)
         # sum of n_c over id'd chunks <= 2n occurrences + 2m <= 3n endpoints
         self.Jcap = max(4, math.ceil(5 * n_max / self.K) + 8)
-        self.C = np.empty((self.Jcap, self.Jcap), dtype=object)
-        self.C.fill(INF_KEY)
-        self.inf_row = np.empty(self.Jcap, dtype=object)
-        self.inf_row.fill(INF_KEY)
+        #: the ``Jcap x Jcap`` object matrix, ``None`` until the first
+        #: :meth:`assign_id` allocates it (see :meth:`_allocate`); readers
+        #: that can run earlier treat ``None`` as all ``INF_KEY``
+        self.C: Optional[np.ndarray] = None
+        self.inf_row: Optional[np.ndarray] = None
         # Stable row views: PRAM kernels address matrix cells as
         # (row_view, column); views must keep a stable identity.
-        self.row_views = [self.C[i] for i in range(self.Jcap)]
+        self.row_views: Optional[list[np.ndarray]] = None
         self.chunk_of_id: list[Optional[Chunk]] = [None] * self.Jcap
         self._free_ids = list(range(self.Jcap - 1, -1, -1))
         self.with_bt = with_bt
@@ -147,14 +148,14 @@ class ChunkSpace:
         self.backend = backend
         #: complex128 mirror of ``C`` (see core.columnar): dual-written at
         #: every write site below; hot reads go numeric.  ``None`` on the
-        #: scalar backend -- every mirror touch is gated on that.
-        self.colm = (columnar.ColumnarMatrix(self.Jcap)
-                     if backend == "columnar" else None)
+        #: scalar backend -- every mirror touch is gated on that -- and
+        #: until ``C`` is allocated.
+        self.colm: Optional[columnar.ColumnarMatrix] = None
         #: flat float64 mirror of ``C`` (see core.compiled): the native
         #: kernels' traversal substrate, dual-written at the same sites as
-        #: ``colm``.  ``None`` unless ``backend == "compiled"``.
-        self.compm = (compiled.CompiledMatrix(self.Jcap)
-                      if backend == "compiled" else None)
+        #: ``colm``.  ``None`` unless ``backend == "compiled"`` and ``C``
+        #: is allocated.
+        self.compm: Optional[compiled.CompiledMatrix] = None
         #: columnar LSDS aggregates are sequential-only: the parallel
         #: engine's strict/recording PRAM programs register the object
         #: aggregate vectors by identity, so its LSDS stays scalar and the
@@ -185,17 +186,38 @@ class ChunkSpace:
         #: populated -- sequential/strict engines never touch it.
         self.col_snap: dict[int, np.ndarray] = {}
 
+    def _allocate(self) -> None:
+        """Allocate ``C``, ``inf_row``, ``row_views`` and the mirror.
+
+        The one allocation point, run by the first :meth:`assign_id`:
+        until some chunk carries an id every entry is ``INF_KEY``, and most
+        engines of a sparsification tree never build a long list.  Charges
+        are unaffected -- every per-row charge is full-width (``Jcap``)
+        whether or not the matrix exists yet.
+        """
+        Jcap = self.Jcap
+        self.C = np.empty((Jcap, Jcap), dtype=object)
+        self.C.fill(INF_KEY)
+        self.inf_row = np.empty(Jcap, dtype=object)
+        self.inf_row.fill(INF_KEY)
+        self.row_views = [self.C[i] for i in range(Jcap)]
+        if self.backend == "columnar":
+            self.colm = columnar.ColumnarMatrix(Jcap)
+        elif self.backend == "compiled":
+            self.compm = compiled.CompiledMatrix(Jcap)
+
     def reset(self) -> None:
         """Restore the space to its just-constructed state **in place**.
 
-        The matrix buffer, ``inf_row`` and the stable ``row_views`` survive
-        (PRAM kernels address cells as ``(row_view, column)``, so identity
-        must be preserved across arena reuse); only the contents and the id
-        free-list are re-initialized.  Callers pause accounting around this,
-        mirroring how ``__init__``'s work lands outside any measurement
-        window.
+        An allocated matrix buffer, ``inf_row`` and the stable
+        ``row_views`` survive (PRAM kernels address cells as
+        ``(row_view, column)``, so identity must be preserved across arena
+        reuse); only the contents and the id free-list are re-initialized.
+        Callers pause accounting around this, mirroring how ``__init__``'s
+        work lands outside any measurement window.
         """
-        self.C.fill(INF_KEY)
+        if self.C is not None:
+            self.C.fill(INF_KEY)
         if self.colm is not None:
             self.colm.reset()
         if self.compm is not None:
@@ -217,6 +239,8 @@ class ChunkSpace:
         assert c.id is None
         if not self._free_ids:
             raise RuntimeError("chunk-id space exhausted; Jcap undersized")
+        if self.C is None:
+            self._allocate()
         # Column-snapshot invalidation (trace-replay fast path): the dirty
         # diff in ``_sweep_incremental`` compares *values*, so a snapshot
         # recorded under one id tenure must never be diffed against the
@@ -501,7 +525,8 @@ class ChunkSpace:
         out: list[str] = []
         C = self.C
         for i in range(self.Jcap):
-            actual = {j for j in range(self.Jcap) if C[i][j] != INF_KEY}
+            actual = (set() if C is None else
+                      {j for j in range(self.Jcap) if C[i][j] != INF_KEY})
             if actual != live[i]:
                 out.append(f"live-lane set of row {i}: tracked "
                            f"{sorted(live[i])} != actual {sorted(actual)}")
@@ -559,8 +584,8 @@ class ChunkSpace:
             tt_leaf = tt.leaf
             bt_leaves: list[tt.Node] = []
             append = bt_leaves.append
-            degs: Optional[list[int]] = ([] if self.colm is not None
-                                         or self.compm is not None else None)
+            degs: Optional[list[int]] = ([] if self.backend != "scalar"
+                                         else None)
             occ = c.head
             while occ is not None:
                 occ.chunk = c
@@ -587,7 +612,7 @@ class ChunkSpace:
                 bt_root = tt.build_rightmost(bt_leaves,
                                              collect_levels=levels)
                 units = [1 + d for d in degs]
-                if self.compm is not None:
+                if self.backend == "compiled":
                     compiled.kernels.bt_level_aggs(levels, units, degs)
                 else:
                     columnar.assign_level_aggs(levels, units, degs)

@@ -36,6 +36,8 @@ def cadj_entries(engine: SparseDynamicMSF) -> list[tuple[int, int, tuple]]:
     """All finite entries of the global matrix C as (i, j, key), i <= j."""
     space = engine.fabric.space
     out = []
+    if space.C is None:  # not allocated yet: every entry reads INF_KEY
+        return out
     for i in range(space.Jcap):
         for j in range(i, space.Jcap):
             if space.C[i, j] != INF_KEY:

@@ -38,7 +38,7 @@ _NEG_INF = float("-inf")
 
 
 class _Chain:
-    """The gadget chain of one real vertex."""
+    """The gadget chain of one real vertex (the anchor is the vertex)."""
 
     __slots__ = ("nodes", "free", "hosted")
 
@@ -46,22 +46,6 @@ class _Chain:
         self.nodes: list[int] = [g0]
         self.free: list[int] = [g0]   # gadget nodes with an open host slot
         self.hosted: dict[int, int] = {}  # gadget node -> hosted real eid
-
-    def reset(self, g0: int) -> None:
-        """Restore to the just-constructed state without reallocating."""
-        nodes = self.nodes
-        if len(nodes) == 1:
-            nodes[0] = g0
-        else:
-            del nodes[:]
-            nodes.append(g0)
-        free = self.free
-        if len(free) == 1:
-            free[0] = g0
-        else:
-            del free[:]
-            free.append(g0)
-        self.hosted.clear()
 
     @property
     def anchor(self) -> int:
@@ -99,13 +83,15 @@ class DegreeReducer:
         self._eid = itertools.count(1)
         self.n = n
         self.max_edges = max_edges if max_edges is not None else max(2 * n, 16)
-        n_core = n + 2 * self.max_edges
+        n_core = self._n_core = n + 2 * self.max_edges
         if engine_factory is None:
-            # lazy vertices: the gadget pool is sized for the worst case
-            # (n + 2 * max_edges) but sparse workloads touch a fraction of
-            # it; building singleton Euler lists on first touch removes the
-            # construction cost that dominated the sparsified facade's E9
-            # wall time (accounting stays identical -- see seq_msf).
+            # lazy vertices: the gadget id space is sized for the worst
+            # case (n + 2 * max_edges) but sparse workloads touch a
+            # fraction of it; the core builds a vertex on first touch, and
+            # the reducer below builds a chain on a vertex's first edge and
+            # hands out gadget ids from a high-water mark, so a node engine
+            # costs memory in its live edges, not in n_core (accounting
+            # stays identical -- see seq_msf).
             self.core = SparseDynamicMSF(n_core, K=K, ops=ops,
                                          lazy_vertices=True, backend=backend)
         else:
@@ -117,8 +103,13 @@ class DegreeReducer:
             from . import compiled
             if compiled.HAVE_COMPILED:
                 self._first_flip = compiled.kernels.first_flip
-        self._pool = list(range(n_core - 1, n - 1, -1))  # free gadget ids
-        self.chains = [_Chain(v) for v in range(n)]
+        # gadget ids: never-used ids from the high-water mark up, returned
+        # ids on a LIFO stack that is drained first
+        self._next_gadget = n
+        self._free_gadgets: list[int] = []
+        #: vertex -> its chain, only while the vertex hosts an edge; an
+        #: absent vertex is its own one-node chain (anchor = vertex id)
+        self.chains: dict[int, _Chain] = {}
         # real-edge registry: eid -> (u, v, w, core Edge, host_u, host_v)
         self.real: dict[int, tuple[int, int, float, Edge, int, int]] = {}
         self.self_loops: dict[int, tuple[int, float]] = {}
@@ -128,20 +119,15 @@ class DegreeReducer:
     def reset(self) -> None:
         """In-place reset for engine-arena reuse (see ``core.sparsify``).
 
-        Recycles the ``_Chain`` objects (the per-churn profile showed
-        thousands of ``_Chain.__init__`` calls from rebuilding reducers)
-        and delegates the heavy state to :meth:`SparseDynamicMSF.reset`.
+        Delegates the heavy state to :meth:`SparseDynamicMSF.reset`.
         After this the reducer is bit-identical to a freshly constructed
-        one: same eid stream, same pool order, same empty registries.
+        one: same eid stream, same gadget id order, same empty registries.
         """
         self._eid = itertools.count(1)
         self.core.reset()
-        n_core = self.n + 2 * self.max_edges
-        pool = self._pool
-        del pool[:]
-        pool.extend(range(n_core - 1, self.n - 1, -1))
-        for v, chain in enumerate(self.chains):
-            chain.reset(v)
+        self._next_gadget = self.n
+        self._free_gadgets.clear()
+        self.chains.clear()
         self.real.clear()
         self.self_loops.clear()
         self._chain_edge.clear()
@@ -149,7 +135,8 @@ class DegreeReducer:
     # ------------------------------------------------------------- queries
 
     def connected(self, u: int, v: int) -> bool:
-        return self.core.connected(self.chains[u].anchor, self.chains[v].anchor)
+        # every chain is anchored at its own vertex id
+        return self.core.connected(u, v)
 
     def msf_edges(self) -> Iterator[tuple[int, int, float, int]]:
         """Real MSF edges as ``(u, v, w, eid)``."""
@@ -164,7 +151,8 @@ class DegreeReducer:
         return sum(w for (_u, _v, w, _e) in self.msf_edges())
 
     def degree(self, u: int) -> int:
-        return len(self.chains[u].hosted)
+        chain = self.chains.get(u)
+        return len(chain.hosted) if chain is not None else 0
 
     def edge_count(self) -> int:
         return len(self.real) + len(self.self_loops)
@@ -174,17 +162,19 @@ class DegreeReducer:
     def insert_edge(self, u: int, v: int, w: float,
                     eid: Optional[int] = None) -> int:
         """Insert a real edge; returns its id.  O(1) core updates."""
-        eid = next(self._eid) if eid is None else eid
         # raised (not asserted): these guards are load-bearing on public
         # entry points -- the serving layer's per-op rejection depends on
-        # duplicate ids raising even under `python -O`
+        # duplicate ids raising even under `python -O`.  The weight check
+        # comes first so a rejected op does not even draw an id.
+        if not math.isfinite(w):
+            raise ValueError(f"edge weight must be finite, got {w!r} "
+                             f"(infinite weights are reserved for gadgets)")
+        eid = next(self._eid) if eid is None else eid
         if eid <= 0:
             raise ValueError(
                 "non-positive ids are reserved for gadget chain edges")
         if eid in self.real or eid in self.self_loops:
             raise ValueError(f"duplicate real edge id {eid}")
-        if math.isinf(w):
-            raise ValueError("infinite weights are reserved for gadgets")
         if u == v:
             self.self_loops[eid] = (u, w)
             return eid
@@ -259,14 +249,20 @@ class DegreeReducer:
     def _claim_slot(self, v: int, eid: int) -> int:
         """A host slot on v's chain.  Invariant: ``free`` is empty unless the
         chain is just its anchor, so chain length stays 1 + hosted count."""
-        chain = self.chains[v]
+        chain = self.chains.get(v)
+        if chain is None:
+            chain = self.chains[v] = _Chain(v)
         if chain.free:
             slot = chain.free.pop()
         else:
             tail = chain.nodes[-1]
-            if not self._pool:
+            if self._free_gadgets:
+                slot = self._free_gadgets.pop()
+            elif self._next_gadget < self._n_core:
+                slot = self._next_gadget
+                self._next_gadget += 1
+            else:
                 raise RuntimeError("gadget pool exhausted; raise max_edges")
-            slot = self._pool.pop()
             # chain edges get fresh negative-infinity keys; *negative* edge
             # ids keep them in a namespace disjoint from real edges, so the
             # (weight, eid) total order stays strict inside the core
@@ -285,19 +281,20 @@ class DegreeReducer:
         is *relocated* into the hole -- one core delete + insert with the
         same key, which cannot change the (unique) MSF -- and the tail is
         trimmed.  This keeps every chain at length 1 + hosted count, so the
-        gadget pool of ``2 * max_edges`` extra nodes never exhausts.
+        gadget pool of ``2 * max_edges`` extra nodes never exhausts.  A
+        chain left hosting nothing is just its anchor again and is dropped.
         """
         chain = self.chains[v]
         assert chain.hosted.pop(slot) == eid
         tail = chain.nodes[-1]
-        if len(chain.nodes) == 1:
-            chain.free = [chain.anchor]
-            return
-        if slot != tail and tail in chain.hosted:
-            self._relocate(chain, tail, slot)
-        elif slot != tail:  # pragma: no cover - tail is always hosted
-            chain.free.append(slot)
-        self._trim(chain)
+        if len(chain.nodes) > 1:
+            if slot != tail and tail in chain.hosted:
+                self._relocate(chain, tail, slot)
+            elif slot != tail:  # pragma: no cover - tail is always hosted
+                chain.free.append(slot)
+            self._trim(chain)
+        if not chain.hosted:
+            del self.chains[v]
 
     def _relocate(self, chain: _Chain, from_slot: int, to_slot: int) -> None:
         eid2 = chain.hosted.pop(from_slot)
@@ -316,7 +313,7 @@ class DegreeReducer:
         while len(chain.nodes) > 1 and chain.nodes[-1] not in chain.hosted:
             tail = chain.nodes.pop()
             self.core.delete_edge(self._chain_edge.pop(tail))
-            self._pool.append(tail)
+            self._free_gadgets.append(tail)
         if len(chain.nodes) == 1 and chain.anchor not in chain.hosted:
             chain.free = [chain.anchor]
         else:

@@ -93,10 +93,12 @@ def _objectify_comp_memb(buf: bytearray, Jcap: int) -> np.ndarray:
 def make_pull(space: ChunkSpace) -> Callable[[tt.Node], None]:
     """Aggregation hook recomputing (CAdj_z, Memb_z) from children.
 
-    Hot-loop hygiene: the matrix, cap, ufuncs and the charge method are
-    bound once in the closure (not re-fetched per pull), and the old
-    ``node_cadj`` / ``node_memb`` helper calls are inlined -- the hook runs
-    on every 2-3-tree vertex every structural mutation touches.
+    Hot-loop hygiene: the cap, ufuncs and the charge method are bound once
+    in the closure (not re-fetched per pull), and the old ``node_cadj`` /
+    ``node_memb`` helper calls are inlined -- the hook runs on every
+    2-3-tree vertex every structural mutation touches.  The matrix is read
+    per call: the closure is built with the engine, before the first
+    chunk id allocates ``space.C``.
 
     On the columnar backend (sequential engine) the aggregate vectors are
     complex128 mirrors and the ufuncs run as native lexicographic
@@ -107,7 +109,6 @@ def make_pull(space: ChunkSpace) -> Callable[[tt.Node], None]:
         return _make_pull_columnar(space)
     if space.comp_lsds:
         return _make_pull_compiled(space)
-    C = space.C
     Jcap = space.Jcap
     charge = space.ops.charge
     np_empty, np_zeros = np.empty, np.zeros
@@ -117,6 +118,7 @@ def make_pull(space: ChunkSpace) -> Callable[[tt.Node], None]:
         kids = node.kids
         if not kids:
             return
+        C = space.C
         agg = node.agg
         if agg is None:
             agg = node.agg = (np_empty(Jcap, dtype=object),
@@ -147,7 +149,6 @@ def make_pull(space: ChunkSpace) -> Callable[[tt.Node], None]:
 def _make_pull_columnar(space: ChunkSpace) -> Callable[[tt.Node], None]:
     """Columnar twin of :func:`make_pull`: complex128 lexicographic
     ``np.minimum`` over the mirror rows, identical charges."""
-    CC = space.colm.CC
     Jcap = space.Jcap
     charge = space.ops.charge
     np_empty, np_zeros = np.empty, np.zeros
@@ -158,6 +159,7 @@ def _make_pull_columnar(space: ChunkSpace) -> Callable[[tt.Node], None]:
         kids = node.kids
         if not kids:
             return
+        CC = space.colm.CC
         agg = node.agg
         if agg is None:
             agg = node.agg = (np_empty(Jcap, dtype=cplx),
@@ -190,7 +192,6 @@ def _make_pull_compiled(space: ChunkSpace) -> Callable[[tt.Node], None]:
     (CAdj_z, Memb_z) pair over the flat float64 buffers, identical
     charges.  Leaf memb rows are synthesized one-hot inside the kernel
     (``chunk.memb_row`` stays the audit-facing bool array)."""
-    buf = space.compm.buf
     Jcap = space.Jcap
     charge = space.ops.charge
     pull_node = compiled.kernels.pull_node
@@ -200,7 +201,7 @@ def _make_pull_compiled(space: ChunkSpace) -> Callable[[tt.Node], None]:
             return
         if node.agg is None:
             node.agg = (bytearray(16 * Jcap), bytearray(Jcap))
-        n = pull_node(node, buf, Jcap)
+        n = pull_node(node, space.compm.buf, Jcap)
         charge("lsds_pull", Jcap * n)
 
     return pull
@@ -210,8 +211,9 @@ def make_pull_changed(space: ChunkSpace) -> Callable[[tt.Node], bool]:
     """Change-detecting pull for :func:`tt.refresh_upward_changed`.
 
     Recomputes into a pair of *hoisted scratch buffers* (allocated once per
-    space, not per call), compares against the stored aggregate, and only
-    writes back -- returning ``True`` -- when the vectors actually changed.
+    space, by the first compare -- not per call, and not before the space
+    has a matrix), compares against the stored aggregate, and only writes
+    back -- returning ``True`` -- when the vectors actually changed.
     The recompute itself is charged exactly like :func:`make_pull`
     (``Jcap * len(kids)`` per pulled vertex); vertices the early exit never
     visits are work genuinely not done, which only tightens the
@@ -221,15 +223,14 @@ def make_pull_changed(space: ChunkSpace) -> Callable[[tt.Node], bool]:
         return _make_pull_changed_columnar(space)
     if space.comp_lsds:
         return _make_pull_changed_compiled(space)
-    C = space.C
     Jcap = space.Jcap
     charge = space.ops.charge
     np_minimum, np_logical_or = np.minimum, np.logical_or
-    scratch_cadj = np.empty(Jcap, dtype=object)
-    scratch_memb = np.zeros(Jcap, dtype=bool)
+    scratch_cadj = scratch_memb = None
     build = make_pull(space)
 
     def pull_changed(node: tt.Node) -> bool:
+        nonlocal scratch_cadj, scratch_memb
         kids = node.kids
         if not kids:
             return False
@@ -237,6 +238,10 @@ def make_pull_changed(space: ChunkSpace) -> Callable[[tt.Node], bool]:
         if agg is None:  # first pull ever: build in place, always "changed"
             build(node)
             return True
+        if scratch_cadj is None:
+            scratch_cadj = np.empty(Jcap, dtype=object)
+            scratch_memb = np.zeros(Jcap, dtype=bool)
+        C = space.C
         first = kids[0]
         if first.height:
             fc, fm = first.agg
@@ -274,15 +279,14 @@ def _make_pull_changed_columnar(space: ChunkSpace) -> Callable[[tt.Node], bool]:
     round-trip the same float64 (weight, eid) pairs, so a vertex reports
     "changed" on the columnar backend iff the scalar backend would.
     """
-    CC = space.colm.CC
     Jcap = space.Jcap
     charge = space.ops.charge
     np_minimum, np_logical_or = np.minimum, np.logical_or
-    scratch_cadj = np.empty(Jcap, dtype=np.complex128)
-    scratch_memb = np.zeros(Jcap, dtype=bool)
+    scratch_cadj = scratch_memb = None
     build = _make_pull_columnar(space)
 
     def pull_changed(node: tt.Node) -> bool:
+        nonlocal scratch_cadj, scratch_memb
         kids = node.kids
         if not kids:
             return False
@@ -290,6 +294,10 @@ def _make_pull_changed_columnar(space: ChunkSpace) -> Callable[[tt.Node], bool]:
         if agg is None:  # first pull ever: build in place, always "changed"
             build(node)
             return True
+        if scratch_cadj is None:
+            scratch_cadj = np.empty(Jcap, dtype=np.complex128)
+            scratch_memb = np.zeros(Jcap, dtype=bool)
+        CC = space.colm.CC
         first = kids[0]
         if first.height:
             fc, fm = first.agg
@@ -324,22 +332,25 @@ def _make_pull_changed_compiled(space: ChunkSpace) -> Callable[[tt.Node], bool]:
     into the hoisted scratch buffers, compares double *values* (so the
     change verdict matches scalar tuple equality exactly, ``-0.0 == 0.0``
     included) and writes back only on change.  Identical charges."""
-    buf = space.compm.buf
     Jcap = space.Jcap
     charge = space.ops.charge
     changed_kernel = compiled.kernels.pull_node_changed
-    scratch_keys = bytearray(16 * Jcap)
-    scratch_memb = bytearray(Jcap)
+    scratch_keys = scratch_memb = None
     build = _make_pull_compiled(space)
 
     def pull_changed(node: tt.Node) -> bool:
+        nonlocal scratch_keys, scratch_memb
         kids = node.kids
         if not kids:
             return False
         if node.agg is None:  # first pull ever: build in place
             build(node)
             return True
-        out = changed_kernel(node, buf, Jcap, scratch_keys, scratch_memb)
+        if scratch_keys is None:
+            scratch_keys = bytearray(16 * Jcap)
+            scratch_memb = bytearray(Jcap)
+        out = changed_kernel(node, space.compm.buf, Jcap, scratch_keys,
+                             scratch_memb)
         charge("lsds_pull", Jcap * len(kids))
         return out
 

@@ -171,19 +171,15 @@ class SparseDynamicMSF:
         engines only -- the vertex pool is rebuilt *with accounting on*,
         replaying the same construction charges ``__init__`` makes.
 
-        Lazy engines materialize vertices paused on first touch either
-        way; ``reset`` *pre-warms* the vertices the retired op stream had
-        touched (still paused, through the same ``_materialize_vertex``
-        path), so a recycled engine is observably identical to a fresh one
-        whose stream touches those vertices -- same structures, same
-        (zero) charges -- but the rebuild happens at release time, off
-        the update latency path.
+        Lazy engines just drop their vertices: the next tenant
+        materializes what it touches, paused, exactly like a fresh engine.
+        (Rebuilding the retired stream's vertices here would only move
+        work: a sparsification tree retires and recycles node engines on
+        its update path, and the next tenant rarely touches the same
+        local vertices.)
         """
         machine = self._machine
-        vertices = self.vertices
-        lazy = isinstance(vertices, _VertexTable)
-        touched = ([vid for vid, vx in enumerate(vertices._slots)
-                    if vx is not None] if lazy else None)
+        lazy = isinstance(self.vertices, _VertexTable)
         with self.ops.paused():
             if machine is not None:
                 with machine.paused():
@@ -192,10 +188,7 @@ class SparseDynamicMSF:
                 self._teardown_structures()
         self.ops.reset()
         self._zero_measurements()
-        if lazy:
-            for vid in touched:  # pre-warm; charges paused inside
-                vertices[vid]
-        else:
+        if not lazy:
             # eager rebuild, charged exactly like __init__'s construction
             self.vertices = []
             for vid in range(self.n_max):

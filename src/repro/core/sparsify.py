@@ -17,8 +17,11 @@ forwards its *own* net MSF delta to its parent.  The MSF at the root is the
 MSF of the whole graph.
 
 Leaves (both ranges singleton) store the parallel edges of one vertex pair
-and contribute the lightest.  Nodes are materialized lazily, so space is
-``O(m log n)``.
+and contribute the lightest.  Nodes are materialized lazily and retired
+again as soon as an update leaves them without edges, and a node engine
+allocates its gadget chains and chunk matrix only on first use, so space
+is ``O(m log n)`` in the *live* edges ``m`` -- not in every vertex pair
+the tree has ever seen.
 
 The **parallel sparsification** of Section 5.3 is realized by cost
 accounting: per update, each level's local-engine work is independent
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from typing import Iterator, Optional, Sequence
 
 from ..resilience import faults as _faults
@@ -45,6 +49,13 @@ __all__ = ["SparsifiedMSF", "EnginePool", "default_pool"]
 def _split(lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
     mid = (lo + hi) // 2
     return (lo, mid), (mid, hi)
+
+
+def _check_weight(w: float) -> None:
+    """Reject a weight before any state changes: NaN breaks the ``(w,
+    eid)`` total order and infinities are reserved for gadget chains."""
+    if not math.isfinite(w):
+        raise ValueError(f"edge weight must be finite, got {w!r}")
 
 
 def _fold(added: set, removed: set, a, r) -> None:
@@ -68,21 +79,23 @@ class EnginePool:
     Materializing a sparsification-tree node used to construct a full
     ``DegreeReducer`` (gadget chains, chunk space, LSDS registry) from
     scratch -- the dominant allocation cost of the E9 churn profile.  The
-    arena instead recycles engines retired by :meth:`SparsifiedMSF.release`:
-    engines are :meth:`DegreeReducer.reset` *at release time* (with
-    accounting paused and counters re-zeroed), so an acquired engine is
-    bit-identical to a freshly constructed one -- same eid streams, empty
-    change logs, zeroed op counters and PRAM stats.  Pooling is therefore
-    measurement-neutral by construction; the arena-determinism tests assert
-    it op-for-op.
+    arena instead recycles retired engines: those of a whole tree handed
+    back by :meth:`SparsifiedMSF.release`, and those of single nodes a
+    tree retires when an update leaves them without edges.  Engines are
+    :meth:`DegreeReducer.reset` *at release time* (with accounting paused
+    and counters re-zeroed), so an acquired engine is bit-identical to a
+    freshly constructed one -- same eid streams, empty change logs, zeroed
+    op counters and PRAM stats.  Pooling is therefore measurement-neutral
+    by construction; the arena-determinism tests assert it op-for-op.
 
-    The pool only ever holds engines handed back through ``release`` --
-    trees that never release keep the pool empty, so sharing
-    :data:`default_pool` process-wide is safe.
+    Every tree with a pool feeds it from its deletes, so
+    :data:`default_pool` is shared by every front in the process, on
+    whatever threads they run: one lock serializes ``acquire``,
+    ``release`` and ``quarantine``.
     """
 
     __slots__ = ("_free", "max_per_key", "hits", "misses", "recycled",
-                 "_quarantined")
+                 "_quarantined", "_lock")
 
     def __init__(self, max_per_key: int = 512) -> None:
         # The bound is per (n_local, K, parallel) bucket.  A sparsification
@@ -103,29 +116,32 @@ class EnginePool:
         #: can never re-enter the free-list (the acceptance invariant of
         #: the resilience layer).
         self._quarantined: dict[int, DegreeReducer] = {}
+        self._lock = threading.Lock()
 
     def acquire(self, key: tuple) -> Optional[DegreeReducer]:
-        lst = self._free.get(key)
-        if lst:
-            self.hits += 1
-            return lst.pop()
-        self.misses += 1
-        return None
+        with self._lock:
+            lst = self._free.get(key)
+            if lst:
+                self.hits += 1
+                return lst.pop()
+            self.misses += 1
+            return None
 
     def release(self, key: tuple, engine: DegreeReducer) -> bool:
-        if id(engine) in self._quarantined:
-            return False  # quarantined engines never rejoin the free-list
-        lst = self._free.get(key)
-        if lst is None:
-            lst = self._free[key] = []
-        if len(lst) >= self.max_per_key:
-            return False  # bounded: drop overflow engines on the floor
-        engine.reset()
-        if _faults.armed:  # reset-completeness corruption site
-            _faults.fire("arena.reset", engine=engine, key=key)
-        lst.append(engine)
-        self.recycled += 1
-        return True
+        with self._lock:
+            if id(engine) in self._quarantined:
+                return False  # quarantined engines never rejoin the free-list
+            lst = self._free.get(key)
+            if lst is None:
+                lst = self._free[key] = []
+            if len(lst) >= self.max_per_key:
+                return False  # bounded: drop overflow engines on the floor
+            engine.reset()
+            if _faults.armed:  # reset-completeness corruption site
+                _faults.fire("arena.reset", engine=engine, key=key)
+            lst.append(engine)
+            self.recycled += 1
+            return True
 
     def quarantine(self, engine: DegreeReducer) -> None:
         """Permanently bar ``engine`` from the free-list.
@@ -134,12 +150,13 @@ class EnginePool:
         structurally corrupted.  Also evicts the engine if it is currently
         sitting *in* the free-list (the ``arena.reset`` detection path).
         """
-        self._quarantined[id(engine)] = engine
-        for lst in self._free.values():
-            for i, cand in enumerate(lst):
-                if cand is engine:
-                    del lst[i]
-                    break
+        with self._lock:
+            self._quarantined[id(engine)] = engine
+            for lst in self._free.values():
+                for i, cand in enumerate(lst):
+                    if cand is engine:
+                        del lst[i]
+                        break
 
     @property
     def quarantined_count(self) -> int:
@@ -149,20 +166,24 @@ class EnginePool:
         return id(engine) in self._quarantined
 
     def free_engines(self) -> Iterator[tuple[tuple, DegreeReducer]]:
-        """(key, engine) over the free-list (the pool self-audit walks it)."""
-        for key, lst in self._free.items():
-            for engine in lst:
-                yield key, engine
+        """(key, engine) over a snapshot of the free-list (the pool
+        self-audit walks it)."""
+        with self._lock:
+            snapshot = [(key, engine) for key, lst in self._free.items()
+                        for engine in lst]
+        yield from snapshot
 
     def size(self) -> int:
-        return sum(len(v) for v in self._free.values())
+        with self._lock:
+            return sum(len(v) for v in self._free.values())
 
     def clear(self) -> None:
-        self._free.clear()
+        with self._lock:
+            self._free.clear()
 
 
-#: Process-wide default arena.  Empty (hence inert) until some tree calls
-#: :meth:`SparsifiedMSF.release`; bench/serve layers do so between runs.
+#: Process-wide default arena, fed by every pooled tree's retired nodes
+#: and by :meth:`SparsifiedMSF.release`.
 default_pool = EnginePool()
 
 
@@ -364,6 +385,9 @@ class SparsifiedMSF:
         self._pool = pool
         self.max_level = max(1, math.ceil(math.log2(n)))
         self.nodes: dict[tuple, object] = {}
+        #: charged ops, EREW violations and PRAM depth/work of node engines
+        #: this tree has retired (their counters leave with them)
+        self.retired = {"ops": 0, "violations": 0, "depth": 0, "work": 0}
         self.edges: dict[int, tuple[int, int, float]] = {}
         self.self_loops: dict[int, tuple[int, float]] = {}
         self.root = self._get_node(0, (0, n), (0, n))
@@ -477,6 +501,7 @@ class SparsifiedMSF:
 
     def insert_edge(self, u: int, v: int, w: float,
                     eid: Optional[int] = None) -> int:
+        _check_weight(w)
         eid = next(self._eid) if eid is None else eid
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
@@ -513,6 +538,7 @@ class SparsifiedMSF:
         the global MSF so it can forward an O(1) delta to its own merge
         engine.  Self-loops report an empty delta.
         """
+        _check_weight(w)
         eid = next(self._eid) if eid is None else eid
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(
@@ -565,7 +591,50 @@ class SparsifiedMSF:
         plan.run_serial()
         self._last_levels = plan.levels
         self._fold_root_delta(plan)
+        self._retire_empty((plan,))
         return plan
+
+    def _retire_empty(self, plans) -> None:
+        """Retire every node the plans left without edges (never the root).
+
+        Runs on the host thread after all of ``plans`` have run, walking
+        each plan's stations leaf first in plan order, so which nodes go
+        -- and hence which engines later nodes draw from the pool -- does
+        not depend on the executor's pool size.  A walk stops at the
+        first node that still holds edges: a non-empty node has a
+        non-empty MSF, so every ancestor holds edges too.
+        """
+        nodes = self.nodes
+        root = self.root
+        for plan in plans:
+            for key in plan.stations:
+                node = nodes.get(key)
+                if node is None:
+                    continue  # retired by an earlier plan of the batch
+                if node is root:
+                    break
+                if node.has_engine:
+                    if node.engine.edge_count():
+                        break
+                    self._retire_engine(node)
+                elif node.edges:
+                    break
+                del nodes[key]
+
+    def _retire_engine(self, node: "_Node") -> None:
+        """Fold ``node``'s accounting into :attr:`retired`, then hand its
+        engine to the pool (which resets it) or drop it."""
+        core = node.engine.core
+        retired = self.retired
+        retired["ops"] += core.ops.grand_total()
+        machine = getattr(core, "machine", None)
+        if machine is not None:
+            total = machine.total
+            retired["violations"] += total.violations
+            retired["depth"] += total.depth
+            retired["work"] += total.work
+        if self._pool is not None:
+            self._pool.release(node.pool_key, node.engine)
 
     def _fold_root_delta(self, plan: _PropagationPlan) -> None:
         """Fold one plan's root MSF delta into the incremental weight."""
@@ -600,6 +669,9 @@ class SparsifiedMSF:
         fork-join composition (per-level depths add within a level, the
         max is taken across levels).
         """
+        for op in ops:  # all-or-nothing: reject before any state changes
+            if op[0] == "ins":
+                _check_weight(op[4])
         removed_info: dict[int, tuple[int, int, float]] = {}
         plans: list[_PropagationPlan] = []
         for op in ops:
@@ -644,6 +716,7 @@ class SparsifiedMSF:
                              for level, (o, d) in sorted(per_level.items())]
         for plan in plans:
             self._fold_root_delta(plan)
+        self._retire_empty(plans)
         return {"ops": len(ops), "plans": len(plans),
                 "stations": sum(len(p.levels) for p in plans)}
 
@@ -713,14 +786,15 @@ class SparsifiedMSF:
                 "measured": self.parallel}
 
     def erew_violations(self) -> int:
-        """Total EREW violations across every level engine.
+        """Total EREW violations across every level engine, retired ones
+        included.
 
         Safe on any tree shape: partially-materialized trees only iterate
         the nodes that exist, ``_Leaf`` nodes carry no engine, and
         ``parallel=False`` engines have no ``machine`` attribute -- all of
         those contribute 0, so the serving layer can always report this.
         """
-        total = 0
+        total = self.retired["violations"]
         for node in self.nodes.values():
             if node.has_engine:
                 machine = getattr(getattr(node.engine, "core", None),
@@ -755,6 +829,7 @@ class SparsifiedMSF:
 
         A scheduling-order fingerprint: the batch executor must leave this
         identical across pool sizes (each engine sees the same op stream).
+        Retired engines are summed in ``retired["ops"]`` instead.
         """
         return {key: node.engine.core.ops.grand_total()
                 for key, node in self.nodes.items()

@@ -188,14 +188,15 @@ def check_reducer(red, level: str = "cheap") -> list[Finding]:
         return out
 
     def accounting() -> None:
-        n_core = red.n + 2 * red.max_edges
-        in_chains = sum(len(c.nodes) for c in red.chains)
-        if in_chains - red.n + len(red._pool) != 2 * red.max_edges:
+        in_chains = sum(len(c.nodes) - 1 for c in red.chains.values())
+        issued = red._next_gadget - red.n
+        returned = len(red._free_gadgets)
+        if in_chains + returned != issued:
             out.append(Finding(
                 "reducer",
-                f"gadget accounting broken: {in_chains} chain nodes + "
-                f"{len(red._pool)} pooled != {n_core} total", level))
-        hosted = sum(len(c.hosted) for c in red.chains)
+                f"gadget accounting broken: {in_chains} chain gadgets + "
+                f"{returned} returned != {issued} issued", level))
+        hosted = sum(len(c.hosted) for c in red.chains.values())
         if hosted != 2 * len(red.real):
             out.append(Finding(
                 "reducer", f"{hosted} hosted slots for {len(red.real)} "
@@ -284,7 +285,7 @@ def check_pool(pool, level: str = "cheap") -> list[Finding]:
 
     Cheap: no quarantined engine sits in the free-list.  Structural and
     up: every free-listed engine is *pristine* -- reset really completed
-    (empty registries, full gadget pool, singleton chains, zero weight,
+    (empty registries, no gadget id issued, no chains, zero weight,
     empty change log), which is the invariant ``acquire`` relies on.
     """
     rank = _rank(level)
@@ -322,13 +323,11 @@ def _reset_problems(engine) -> list[str]:
         msgs.append(f"{len(engine.self_loops)} stale self-loops")
     if engine._chain_edge:
         msgs.append(f"{len(engine._chain_edge)} stale chain edges")
-    if len(engine._pool) != 2 * engine.max_edges:
-        msgs.append(f"gadget pool holds {len(engine._pool)} ids, expected "
-                    f"{2 * engine.max_edges}")
-    for v, chain in enumerate(engine.chains):
-        if len(chain.nodes) != 1 or chain.hosted or chain.nodes[0] != v:
-            msgs.append(f"chain of vertex {v} not reset")
-            break
+    if engine._next_gadget != engine.n or engine._free_gadgets:
+        msgs.append(f"gadget ids issued up to {engine._next_gadget} with "
+                    f"{len(engine._free_gadgets)} returned, expected none")
+    if engine.chains:
+        msgs.append(f"{len(engine.chains)} chains not reset")
     core = engine.core
     if getattr(core, "change_log", None):
         msgs.append(f"core change log holds {len(core.change_log)} entries")

@@ -176,11 +176,10 @@ def _corrupt_arena_reset(param: int, ctx: dict) -> Optional[dict]:
         if loops is not None:
             loops[2 ** 30 + param] = (0, 0.0)
             return {"detail": "stray self_loops entry left after reset"}
-    if variant == 1:
-        pool = getattr(engine, "_pool", None)
-        if pool:
-            gone = pool.pop()
-            return {"detail": f"gadget pool leaked node {gone}"}
+    if variant == 1 and hasattr(engine, "_next_gadget"):
+        gone = engine._next_gadget
+        engine._next_gadget += 1
+        return {"detail": f"gadget id {gone} leaked"}
     core = getattr(engine, "core", None)
     if core is not None and hasattr(core, "_w_finite"):
         core._w_finite += 1.0

@@ -201,9 +201,10 @@ def _set_fast_audit(impl) -> None:
 
 
 def _charged_work(impl) -> int:
-    """Total elementary work charged to the backend's own counters."""
+    """Total elementary work charged to the backend's own counters,
+    including the counters of node engines the tree has retired."""
     if hasattr(impl, "ops_by_node"):
-        return sum(impl.ops_by_node().values())
+        return sum(impl.ops_by_node().values()) + impl.retired["ops"]
     return impl.core.ops.grand_total()
 
 

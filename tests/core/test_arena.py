@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from repro.core.seq_msf import SparseDynamicMSF
 from repro.core.sparsify import EnginePool, SparsifiedMSF
@@ -111,11 +112,92 @@ def test_release_resets_engines_bit_identically():
     assert recycled.core.change_log == []
     assert recycled.core.edges == {} and recycled.core.tree_edges == set()
     assert recycled.real == {} and recycled._chain_edge == {}
-    assert all(len(c.nodes) == 1 and c.nodes[0] == v
-               for v, c in enumerate(recycled.chains))
+    # chains and gadget ids are allocated on first touch: none survive
+    assert recycled.chains == {}
+    assert recycled._next_gadget == recycled.n
+    assert recycled._free_gadgets == []
     # eid streams restart: fresh counters draw 1 first
     assert next(recycled._eid) == 1
     assert next(recycled.core._eid) == 1
+
+
+def test_never_long_engine_allocates_no_matrix():
+    """An engine whose lists all stayed short never assigned a chunk id,
+    so neither before nor after its release does it hold a matrix."""
+    pool = EnginePool()
+    tree = SparsifiedMSF(24, pool=pool)
+    e = tree.insert_edge(0, 1, 1.0)
+    leafward = [node for key, node in tree.nodes.items()
+                if node.has_engine and key[0] > 0]
+    assert leafward
+    for node in leafward:
+        space = node.engine.core.fabric.space
+        assert space.C is None and space.row_views is None
+    tree.delete_edge(e)  # retires every non-root node into the pool
+    assert pool.size() == len(leafward)
+    for _key, engine in pool.free_engines():
+        space = engine.core.fabric.space
+        assert space.C is None and space.inf_row is None
+        assert engine.chains == {}
+
+
+class _YieldingEngine:
+    """Stand-in engine whose ``reset`` gives up the interpreter, so other
+    threads run while a release is between its checks and its append."""
+
+    def reset(self) -> None:
+        time.sleep(0)
+
+
+def test_pool_survives_concurrent_acquire_release():
+    """One lock guards the free-list: under more threads than cores that
+    churn engines through one bounded key, no engine is handed out twice,
+    the bound holds and no acquisition is lost."""
+    import sys
+    import threading
+
+    bound = 2
+    pool = EnginePool(max_per_key=bound)
+    key = (2, None, False, "scalar")
+    guard = threading.Lock()
+    in_use: set[int] = set()
+    problems = []
+    refused = [0]
+    rounds, workers = 400, 6
+
+    def churn_pool():
+        try:
+            for _ in range(rounds):
+                engine = pool.acquire(key) or _YieldingEngine()
+                with guard:
+                    if id(engine) in in_use:
+                        problems.append("engine handed out twice")
+                    in_use.add(id(engine))
+                with guard:
+                    in_use.discard(id(engine))
+                if not pool.release(key, engine):
+                    with guard:
+                        refused[0] += 1
+                if pool.size() > bound:
+                    problems.append(f"free-list over its bound: {pool.size()}")
+        except Exception as exc:  # surfaced below
+            problems.append(repr(exc))
+
+    threads = [threading.Thread(target=churn_pool) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
+    assert pool.hits + pool.misses == rounds * workers
+    assert pool.recycled + refused[0] == rounds * workers
+    assert pool.size() <= bound
 
 
 def test_pool_bound_drops_overflow():
@@ -141,3 +223,141 @@ def test_facade_release_roundtrip():
     m2.insert_edge(0, 1, 1.0)
     assert m2.connected(0, 1)
     m2.release()
+
+
+# --------------------------------------------------------- node retirement
+
+
+def _bounded_churn(seed: int, n: int, steps: int, max_live: int):
+    """Inserts over ever-new vertex pairs with at most ``max_live`` edges
+    live, so almost every delete empties (and retires) a path of nodes."""
+    rng = random.Random(seed)
+    live: list[int] = []
+    eid = itertools.count(1)
+    out = []
+    for _ in range(steps):
+        if len(live) >= max_live or (live and rng.random() < 0.4):
+            out.append(("del", live.pop(rng.randrange(len(live)))))
+        else:
+            e = next(eid)
+            u, v = rng.sample(range(n), 2)
+            out.append(("ins", e, u, v, round(rng.random(), 6)))
+            live.append(e)
+    return out
+
+
+def test_tree_space_tracks_live_edges():
+    n = 48
+    for pool in (EnginePool(), None):
+        tree = SparsifiedMSF(n, pool=pool)
+        root_key = next(iter(tree.nodes))
+        rng = random.Random(3)
+        eids = [tree.insert_edge(u, v, rng.random())
+                for u, v in (rng.sample(range(n), 2) for _ in range(60))]
+        assert len(tree.nodes) > 1
+        for e in eids:
+            tree.delete_edge(e)
+        # inserting then deleting every edge leaves only the root
+        assert list(tree.nodes) == [root_key]
+        assert tree.root.engine.edge_count() == 0
+        # churn over many distinct pairs: every surviving node lies on the
+        # path of a live edge
+        live: set[int] = set()
+        pairs = set()
+        for op in _bounded_churn(9, n, 600, max_live=6):
+            if op[0] == "ins":
+                _t, e, u, v, w = op
+                tree.insert_edge(u, v, w, eid=e)
+                live.add(e)
+                pairs.add((min(u, v), max(u, v)))
+            else:
+                tree.delete_edge(op[1])
+                live.discard(op[1])
+            assert len(tree.nodes) <= 1 + len(live) * (tree.max_level + 1)
+        # the bound is far below what a grow-only tree would hold
+        assert len(pairs) * 2 > 1 + 6 * (tree.max_level + 1)
+
+
+def test_batch_retirement_leaves_only_the_root():
+    """``apply_batch`` retires after the whole batch: a batch that empties
+    the graph leaves only the root."""
+    n = 32
+    tree = SparsifiedMSF(n, pool=EnginePool())
+    ops = [("ins", i + 1, i, (i * 7 + 3) % n, float(i)) for i in range(n)
+           if i != (i * 7 + 3) % n]
+    tree.apply_batch(ops)
+    assert len(tree.nodes) > 1
+    tree.apply_batch([("del", op[1]) for op in ops])
+    assert list(tree.nodes) == [(0, (0, n), (0, n))]
+
+
+def _churn_fingerprints(tree: SparsifiedMSF, ops):
+    out = []
+    for op in ops:
+        if op[0] == "ins":
+            _t, eid, u, v, w = op
+            tree.insert_edge(u, v, w, eid=eid)
+        else:
+            tree.delete_edge(op[1])
+        out.append((frozenset(tree.msf_ids()), tree.msf_weight(),
+                    tuple(tree._last_levels),
+                    tuple(sorted(tree.parallel_cost_of_last_update().items()))))
+    return out
+
+
+def test_retirement_is_pool_neutral_sequential():
+    """Engines recycled mid-stream by retirement leave every observable
+    equal to a tree that builds each node cold."""
+    n = 40
+    ops = _bounded_churn(21, n, 400, max_live=5)
+    pool = EnginePool()
+    pooled = SparsifiedMSF(n, pool=pool)
+    bare = SparsifiedMSF(n, pool=None)
+    assert _churn_fingerprints(pooled, ops) == _churn_fingerprints(bare, ops)
+    assert pool.hits > 0 and pool.recycled > 0
+    assert pooled.ops_by_node() == bare.ops_by_node()
+    assert pooled.retired == bare.retired
+    assert pooled.retired["ops"] > 0
+
+
+def test_retirement_is_pool_neutral_parallel():
+    n = 16
+    ops = _bounded_churn(5, n, 60, max_live=3)
+    pool = EnginePool()
+    pooled = SparsifiedMSF(n, parallel=True, pool=pool)
+    bare = SparsifiedMSF(n, parallel=True, pool=None)
+    assert _churn_fingerprints(pooled, ops) == _churn_fingerprints(bare, ops)
+    assert pool.hits > 0
+    assert pooled.depth_work_by_node() == bare.depth_work_by_node()
+    assert pooled.retired == bare.retired
+    assert pooled.retired["depth"] > 0 and pooled.retired["work"] > 0
+    assert pooled.erew_violations() == bare.erew_violations() == 0
+
+
+def test_retired_nodes_keep_their_accounting():
+    """Charges and EREW violations made on a node before it is retired
+    still show up in the tree's totals afterwards."""
+    from repro.resilience.soak import _charged_work
+
+    tree = SparsifiedMSF(16, parallel=True, pool=None)
+    keep = tree.insert_edge(8, 9, 2.0)
+    e = tree.insert_edge(0, 1, 1.0)
+    engines = {key: tree.nodes[key].engine for key in tree._path(0, 1)
+               if key[0] > 0 and tree.nodes[key].has_engine}
+    victim = max(engines)  # the deepest engine node on (0, 1)'s path
+    engines[victim].core.machine.total.violations += 1
+    assert tree.erew_violations() == 1
+    before = _charged_work(tree)
+    tree.delete_edge(e)
+    gone = [key for key in engines if key not in tree.nodes]
+    assert victim in gone
+    # nothing was pooled, so the dropped engines still hold their counters
+    assert tree.retired["ops"] == sum(
+        engines[k].core.ops.grand_total() for k in gone)
+    assert tree.retired["work"] == sum(
+        engines[k].core.machine.total.work for k in gone)
+    assert tree.erew_violations() == 1
+    assert _charged_work(tree) >= before
+    assert _charged_work(tree) == (sum(tree.ops_by_node().values())
+                                   + tree.retired["ops"])
+    assert keep in tree.msf_ids()

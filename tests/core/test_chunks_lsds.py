@@ -23,10 +23,24 @@ def test_default_K_flavors():
 
 
 def test_chunkspace_capacity_formula():
+    from repro.core.chunks import Chunk
+    from repro.core.model import Occurrence, Vertex
+
     space = ChunkSpace(1024, K=32)
     assert space.Jcap >= 5 * 1024 // 32
+    # the matrix is allocated by the first chunk id, at full capacity
+    assert space.C is None and space.row_views is None
+    vx = Vertex(0)
+    occ = Occurrence(vx)
+    vx.pc = occ
+    c = Chunk()
+    c.head = c.tail = occ
+    occ.chunk = c
+    space.adopt_occurrences(c)
+    space.assign_id(c)
     assert space.C.shape == (space.Jcap, space.Jcap)
     assert space.C[0, 0] == INF_KEY
+    assert len(space.row_views) == space.Jcap
 
 
 def test_id_assign_release_cycle():

@@ -79,13 +79,21 @@ def test_gadget_pool_does_not_leak_under_moving_hotspot():
             orc.insert(center, other, float(j) + center * 0.01, eid)
             eids.append(eid)
         check(red, orc)
+        # compaction: every live chain is exactly as long as it hosts
+        for chain in red.chains.values():
+            assert len(chain.nodes) == max(1, len(chain.hosted))
         for eid in eids:
             red.delete_edge(eid)
             orc.delete(eid)
         check(red, orc)
-    # all chains compact again
-    for chain in red.chains:
+    # all chains compact again: emptied chains are dropped, and every
+    # gadget id ever issued is back on the free stack
+    for chain in red.chains.values():
         assert len(chain.nodes) == 1
+    assert red.chains == {}
+    assert len(red._free_gadgets) == red._next_gadget - n
+    # the hotspot never needed more than its own degree in gadgets
+    assert red._next_gadget - n <= 2 * 5
 
 
 def test_connected_queries():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -74,6 +75,48 @@ def test_engine_validation():
     # raised, not asserted: public validation must survive `python -O`
     with pytest.raises(ValueError):
         DynamicMSF(4, engine="quantum")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sparsify", [False, True])
+def test_non_finite_weight_rejected_before_state_changes(sparsify, bad):
+    """NaN would break the (w, eid) total order; infinities are the
+    gadget chains' keys.  Rejection leaves the state and the id stream
+    untouched."""
+    from repro.resilience.checks import state_fingerprint
+
+    m, twin = DynamicMSF(4, sparsify=sparsify), DynamicMSF(4, sparsify=sparsify)
+    for eng in (m, twin):
+        eng.insert_edge(0, 1, 1.0)
+        eng.insert_edge(1, 2, 2.0)
+    before = state_fingerprint(m)
+    for u, v in ((0, 1), (2, 3), (3, 3)):  # parallel, fresh, self-loop
+        with pytest.raises(ValueError):
+            m.insert_edge(u, v, bad)
+        assert state_fingerprint(m) == before
+    # no id was drawn by a rejection: the next id is the twin's
+    assert m.insert_edge(2, 3, 3.0) == twin.insert_edge(2, 3, 3.0)
+    assert state_fingerprint(m) == state_fingerprint(twin)
+    assert m.connected(0, 3)
+    assert m.self_check("full") == []
+
+
+def test_sparsified_batch_rejects_nan_all_or_nothing():
+    from repro.core.sparsify import SparsifiedMSF
+    from repro.resilience.checks import state_fingerprint
+
+    tree = SparsifiedMSF(8, pool=None)
+    tree.insert_edge(0, 1, 1.0, eid=1)
+    before = state_fingerprint(tree)
+    nodes = set(tree.nodes)
+    with pytest.raises(ValueError):
+        tree.apply_batch([("ins", 2, 1, 2, 2.0), ("del", 1),
+                          ("ins", 3, 2, 3, math.nan)])
+    assert state_fingerprint(tree) == before
+    assert set(tree.nodes) == nodes
+    with pytest.raises(ValueError):
+        tree.insert_reported(4, 5, math.nan, eid=4)
+    assert state_fingerprint(tree) == before
 
 
 def test_sparsified_parallel_composition():

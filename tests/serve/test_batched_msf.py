@@ -227,3 +227,52 @@ def test_stats_account_for_every_submitted_op():
     assert s["ops_submitted"] == len(ops)
     assert (s["ops_applied"] + s["ops_cancelled"] + s["ops_deduped"]
             == s["ops_submitted"])
+
+
+def test_fronts_on_threads_share_the_default_pool():
+    """Every pooled tree feeds ``default_pool`` from its deletes; fronts
+    churning concurrently against it (more threads than cores, short
+    switch interval) must each end exactly where a serial replay of
+    their own stream ends."""
+    import sys
+    import threading
+
+    from repro.core.sparsify import default_pool
+
+    n = 40
+    streams = [list(churn(n, 240, p_delete=0.45, seed=s))
+               for s in (12, 13, 14)]
+    fronts = [BatchedMSF(n, batch_size=4, pool_size=2) for _ in streams]
+    assert all(f._impl._pool is default_pool for f in fronts)
+    errors = []
+
+    def run(front, ops):
+        try:
+            drive(front, ops)
+            front.flush()
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=pair)
+               for pair in zip(fronts, streams)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for front, ops in zip(fronts, streams):
+        replay = BatchedMSF(n, batch_size=4, pool_size=1)
+        drive(replay, ops)
+        replay.flush()
+        assert front.msf_ids() == replay.msf_ids()
+        assert front.msf_weight() == replay.msf_weight()
+        assert front._impl.ops_by_node() == replay._impl.ops_by_node()
+        assert front._impl.retired == replay._impl.retired
+        assert front._impl.retired["ops"] > 0
+        assert front.self_check("structural") == []

@@ -183,12 +183,12 @@ class ParallelDynamicMSF(SparseDynamicMSF):
 
         The machine's kernel-shape audit caches survive (they are value-
         keyed and produce bit-identical stats on hits -- the fast-path
-        guarantee), but depth/work totals, history, interned memory and the
-        per-update stats return to the just-constructed state.  The base
-        ``reset`` calls this *before* the eager vertex rebuild, so the
-        rebuild's analytic charges land on the zeroed machine exactly as
-        ``__init__``'s did -- a recycled engine measures bit-identically to
-        a fresh one.
+        guarantee), but depth/work totals, history, the memory's
+        registrations and the per-update stats return to the
+        just-constructed state.  The base ``reset`` calls this *before*
+        the eager vertex rebuild, so the rebuild's analytic charges land on
+        the zeroed machine exactly as ``__init__``'s did -- a recycled
+        engine measures bit-identically to a fresh one.
         """
         self.machine.reset_stats()
         self.update_stats.clear()
@@ -214,6 +214,9 @@ class ParallelDynamicMSF(SparseDynamicMSF):
             self.machine.charge(depth=3 * kn.log2c(self.n_max),
                                 work=3 * kn.log2c(self.n_max), label="glue")
             self.machine.window_end(window)
+            # update scope: no registration or scratch register outlives
+            # the update that made it (kernels re-register on every call)
+            self.machine.mem.clear()
             self.update_stats.append(window)
             self._measuring = False
 

@@ -135,14 +135,6 @@ def _tree_shape(node: tt.Node) -> tuple:
 # machine's own fingerprint -- and no finer.
 # ---------------------------------------------------------------------------
 
-#: value-keyed memo for :func:`_bracket_plan`.  The plan is a *pure
-#: function* of the entry list (adversarial streams replay the same
-#: tournaments round after round), so a module-level bounded FIFO memo is
-#: safe across machines; callers never mutate the returned ``winners``.
-_bracket_memo: dict = {}
-_BRACKET_MEMO_CAP = 8192
-
-
 def _bracket_plan(entries, min_leaves: int = 1):
     """Simulate the 4-phase bracket; ``entries`` is the full (key, target)
     list (``None``-target entries field no program).
@@ -153,56 +145,43 @@ def _bracket_plan(entries, min_leaves: int = 1):
     the leaves; winners exit at ``log2(leaves)``); ``winners`` maps each
     target to its winning key.
     """
-    try:
-        ck = (min_leaves, tuple(entries))
-        memo = _bracket_memo.get(ck)
-        if memo is not None:
-            return memo
-    except TypeError:  # unhashable key component: compute without memoizing
-        ck = None
     n = len(entries)
     leaves = min_leaves
     while leaves < n:
         leaves *= 2
-    state: dict[tuple, tuple] = {}
+    # per target, its players as (node, key, k) in node order: siblings
+    # (an even node and its successor) are adjacent at every level
+    players: dict = {}
     for k, (key, tgt) in enumerate(entries):
         if tgt is not None:
-            state[(tgt, leaves + k)] = (key, k)
+            players.setdefault(tgt, []).append((leaves + k, key, k))
+    height = leaves.bit_length() - 1
     exits: list[tuple[int, int, int]] = []
     winners: dict = {}
-    level = 0
-    while state:
-        nxt: dict[tuple, tuple] = {}
-        groups: dict[tuple, list] = {}
-        for (tgt, node), (key, k) in state.items():
-            if node == 1:
-                winners[tgt] = key
-                exits.append((k, level, 2))
-            else:
-                groups.setdefault((tgt, node >> 1), []).append((node, key, k))
-        level += 1
-        for (tgt, parent), members in groups.items():
-            if len(members) == 2:
-                members.sort(key=lambda m: m[0])
-                _ln, lkey, lk = members[0]
-                _rn, rkey, rk = members[1]
-                if rkey < lkey:   # strict win by the right child
-                    exits.append((lk, level, 0))
-                    nxt[(tgt, parent)] = (rkey, rk)
-                else:             # ties and lkey <= rkey: left survives
-                    exits.append((rk, level, 1))
-                    nxt[(tgt, parent)] = (lkey, lk)
-            else:                 # lone child propagates (full 4-op phase)
-                _n, key, k = members[0]
-                nxt[(tgt, parent)] = (key, k)
-        state = nxt
+    for tgt, row in players.items():
+        for level in range(1, height + 1):
+            nxt = []
+            i, m = 0, len(row)
+            while i < m:
+                node, key, k = row[i]
+                if not node & 1 and i + 1 < m and row[i + 1][0] == node + 1:
+                    _rn, rkey, rk = row[i + 1]
+                    if rkey < key:    # strict win by the right child
+                        exits.append((k, level, 0))
+                        nxt.append((node >> 1, rkey, rk))
+                    else:             # ties and lkey <= rkey: left survives
+                        exits.append((rk, level, 1))
+                        nxt.append((node >> 1, key, k))
+                    i += 2
+                else:                 # lone child propagates (full 4-op phase)
+                    nxt.append((node >> 1, key, k))
+                    i += 1
+            row = nxt
+        _node, key, k = row[0]
+        winners[tgt] = key
+        exits.append((k, height, 2))
     exits.sort()
-    result = (leaves, tuple(exits), winners)
-    if ck is not None:
-        if len(_bracket_memo) >= _BRACKET_MEMO_CAP:
-            _bracket_memo.pop(next(iter(_bracket_memo)))
-        _bracket_memo[ck] = result
-    return result
+    return leaves, tuple(exits), winners
 
 
 # ---------------------------------------------------------------------------

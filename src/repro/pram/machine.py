@@ -604,14 +604,15 @@ class Machine:
 
         Pooled node engines (``repro.core.sparsify`` arena) reuse one
         machine across engine lifetimes; this clears everything a fresh
-        machine would start without -- totals, history, memory interning
-        (old host objects must not be pinned) -- while *keeping* the
+        machine would start without -- totals, history, and the memory's
+        registrations and scratch registers (:meth:`Mem.clear`, the same
+        call that closes every engine update) -- while *keeping* the
         audit="fast" shape caches (``_verified`` / ``_relearn`` /
         ``_shaped``): those are keyed by value shapes, never by host
-        objects, and PR 1's audit-ladder guarantee is exactly that cache
+        objects, and the audit ladder's guarantee is exactly that cache
         hits charge bit-identical stats to a fully-simulated launch.
         """
-        self.mem = Mem()
+        self.mem.clear()
         self.total = KernelStats(label="total")
         self.history.clear()
         self._window = None
@@ -843,80 +844,85 @@ class Machine:
         Reads observe pre-step memory because writes are buffered and
         applied only after the whole step's ops were scanned.  Mutates
         ``stats`` in place; ``start_step``/``fingerprint`` support the
-        ``audit="fast"`` fallback path, which hands over mid-run.
+        ``audit="fast"`` fallback path, which hands over mid-run.  Interned
+        cell ids are launch-scoped: the tables are emptied when the launch
+        ends, after any violation report has named its cell.
         """
         mem = self.mem
-        intern = mem.intern
-        intern_get = mem._intern.get
-        cells = mem._cells
-        write_interned = mem.write_interned
-        crew = policy == "crew"
-        step = start_step
-        work = stats.work
-        violations = stats.violations
-        max_live = stats.processors
-        results: dict[int, Any] = {}
-        writes: list = []
-        touched: dict[int, int] = {}
-        touched_get = touched.get
-        while live:
-            nlive = len(live)
-            if nlive > max_live:
-                max_live = nlive
-            step += 1
-            results.clear()
-            writes.clear()
-            touched.clear()
-            conflicted: list[int] = []
-            nr = nw = 0
-            for pid, op in pending.items():
-                tag = op.tag if op.__class__ in _OP_CLASSES else \
-                    self._bad_op(pid, op)
-                if tag == _TAG_NOP:
-                    continue
-                addr = op.addr
-                aid = intern_get(addr)
-                if aid is None:
-                    aid = intern(addr)
-                prev = touched_get(aid)
-                if prev is None:
-                    touched[aid] = tag
-                elif prev & _FLAG_CONFLICT:
-                    pass  # already recorded for this step
-                elif crew and prev == _TAG_READ and tag == _TAG_READ:
-                    pass  # concurrent reads are legal under CREW
-                else:
-                    touched[aid] = prev | _FLAG_CONFLICT
-                    conflicted.append(aid)
-                work += 1
-                if tag == _TAG_READ:
-                    nr += 1
-                    cell = cells[aid]
-                    kind = cell[0]
-                    if kind == 1:      # idx: registered sequence element
-                        results[pid] = cell[1][cell[2]]
-                    elif kind == 0:    # attr: host-object attribute
-                        results[pid] = getattr(cell[1], cell[2])
-                    else:              # reg: machine scratch register
-                        results[pid] = cell[1].get(cell[2])
-                else:
-                    nw += 1
-                    writes.append((aid, op.value))
-            if conflicted:
-                violations += len(conflicted)
-                if raise_on_conflict:
-                    self._raise_violation(step, conflicted[0], pending)
-            if fingerprint is not None:
-                fingerprint.append((nlive << 42) | (nr << 21) | nw)
-            for aid, value in writes:
-                write_interned(aid, value)
-            if _faults.armed:  # between-steps memory corruption site
-                _faults.fire("pram.cell", mem=mem, step=step)
-            self._resume(step, live, pending, results)
-        stats.depth = step
-        stats.work = work
-        stats.processors = max_live
-        stats.violations = violations
+        try:
+            intern = mem.intern
+            intern_get = mem._intern.get
+            cells = mem._cells
+            write_interned = mem.write_interned
+            crew = policy == "crew"
+            step = start_step
+            work = stats.work
+            violations = stats.violations
+            max_live = stats.processors
+            results: dict[int, Any] = {}
+            writes: list = []
+            touched: dict[int, int] = {}
+            touched_get = touched.get
+            while live:
+                nlive = len(live)
+                if nlive > max_live:
+                    max_live = nlive
+                step += 1
+                results.clear()
+                writes.clear()
+                touched.clear()
+                conflicted: list[int] = []
+                nr = nw = 0
+                for pid, op in pending.items():
+                    tag = op.tag if op.__class__ in _OP_CLASSES else \
+                        self._bad_op(pid, op)
+                    if tag == _TAG_NOP:
+                        continue
+                    addr = op.addr
+                    aid = intern_get(addr)
+                    if aid is None:
+                        aid = intern(addr)
+                    prev = touched_get(aid)
+                    if prev is None:
+                        touched[aid] = tag
+                    elif prev & _FLAG_CONFLICT:
+                        pass  # already recorded for this step
+                    elif crew and prev == _TAG_READ and tag == _TAG_READ:
+                        pass  # concurrent reads are legal under CREW
+                    else:
+                        touched[aid] = prev | _FLAG_CONFLICT
+                        conflicted.append(aid)
+                    work += 1
+                    if tag == _TAG_READ:
+                        nr += 1
+                        cell = cells[aid]
+                        kind = cell[0]
+                        if kind == 1:      # idx: registered sequence element
+                            results[pid] = cell[1][cell[2]]
+                        elif kind == 0:    # attr: host-object attribute
+                            results[pid] = getattr(cell[1], cell[2])
+                        else:              # reg: machine scratch register
+                            results[pid] = cell[1].get(cell[2])
+                    else:
+                        nw += 1
+                        writes.append((aid, op.value))
+                if conflicted:
+                    violations += len(conflicted)
+                    if raise_on_conflict:
+                        self._raise_violation(step, conflicted[0], pending)
+                if fingerprint is not None:
+                    fingerprint.append((nlive << 42) | (nr << 21) | nw)
+                for aid, value in writes:
+                    write_interned(aid, value)
+                if _faults.armed:  # between-steps memory corruption site
+                    _faults.fire("pram.cell", mem=mem, step=step)
+                self._resume(step, live, pending, results)
+            stats.depth = step
+            stats.work = work
+            stats.processors = max_live
+            stats.violations = violations
+        finally:
+            mem.end_launch()
 
     # -- fast loop (audit = "fast": shape-signature cache) --------------------
 

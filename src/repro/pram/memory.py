@@ -29,9 +29,23 @@ lookup disappears).  The hot loop then works on int ids:
 * :meth:`read_interned` / :meth:`write_interned` dispatch through a single
   list indexing instead of tuple destructuring.
 
+Lifetimes
+---------
+Nothing here outlives the work that uses it, so the memory never pins a
+dead host object:
+
+* interned cells live for **one launch**: the machine empties ``_intern``,
+  ``_cells`` and ``_addr_of`` when a checked launch ends (:meth:`end_launch`),
+  so ids are dense per launch and cell tuples die young;
+* sequence registrations and scratch registers live for **one update**:
+  the engine calls :meth:`clear` when its top-level public update closes.
+  Every kernel re-registers the sequences it addresses on each call, and
+  scratch registers carry a fresh run id, so no address is meant to
+  survive an update.
+
 Interning is safe against ``id()`` reuse because ``register`` keeps a
-strong reference to every registered sequence: a live registration pins the
-object, so no distinct object can later present the same ``seq_id``.
+strong reference to every registered sequence while it is registered, so no
+distinct object can present the same ``seq_id`` within an update.
 
 The tuple-level :meth:`read` / :meth:`write` API is unchanged (host code
 and kernels still use it between launches).
@@ -121,6 +135,24 @@ class Mem:
         self._addr_of.append(address)
         return aid
 
+    def end_launch(self) -> None:
+        """Forget every interned cell (cell ids are launch-scoped)."""
+        self._intern.clear()
+        self._cells.clear()
+        self._addr_of.clear()
+
+    def clear(self) -> None:
+        """Drop registrations and scratch registers (the update scope).
+
+        Also forgets interned cells, so a cleared memory is exactly a
+        fresh one -- the arena reset and the per-update scope are one
+        mechanism.
+        """
+        self._seqs.clear()
+        self._regs.clear()
+        self._seq_names.clear()
+        self.end_launch()
+
     def address_of(self, aid: int) -> tuple:
         """The original address tuple of an interned cell id."""
         return self._addr_of[aid]
@@ -166,54 +198,27 @@ class Mem:
     # -- diagnostics ---------------------------------------------------------
 
     def check_interning(self) -> list[str]:
-        """Structural integrity of the interning tables (resilience tier).
+        """Scope check for the resilience tier: the memory must be empty.
 
-        Verifies the three tables stay aligned: every interned address maps
-        to an in-range cell id, the reverse ``_addr_of`` mapping round-trips,
-        and ``idx`` cells still dispatch onto the registered sequence object
-        (a registration pins the sequence, so a mismatch means corruption,
-        not ``id()`` reuse).  Returns a list of problem strings (empty =
-        clean) -- the convention of :mod:`repro.resilience.checks`.
+        Runs between updates, where any interned cell, registration or
+        scratch register outlived its scope and pins host objects, so it is
+        reported with the three counts.  Returns a list of problem strings
+        (empty = clean) -- the convention of :mod:`repro.resilience.checks`.
         """
-        problems: list[str] = []
-        if len(self._cells) != len(self._addr_of):
-            problems.append(
-                f"mem: {len(self._cells)} cells vs {len(self._addr_of)} "
-                f"reverse addresses")
-        for address, aid in self._intern.items():
-            if not 0 <= aid < len(self._cells):
-                problems.append(f"mem: interned id {aid} out of range for "
-                                f"{self.describe(address)}")
-                continue
-            if self._addr_of[aid] != address:
-                problems.append(f"mem: reverse map of id {aid} disagrees "
-                                f"with {self.describe(address)}")
-            kind, obj, key = self._cells[aid]
-            if address[0] == "idx":
-                if kind != _KIND_IDX or obj is not self._seqs.get(address[1]):
-                    problems.append(
-                        f"mem: idx cell {self.describe(address)} no longer "
-                        f"dispatches onto its registered sequence")
-            elif address[0] == "attr":
-                if kind != _KIND_ATTR or obj is not address[1] \
-                        or key != address[2]:
-                    problems.append(
-                        f"mem: attr cell {self.describe(address)} dispatch "
-                        f"target mismatch")
-            elif address[0] == "reg":
-                if kind != _KIND_REG or obj is not self._regs:
-                    problems.append(
-                        f"mem: reg cell {self.describe(address)} detached "
-                        f"from the register file")
-        return problems
+        if self._cells or self._seqs or self._regs:
+            return [f"mem: {len(self._cells)} cells, {len(self._seqs)} "
+                    f"sequences and {len(self._regs)} registers outlived "
+                    f"their update"]
+        return []
 
     def stats(self) -> dict:
         """Size telemetry for :meth:`Machine.cache_info`.
 
-        Interned cells and registered sequences pin host objects; a
-        serving run watching these stay flat (the arena's ``reset_stats``
-        replaces the whole :class:`Mem`) is how the no-leak contract is
-        observed in production.
+        Interned cells and registered sequences pin host objects.  Cells
+        are dropped at the end of every launch and registrations and
+        registers at the end of every engine update (:meth:`clear`), so
+        between updates all three counts read zero -- which is how the
+        no-leak contract is observed in production.
         """
         return {"interned_cells": len(self._cells),
                 "registered_seqs": len(self._seqs),

@@ -78,8 +78,9 @@ def check_machine(machine, level: str = "structural") -> list[Finding]:
     number of steps, work = sum of per-step reads+writes, processors =
     max per-step live count, and no step issues more ops than it has
     live processors), every verified shape-signature fingerprint must
-    satisfy the same per-step arithmetic, and the interned-address table
-    must round-trip (:meth:`Mem.check_interning`).
+    satisfy the same per-step arithmetic, and the simulator memory must be
+    empty, since nothing in it may outlive an update
+    (:meth:`Mem.check_interning`).
     """
     rank = _rank(level)
     out: list[Finding] = []

@@ -89,3 +89,68 @@ def test_broadcast_logarithmic_depth():
     assert all(v == 42 for v in out)
     assert stats.depth <= 2 * (math.ceil(math.log2(512)) + 1)
     assert stats.violations == 0
+
+
+
+def _reference_bracket(entries, min_leaves=1):
+    """Plain recursive twin of ``kernels._bracket_plan``: every target
+    plays a full binary bracket; the right child wins only strictly."""
+    leaves = min_leaves
+    while leaves < len(entries):
+        leaves *= 2
+    height = leaves.bit_length() - 1
+    exits, winners = [], {}
+
+    def play(t, node, level):
+        if node >= leaves:
+            k = node - leaves
+            ok = k < len(entries) and entries[k][1] == t
+            return (entries[k][0], k) if ok else None
+        left = play(t, 2 * node, level - 1)
+        right = play(t, 2 * node + 1, level - 1)
+        if left and right:
+            if right[0] < left[0]:
+                exits.append((left[1], level, 0))
+                return right
+            exits.append((right[1], level, 1))
+            return left
+        return left or right
+
+    for t in dict.fromkeys(t for _k, t in entries if t is not None):
+        key, k = play(t, 1, height)
+        winners[t] = key
+        exits.append((k, height, 2))
+    return leaves, tuple(sorted(exits)), winners
+
+
+def test_bracket_plan_matches_the_tournament_kernel():
+    """The host bracket simulator behind the tournament replay keys
+    agrees with a plain recursive bracket and predicts the kernel's
+    winners, and equal outcome keys mean equal per-step op counts (ties,
+    lone children and None targets included)."""
+    from repro.core.par.kernels import _bracket_plan, _tournament_forest
+
+    rng = random.Random(11)
+    fingerprints: dict = {}
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        entries = [((float(rng.randrange(3)), 0),
+                    rng.choice([0, 1, None]))
+                   for _ in range(n)]
+        for min_leaves in (1, 2):
+            got = _bracket_plan(entries, min_leaves)
+            want = _reference_bracket(entries, min_leaves)
+            assert got == want and list(got[2]) == list(want[2])
+        if all(t is None for _k, t in entries):
+            continue
+        leaves, outcome, winners = _bracket_plan(entries)
+        m = Machine(audit="fast")
+        _tournament_forest(m, entries, lambda t: m.mem.reg(("sink", t)),
+                           "t")
+        sinks = {t: m.mem.read(m.mem.reg(("sink", t))) for t in winners}
+        assert sinks == winners
+        plan = m._shaped.peek(("t", leaves, outcome))
+        assert plan is not None and plan.n_effects == len(winners)
+        fp = fingerprints.setdefault((leaves, outcome), plan.fingerprint)
+        assert fp == plan.fingerprint
+    assert len(fingerprints) < 300  # keys collide, so the check has teeth

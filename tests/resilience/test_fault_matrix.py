@@ -48,6 +48,10 @@ def test_site_detect_or_mask(engine, sparsify, site):
     # each injected fault is accounted for: detected or masked
     assert (report["n_detected"] + report["n_masked"]
             >= report["n_injected"])
+    if site == "pram.cell":
+        # cells are launch-scoped: the corruptor must still find one
+        # mid-launch, so the site injects rather than skips
+        assert "pram.cell" in report["sites_hit"], report["faults"]["log"]
     # masked claims are *proved*, not assumed
     final = report["final"]
     assert final["self_check_full_clean"]

@@ -15,13 +15,13 @@ from _common import banner, render_table
 
 from repro.analysis.fits import loglog_slope
 from repro.core.degree import DegreeReducer
-from repro.core.sparsify import SparsifiedMSF, _Node
+from repro.core.sparsify import SparsifiedMSF, _Leaf
 from repro.workloads import dense_stream
 
 
 def _total_ops(sp: SparsifiedMSF) -> int:
-    return sum(node.engine.core.ops.grand_total()
-               for node in sp.nodes.values() if isinstance(node, _Node))
+    """Ops charged by every node engine so far, retired ones included."""
+    return sum(sp.ops_by_node().values()) + sp.retired["ops"]
 
 
 def run_one(n: int, m: int, deletions: int, seed: int = 0):
@@ -84,12 +84,14 @@ def run_experiment(fast: bool = False) -> str:
         sp.insert_edge(u, v, w)
     lvl_rows = {}
     for (level, ra, rb), node in sp.nodes.items():
-        if isinstance(node, _Node):
+        if not isinstance(node, _Leaf):
             size = (ra[1] - ra[0]) + (0 if ra == rb else rb[1] - rb[0])
-            cur = lvl_rows.setdefault(level, [level, 0, 0])
+            cur = lvl_rows.setdefault(level, [level, 0, 0, 0])
             cur[1] += 1
-            cur[2] = max(cur[2], size)
-    t2 = render_table(["level", "materialized nodes", "max local vertices"],
+            cur[2] += node.has_engine
+            cur[3] = max(cur[3], size)
+    t2 = render_table(["level", "materialized nodes", "with an engine",
+                       "max local vertices"],
                       [lvl_rows[k] for k in sorted(lvl_rows)],
                       title="E6: sparsification-tree shape "
                             "(local size halves per level, Sec. 5.1)")

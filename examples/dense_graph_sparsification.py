@@ -13,12 +13,11 @@ from __future__ import annotations
 import random
 
 from repro import SparsifiedMSF
-from repro.core.sparsify import _Node
 
 
 def total_ops(sp: SparsifiedMSF) -> int:
-    return sum(node.engine.core.ops.grand_total()
-               for node in sp.nodes.values() if isinstance(node, _Node))
+    """Ops charged by every node engine so far, retired ones included."""
+    return sum(sp.ops_by_node().values()) + sp.retired["ops"]
 
 
 def clusters(sp: SparsifiedMSF, n: int, threshold: float):

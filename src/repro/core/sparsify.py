@@ -9,19 +9,22 @@ the vertex set:
   unique node per level whose ranges contain its endpoints.
 
 Every internal node maintains a *local graph* -- the union of its
-children's MSF edges -- inside its own dynamic-MSF instance (a
-degree-reduced sparse engine sized ``O(n / 2^level)``), and by Eppstein et
-al.'s stability property each graph update triggers at most one insertion
-plus one deletion per level: a node applies the child's MSF delta and
-forwards its *own* net MSF delta to its parent.  The MSF at the root is the
-MSF of the whole graph.
+children's MSF edges -- and by Eppstein et al.'s stability property each
+graph update triggers at most one insertion plus one deletion per level:
+a node applies the child's MSF delta and forwards its *own* net MSF delta
+to its parent.  The MSF at the root is the MSF of the whole graph.  The
+root keeps the local graph in its own dynamic-MSF instance (a
+degree-reduced sparse engine sized ``O(n / 2^level)``); any other node
+builds one only when an update would leave it two edges, and gives it
+back when a batch leaves it with one -- a single edge is its own MSF.
 
 Leaves (both ranges singleton) store the parallel edges of one vertex pair
 and contribute the lightest.  Nodes are materialized lazily and retired
 again as soon as an update leaves them without edges, and a node engine
 allocates its gadget chains and chunk matrix only on first use, so space
 is ``O(m log n)`` in the *live* edges ``m`` -- not in every vertex pair
-the tree has ever seen.
+the tree has ever seen.  Engine-free nodes charge no elementary ops,
+like leaves.
 
 The **parallel sparsification** of Section 5.3 is realized by cost
 accounting: per update, each level's local-engine work is independent
@@ -81,7 +84,9 @@ class EnginePool:
     scratch -- the dominant allocation cost of the E9 churn profile.  The
     arena instead recycles retired engines: those of a whole tree handed
     back by :meth:`SparsifiedMSF.release`, and those of single nodes a
-    tree retires when an update leaves them without edges.  Engines are
+    tree retires or leaves with one edge (the node then keeps that edge
+    engine-free).  A node draws an engine when it first needs two edges
+    -- possibly on an executor worker thread.  Engines are
     :meth:`DegreeReducer.reset` *at release time* (with accounting paused
     and counters re-zeroed), so an acquired engine is bit-identical to a
     freshly constructed one -- same eid streams, empty change logs, zeroed
@@ -98,12 +103,14 @@ class EnginePool:
                  "_quarantined", "_lock")
 
     def __init__(self, max_per_key: int = 512) -> None:
-        # The bound is per (n_local, K, parallel) bucket.  A sparsification
-        # tree over n vertices holds ~n/2 engines at its *smallest* n_local
-        # (every level halves the count), so a bound much below n/2 silently
-        # evicts most of a released tree and the next build pays cold
-        # construction again -- 512 covers the E9 sizes end-to-end while
-        # still bounding a pathological release storm.
+        # The bound is per (n_local, K, parallel, backend) bucket.  Only
+        # nodes with two or more edges hold engines, so a dense tree over
+        # n vertices can hold up to ~n/2 at its *smallest* n_local, while a
+        # sparse one holds few at the deep levels (743 in all after a
+        # 1,024-edge prefill at n=1024).  A bound much below the dense
+        # count would evict most of a released tree and the next build
+        # would pay cold construction again -- 512 covers the E9 sizes
+        # end-to-end while still bounding a pathological release storm.
         self._free: dict[tuple, list[DegreeReducer]] = {}
         self.max_per_key = max_per_key
         self.hits = 0        # acquisitions served from the free-list
@@ -187,46 +194,80 @@ class EnginePool:
 default_pool = EnginePool()
 
 
+def _lightest(edges: dict[int, float]) -> Optional[int]:
+    if not edges:
+        return None
+    return min(edges, key=lambda eid: (edges[eid], eid))
+
+
+def _apply_held(edges: dict[int, float], ins, dels) -> tuple[list, list]:
+    """Apply updates to an engine-free edge set whose MSF is its lightest
+    edge; return (added, removed) of that one-edge MSF."""
+    before = _lightest(edges)
+    for eid, _u, _v, w in ins:
+        edges[eid] = w
+    for eid in dels:
+        del edges[eid]
+    after = _lightest(edges)
+    if before == after:
+        return [], []
+    return ([after] if after is not None else [],
+            [before] if before is not None else [])
+
+
+def _build_engine(pool_key: tuple,
+                  pool: Optional[EnginePool]) -> DegreeReducer:
+    """A pristine node engine: recycled from ``pool`` when it has one,
+    else built cold (the two are bit-identical by the pool's invariant)."""
+    engine = pool.acquire(pool_key) if pool is not None else None
+    if engine is not None:
+        return engine
+    n_local, K, parallel, backend = pool_key
+    if parallel:
+        from .par import ParallelDynamicMSF
+        return DegreeReducer(
+            n_local, max_edges=3 * n_local + 8, backend=backend,
+            engine_factory=lambda nc: ParallelDynamicMSF(
+                nc, K=K, backend=backend))
+    return DegreeReducer(n_local, max_edges=3 * n_local + 8, K=K,
+                         backend=backend)
+
+
 class _Leaf:
     """Parallel edges of one vertex pair; contributes the lightest."""
 
     has_engine = False
+    engine = None
 
     __slots__ = ("edges",)
 
     def __init__(self) -> None:
         self.edges: dict[int, float] = {}
 
-    def best(self) -> Optional[int]:
-        if not self.edges:
-            return None
-        return min(self.edges, key=lambda eid: (self.edges[eid], eid))
+    def depth_total(self) -> int:
+        return 0
 
-    def apply(self, ins, dels):
-        before = self.best()
-        for eid, _u, _v, w in ins:
-            self.edges[eid] = w
-        for eid in dels:
-            del self.edges[eid]
-        after = self.best()
-        if before == after:
-            return [], []
-        return ([after] if after is not None else [],
-                [before] if before is not None else [])
+    def apply(self, ins, dels, _plan):
+        return _apply_held(self.edges, ins, dels)
 
 
 class _Node:
-    """An internal edge-partition node with a local dynamic-MSF engine."""
+    """An internal edge-partition node.
 
-    has_engine = True
+    The root always runs a local dynamic-MSF engine.  Any other node
+    runs one only while it holds two or more edges: with at most one
+    edge, that edge *is* its MSF, so the node keeps it in ``edges`` and
+    reports deltas like a leaf (``engine is None``).  An update that
+    would leave it two edges builds the engine first (:meth:`apply`);
+    :meth:`SparsifiedMSF._retire_empty` hands it back once a batch
+    leaves the node with one.
+    """
 
-    __slots__ = ("level", "arange", "brange", "engine", "pool_key")
+    __slots__ = ("level", "arange", "brange", "engine", "edges", "pool_key")
 
     def __init__(self, level: int, arange: tuple[int, int],
                  brange: tuple[int, int], K: Optional[int],
-                 parallel: bool = False,
-                 pool: Optional[EnginePool] = None,
-                 backend: str = "scalar") -> None:
+                 parallel: bool = False, backend: str = "scalar") -> None:
         self.level = level
         self.arange = arange
         self.brange = brange
@@ -237,27 +278,23 @@ class _Node:
         # backend participates in the arena key: a recycled scalar engine
         # must never serve a columnar tree (and vice versa)
         self.pool_key = (n_local, K, parallel, backend)
-        engine = pool.acquire(self.pool_key) if pool is not None else None
-        if engine is not None:
-            self.engine = engine  # reset-at-release: pristine by invariant
-        elif parallel:
-            from .par import ParallelDynamicMSF
-            self.engine = DegreeReducer(
-                n_local, max_edges=3 * n_local + 8, backend=backend,
-                engine_factory=lambda nc: ParallelDynamicMSF(
-                    nc, K=K, backend=backend))
-        else:
-            self.engine = DegreeReducer(n_local, max_edges=3 * n_local + 8,
-                                        K=K, backend=backend)
+        self.engine: Optional[DegreeReducer] = None
+        #: eid -> weight of the held edge while engine-free (at most one
+        #: between steps: an internal node's local graph is the union of
+        #: its children's forests, so it holds one edge per vertex pair)
+        self.edges: dict[int, float] = {}
+
+    @property
+    def has_engine(self) -> bool:
+        return self.engine is not None
 
     def depth_total(self) -> int:
-        """Measured machine depth accumulated by this node (parallel mode)."""
+        """Measured machine depth accumulated by this node's engine
+        (0 without one, and for sequential cores)."""
+        if self.engine is None:
+            return 0
         machine = self.engine.core._machine  # None for sequential cores
         return machine.total.depth if machine is not None else 0
-
-    def procs_max(self) -> int:
-        machine = getattr(self.engine.core, "machine", None)
-        return machine.total.processors if machine is not None else 0
 
     def _local(self, u: int) -> int:
         alo, ahi = self.arange
@@ -266,11 +303,17 @@ class _Node:
         blo, _ = self.brange
         return (ahi - alo) + (u - blo)
 
-    def apply(self, ins, dels) -> tuple[list, list]:
+    def apply(self, ins, dels, plan: "_PropagationPlan") -> tuple[list, list]:
         """Apply updates; return (added eids, removed eids) of the local MSF."""
+        engine = self.engine
+        if engine is None:
+            held = self.edges
+            if len(held) + len(ins) - sum(1 for eid in dels
+                                          if eid in held) < 2:
+                return _apply_held(held, ins, dels)
+            engine = self._promote(plan)
         added: set[int] = set()
         removed: set[int] = set()
-        engine = self.engine
         local = self._local
         # Insertions FIRST: if the child evicted f in favour of e, inserting
         # e here expels f from this MSF too (cycle property), so the
@@ -285,6 +328,22 @@ class _Node:
             a, r = engine.delete_reported(eid)
             _fold(added, removed, a, r)
         return list(added), list(removed)
+
+    def _promote(self, plan: "_PropagationPlan") -> DegreeReducer:
+        """Take an engine and move the held edge into it.
+
+        May run on an executor worker: the engine is attached to this
+        node object in place, so the shared ``nodes`` dict is untouched
+        (the pool's ``acquire`` is locked).
+        """
+        engine = _build_engine(self.pool_key, plan.owner._pool)
+        local = self._local
+        for eid, w in self.edges.items():
+            u, v, _w = plan.edge_info(eid)
+            engine.insert_edge(local(u), local(v), w, eid=eid)
+        self.edges.clear()
+        self.engine = engine
+        return engine
 
 
 class _PropagationPlan:
@@ -337,15 +396,16 @@ class _PropagationPlan:
         owner = self.owner
         key = self.stations[pos]
         node = owner.nodes[key]
-        is_node = node.has_engine  # class attr; no isinstance on the hot path
+        # marks before the step, so an engine this step builds is charged
+        # here for re-inserting the edge the node held
         mark = owner._node_ops(node)
-        dmark = node.depth_total() if is_node else 0
+        dmark = node.depth_total()
         added_ids, removed_ids = self.carry
         payload = (self.init_ins if pos == 0 else
                    [(eid, *self.edge_info(eid)) for eid in added_ids])
-        added_ids, removed_ids = node.apply(payload, removed_ids)
-        depth = (node.depth_total() - dmark) if is_node else 0
-        self.levels.append((key[0], owner._node_ops(node) - mark, depth))
+        added_ids, removed_ids = node.apply(payload, removed_ids, self)
+        self.levels.append((key[0], owner._node_ops(node) - mark,
+                            node.depth_total() - dmark))
         self.carry = (added_ids, removed_ids)
         if key[0] == 0:  # the root: this delta is the global MSF delta
             self.root_delta = (added_ids, removed_ids)
@@ -448,9 +508,13 @@ class SparsifiedMSF:
         node = self.nodes.get(key)
         if node is None:
             is_leaf = ra[1] - ra[0] == 1 and rb[1] - rb[0] == 1
-            node = (_Leaf() if is_leaf and level > 0
-                    else _Node(level, ra, rb, self.K, parallel=self.parallel,
-                               pool=self._pool, backend=self.backend))
+            if is_leaf and level > 0:
+                node = _Leaf()
+            else:
+                node = _Node(level, ra, rb, self.K, parallel=self.parallel,
+                             backend=self.backend)
+                if level == 0:  # the root always runs an engine
+                    node.engine = _build_engine(node.pool_key, self._pool)
             self.nodes[key] = node
         return node
 
@@ -595,14 +659,17 @@ class SparsifiedMSF:
         return plan
 
     def _retire_empty(self, plans) -> None:
-        """Retire every node the plans left without edges (never the root).
+        """Shed what the plans left unneeded (never at the root).
 
-        Runs on the host thread after all of ``plans`` have run, walking
-        each plan's stations leaf first in plan order, so which nodes go
-        -- and hence which engines later nodes draw from the pool -- does
-        not depend on the executor's pool size.  A walk stops at the
-        first node that still holds edges: a non-empty node has a
-        non-empty MSF, so every ancestor holds edges too.
+        A node left without edges is retired; a non-root engine node
+        left with one edge copies it out and returns its engine, keeping
+        the node engine-free.  Runs on the host thread after all of
+        ``plans`` have run, walking each plan's stations leaf first in
+        plan order, so which engines go -- and hence which engines later
+        nodes draw from the pool -- does not depend on the executor's
+        pool size.  A walk stops at the first engine node that keeps two
+        or more edges: those are on distinct vertex pairs, so its MSF has
+        two edges and every ancestor holds at least two as well.
         """
         nodes = self.nodes
         root = self.root
@@ -613,13 +680,17 @@ class SparsifiedMSF:
                     continue  # retired by an earlier plan of the batch
                 if node is root:
                     break
-                if node.has_engine:
-                    if node.engine.edge_count():
+                engine = node.engine
+                if engine is not None:
+                    if engine.edge_count() >= 2:
                         break
+                    # read before the release: the pool resets the engine
+                    held = {eid: rec[2] for eid, rec in engine.real.items()}
                     self._retire_engine(node)
-                elif node.edges:
-                    break
-                del nodes[key]
+                    node.engine = None
+                    node.edges.update(held)
+                if not node.edges:
+                    del nodes[key]
 
     def _retire_engine(self, node: "_Node") -> None:
         """Fold ``node``'s accounting into :attr:`retired`, then hand its
@@ -722,7 +793,8 @@ class SparsifiedMSF:
 
     @staticmethod
     def _node_ops(node) -> int:
-        return node.engine.core.ops.grand_total() if node.has_engine else 0
+        engine = node.engine
+        return engine.core.ops.grand_total() if engine is not None else 0
 
     # ------------------------------------------------------------ queries
 
@@ -790,7 +862,7 @@ class SparsifiedMSF:
         included.
 
         Safe on any tree shape: partially-materialized trees only iterate
-        the nodes that exist, ``_Leaf`` nodes carry no engine, and
+        the nodes that exist, leaves and one-edge nodes carry no engine, and
         ``parallel=False`` engines have no ``machine`` attribute -- all of
         those contribute 0, so the serving layer can always report this.
         """

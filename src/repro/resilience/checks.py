@@ -349,9 +349,13 @@ def check_tree(tree, level: str = "cheap") -> list[Finding]:
     Cheap: the delta-maintained ``msf_weight`` against a full
     recomputation, and the root MSF ids against the edge registry.
     Structural: recurse into every materialized node engine (and the
-    engine arena, when pooling is on).  Full: additionally the Kruskal
-    oracle over the *global* edge set against the root forest.
+    engine arena, when pooling is on), and check that a non-root node
+    runs an engine exactly when it holds two or more edges.  Full:
+    additionally the Kruskal oracle over the *global* edge set against
+    the root forest.
     """
+    from ..core.sparsify import _Leaf
+
     rank = _rank(level)
     out: list[Finding] = []
 
@@ -377,6 +381,15 @@ def check_tree(tree, level: str = "cheap") -> list[Finding]:
                 for f in check_reducer(node.engine, level):
                     out.append(Finding(
                         f.component, f"node {key!r}: {f.message}", f.level))
+                held = node.engine.edge_count()
+                if node is not tree.root and held < 2:
+                    out.append(Finding(
+                        "tree", f"node {key!r}: engine kept for {held} "
+                        f"edge(s)", level))
+            elif not isinstance(node, _Leaf) and len(node.edges) > 1:
+                out.append(Finding(
+                    "tree", f"node {key!r}: {len(node.edges)} edges held "
+                    f"without an engine", level))
         if tree._pool is not None:
             out.extend(check_pool(tree._pool, level))
     if rank >= 2:

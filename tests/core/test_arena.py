@@ -127,13 +127,14 @@ def test_never_long_engine_allocates_no_matrix():
     pool = EnginePool()
     tree = SparsifiedMSF(24, pool=pool)
     e = tree.insert_edge(0, 1, 1.0)
+    tree.insert_edge(0, 2, 2.0)  # a second edge: shared nodes need engines
     leafward = [node for key, node in tree.nodes.items()
                 if node.has_engine and key[0] > 0]
     assert leafward
     for node in leafward:
         space = node.engine.core.fabric.space
         assert space.C is None and space.row_views is None
-    tree.delete_edge(e)  # retires every non-root node into the pool
+    tree.delete_edge(e)  # one edge left: every non-root engine is pooled
     assert pool.size() == len(leafward)
     for _key, engine in pool.free_engines():
         space = engine.core.fabric.space
@@ -342,6 +343,7 @@ def test_retired_nodes_keep_their_accounting():
     tree = SparsifiedMSF(16, parallel=True, pool=None)
     keep = tree.insert_edge(8, 9, 2.0)
     e = tree.insert_edge(0, 1, 1.0)
+    tree.insert_edge(0, 2, 3.0)  # a second edge: shared nodes need engines
     engines = {key: tree.nodes[key].engine for key in tree._path(0, 1)
                if key[0] > 0 and tree.nodes[key].has_engine}
     victim = max(engines)  # the deepest engine node on (0, 1)'s path
@@ -349,7 +351,9 @@ def test_retired_nodes_keep_their_accounting():
     assert tree.erew_violations() == 1
     before = _charged_work(tree)
     tree.delete_edge(e)
-    gone = [key for key in engines if key not in tree.nodes]
+    # retired: the node went, or kept its one edge and gave up the engine
+    gone = [key for key in engines if key not in tree.nodes
+            or tree.nodes[key].engine is not engines[key]]
     assert victim in gone
     # nothing was pooled, so the dropped engines still hold their counters
     assert tree.retired["ops"] == sum(

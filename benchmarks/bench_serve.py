@@ -7,9 +7,8 @@ engine replays the identical ops:
 * **mix** -- the same interleaved read/update stream driven through
   (a) the plain sparsified facade (``DynamicMSF(sparsify=True)``: every
   ``connected`` walks the root engine, every ``msf_weight`` used to sum
-  the forest), (b) ``BatchedMSF`` with ``pool_size=1`` (serial,
-  bit-identical gate), and (c) ``BatchedMSF`` with the default pool.
-  Reads are differentially checked across engines while timing.
+  the forest), (b) ``BatchedMSF`` in strong mode and (c) in deferred
+  mode.  Reads are differentially checked across engines while timing.
 * **query-path** -- a prefilled graph, then a pure read burst: the
   engine-walk ``connected``/``msf_weight`` path versus the
   epoch-snapshot path, reported as a throughput ratio (the ISSUE-2
@@ -18,7 +17,7 @@ engine replays the identical ops:
 Usage:
     python benchmarks/bench_serve.py                 # full profile
     python benchmarks/bench_serve.py --quick
-    python benchmarks/bench_serve.py --read-ratio 0.9 --pool 4
+    python benchmarks/bench_serve.py --read-ratio 0.9
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import BatchedMSF, DynamicMSF  # noqa: E402
-from repro.serve import default_pool_size  # noqa: E402
 from repro.workloads import OpStream, churn, query_mix  # noqa: E402
 
 PROFILES = {
@@ -84,8 +82,8 @@ def _check_reads(name: str, got: list, want: list) -> None:
                 f"{name}: msf_weight diverged ({g} != {w})"
 
 
-def bench_mix(n: int, steps: int, read_ratio: float, pool: int,
-              seed: int, batch_size: int = 64) -> dict:
+def bench_mix(n: int, steps: int, read_ratio: float, seed: int,
+              batch_size: int = 64) -> dict:
     ops = list(query_mix(n, steps, read_ratio=read_ratio, seed=seed))
     rows: dict[str, tuple[float, OpStream]] = {}
     dt, base = _drive_timed(DynamicMSF(n, sparsify=True), ops)
@@ -97,25 +95,14 @@ def bench_mix(n: int, steps: int, read_ratio: float, pool: int,
         BatchedMSF(n, pool_size=1, batch_size=batch_size,
                    consistency="deferred"), ops)
     rows["batched deferred p=1"] = (dt, d1)
-    if pool > 1:
-        dt, dn = _drive_timed(
-            BatchedMSF(n, pool_size=pool, batch_size=batch_size,
-                       consistency="deferred"), ops)
-        rows[f"batched deferred p={pool}"] = (dt, dn)
-    else:
-        dn = d1
 
     # differential gates while we're here: strong mode must agree with
     # the facade read-for-read; deferred mode with the lagged oracle.
     _check_reads("strong", strong.results, base.results)
     lagged = _lagged_oracle(n, ops, batch_size)
     _check_reads("deferred p=1", d1.results, lagged)
-    if dn is not d1:
-        _check_reads(f"deferred p={pool}", dn.results, lagged)
     d1.target.flush()
-    dn.target.flush()
     assert ({e[:3] for e in d1.target.msf_edges()}
-            == {e[:3] for e in dn.target.msf_edges()}
             == {e[:3] for e in strong.target.msf_edges()})
 
     print(f"\n== read/write mix  n={n} steps={steps} "
@@ -194,14 +181,11 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="scaled-down profile (CI smoke)")
     ap.add_argument("--read-ratio", type=float, default=0.8)
-    ap.add_argument("--pool", type=int, default=default_pool_size(),
-                    help="executor pool size for the parallel variant")
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
 
     prof = PROFILES["quick" if args.quick else "full"]
-    mix = bench_mix(prof["n"], prof["steps"], args.read_ratio, args.pool,
-                    args.seed)
+    mix = bench_mix(prof["n"], prof["steps"], args.read_ratio, args.seed)
     qp = bench_query_path(prof["n"], prof["prefill"], prof["queries"],
                           args.seed)
 

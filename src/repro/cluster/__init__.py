@@ -1,13 +1,13 @@
 """repro.cluster -- multi-process sharded serving cluster.
 
 Escapes the GIL by promoting the paper's Section 5.3 independence
-argument one level up: where ``repro.serve.LevelExecutor`` fork-joins
-*threads* over a sparsification tree's independent per-level engines,
-this package shards the *vertex set* over a pool of worker **processes**,
-each owning a warm shard-scoped sparsification engine, with a
-coordinator that routes canonical batches, owns the cross-shard boundary
-engine, merges per-op MSF deltas deterministically, and recovers dead
-workers from a SQLite-WAL coordination store.
+argument one level up: where a single sparsification tree only *models*
+its independent per-level engine updates as parallel (by cost
+accounting), this package shards the *vertex set* over a pool of worker
+**processes**, each owning a warm shard-scoped sparsification engine,
+with a coordinator that routes canonical batches, owns the cross-shard
+boundary engine, merges per-op MSF deltas deterministically, and
+recovers dead workers from a SQLite-WAL coordination store.
 
 The merged forest is provably identical to the serial path at every
 pool size -- see ``docs/DESIGN.md`` ("Sharded serving cluster") for the

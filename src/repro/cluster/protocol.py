@@ -12,8 +12,8 @@ to one level).  An edge's *home* is:
 
 Edge sets of distinct homes are disjoint, so per-home engines never
 contend -- the cluster-level instance of the paper's Section 5.3
-independence argument, promoted from threads over tree levels
-(``serve/executor.py``) to processes over vertex ranges.
+independence argument, promoted from tree levels (modelled by cost
+accounting in one process) to processes over vertex ranges.
 
 **Messages** are plain picklable tuples over a ``multiprocessing`` pipe;
 the first element is the tag:

@@ -73,13 +73,12 @@ class DegreeReducer:
                  ops: Optional[OpCounter] = None,
                  backend: str = "scalar") -> None:
         # Per-instance edge-id counter.  A class-level counter would draw
-        # ids in *global* call order, so the sparsification tree's
-        # host-parallel batch executor (repro.serve) would hand each node's
-        # gadget chain edges scheduler-dependent ids -- and chain-edge ids
-        # break (-inf, eid) key ties inside the core engines.  Per-instance
-        # counters keep every node engine's id stream a pure function of
-        # its own op sequence, which the executor keeps identical across
-        # pool sizes.
+        # ids in *global* call order, so a sparsification tree node's
+        # gadget chain edges would get ids that depend on every other
+        # engine in the process -- and chain-edge ids break (-inf, eid)
+        # key ties inside the core engines.  Per-instance counters keep
+        # every node engine's id stream a pure function of its own op
+        # sequence.
         self._eid = itertools.count(1)
         self.n = n
         self.max_edges = max_edges if max_edges is not None else max(2 * n, 16)
@@ -164,11 +163,15 @@ class DegreeReducer:
         """Insert a real edge; returns its id.  O(1) core updates."""
         # raised (not asserted): these guards are load-bearing on public
         # entry points -- the serving layer's per-op rejection depends on
-        # duplicate ids raising even under `python -O`.  The weight check
-        # comes first so a rejected op does not even draw an id.
+        # duplicate ids raising even under `python -O`.  The weight and
+        # endpoint checks come first so a rejected op does not even draw
+        # an id.
         if not math.isfinite(w):
             raise ValueError(f"edge weight must be finite, got {w!r} "
                              f"(infinite weights are reserved for gadgets)")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(
+                f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
         eid = next(self._eid) if eid is None else eid
         if eid <= 0:
             raise ValueError(

@@ -85,13 +85,13 @@ class EnginePool:
     arena instead recycles retired engines: those of a whole tree handed
     back by :meth:`SparsifiedMSF.release`, and those of single nodes a
     tree retires or leaves with one edge (the node then keeps that edge
-    engine-free).  A node draws an engine when it first needs two edges
-    -- possibly on an executor worker thread.  Engines are
-    :meth:`DegreeReducer.reset` *at release time* (with accounting paused
-    and counters re-zeroed), so an acquired engine is bit-identical to a
-    freshly constructed one -- same eid streams, empty change logs, zeroed
-    op counters and PRAM stats.  Pooling is therefore measurement-neutral
-    by construction; the arena-determinism tests assert it op-for-op.
+    engine-free).  A node draws an engine when it first needs two edges.
+    Engines are :meth:`DegreeReducer.reset` *at release time* (with
+    accounting paused and counters re-zeroed), so an acquired engine is
+    bit-identical to a freshly constructed one -- same eid streams, empty
+    change logs, zeroed op counters and PRAM stats.  Pooling is therefore
+    measurement-neutral by construction; the arena-determinism tests
+    assert it op-for-op.
 
     Every tree with a pool feeds it from its deletes, so
     :data:`default_pool` is shared by every front in the process, on
@@ -330,12 +330,7 @@ class _Node:
         return list(added), list(removed)
 
     def _promote(self, plan: "_PropagationPlan") -> DegreeReducer:
-        """Take an engine and move the held edge into it.
-
-        May run on an executor worker: the engine is attached to this
-        node object in place, so the shared ``nodes`` dict is untouched
-        (the pool's ``acquire`` is locked).
-        """
+        """Take an engine and move the held edge into it."""
         engine = _build_engine(self.pool_key, plan.owner._pool)
         local = self._local
         for eid, w in self.edges.items():
@@ -353,11 +348,11 @@ class _PropagationPlan:
     (leaf first, root last) and ``step(pos)`` performs exactly one node's
     ``apply`` -- returning ``True`` when the MSF delta has emptied and the
     remaining stations can be skipped (Eppstein et al.'s stability
-    property).  The serial update path and the host-parallel batch
-    executor (``repro.serve.LevelExecutor``) both drive this same object,
-    so per-node op sequences -- and therefore forests, op counters and
-    PRAM depth/work -- are identical no matter how steps are scheduled,
-    as long as each station runs its plans in submission order.
+    property).  :meth:`run_serial` is the one station walk: the serial
+    update path and the batch path (directly or through
+    ``repro.serve.LevelExecutor``) both run plans through it in
+    submission order, so per-node op sequences -- and therefore forests,
+    op counters and PRAM depth/work -- are the same on every path.
     """
 
     __slots__ = ("owner", "stations", "init_ins", "carry", "levels",
@@ -367,8 +362,8 @@ class _PropagationPlan:
                  ins: Sequence[tuple], dels: Sequence[int],
                  winfo: Optional[dict] = None) -> None:
         self.owner = owner
-        # Pre-materialize the path on the constructing (host) thread so
-        # worker threads never mutate the shared node/path caches.
+        # materialize the whole path up front, so ``step`` only reads
+        # ``owner.nodes``
         self.stations = list(reversed(owner._path(u, v)))
         for key in self.stations:
             owner._get_node(*key)
@@ -663,13 +658,13 @@ class SparsifiedMSF:
 
         A node left without edges is retired; a non-root engine node
         left with one edge copies it out and returns its engine, keeping
-        the node engine-free.  Runs on the host thread after all of
-        ``plans`` have run, walking each plan's stations leaf first in
-        plan order, so which engines go -- and hence which engines later
-        nodes draw from the pool -- does not depend on the executor's
-        pool size.  A walk stops at the first engine node that keeps two
-        or more edges: those are on distinct vertex pairs, so its MSF has
-        two edges and every ancestor holds at least two as well.
+        the node engine-free.  Runs after all of ``plans`` have run,
+        walking each plan's stations leaf first in plan order; plans run
+        in submission order, so which engines go -- and hence which
+        engines later nodes draw from the pool -- is a function of the
+        op stream alone.  A walk stops at the first engine node that keeps
+        two or more edges: those are on distinct vertex pairs, so its MSF
+        has two edges and every ancestor holds at least two as well.
         """
         nodes = self.nodes
         root = self.root
@@ -726,13 +721,11 @@ class SparsifiedMSF:
         ``ops`` is a sequence of ``("ins", eid, u, v, w)`` /
         ``("del", eid)`` tuples in a fixed canonical order (the
         ``repro.serve`` layer produces it).  The edge registry is updated
-        up front on the calling thread; each real-graph op becomes a
-        :class:`_PropagationPlan`, and the plans are either run serially
-        in order (``executor=None``) or handed to a fork-join executor
-        that may interleave *different plans on different tree nodes*
-        concurrently -- per-node plan order is preserved, which makes the
-        result bit-identical to the serial path (Section 5.3's
-        level-independence: every level engine owns disjoint structures).
+        up front; each real-graph op becomes a :class:`_PropagationPlan`,
+        and the plans run in submission order -- through ``executor``
+        (a ``repro.serve.LevelExecutor``) when one is given, else
+        directly -- so every node sees the op sequence the serial path
+        would feed it, and the result is bit-identical to it.
 
         After the batch, ``_last_levels`` holds the per-level aggregate
         ``(level, ops, depth)`` across the whole batch, so
@@ -771,13 +764,12 @@ class SparsifiedMSF:
                 removed_info[eid] = (u, v, w)
                 plans.append(_PropagationPlan(
                     self, u, v, [], [eid], removed_info))
-        if executor is None or getattr(executor, "pool_size", 1) <= 1:
+        if executor is None:
             for plan in plans:
                 plan.run_serial()
         else:
             executor.run(plans)
-        # ordered merge on the host thread: deterministic regardless of
-        # worker scheduling (plan order is submission order)
+        # merge in plan (submission) order
         per_level: dict[int, tuple[int, int]] = {}
         for plan in plans:
             for level, ops_d, depth_d in plan.levels:
@@ -899,8 +891,8 @@ class SparsifiedMSF:
     def ops_by_node(self) -> dict[tuple, int]:
         """{node key -> elementary-op total} over materialized engines.
 
-        A scheduling-order fingerprint: the batch executor must leave this
-        identical across pool sizes (each engine sees the same op stream).
+        An op-order fingerprint: two trees fed the same op stream the
+        same way agree on it (each engine sees the same op sequence).
         Retired engines are summed in ``retired["ops"]`` instead.
         """
         return {key: node.engine.core.ops.grand_total()

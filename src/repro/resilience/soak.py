@@ -19,8 +19,8 @@ resilience layer's end-to-end contract:
 
 Everything derives from the campaign seed: the op stream, the fault
 schedule, and the check cadence -- replaying a seed reproduces the run
-bit-for-bit (``pool_size=1`` keeps the batch executor on the serial
-path, so scheduling cannot perturb the comparison).
+bit-for-bit (a batch's plans always run serially, in submission order,
+so scheduling cannot perturb the comparison).
 """
 
 from __future__ import annotations

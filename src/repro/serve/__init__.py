@@ -6,9 +6,9 @@ stack (see README "Serving layer"):
 * :class:`BatchedMSF` -- facade-compatible front that coalesces update
   batches deterministically and serves reads from an epoch-versioned
   union-find snapshot;
-* :class:`LevelExecutor` -- deterministic fork-join pool dispatching the
-  sparsification tree's independent per-level engine updates (Section
-  5.3) with per-node FIFO ordering, bit-identical across pool sizes;
+* :class:`LevelExecutor` -- runs a batch's sparsification-tree
+  propagation plans serially, in submission order (Section 5.3's
+  per-level parallelism is modelled by cost accounting, not threads);
 * :func:`coalesce` / :class:`CoalescedBatch` -- canonical batch algebra
   (insert+delete annihilation, dedupe, stable ordering);
 * :class:`ConnectivitySnapshot` -- the O(alpha(n))-per-query read path.
@@ -17,7 +17,7 @@ stack (see README "Serving layer"):
 from .batch import CoalescedBatch, coalesce
 from .batched import BatchedMSF
 from .clustered import ClusterMSF
-from .executor import LevelExecutor, default_pool_size
+from .executor import LevelExecutor
 from .snapshot import ConnectivitySnapshot
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "ConnectivitySnapshot",
     "LevelExecutor",
     "coalesce",
-    "default_pool_size",
 ]

@@ -6,8 +6,8 @@ write buffer and an epoch-versioned read path:
 * **writes** (``insert_edge`` / ``delete_edge``) are buffered and
   coalesced deterministically (:mod:`repro.serve.batch`) -- in-batch
   insert+delete pairs annihilate before any engine sees them -- then
-  applied as one canonical batch, with the per-level sparsification work
-  dispatched through a :class:`~repro.serve.executor.LevelExecutor`;
+  applied as one canonical batch, whose sparsification-tree plans run
+  through a :class:`~repro.serve.executor.LevelExecutor`;
 * **reads** are strongly consistent (a query first flushes pending
   writes) and served from an epoch-stamped union-find snapshot
   (:mod:`repro.serve.snapshot`) plus the engines' delta-maintained
@@ -23,7 +23,7 @@ import contextlib
 from typing import Iterator, Optional
 
 from ..core.degree import DegreeReducer
-from ..core.sparsify import SparsifiedMSF
+from ..core.sparsify import SparsifiedMSF, _check_weight
 from ..resilience import faults as _faults
 from ..resilience.errors import CorruptionError, UnknownEdgeError
 from .batch import CoalescedBatch, coalesce
@@ -44,14 +44,13 @@ class BatchedMSF:
         ``"sequential"`` or ``"parallel"`` core engines, as in
         :class:`repro.DynamicMSF`.
     sparsify:
-        route updates through the sparsification tree (default: True --
-        this is the configuration the batch executor accelerates).
+        route updates through the sparsification tree (default: True).
     batch_size:
         auto-flush threshold for the write buffer.
     pool_size:
-        host threads for the per-level fork-join executor; ``1`` is the
-        bit-identical serial path, ``None`` picks a small default pool.
-        Ignored when ``sparsify=False``.
+        accepted for compatibility and validated (``None`` or an int
+        ``>= 1``), but inert: it starts no threads and changes nothing.
+        A batch's plans always run serially, in submission order.
     consistency:
         ``"strong"`` (default) -- every read first flushes the pending
         batch, so queries always observe their session's writes (the
@@ -104,6 +103,11 @@ class BatchedMSF:
                 f"got {consistency!r}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if pool_size is not None and (isinstance(pool_size, bool)
+                                      or not isinstance(pool_size, int)
+                                      or pool_size < 1):
+            raise ValueError(
+                f"pool_size must be None or an int >= 1, got {pool_size!r}")
         if backend not in ("scalar", "columnar", "compiled"):
             raise ValueError(
                 f"backend must be 'scalar', 'columnar' or 'compiled', "
@@ -122,7 +126,7 @@ class BatchedMSF:
         self._K = K
         self._max_edges = max_edges
         if sparsify:
-            self.executor: Optional[LevelExecutor] = LevelExecutor(pool_size)
+            self.executor: Optional[LevelExecutor] = LevelExecutor()
         else:
             self.executor = None
         self._impl = self._make_impl()
@@ -184,9 +188,11 @@ class BatchedMSF:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(
                 f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
+        w = float(weight)
+        _check_weight(w)
         eid = self._next_eid
         self._next_eid += 1
-        self._pending.append(("ins", eid, u, v, float(weight)))
+        self._pending.append(("ins", eid, u, v, w))
         self._pending_ins.add(eid)
         self.stats["ops_submitted"] += 1
         self._maybe_flush()

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..cluster.coordinator import Coordinator
+from ..core.sparsify import _check_weight
 from ..resilience.errors import UnknownEdgeError
 from .batch import CoalescedBatch, coalesce
 from .snapshot import ConnectivitySnapshot
@@ -136,9 +137,11 @@ class ClusterMSF:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(
                 f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
+        w = float(weight)
+        _check_weight(w)
         eid = self._next_eid
         self._next_eid += 1
-        self._pending.append(("ins", eid, u, v, float(weight)))
+        self._pending.append(("ins", eid, u, v, w))
         self._pending_ins.add(eid)
         self.stats["ops_submitted"] += 1
         self._maybe_flush()

@@ -1,202 +1,44 @@
-"""Deterministic fork-join executor for per-level sparsification work.
+"""The batch executor for per-level sparsification work.
 
 The paper's Section 5.3 observes that the sparsification tree's
 per-level engine updates "can be executed independently on each level":
-every tree node owns disjoint structures, so two *different* updates may
-run on two *different* nodes concurrently.  What must be preserved is
-only the per-node op order -- each node has to see the batch's updates
-in submission order, exactly as the serial path would feed them.
+every tree node owns disjoint structures.  This reproduction models that
+parallelism by cost accounting -- ``SparsifiedMSF.parallel_cost_of_last_update``
+composes the per-level marks each plan records -- not by host threads,
+which could never overlap the GIL-holding engine steps.  Host
+parallelism lives in :class:`repro.serve.ClusterMSF`'s worker processes.
 
-:class:`LevelExecutor` schedules *plans* (objects exposing ``stations``,
-an ordered list of hashable resource keys, and ``step(pos) -> done``)
-under precisely that contract:
-
-* plan steps execute in station order with early exit when ``step``
-  returns ``True``;
-* for every station, the plans that reach it execute there in plan
-  (submission) order, mutually exclusive;
-* therefore every resource observes a schedule-independent op sequence,
-  and the result is **bit-identical** for every pool size -- pool size 1
-  *is* the serial path.
-
-This is pipeline parallelism: update ``t`` can be at the root while
-update ``t+1`` is still down at its leaf.  The scheduler is a single
-lock + condition around per-station FIFO queues; steps themselves run
-outside the lock.
+:class:`LevelExecutor` therefore runs a batch's *plans* (objects with a
+``run_serial()`` walk over their stations, see
+``core.sparsify._PropagationPlan``) one after another in submission
+order, so every tree node sees the batch's updates exactly as the
+serial update path would feed them.  It stays a class of its own as the
+seam through which a serving front hands a batch to the tree.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import deque
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
-__all__ = ["LevelExecutor", "Plan", "default_pool_size"]
-
-# plan lifecycle states
-_WAITING, _READY, _RUNNING, _DONE = range(4)
+__all__ = ["LevelExecutor", "Plan"]
 
 
 class Plan(Protocol):
-    """Structural interface the executor schedules (see module doc)."""
+    """Structural interface the executor runs (see module doc)."""
 
-    stations: Sequence          # ordered hashable resource keys
-
-    def step(self, pos: int) -> bool:
-        """Run station ``pos``; return True when the plan is finished."""
+    def run_serial(self) -> None:
+        """Walk the plan's stations, leaf first, until it is finished."""
         ...  # pragma: no cover - protocol
 
 
-def default_pool_size() -> int:
-    """Host-parallel worker count: a small pool, capped by the CPUs."""
-    return max(1, min(4, os.cpu_count() or 1))
-
-
 class LevelExecutor:
-    """Fork-join pool running plans under per-station FIFO ordering.
+    """Runs plans serially, in submission order.
 
-    ``pool_size=1`` (or ``None`` on a single-CPU host) executes the plans
-    serially in submission order -- the exact code path the differential
-    tests compare against.  An executor is reusable and stateless between
+    A plan that raises stops the batch: the exception reaches the caller
+    and later plans do not run.  An executor is stateless between
     :meth:`run` calls.
     """
 
-    def __init__(self, pool_size: Optional[int] = None) -> None:
-        self.pool_size = (default_pool_size() if pool_size is None
-                          else int(pool_size))
-        if self.pool_size < 1:  # raised, not asserted: survives `python -O`
-            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
-
-    # ------------------------------------------------------------------ API
-
     def run(self, plans: Sequence[Plan]) -> None:
-        plans = list(plans)
-        if not plans:
-            return
-        if self.pool_size <= 1:
-            for i, plan in enumerate(plans):
-                try:
-                    for pos in range(len(plan.stations)):
-                        if plan.step(pos):
-                            break
-                except BaseException as exc:
-                    # tag the failing plan so the serving layer's recovery
-                    # bisection can attribute the poisoned op (same tag the
-                    # threaded scheduler applies)
-                    exc.plan_index = i
-                    raise
-            return
-        _Scheduler(plans, min(self.pool_size, len(plans))).run()
-
-
-class _Scheduler:
-    """One ``run()``'s worth of shared scheduling state."""
-
-    def __init__(self, plans: Sequence[Plan], workers: int) -> None:
-        self.plans = plans
-        self.workers = workers
-        self.lock = threading.Lock()
-        self.wakeup = threading.Condition(self.lock)
-        # per-station FIFO of plan indices that may still visit it
-        self.queues: dict[object, deque[int]] = {}
-        for i, plan in enumerate(plans):
-            seen = set()
-            for key in plan.stations:
-                assert key not in seen, "station repeated within one plan"
-                seen.add(key)
-                self.queues.setdefault(key, deque()).append(i)
-        self.pos = [0] * len(plans)           # current station index
-        self.state = [_WAITING] * len(plans)
-        self.ready: deque[int] = deque()
-        self.finished = 0
-        self.error: Optional[tuple[int, BaseException]] = None
-        for i, plan in enumerate(plans):
-            if not plan.stations:
-                self.state[i] = _DONE
-                self.finished += 1
-            elif self.queues[plan.stations[0]][0] == i:
-                self.state[i] = _READY
-                self.ready.append(i)
-
-    # ----------------------------------------------------------- lifecycle
-
-    def run(self) -> None:
-        threads = [threading.Thread(target=self._worker,
-                                    name=f"level-exec-{t}", daemon=True)
-                   for t in range(self.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if self.error is not None:
-            idx, exc = self.error
-            exc.plan_index = idx  # recovery-bisection attribution tag
-            raise exc
-
-    def _worker(self) -> None:
-        while True:
-            with self.wakeup:
-                while (not self.ready and self.finished < len(self.plans)
-                       and self.error is None):
-                    self.wakeup.wait()
-                if self.error is not None or self.finished >= len(self.plans):
-                    self.wakeup.notify_all()
-                    return
-                i = self.ready.popleft()
-                self.state[i] = _RUNNING
-                pos = self.pos[i]
-            plan = self.plans[i]
-            try:
-                done = plan.step(pos)
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                with self.wakeup:
-                    if self.error is None or i < self.error[0]:
-                        self.error = (i, exc)
-                    self.wakeup.notify_all()
-                return
-            with self.wakeup:
-                self._advance(i, done)
-                self.wakeup.notify_all()
-
-    # ----------------------------------------------------------- scheduling
-
-    def _advance(self, i: int, done: bool) -> None:
-        """Post-step bookkeeping for plan ``i`` (lock held)."""
-        plan = self.plans[i]
-        station = plan.stations[self.pos[i]]
-        q = self.queues[station]
-        assert q[0] == i
-        q.popleft()
-        self._maybe_ready_head(station)
-        last = self.pos[i] == len(plan.stations) - 1
-        if done or last:
-            # early exit: release the claims on every remaining station
-            for key in plan.stations[self.pos[i] + 1:]:
-                q2 = self.queues[key]
-                if q2 and q2[0] == i:
-                    q2.popleft()
-                    self._maybe_ready_head(key)
-                else:
-                    q2.remove(i)
-            self.state[i] = _DONE
-            self.finished += 1
-            return
-        self.pos[i] += 1
-        nxt = plan.stations[self.pos[i]]
-        if self.queues[nxt][0] == i:
-            self.state[i] = _READY
-            self.ready.append(i)
-        else:
-            self.state[i] = _WAITING
-
-    def _maybe_ready_head(self, station) -> None:
-        """If the new queue head is parked at ``station``, wake it."""
-        q = self.queues[station]
-        if not q:
-            return
-        j = q[0]
-        if (self.state[j] == _WAITING
-                and self.plans[j].stations[self.pos[j]] == station):
-            self.state[j] = _READY
-            self.ready.append(j)
+        for plan in plans:
+            plan.run_serial()

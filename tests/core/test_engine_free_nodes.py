@@ -4,7 +4,7 @@ A non-root node of the sparsification tree runs a dynamic-MSF engine
 only while it holds two or more edges; with one edge it keeps that edge
 like a leaf.  These tests pin the invariant, the forest under churn that
 moves nodes back and forth across it, the (add e, remove f) swap that
-must not build an engine, and schedule/pool neutrality of both moves.
+must not build an engine, and pool neutrality of both moves.
 """
 
 import random
@@ -49,7 +49,7 @@ def test_engine_exactly_at_root_or_two_edges_after_prefill(batched):
         ops.append(("ins", eid, u, v, round(rng.random(), 6)))
     if batched:
         for i in range(0, len(ops), 16):
-            tree.apply_batch(ops[i:i + 16], executor=LevelExecutor(2))
+            tree.apply_batch(ops[i:i + 16], executor=LevelExecutor())
     else:
         for _t, eid, u, v, w in ops:
             tree.insert_edge(u, v, w, eid=eid)
@@ -66,12 +66,13 @@ def test_engine_exactly_at_root_or_two_edges_after_prefill(batched):
 @pytest.mark.parametrize("pool_size", [1, 2])
 def test_churn_across_one_and_two_edges_matches_kruskal(pool_size):
     """Few live edges on few vertices: nodes keep crossing between one
-    and two edges, so engines are built and handed back all the time."""
+    and two edges, so engines are built and handed back all the time.
+    Batches go through the executor of a front of ``pool_size``."""
     n = 12
     rng = random.Random(5)
     pool = EnginePool()
     tree = SparsifiedMSF(n, pool=pool)
-    executor = LevelExecutor(pool_size)
+    executor = BatchedMSF(n, pool_size=pool_size).executor
     live: list[int] = []
     eid = 0
     engine_states: dict[tuple, set[bool]] = {}

@@ -101,6 +101,33 @@ def test_non_finite_weight_rejected_before_state_changes(sparsify, bad):
     assert m.self_check("full") == []
 
 
+@pytest.mark.parametrize("engine,backend", [("sequential", "scalar"),
+                                            ("parallel", "scalar"),
+                                            ("sequential", "compiled")])
+def test_out_of_range_endpoint_rejected_without_sparsify(engine, backend):
+    """The degree reducer rejects a vertex outside ``0..n-1`` before any
+    state changes or an id is drawn."""
+    from repro.resilience.checks import state_fingerprint
+
+    if backend == "compiled":
+        from repro.core import compiled
+        if not compiled.HAVE_COMPILED:
+            pytest.skip("compiled extension not built")
+    m = DynamicMSF(4, engine=engine, backend=backend)
+    twin = DynamicMSF(4, engine=engine, backend=backend)
+    for eng in (m, twin):
+        eng.insert_edge(0, 1, 1.0)
+    before = state_fingerprint(m)
+    for u, v in ((0, 9), (9, 0), (-1, 2), (4, 4)):
+        with pytest.raises(ValueError, match="out of range 0..3"):
+            m.insert_edge(u, v, 1.0)
+        assert state_fingerprint(m) == before
+    assert not m.connected(0, 2)
+    # no id was drawn by a rejection: the next id is the twin's
+    assert m.insert_edge(2, 3, 3.0) == twin.insert_edge(2, 3, 3.0)
+    assert m.self_check("full") == []
+
+
 def test_sparsified_batch_rejects_nan_all_or_nothing():
     from repro.core.sparsify import SparsifiedMSF
     from repro.resilience.checks import state_fingerprint

@@ -2,7 +2,7 @@
 
 The serving front must be *observationally identical* to the plain
 facade: same forest, same weight, same answers -- for every batch size,
-every pool size, and both backing engines.  Deferred mode is gated
+every (inert) pool size, and both backing engines.  Deferred mode is gated
 against an explicit lagged oracle (updates apply in blocks, reads see
 the last applied block).
 """
@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro import BatchedMSF, DynamicMSF
+from repro import BatchedMSF, ClusterMSF, DynamicMSF
 from repro.workloads import churn, drive, query_mix
 
 
@@ -82,6 +82,61 @@ def test_parallel_engine_pool_sizes_bit_identical():
     assert a._impl.ops_by_node() == b._impl.ops_by_node()
     assert a.erew_violations() == 0 and b.erew_violations() == 0
     assert a.parallel_cost_of_last_update() == b.parallel_cost_of_last_update()
+
+
+def test_pool_size_starts_no_threads(monkeypatch):
+    """``pool_size`` is inert: a front built with a large one flushes
+    without starting a thread and ends where ``pool_size=1`` ends."""
+    import threading
+
+    n, ops = 40, list(churn(40, 220, p_delete=0.45, seed=9))
+    ref = BatchedMSF(n, batch_size=16, pool_size=1)
+    drive(ref, ops)
+    ref.flush()
+
+    def no_threads(self):
+        raise AssertionError("a flush started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    served = BatchedMSF(n, batch_size=16, pool_size=4)
+    drive(served, ops)
+    served.flush()
+    assert served.stats["batches"] > 1
+    assert served._impl.ops_by_node() == ref._impl.ops_by_node()
+    assert served.msf_ids() == ref.msf_ids()
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "2"])
+def test_pool_size_must_be_none_or_positive_int(bad):
+    with pytest.raises(ValueError, match="pool_size"):
+        BatchedMSF(8, pool_size=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("front_kind", ["batched", "cluster"])
+def test_non_finite_weight_rejected_at_submit(front_kind, bad):
+    """A non-finite weight raises at submit, before an eid is drawn --
+    it never reaches a batch, so no recovery runs."""
+    if front_kind == "batched":
+        front = BatchedMSF(8, batch_size=4)
+    else:
+        front = ClusterMSF(8, pool_size=2, processes=False, batch_size=4)
+    try:
+        front.insert_edge(0, 1, 1.0)
+        front.flush()
+        submitted = front.stats["ops_submitted"]
+        next_eid = front._next_eid
+        for u, v in ((0, 1), (2, 3), (4, 4)):  # parallel, fresh, self-loop
+            with pytest.raises(ValueError, match="finite"):
+                front.insert_edge(u, v, bad)
+        front.flush()
+        assert front.stats["ops_submitted"] == submitted
+        assert front.stats["recoveries"] == 0
+        assert front.insert_edge(2, 3, 2.0) == next_eid
+        assert front.msf_weight() == 3.0
+    finally:
+        if front_kind == "cluster":
+            front.close()
 
 
 def test_degree_reducer_backend_matches_facade():

@@ -1,45 +1,47 @@
-"""LevelExecutor contract: per-station FIFO order, early exit, errors.
+"""LevelExecutor contract: serial submission order, early exit, errors.
 
-The executor promises that for every station, plans execute there in
-submission order, mutually exclusive -- so each station observes a
-schedule-independent op sequence and any pool size is bit-identical to
-the serial path.  These tests drive it with synthetic plans that record
-their execution trace per station.
+The executor runs a batch's plans one after another in submission
+order, each through the sparsification tree's station walk
+(``_PropagationPlan.run_serial``), so every station observes the op
+sequence of the serial path.  A front's ``pool_size`` is accepted but
+inert: the executor a front of any pool size flushes through behaves
+the same.  These tests drive it with synthetic plans that record their
+execution trace per station.
 """
-
-import threading
 
 import pytest
 
-from repro.serve.executor import LevelExecutor, default_pool_size
+from repro import BatchedMSF
+from repro.core.sparsify import _PropagationPlan
+from repro.serve.executor import LevelExecutor
 
 
 class TracePlan:
     """Records (plan_id, station) visits into a shared per-station log."""
 
-    def __init__(self, pid, stations, logs, *, stop_at=None, fail_at=None,
-                 barrier=None):
+    # the tree's own station walk, driven over synthetic steps
+    run_serial = _PropagationPlan.run_serial
+
+    def __init__(self, pid, stations, logs, *, stop_at=None, fail_at=None):
         self.pid = pid
         self.stations = list(stations)
-        self.logs = logs            # station -> list of pids (station-locked)
+        self.logs = logs            # station -> list of pids
         self.stop_at = stop_at      # early-exit after this many steps
         self.fail_at = fail_at      # raise at this station index
-        self.barrier = barrier      # optional concurrency probe
 
     def step(self, pos):
         if self.fail_at is not None and pos == self.fail_at:
             raise RuntimeError(f"plan {self.pid} failed at {pos}")
-        if self.barrier is not None:
-            self.barrier(self.pid, self.stations[pos])
         self.logs.setdefault(self.stations[pos], []).append(self.pid)
         return self.stop_at is not None and pos + 1 >= self.stop_at
 
 
 def run_plans(pool, specs):
-    """specs: list of (stations, kwargs); returns station->pid-order log."""
+    """Run specs (list of (stations, kwargs)) through the executor of a
+    ``BatchedMSF(pool_size=pool)``; returns the station->pid-order log."""
     logs = {}
     plans = [TracePlan(i, st, logs, **kw) for i, (st, kw) in enumerate(specs)]
-    LevelExecutor(pool).run(plans)
+    BatchedMSF(2, pool_size=pool).executor.run(plans)
     return logs
 
 
@@ -48,7 +50,7 @@ STATION_SETS = [
     [(["a", "x", "r"], {}), (["b", "x", "r"], {}), (["c", "r"], {})],
     # disjoint plans
     [(["a"], {}), (["b"], {}), (["c"], {})],
-    # total overlap: pure pipeline
+    # total overlap
     [(["x", "y", "z"], {}), (["x", "y", "z"], {}), (["x", "y", "z"], {})],
 ]
 
@@ -65,7 +67,7 @@ def test_station_fifo_order_any_pool(pool, specs):
 @pytest.mark.parametrize("pool", [1, 3])
 def test_early_exit_releases_downstream_claims(pool):
     # plan 0 stops after its first station; plan 1 shares the later ones
-    # and must not deadlock waiting on plan 0's abandoned claims.
+    # and still visits them.
     logs = run_plans(pool, [
         (["a", "x", "r"], {"stop_at": 1}),
         (["x", "r"], {}),
@@ -83,40 +85,19 @@ def test_exception_propagates(pool):
         ])
 
 
-def test_lowest_plan_index_error_wins_eventually():
-    # both plans fail; the reported error must be deterministic enough to
-    # come from one of them (the scheduler prefers the lowest index when
-    # both are recorded).  With pool 1 the first plan always wins.
-    with pytest.raises(RuntimeError, match="plan 0"):
-        run_plans(1, [
-            (["a"], {"fail_at": 0}),
-            (["b"], {"fail_at": 0}),
-        ])
-
-
-def test_pipeline_overlap_actually_happens_with_pool():
-    """Two disjoint single-station plans overlap under pool >= 2."""
-    if (default_pool_size() or 1) < 1:  # pragma: no cover - sanity
-        pytest.skip("no host threads")
-    gate = threading.Barrier(2, timeout=10)
-    overlapped = []
-
-    def probe(pid, station):
-        try:
-            gate.wait(timeout=5)
-            overlapped.append(pid)
-        except threading.BrokenBarrierError:  # pragma: no cover
-            pass
-
+def test_first_failing_plan_error_reaches_caller():
+    # both plans would fail; the first one's error is raised and the
+    # second plan never runs
     logs = {}
-    plans = [TracePlan(i, [f"s{i}"], logs, barrier=probe) for i in range(2)]
-    LevelExecutor(2).run(plans)
-    # both plans reached the barrier simultaneously => true overlap
-    assert sorted(overlapped) == [0, 1]
+    plans = [TracePlan(0, ["a", "b"], logs, fail_at=1),
+             TracePlan(1, ["c"], logs, fail_at=0)]
+    with pytest.raises(RuntimeError, match="plan 0"):
+        LevelExecutor().run(plans)
+    assert logs == {"a": [0]}
 
 
 def test_empty_and_stationless_plans():
-    LevelExecutor(2).run([])                            # no-op
+    LevelExecutor().run([])                             # no-op
     logs = run_plans(2, [([], {}), (["a"], {})])
     assert logs == {"a": [1]}
 
@@ -126,8 +107,3 @@ def test_pool_one_is_submission_order_serial():
     # serial path: plan 0 fully first (its stations), then plan 1
     assert logs["r"] == [0, 1]
     assert logs["a"] == [0] and logs["b"] == [1]
-
-
-def test_default_pool_size_bounds():
-    p = default_pool_size()
-    assert 1 <= p <= 4

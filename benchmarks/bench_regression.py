@@ -49,16 +49,9 @@ multiplier is recorded).  Results now also carry a ``host`` block
 host-dependent: on a single-core runner it measures sharding's work
 *reduction* plus coordinator/worker overlap, not parallelism.
 
-PR 7 adds the columnar execution backend: a ``facade-columnar`` row
-(the sparsified facade with ``backend="columnar"``, skipped with an
-attributable reason when numpy is absent) and a ``columnar`` section
-holding a paired scalar/columnar replay of the gated rows.  Two
-absolute gates, enforced in both modes: the pair must be
-*bit-identical* (forests, ``msf_weight``, facade fingerprints, PRAM
-``depth``/``work``), and the same-run wall-clock ratio must stay above
-:data:`COLUMNAR_RATIO_FLOOR` -- the ratio is measured in-process
-because the backends' relative speed at the gated sizes (~1x; see
-EXPERIMENTS.md E9) is far inside committed-baseline cross-host noise.
+The numpy struct-of-array execution backend, with its facade row and
+its paired-replay section, has been retired; ``scalar`` and
+``compiled`` are the two backends measured here.
 
 PR 8 adds the compiled execution backend: a ``facade-compiled`` row
 (the sparsified facade with ``backend="compiled"``, skipped with an
@@ -126,8 +119,8 @@ def host_meta() -> dict:
     """The machine facts a reader needs to interpret the numbers --
     especially the cluster speedup, which is meaningless without the
     CPU count it was measured on.  v3 adds the numpy version (None when
-    the ``repro[columnar]`` extra is absent), since the columnar rows'
-    wall clock depends on it."""
+    numpy is absent), since the scalar backend's wall clock depends on
+    it."""
     try:
         import numpy
         numpy_version = numpy.__version__
@@ -162,8 +155,6 @@ FULL = {
                               steps=150),
     "facade-sparsified": dict(kind="facade-sparsified", n=256,
                               workload="churn", steps=60),
-    "facade-columnar": dict(kind="facade-sparsified", n=256,
-                            workload="churn", steps=60, backend="columnar"),
     "facade-compiled": dict(kind="facade-sparsified", n=256,
                             workload="churn", steps=60, backend="compiled"),
     "seq-core-wide": dict(kind="seq-core", n=2048, K=16,
@@ -189,8 +180,6 @@ QUICK = {
                               steps=80),
     "facade-sparsified": dict(kind="facade-sparsified", n=128,
                               workload="churn", steps=40),
-    "facade-columnar": dict(kind="facade-sparsified", n=128,
-                            workload="churn", steps=40, backend="columnar"),
     "facade-compiled": dict(kind="facade-sparsified", n=128,
                             workload="churn", steps=40, backend="compiled"),
     "seq-core-wide": dict(kind="seq-core", n=512, K=16,
@@ -342,17 +331,9 @@ def _build(spec: dict, machine=None):
     """
     kind, n = spec["kind"], spec["n"]
     backend = spec.get("backend", "scalar")
-    if backend == "columnar":
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            # skip reason names the backend and the arena state, so a CI
-            # log reading "SKIPPED" is attributable at a glance (an
-            # earlier version printed a bare reason, indistinguishable
-            # from the audit-ladder skip)
-            return None, (f"backend={backend} needs numpy (repro[columnar] "
-                          f"extra not installed; {_arena_state()})"), None
     if backend == "compiled":
+        # skip reason names the backend and the arena state, so a CI log
+        # reading "SKIPPED" is attributable at a glance
         from repro.core import compiled as _compiled
         if not _compiled.HAVE_COMPILED:
             return None, (f"backend={backend} needs the native extension "
@@ -795,22 +776,8 @@ def cluster_failures(row: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# columnar backend equivalence (PR 7)
+# paired backend replay (shared by the backend-equivalence section)
 # ---------------------------------------------------------------------------
-
-#: rows replayed under both backends; the scalar/columnar pair must be
-#: bit-identical (forests, weight, PRAM depth/work) and the columnar arm
-#: must stay above the wall-clock ratio floor
-COLUMNAR_ROWS = ("facade-sparsified", "parallel-core-fast")
-#: columnar/scalar updates-per-second floor.  The contract of the
-#: columnar backend is *bit-identity first*: at the gated sizes (n<=512,
-#: J ~ 2n/K chunks) the vector widths are tens of lanes, where measured
-#: speedups range from ~0.9x to ~1.2x depending on host and shape -- see
-#: EXPERIMENTS.md E9.  The floor catches a catastrophic slowdown (an
-#: accidental O(J) -> O(J^2) mirror resync, say) without gating host
-#: noise; larger-J shapes are where the vectorized kernels pay off.
-COLUMNAR_RATIO_FLOOR = 0.5
-
 
 def _equiv_signature(engine, core_style: bool) -> tuple:
     """Backend-independent state signature for the equivalence gate."""
@@ -882,75 +849,6 @@ def _paired_backend_ratio(spec: dict, ops, other: str) -> dict:
     }
 
 
-def measure_columnar_equivalence(specs: dict, engines=None):
-    """Paired scalar/columnar replay: bit-identity plus same-run ratio.
-
-    Replays each gated row's exact op stream on a fresh engine per
-    backend and compares the end states (forest edge ids, ``msf_weight``,
-    the facade ``state_fingerprint``, and PRAM ``depth``/``work`` where
-    measured).  Timing runs through :func:`_paired_backend_ratio`
-    (interleaved pairs, median-of-ratios), so the recorded ratio is free
-    of the cross-host noise that makes committed-baseline wall-clock
-    comparisons unreliable *and* of same-run arm-order drift.  Returns
-    None (section omitted) when numpy is absent.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        print(f"  skipped: numpy not installed ({_arena_state()})")
-        return None
-    rows: dict[str, dict] = {}
-    for name in COLUMNAR_ROWS:
-        spec = specs.get(name)
-        if spec is None or (engines and name not in engines):
-            continue
-        ops = _ops_for(spec)
-        pair = _paired_backend_ratio(spec, ops, "columnar")
-        arms = {"scalar": {"seconds": pair["scalar_s"]},
-                "columnar": {"seconds": pair["other_s"]}}
-        identical = pair["identical"]
-        ratio = pair["ratio"]
-        rows[name] = {
-            "n": spec["n"],
-            "workload": spec["workload"],
-            "updates": len(ops),
-            "scalar_updates_per_s": round(
-                len(ops) / arms["scalar"]["seconds"], 2),
-            "columnar_updates_per_s": round(
-                len(ops) / arms["columnar"]["seconds"], 2),
-            "columnar_speedup": round(ratio, 3),
-            "bit_identical": identical,
-            "pairs": pair["pairs"],
-            "estimator": "median-of-ratios",
-        }
-        print(f"  {name:<22} n={spec['n']:<5} scalar "
-              f"{len(ops) / arms['scalar']['seconds']:10.1f} upd/s  "
-              f"columnar {len(ops) / arms['columnar']['seconds']:10.1f} "
-              f"upd/s  ratio {ratio:5.2f}x  identical={identical}")
-    return rows
-
-
-def columnar_failures(rows) -> list[str]:
-    """Absolute gates for the columnar section (both modes): the paired
-    replay must be bit-identical, and the same-run wall-clock ratio must
-    stay above :data:`COLUMNAR_RATIO_FLOOR`."""
-    if rows is None:  # numpy absent: nothing measured, nothing gated
-        return []
-    failures: list[str] = []
-    for name, row in rows.items():
-        if not row["bit_identical"]:
-            failures.append(
-                f"{name}: columnar backend diverged from scalar "
-                f"(forests/weight/fingerprint/depth/work must be "
-                f"bit-identical)")
-        if row["columnar_speedup"] < COLUMNAR_RATIO_FLOOR:
-            failures.append(
-                f"{name}: columnar/scalar ratio "
-                f"{row['columnar_speedup']}x < {COLUMNAR_RATIO_FLOOR}x "
-                f"floor (same-run pair)")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # compiled backend equivalence (PR 8)
 # ---------------------------------------------------------------------------
@@ -962,8 +860,8 @@ COMPILED_ROWS = ("facade-sparsified", "parallel-core-fast", "seq-core-wide",
 #: compiled/scalar floor on the *narrow* gated rows: their residual time
 #: is facade / PRAM-simulator Python above the backend seam (measured
 #: ~1.0-1.3x after the PR 9 plumbing port; EXPERIMENTS.md E9), so they
-#: gate bit-identity plus catastrophe (same rationale as the columnar
-#: floor)
+#: gate bit-identity plus catastrophe: the floor catches an accidental
+#: O(J) -> O(J^2) mirror resync, say, without gating host noise
 COMPILED_RATIO_FLOOR = 0.5
 #: hard same-run speedup bar on ``seq-core-wide``: the deletion-heavy
 #: wide-Jcap shape is *the* regime the compiled tier exists for (column
@@ -986,8 +884,10 @@ def measure_compiled_equivalence(specs: dict, engines=None, *,
                                  gate_churn: bool = True):
     """Paired scalar/compiled replay: bit-identity plus same-run ratio.
 
-    The compiled twin of :func:`measure_columnar_equivalence` -- fresh
-    engine per backend, identical op stream, interleaved pairs with a
+    Replays each gated row's exact op stream on a fresh engine per
+    backend and compares the end states (forest edge ids, ``msf_weight``,
+    the facade ``state_fingerprint``, and PRAM ``depth``/``work`` where
+    measured) -- identical op stream, interleaved pairs with a
     median-of-ratios estimate (:func:`_paired_backend_ratio`) so the
     recorded ratio carries neither cross-host noise nor same-run
     arm-order drift.  Returns None (section omitted) when the native
@@ -1307,12 +1207,6 @@ def main(argv=None) -> int:
         result["cluster"] = measure_cluster(
             CLUSTER_QUICK if args.quick else CLUSTER_FULL)
         over += cluster_failures(result["cluster"])
-    print("== columnar backend (bit-identity + same-run ratio) ==")
-    columnar_rows = measure_columnar_equivalence(
-        QUICK if args.quick else FULL, args.engines)
-    if columnar_rows is not None:
-        result["columnar"] = columnar_rows
-    over += columnar_failures(columnar_rows)
     print("== compiled backend (bit-identity + same-run ratio) ==")
     compiled_rows = measure_compiled_equivalence(
         QUICK if args.quick else FULL, args.engines,

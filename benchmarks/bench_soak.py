@@ -104,27 +104,6 @@ def run_soak(profile: str, base_seed: int, *, engines=None,
                   f"masked={report['n_masked']} "
                   f"wrong={report['wrong_answers']} "
                   f"sites={report['sites_hit']}")
-    # the columnar backend adds the mirror-tearing ``columnar.col`` site;
-    # only runs when numpy is importable (the backend's optional extra)
-    if (engines is None or "sequential" in engines) and sparsify in (
-            None, True):
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            print("  columnar/sparse       skipped: numpy not installed")
-        else:
-            for s in range(prof["seeds"]):
-                report = run_campaign(base_seed + s, engine="sequential",
-                                      sparsify=True, backend="columnar",
-                                      **prof["seq"])
-                campaigns.append(report)
-                verdict = "ok" if report["ok"] else "FAIL"
-                print(f"  {'columnar/sparse':20s} seed={base_seed + s}: "
-                      f"{verdict}  injected={report['n_injected']} "
-                      f"detected={report['n_detected']} "
-                      f"masked={report['n_masked']} "
-                      f"wrong={report['wrong_answers']} "
-                      f"sites={report['sites_hit']}")
     # the compiled backend adds the mirror-tearing ``compiled.kernel``
     # site; only runs when the native extension is built
     if (engines is None or "sequential" in engines) and sparsify in (

@@ -6,7 +6,7 @@ Usage:
                                           [--sort {cumulative,tottime}]
                                           [--limit N] [-o FILE]
                                           [--json FILE] [--cold]
-                                          [--backend {scalar,columnar,compiled}]
+                                          [--backend {scalar,compiled}]
 
 engine: seq | par | par-fast | sparsify   (default seq, n=1024, steps=300)
 (also accepted flag-style: ``--engine par-fast``, the CI spelling)
@@ -49,7 +49,7 @@ import time
 
 ENGINES = ("seq", "par", "par-fast", "sparsify")
 
-BACKENDS = ("scalar", "columnar", "compiled")
+BACKENDS = ("scalar", "compiled")
 
 #: v3 (PR 9): adds ``time_split`` (tottime attributed to the native
 #: ``_kernels`` extension vs pure python vs other builtins) and
@@ -180,7 +180,7 @@ def charge_stream_stats(eng) -> dict | None:
 
     Covers the bare-core engines (one stream on ``eng.ops``) and the
     sparsified facade (one per materialized node engine).  Returns None
-    when no stream is attached (scalar/columnar backends), so the JSON
+    when no stream is attached (scalar backend), so the JSON
     key is present exactly when the compiled charge batching is live.
     """
     streams = []
@@ -245,8 +245,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="skip the engine-arena warm-up pass and "
                              "profile the cold build path instead")
     parser.add_argument("--backend", choices=BACKENDS, default="scalar",
-                        help="execution backend to profile (columnar "
-                             "requires the repro[columnar] extra; compiled "
+                        help="execution backend to profile (compiled "
                              "requires the built native extension)")
     return parser.parse_args(argv)
 

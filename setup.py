@@ -26,6 +26,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=[],
-    extras_require={"columnar": ["numpy>=1.23"], "compiled": []},
+    extras_require={"compiled": []},
     ext_modules=ext_modules,
 )

@@ -64,7 +64,7 @@ class ScanDynamicMSF(SparseDynamicMSF):
     def _build_fabric(self, n_max, K, flavor, with_bt, ops,
                       backend="scalar") -> Fabric:
         # the scan baseline ablates the LSDS, so there is nothing for the
-        # columnar backend to accelerate; it always runs scalar
+        # compiled backend to accelerate; it always runs scalar
         return _ScanFabric(n_max, K, flavor=flavor, with_bt=with_bt, ops=ops)
 
     def _find_mwr(self, lu: EulerList, lv: EulerList) -> Optional[Edge]:

@@ -1,7 +1,7 @@
 """A tiny pure-python stand-in for the numpy subset the scalar path uses.
 
-The library treats numpy as an *optional* accelerator (the ``columnar``
-extra): every scalar-path module imports it as
+The library treats numpy as an *optional* accelerator of the scalar
+backend: every scalar-path module imports it as
 
     try:
         import numpy as np
@@ -22,8 +22,7 @@ semantics exactly where the callers rely on them:
 * ``minimum``/``logical_or`` with ``out=``, ``where``, ``argmin`` with
   first-index tie-breaking, and ``nonzero`` over vectors and matrices.
 
-Only what the scalar engine touches is implemented; the columnar backend
-proper refuses to run on this shim (``BackendUnavailable``).
+Only what the scalar engine touches is implemented.
 """
 
 from __future__ import annotations

@@ -35,10 +35,23 @@ except ImportError:  # pure-python fallback; see core._nplite
 from ..analysis.counters import OpCounter
 from ..resilience import faults as _faults
 from ..structures import two_three_tree as tt
-from . import columnar, compiled
+from . import compiled
 from .model import INF_KEY, Edge, Key, Occurrence, Vertex
 
-__all__ = ["Chunk", "ChunkSpace", "default_K"]
+__all__ = ["BACKENDS", "Chunk", "ChunkSpace", "check_backend", "default_K"]
+
+#: the execution backends every front accepts: ``"scalar"`` (numpy, or the
+#: ``_nplite`` shim) and ``"compiled"`` (the native extension).  Both are
+#: bit-identical on forests, ``OpCounter`` totals and PRAM depth/work.
+BACKENDS = ("scalar", "compiled")
+
+
+def check_backend(backend: str) -> None:
+    """Reject a ``backend`` outside :data:`BACKENDS` with ``ValueError``."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be "
+                         f"{' or '.join(map(repr, BACKENDS))}, "
+                         f"got {backend!r}")
 
 
 def default_K(n_max: int, flavor: str = "sequential") -> int:
@@ -122,12 +135,8 @@ class ChunkSpace:
                  flavor: str = "sequential", with_bt: bool = False,
                  ops: Optional[OpCounter] = None,
                  backend: str = "scalar") -> None:
-        if backend not in ("scalar", "columnar", "compiled"):
-            raise ValueError(f"backend must be 'scalar', 'columnar' or "
-                             f"'compiled', got {backend!r}")
-        if backend == "columnar":
-            columnar.require()
-        elif backend == "compiled":
+        check_backend(backend)
+        if backend == "compiled":
             compiled.require()
         self.n_max = n_max
         self.K = K if K is not None else default_K(n_max, flavor)
@@ -146,30 +155,22 @@ class ChunkSpace:
         self.with_bt = with_bt
         self.ops = ops if ops is not None else OpCounter()
         self.backend = backend
-        #: complex128 mirror of ``C`` (see core.columnar): dual-written at
-        #: every write site below; hot reads go numeric.  ``None`` on the
-        #: scalar backend -- every mirror touch is gated on that -- and
-        #: until ``C`` is allocated.
-        self.colm: Optional[columnar.ColumnarMatrix] = None
         #: flat float64 mirror of ``C`` (see core.compiled): the native
-        #: kernels' traversal substrate, dual-written at the same sites as
-        #: ``colm``.  ``None`` unless ``backend == "compiled"`` and ``C``
-        #: is allocated.
+        #: kernels' traversal substrate, dual-written at every write site
+        #: below.  ``None`` unless ``backend == "compiled"`` and ``C`` is
+        #: allocated -- every mirror touch is gated on that.
         self.compm: Optional[compiled.CompiledMatrix] = None
-        #: columnar LSDS aggregates are sequential-only: the parallel
-        #: engine's strict/recording PRAM programs register the object
-        #: aggregate vectors by identity, so its LSDS stays scalar and the
-        #: parallel columnar tier mirrors ``C`` (sweep diffs) + BT builds.
-        self.col_lsds = backend == "columnar" and flavor == "sequential"
-        #: same sequential-only split for the compiled tier: under it the
-        #: LSDS aggregates become flat (bytearray) buffers the kernels walk
-        #: directly; the parallel flavor keeps object aggregates (PRAM
-        #: identity registration) and compiles the host-side twins instead.
+        #: compiled LSDS aggregates are sequential-only: under them the
+        #: aggregates become flat (bytearray) buffers the kernels walk
+        #: directly; the parallel engine's strict/recording PRAM programs
+        #: register the object aggregate vectors by identity, so the
+        #: parallel flavor keeps object aggregates and compiles the
+        #: host-side twins instead.
         self.comp_lsds = backend == "compiled" and flavor == "sequential"
         #: non-BT adoption scan: the one hot loop compiled wholesale
         self._adopt = (compiled.kernels.adopt_scan
                        if backend == "compiled" else None)
-        #: per-row live-lane sets (mirror-bearing sequential backends):
+        #: per-row live-lane sets (compiled sequential backend only):
         #: ``_live[i]`` is exactly ``{j : C[i][j] != INF_KEY}``, maintained
         #: at every write site below.  Row rebuilds, column mirrors and id
         #: releases then touch O(live) lanes instead of Theta(Jcap) -- the
@@ -178,8 +179,7 @@ class ChunkSpace:
         #: work shrinks.  ``None`` for scalar and parallel flavors, whose
         #: write paths are unchanged.
         self._live: Optional[list[set[int]]] = (
-            [set() for _ in range(self.Jcap)]
-            if (self.col_lsds or self.comp_lsds) else None)
+            [set() for _ in range(self.Jcap)] if self.comp_lsds else None)
         #: Per-column snapshots of ``C[:, j]`` as of the last column sweep
         #: that absorbed column ``j`` (trace-replay fast path only; see
         #: ``repro.core.par.kernels.column_sweep_kernel``).  Lazily
@@ -201,9 +201,7 @@ class ChunkSpace:
         self.inf_row = np.empty(Jcap, dtype=object)
         self.inf_row.fill(INF_KEY)
         self.row_views = [self.C[i] for i in range(Jcap)]
-        if self.backend == "columnar":
-            self.colm = columnar.ColumnarMatrix(Jcap)
-        elif self.backend == "compiled":
+        if self.backend == "compiled":
             self.compm = compiled.CompiledMatrix(Jcap)
 
     def reset(self) -> None:
@@ -218,8 +216,6 @@ class ChunkSpace:
         """
         if self.C is not None:
             self.C.fill(INF_KEY)
-        if self.colm is not None:
-            self.colm.reset()
         if self.compm is not None:
             self.compm.reset()
         self.chunk_of_id = [None] * self.Jcap
@@ -276,15 +272,11 @@ class ChunkSpace:
                 C[j, cid] = INF_KEY
                 live[j].discard(cid)
             live[cid].clear()
-            if self.colm is not None:
-                self.colm.clear_row_col(cid, lanes=lanes)
             if self.compm is not None:
                 self.compm.clear_row_col(cid, lanes=lanes)
         else:
             self.C[cid, :].fill(INF_KEY)
             self.C[:, cid].fill(INF_KEY)
-            if self.colm is not None:
-                self.colm.clear_row_col(cid)
             if self.compm is not None:
                 self.compm.clear_row_col(cid)
         self.ops.charge("id_release", 2 * self.Jcap)
@@ -359,49 +351,6 @@ class ChunkSpace:
             self.ops.charge("edge_scan", scanned)
             self.mirror_column(c)
             return
-        if live is not None and self.colm is not None:
-            # columnar twin of the sparse path: dict-accumulated minima
-            # (first-wins on ties, like the strict-< staging scan), sparse
-            # object-row and complex-mirror writes
-            best: dict[int, Key] = {}
-            scanned = 0
-            occ = c.head
-            tail = c.tail
-            while occ is not None:
-                vertex = occ.vertex
-                if vertex.pc is occ:
-                    sides = vertex.sides
-                    scanned += len(sides)
-                    for s in sides:
-                        oc = s.far.pc.chunk  # type: ignore[union-attr]
-                        oid = oc.id
-                        if oid is not None:
-                            cur = best.get(oid)
-                            if cur is None or s.key < cur:
-                                best[oid] = s.key
-                if occ is tail:
-                    break
-                occ = occ.next
-            prev = live[cid]
-            new_lanes = set(best)
-            stale = prev - new_lanes
-            row = self.C[cid]
-            for j in stale:
-                row[j] = INF_KEY
-            for oid, key in best.items():
-                row[oid] = key
-            for j in stale:
-                if j != cid:
-                    live[j].discard(cid)
-            for j in new_lanes:
-                if j != cid:
-                    live[j].add(cid)
-            live[cid] = new_lanes
-            self.ops.charge("row_clear", self.Jcap)
-            self.ops.charge("edge_scan", scanned)
-            self.colm.row_update_sparse(cid, stale, best)
-            self.mirror_column(c, lanes=sorted(stale | new_lanes))
-            return
         vals = [INF_KEY] * self.Jcap
         scanned = 0
         occ = c.head
@@ -423,13 +372,6 @@ class ChunkSpace:
         row[:] = vals
         self.ops.charge("row_clear", self.Jcap)
         self.ops.charge("edge_scan", scanned)
-        if self.colm is not None:
-            # one bulk conversion after the scan settles (per-improve
-            # dual writes paid a numpy scalar store per edge)
-            pairs = np.array(vals, dtype=np.float64)
-            crow = self.colm.CC[cid]
-            crow.real = pairs[:, 0]
-            crow.imag = pairs[:, 1]
         self.mirror_column(c)
 
     def mirror_column(self, c: Chunk, lanes: Optional[list[int]] = None) -> None:
@@ -449,10 +391,6 @@ class ChunkSpace:
             row = C[cid]
             for j in lanes:
                 C[j, cid] = row[j]
-        if self.colm is not None:
-            self.colm.mirror_column(c.id, lanes=lanes)
-            if _faults.armed:
-                _faults.fire("columnar.col", space=self, cid=c.id)
         if self.compm is not None:
             self.compm.mirror_column(c.id, lanes=lanes)
             if _faults.armed:
@@ -468,8 +406,6 @@ class ChunkSpace:
             if self._live is not None:  # a real edge key is never INF
                 self._live[c1.id].add(c2.id)
                 self._live[c2.id].add(c1.id)
-            if self.colm is not None:
-                self.colm.set_entry(c1.id, c2.id, key)
             if self.compm is not None:
                 self.compm.set_entry(c1.id, c2.id, key)
         self.ops.charge("entry_update", 2)
@@ -507,8 +443,6 @@ class ChunkSpace:
             else:
                 self._live[c1.id].add(c2.id)
                 self._live[c2.id].add(c1.id)
-        if self.colm is not None:
-            self.colm.set_entry(c1.id, c2.id, best)
         if self.compm is not None:
             self.compm.set_entry(c1.id, c2.id, best)
         self.ops.charge("entry_update", 2)
@@ -584,7 +518,7 @@ class ChunkSpace:
             tt_leaf = tt.leaf
             bt_leaves: list[tt.Node] = []
             append = bt_leaves.append
-            degs: Optional[list[int]] = ([] if self.backend != "scalar"
+            degs: Optional[list[int]] = ([] if self.backend == "compiled"
                                          else None)
             occ = c.head
             while occ is not None:
@@ -605,17 +539,14 @@ class ChunkSpace:
             if degs is None or len(bt_leaves) < 2:
                 bt_root = tt.build_rightmost(bt_leaves, _bt_pull)
             else:
-                # columnar/compiled: identical shape, aggregates summed
-                # level-at-a-time (np.add.reduceat or the C kernel)
-                # instead of per-node _bt_pull
+                # compiled: identical shape, aggregates summed
+                # level-at-a-time by the C kernel instead of per-node
+                # _bt_pull
                 levels: list[list[tt.Node]] = []
                 bt_root = tt.build_rightmost(bt_leaves,
                                              collect_levels=levels)
                 units = [1 + d for d in degs]
-                if self.backend == "compiled":
-                    compiled.kernels.bt_level_aggs(levels, units, degs)
-                else:
-                    columnar.assign_level_aggs(levels, units, degs)
+                compiled.kernels.bt_level_aggs(levels, units, degs)
         charge("occ_scan", count)
         c.count = count
         c.n_edges = n_edges

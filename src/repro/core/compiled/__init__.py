@@ -1,9 +1,9 @@
 """The compiled hot-loop kernel tier (``backend="compiled"``).
 
-PR 7's columnar backend found the honest ceiling: at the Jcap ~ 2n/K
-lane widths the benchmarks produce, ufunc dispatch overhead eats the
-SIMD win and the binding constraint is the per-*element* python
-interpreter cost of the scalar hot loops.  This package removes that
+At the Jcap ~ 2n/K lane widths the benchmarks produce, the binding
+constraint of the scalar backend is the per-*element* python
+interpreter cost of its hot loops (vectorizing them with numpy ufuncs
+only trades it for dispatch overhead).  This package removes that
 constraint by compiling the measured inner loops -- the ``(weight,
 eid)`` tuple-min LSDS pulls and column sweeps, the MWR gamma/argmin,
 the chunk adoption scan, the BT level aggregation and the
@@ -17,10 +17,9 @@ No third-party dependency is involved: the kernels operate on plain
 :mod:`.matrix`) and on the engine's own python objects via the C API,
 so the tier composes with either numpy or the ``_nplite`` shim.
 
-Like the columnar tier, the extension is *optional*: without it,
-``backend="compiled"`` raises :class:`BackendUnavailable` (naming the
-build command) and the scalar backend keeps working.  The contract is
-also the same: forests, edge-id streams, op-counter totals, PRAM
+The extension is *optional*: without it, ``backend="compiled"`` raises
+:class:`BackendUnavailable` (naming the build command) and the scalar
+backend keeps working.  The contract: forests, edge-id streams, op-counter totals, PRAM
 depth/work and ``state_fingerprint`` are bit-identical to scalar --
 only wall clock changes (``tests/core/test_backend_differential.py``).
 """
@@ -50,8 +49,7 @@ def compiled_version() -> str:
 def require(feature: str = "backend='compiled'") -> None:
     """Raise :class:`BackendUnavailable` unless the extension is importable.
 
-    Mirrors :func:`repro.core.columnar.require`; ``feature`` names the
-    caller for the error message.
+    ``feature`` names the caller for the error message.
     """
     if kernels is None:
         from ...resilience.errors import BackendUnavailable

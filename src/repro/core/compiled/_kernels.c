@@ -8,10 +8,10 @@
  * plain bytearrays of interleaved (weight, eid) doubles, and structure
  * walks use the generic C API over the 2-3-tree / occurrence objects.
  *
- * Contract (the same one the columnar tier obeys): every kernel computes
- * the *bit-identical* result of its scalar twin -- lexicographic strict-<
- * with leftmost-wins ties, value (not bitwise) equality in change
- * detection, first-index argmin -- and never charges counters itself;
+ * Contract: every kernel computes the *bit-identical* result of its
+ * scalar twin -- lexicographic strict-< with leftmost-wins ties, value
+ * (not bitwise) equality in change detection, first-index argmin -- and
+ * never charges counters itself;
  * the python wrappers charge exactly what the scalar path charges.
  *
  * Layout conventions:
@@ -1037,7 +1037,7 @@ fail:
 
 /* bt_level_aggs(levels, units, edges) -> None
  *
- * Compiled twin of columnar.assign_level_aggs: per collected level
+ * Level-at-a-time twin of _bt_pull (chunks.py): per collected level
  * (height 1 first), sum the previous level's (units, edges) columns by
  * each node's kid count and assign node.agg = (units, edges) as python
  * ints -- identical to the incremental _bt_pull results. */

@@ -1,16 +1,15 @@
 """Flat float64 twin of the chunk-adjacency object matrix.
 
-``CompiledMatrix`` plays the same role for ``backend="compiled"`` that
-``ColumnarMatrix`` plays for ``backend="columnar"``: a maintained mirror
-of the authoritative ``space.C`` object matrix that the native kernels
-can traverse without boxing.  The store is a single row-major
+``CompiledMatrix`` is the one mirror ``backend="compiled"`` maintains
+of the authoritative ``space.C`` object matrix: the native kernels
+traverse it without boxing.  The store is a single row-major
 ``bytearray`` of interleaved ``(weight, eid)`` float64 pairs -- entry
 ``(i, j)`` lives at double offset ``2 * (i * Jcap + j)`` -- because the
 C side reads it with one macro (``PyByteArray_AS_STRING``) instead of a
 buffer acquisition per call.
 
-Key encoding is the columnar tier's: both components stored as float64
-(edge ids are < 2**53 so the round trip is exact), ``INF_KEY`` as
+Key encoding: a ``(weight, eid)`` key is stored as two float64s (edge
+ids are < 2**53 so the round trip is exact), ``INF_KEY`` as
 ``(inf, inf)``.  ``verify_against`` rechecks the mirror entrywise
 against the object matrix; the resilience layer points it at the
 ``compiled.kernel`` fault site.
@@ -93,8 +92,7 @@ class CompiledMatrix:
         """Entrywise recheck of the mirror against the object matrix.
 
         Returns human-readable findings (empty when consistent), capped
-        at ``max_findings`` -- same shape as the columnar twin so the
-        resilience checks can treat backends uniformly.
+        at ``max_findings``, in the shape the resilience checks report.
         """
         out: list = []
         view = memoryview(self.buf).cast("d")

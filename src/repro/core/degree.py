@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from ..analysis.counters import OpCounter
 from ..resilience.errors import UnknownEdgeError
-from .model import Edge
+from .model import Edge, check_endpoints
 from .seq_msf import SparseDynamicMSF
 
 __all__ = ["DegreeReducer"]
@@ -169,9 +169,7 @@ class DegreeReducer:
         if not math.isfinite(w):
             raise ValueError(f"edge weight must be finite, got {w!r} "
                              f"(infinite weights are reserved for gadgets)")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(
-                f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
+        check_endpoints(u, v, self.n)
         eid = next(self._eid) if eid is None else eid
         if eid <= 0:
             raise ValueError(

@@ -31,7 +31,7 @@ except ImportError:  # pure-python fallback; see core._nplite
     from . import _nplite as np  # type: ignore[no-redef]
 
 from ..structures import two_three_tree as tt
-from . import columnar, compiled
+from . import compiled
 from .chunks import Chunk, ChunkSpace
 from .model import INF_KEY
 
@@ -42,19 +42,17 @@ __all__ = ["EulerList", "ListRegistry", "make_pull", "make_pull_changed",
 def node_cadj(space: ChunkSpace, node: tt.Node) -> np.ndarray:
     """The CAdj vector of an LSDS vertex (row view for chunk leaves).
 
-    Columnar LSDS aggregates are complex128 mirrors; they are
+    Compiled LSDS aggregates are flat float64 buffers; they are
     materialized back to object key tuples here so scalar-contract
     consumers (the structural audit, ``find_mwr``'s scalar twin) see the
-    object representation.  Hot columnar paths read ``agg[0]`` /
-    ``colm.CC`` directly and never pay this conversion.
+    object representation.  Hot compiled paths walk the buffers in C and
+    never pay this conversion.
     """
     if node.is_leaf:
         chunk: Chunk = node.item
         assert chunk.id is not None, "short chunks have no CAdj"
         return space.C[chunk.id]
     cadj = node.agg[0]
-    if space.col_lsds:
-        return columnar.objectify_keys(cadj)
     if space.comp_lsds:
         return _objectify_comp_keys(cadj, space.Jcap)
     return cadj
@@ -74,9 +72,9 @@ def node_memb(space: ChunkSpace, node: tt.Node) -> np.ndarray:
 def _objectify_comp_keys(buf: bytearray, Jcap: int) -> np.ndarray:
     """Materialize a flat compiled aggregate back to object key tuples.
 
-    Like :func:`columnar.objectify_keys`: eids come back as floats that
-    compare equal to the scalar path's ints.  Audit-path only -- the hot
-    compiled paths walk the flat buffers in C and never pay this.
+    Eids come back as floats that compare equal to the scalar path's
+    ints.  Audit-path only -- the hot compiled paths walk the flat
+    buffers in C and never pay this.
     """
     view = memoryview(buf).cast("d")
     out = np.empty(Jcap, dtype=object)
@@ -100,13 +98,11 @@ def make_pull(space: ChunkSpace) -> Callable[[tt.Node], None]:
     per call: the closure is built with the engine, before the first
     chunk id allocates ``space.C``.
 
-    On the columnar backend (sequential engine) the aggregate vectors are
-    complex128 mirrors and the ufuncs run as native lexicographic
-    reductions; the charge is identical (``Jcap * len(kids)`` per pull),
-    so op counters stay bit-identical across backends.
+    On the compiled backend (sequential engine) the aggregate vectors are
+    flat buffers pulled by one C call; the charge is identical
+    (``Jcap * len(kids)`` per pull), so op counters stay bit-identical
+    across backends.
     """
-    if space.col_lsds:
-        return _make_pull_columnar(space)
     if space.comp_lsds:
         return _make_pull_compiled(space)
     Jcap = space.Jcap
@@ -146,47 +142,6 @@ def make_pull(space: ChunkSpace) -> Callable[[tt.Node], None]:
     return pull
 
 
-def _make_pull_columnar(space: ChunkSpace) -> Callable[[tt.Node], None]:
-    """Columnar twin of :func:`make_pull`: complex128 lexicographic
-    ``np.minimum`` over the mirror rows, identical charges."""
-    Jcap = space.Jcap
-    charge = space.ops.charge
-    np_empty, np_zeros = np.empty, np.zeros
-    np_minimum, np_logical_or = np.minimum, np.logical_or
-    cplx = np.complex128
-
-    def pull(node: tt.Node) -> None:
-        kids = node.kids
-        if not kids:
-            return
-        CC = space.colm.CC
-        agg = node.agg
-        if agg is None:
-            agg = node.agg = (np_empty(Jcap, dtype=cplx),
-                              np_zeros(Jcap, dtype=bool))
-        cadj, memb = agg
-        first = kids[0]
-        if first.height:
-            fc, fm = first.agg
-            cadj[:] = fc
-            memb[:] = fm
-        else:
-            chunk = first.item
-            cadj[:] = CC[chunk.id]
-            memb[:] = chunk.memb_row
-        for kid in kids[1:]:
-            if kid.height:
-                kc, km = kid.agg
-            else:
-                chunk = kid.item
-                kc, km = CC[chunk.id], chunk.memb_row
-            np_minimum(cadj, kc, out=cadj)
-            np_logical_or(memb, km, out=memb)
-        charge("lsds_pull", Jcap * len(kids))
-
-    return pull
-
-
 def _make_pull_compiled(space: ChunkSpace) -> Callable[[tt.Node], None]:
     """Compiled twin of :func:`make_pull`: one C call recomputes the
     (CAdj_z, Memb_z) pair over the flat float64 buffers, identical
@@ -219,8 +174,6 @@ def make_pull_changed(space: ChunkSpace) -> Callable[[tt.Node], bool]:
     visits are work genuinely not done, which only tightens the
     O(J log J) ``UpdateAdj`` bound of Lemma 2.3.
     """
-    if space.col_lsds:
-        return _make_pull_changed_columnar(space)
     if space.comp_lsds:
         return _make_pull_changed_compiled(space)
     Jcap = space.Jcap
@@ -257,62 +210,6 @@ def make_pull_changed(space: ChunkSpace) -> Callable[[tt.Node], bool]:
             else:
                 chunk = kid.item
                 kc, km = C[chunk.id], chunk.memb_row
-            np_minimum(scratch_cadj, kc, out=scratch_cadj)
-            np_logical_or(scratch_memb, km, out=scratch_memb)
-        charge("lsds_pull", Jcap * len(kids))
-        cadj, memb = agg
-        if ((scratch_memb == memb).all()
-                and (scratch_cadj == cadj).all()):
-            return False
-        cadj[:] = scratch_cadj
-        memb[:] = scratch_memb
-        return True
-
-    return pull_changed
-
-
-def _make_pull_changed_columnar(space: ChunkSpace) -> Callable[[tt.Node], bool]:
-    """Columnar twin of :func:`make_pull_changed`: complex128 scratch
-    buffers over the mirror rows, identical charges and early exits.
-
-    The change test compares exact complex values; both encodings
-    round-trip the same float64 (weight, eid) pairs, so a vertex reports
-    "changed" on the columnar backend iff the scalar backend would.
-    """
-    Jcap = space.Jcap
-    charge = space.ops.charge
-    np_minimum, np_logical_or = np.minimum, np.logical_or
-    scratch_cadj = scratch_memb = None
-    build = _make_pull_columnar(space)
-
-    def pull_changed(node: tt.Node) -> bool:
-        nonlocal scratch_cadj, scratch_memb
-        kids = node.kids
-        if not kids:
-            return False
-        agg = node.agg
-        if agg is None:  # first pull ever: build in place, always "changed"
-            build(node)
-            return True
-        if scratch_cadj is None:
-            scratch_cadj = np.empty(Jcap, dtype=np.complex128)
-            scratch_memb = np.zeros(Jcap, dtype=bool)
-        CC = space.colm.CC
-        first = kids[0]
-        if first.height:
-            fc, fm = first.agg
-            scratch_cadj[:] = fc
-            scratch_memb[:] = fm
-        else:
-            chunk = first.item
-            scratch_cadj[:] = CC[chunk.id]
-            scratch_memb[:] = chunk.memb_row
-        for kid in kids[1:]:
-            if kid.height:
-                kc, km = kid.agg
-            else:
-                chunk = kid.item
-                kc, km = CC[chunk.id], chunk.memb_row
             np_minimum(scratch_cadj, kc, out=scratch_cadj)
             np_logical_or(scratch_memb, km, out=scratch_memb)
         charge("lsds_pull", Jcap * len(kids))
@@ -409,8 +306,6 @@ class ListRegistry:
         # column-sweep flavor bound once (fixed at construction)
         if space.comp_lsds:
             self._sweep = self._col_sweep_compiled
-        elif space.col_lsds:
-            self._sweep = self._col_sweep_columnar
         else:
             self._sweep = self._col_sweep
         # bound once: ``list_of_chunk`` runs a few thousand times per E9
@@ -526,64 +421,6 @@ class ListRegistry:
         mb[j] = memb
         space.ops.charge("col_sweep")
         return best, memb
-
-    def _col_sweep_columnar(self, node: tt.Node, j: int) -> None:
-        """Columnar twin of :meth:`_col_sweep`, batched level-at-a-time.
-
-        One fancy-index gather pulls entry ``j`` of every leaf row from
-        the complex mirror; each internal level's minima/ORs are single
-        ``np.minimum.reduceat`` / ``np.logical_or.reduceat`` calls (numpy
-        orders complex128 lexicographically, and a left-to-right segment
-        reduction keeps the first among equals exactly like the scalar
-        recursion).  ``col_sweep`` is charged once with the total vertex
-        count -- identical counter sums, one call instead of one per node.
-        """
-        space = self.space
-        if node.is_leaf:
-            assert node.item.id is not None
-            space.ops.charge("col_sweep")
-            return
-        # 2-3 trees have uniform leaf depth: BFS yields clean levels
-        levels: list[list[tt.Node]] = []
-        cur = [node]
-        while cur[0].height > 1:
-            levels.append(cur)
-            nxt: list[tt.Node] = []
-            for nd in cur:
-                nxt.extend(nd.kids)
-            cur = nxt
-        levels.append(cur)  # height-1 vertices; their kids are the leaves
-        cids = [lf.item.id for nd in cur for lf in nd.kids]
-        n_nodes = len(cids)
-        # one vectorized gather of column j, then unboxed (real, imag)
-        # tuples: python tuple compares match the numpy complex order and
-        # beat per-level ufunc dispatch at the tree sizes the sweep sees
-        col = space.colm.CC[cids, j]
-        vals: list = list(zip(col.real.tolist(), col.imag.tolist()))
-        memb: list = [cid == j for cid in cids]
-        for level in reversed(levels):
-            n_nodes += len(level)
-            nvals: list = []
-            nmemb: list = []
-            i = 0
-            for nd in level:
-                k = len(nd.kids)
-                best = vals[i]
-                m = memb[i]
-                for t in range(i + 1, i + k):
-                    v = vals[t]
-                    if v < best:
-                        best = v
-                    m = m or memb[t]
-                i += k
-                agg = nd.agg
-                agg[0][j] = complex(best[0], best[1])
-                agg[1][j] = m
-                nvals.append(best)
-                nmemb.append(m)
-            vals = nvals
-            memb = nmemb
-        space.ops.charge("col_sweep", n_nodes)
 
     def _col_sweep_compiled(self, node: tt.Node, j: int) -> None:
         """Compiled twin of :meth:`_col_sweep`: the whole post-order

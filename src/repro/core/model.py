@@ -15,15 +15,34 @@ Terminology follows Section 2 of the paper:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any, Optional
 
 __all__ = ["Key", "INF_KEY", "Occurrence", "Vertex", "Edge", "SideRec",
-           "adj_add", "adj_remove", "MAX_DEGREE"]
+           "adj_add", "adj_remove", "check_endpoints", "MAX_DEGREE"]
 
 Key = tuple  # (weight, edge_id)
 
 #: Sentinel greater than every real edge key; comparable with all keys.
 INF_KEY: Key = (math.inf, math.inf)
+
+
+def check_endpoints(u: Any, v: Any, n: int) -> None:
+    """Reject an edge whose endpoints are not vertex ids ``0..n-1``.
+
+    Called by every public insert path before an edge id is drawn and
+    before any registry write, so a rejected insert changes nothing.
+    ``bool`` and non-integral values (``0.0``, ``0.5``, ``"1"``) are
+    rejected too: ``True`` would silently alias vertex 1 and a float
+    would fail deep inside an update, after the registry was written.
+    """
+    for x in (u, v):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"endpoints ({u!r}, {v!r}) must be integer "
+                             f"vertex ids in range 0..{n - 1}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"endpoints ({u}, {v}) out of range 0..{n - 1}")
+
 
 #: The core engines require the Frederickson degree bound (Section 1.1);
 #: arbitrary-degree graphs go through `repro.core.degree.DegreeReducer`.

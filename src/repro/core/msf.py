@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from .chunks import check_backend
 from .degree import DegreeReducer
 from .sparsify import SparsifiedMSF
 
@@ -45,16 +46,16 @@ class DynamicMSF:
     K:
         chunk-size override (experiments E7/E8); default per engine flavor.
     backend:
-        ``"scalar"`` -- object-array kernels (default, no dependencies);
-        ``"columnar"`` -- numpy struct-of-array kernels for the hot paths
-        (requires the ``repro[columnar]`` extra); ``"compiled"`` -- native
-        C kernels for the tuple-min inner loops (requires the
-        ``repro[compiled]`` extra / ``python -m repro.core.compiled.build``).
-        Forests, edge-id streams, op counters and PRAM depth/work are
-        bit-identical across backends; only wall-clock changes.  Raises
+        one of :data:`repro.core.chunks.BACKENDS`.  ``"scalar"`` --
+        object-array kernels (default; numpy when installed, else the
+        pure-python ``_nplite`` shim); ``"compiled"`` -- native C kernels
+        for the tuple-min inner loops (build them with
+        ``python -m repro.core.compiled.build``).  Forests, edge-id
+        streams, op counters and PRAM depth/work are bit-identical across
+        backends; only wall-clock changes.  Any other value raises
+        ``ValueError``; ``"compiled"`` raises
         :class:`repro.resilience.errors.BackendUnavailable` when the
-        chosen backend's extension (numpy / the ``_kernels`` C module) is
-        absent.
+        ``_kernels`` C module is absent.
 
     Examples
     --------
@@ -78,9 +79,7 @@ class DynamicMSF:
         if engine not in ("sequential", "parallel"):
             raise ValueError(
                 f"engine must be 'sequential' or 'parallel', got {engine!r}")
-        if backend not in ("scalar", "columnar", "compiled"):
-            raise ValueError(f"backend must be 'scalar', 'columnar' or "
-                             f"'compiled', got {backend!r}")
+        check_backend(backend)
         self.n = n
         self.engine_kind = engine
         self.sparsified = sparsify

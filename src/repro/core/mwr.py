@@ -39,46 +39,6 @@ def _scan_short(fabric: Fabric, short: EulerList, other: EulerList) -> Optional[
     return best
 
 
-def _find_mwr_columnar(fabric: Fabric, l1: EulerList, l2: EulerList) -> Optional[Edge]:
-    """Long/long MWR over the complex128 mirror (columnar backend).
-
-    Identical structure and charges to the scalar path: the ``gamma``
-    mask is one ``np.where`` over complex rows, its lexicographic argmin
-    (numpy orders complex by real then imag, first index on ties) names
-    the same candidate chunk the object-tuple argmin would, and the
-    candidate scan is shared verbatim.
-    """
-    from . import columnar
-
-    space = fabric.space
-    root1 = l1.root
-    if root1.is_leaf:
-        cadj1 = space.colm.CC[root1.item.id]
-    else:
-        cadj1 = root1.agg[0]
-    memb2 = node_memb(space, l2.root)
-    gamma = np.where(memb2, cadj1, space.colm.inf_row)
-    space.ops.charge("mwr_gamma", space.Jcap)
-    j = int(np.argmin(gamma))
-    space.ops.charge("mwr_argmin", space.Jcap)
-    if gamma[j] == columnar.INF_C:
-        return None
-    chat = space.chunk_of_id[j]
-    assert chat is not None
-    memb1 = node_memb(space, l1.root)
-    best: Optional[Edge] = None
-    for vertex, e in chat.edge_endpoints():
-        space.ops.charge("mwr_scan")
-        w = e.other(vertex)
-        wc = w.pc.chunk  # type: ignore[union-attr]
-        if wc.id is not None and memb1[wc.id]:
-            if best is None or e.key < best.key:
-                best = e
-    assert best is not None and best.key[0] == gamma[j].real, \
-        "candidate chunk scan must realize the gamma minimum"
-    return best
-
-
 def _find_mwr_compiled(fabric: Fabric, l1: EulerList, l2: EulerList) -> Optional[Edge]:
     """Long/long MWR over the flat float64 buffers (compiled backend).
 
@@ -124,8 +84,6 @@ def find_mwr(fabric: Fabric, l1: EulerList, l2: EulerList) -> Optional[Edge]:
     if l2.is_short:
         return _scan_short(fabric, l2, l1)
     space = fabric.space
-    if space.col_lsds:
-        return _find_mwr_columnar(fabric, l1, l2)
     if space.comp_lsds:
         return _find_mwr_compiled(fabric, l1, l2)
     cadj1 = node_cadj(space, l1.root)

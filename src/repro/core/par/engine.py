@@ -49,19 +49,14 @@ class ParChunkSpace(ChunkSpace):
 
     def rebuild_row(self, c: Chunk) -> None:
         kn.rebuild_row_kernel(self.machine, self, c)
-        if self.colm is not None:
-            # the kernel wrote the object row/column directly; resync the
-            # complex mirror wholesale (no per-entry dual-write sites here)
-            self.colm.load_row_object(c.id, self.C[c.id])
-            self.colm.mirror_column(c.id)
         if self.compm is not None:
+            # the kernel wrote the object row/column directly; resync the
+            # flat mirror wholesale (no per-entry dual-write sites here)
             self.compm.load_row_object(c.id, self.C[c.id])
             self.compm.mirror_column(c.id)
 
     def entry_recompute_pair(self, c1: Chunk, c2: Chunk) -> None:
         kn.entry_pair_kernel(self.machine, self, c1, c2)
-        if self.colm is not None:
-            self.colm.set_entry(c1.id, c2.id, self.C[c1.id, c2.id])
         if self.compm is not None:
             self.compm.set_entry(c1.id, c2.id, self.C[c1.id, c2.id])
 

@@ -756,15 +756,11 @@ def _sweep_direct(space: ChunkSpace, node: tt.Node, j: int):
 def _snap_col(space: ChunkSpace, j: int):
     """The dirty-tracking view of column ``j``.
 
-    With the columnar backend on, the snapshot/diff runs over the complex
-    mirror column (a float compare per entry) instead of the object column
-    (a python tuple compare per entry); the mirror is dual-written at every
-    C write site, so the two columns dirty identically.  The compiled
-    backend snapshots its flat mirror into a fresh ``DColumn`` (the C
-    ``diff_keys`` kernel does the value diff).
+    The compiled backend snapshots its flat mirror into a fresh
+    ``DColumn`` (the C ``diff_keys`` kernel does the value diff); the
+    mirror is dual-written at every ``C`` write site, so the two columns
+    dirty identically.
     """
-    if space.colm is not None:
-        return space.colm.CC[:, j]
     if space.compm is not None:
         return space.compm.column_snapshot(j)
     return space.C[:, j]

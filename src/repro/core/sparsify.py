@@ -45,6 +45,7 @@ from typing import Iterator, Optional, Sequence
 from ..resilience import faults as _faults
 from ..resilience.errors import UnknownEdgeError
 from .degree import DegreeReducer
+from .model import check_endpoints
 
 __all__ = ["SparsifiedMSF", "EnginePool", "default_pool"]
 
@@ -276,7 +277,7 @@ class _Node:
         else:
             n_local = (arange[1] - arange[0]) + (brange[1] - brange[0])
         # backend participates in the arena key: a recycled scalar engine
-        # must never serve a columnar tree (and vice versa)
+        # must never serve a compiled tree (and vice versa)
         self.pool_key = (n_local, K, parallel, backend)
         self.engine: Optional[DegreeReducer] = None
         #: eid -> weight of the held edge while engine-free (at most one
@@ -561,9 +562,8 @@ class SparsifiedMSF:
     def insert_edge(self, u: int, v: int, w: float,
                     eid: Optional[int] = None) -> int:
         _check_weight(w)
+        check_endpoints(u, v, self.n)
         eid = next(self._eid) if eid is None else eid
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
         if u == v:
             self.self_loops[eid] = (u, w)
             return eid
@@ -598,10 +598,8 @@ class SparsifiedMSF:
         engine.  Self-loops report an empty delta.
         """
         _check_weight(w)
+        check_endpoints(u, v, self.n)
         eid = next(self._eid) if eid is None else eid
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(
-                f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
         if u == v:
             self.self_loops[eid] = (u, w)
             return [], []
@@ -736,14 +734,12 @@ class SparsifiedMSF:
         for op in ops:  # all-or-nothing: reject before any state changes
             if op[0] == "ins":
                 _check_weight(op[4])
+                check_endpoints(op[2], op[3], self.n)
         removed_info: dict[int, tuple[int, int, float]] = {}
         plans: list[_PropagationPlan] = []
         for op in ops:
             if op[0] == "ins":
                 _t, eid, u, v, w = op
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise ValueError(
-                        f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
                 if u == v:
                     self.self_loops[eid] = (u, w)
                     continue

@@ -224,16 +224,7 @@ def _audit_core(core, level: str) -> list[Finding]:
     except Exception as exc:  # noqa: BLE001 - corrupted structures
         out.append(Finding(
             "reducer", f"structural audit crashed: {exc!r}", level))
-    # columnar backend: the complex128 mirror must agree entrywise with
-    # the authoritative object matrix (catches a torn dual-write, e.g.
-    # the seeded ``columnar.col`` fault)
     space = getattr(getattr(core, "fabric", None), "space", None)
-    colm = getattr(space, "colm", None)
-    if colm is not None:
-        def mirror_agrees() -> None:
-            for msg in colm.verify_against(space.C):
-                out.append(Finding("columnar", msg, level))
-        _guard(out, "columnar", level, mirror_agrees)
     # compiled backend: the flat float64 mirror must agree entrywise with
     # the authoritative object matrix (catches a torn dual-write, e.g.
     # the seeded ``compiled.kernel`` fault)
@@ -441,12 +432,6 @@ def check_core(core, level: str = "cheap") -> list[Finding]:
 
     _guard(out, "core", level, full_audit)
     space = getattr(getattr(core, "fabric", None), "space", None)
-    colm = getattr(space, "colm", None)
-    if colm is not None:
-        def mirror_agrees() -> None:
-            for msg in colm.verify_against(space.C):
-                out.append(Finding("columnar", msg, level))
-        _guard(out, "columnar", level, mirror_agrees)
     compm = getattr(space, "compm", None)
     if compm is not None:
         def flat_mirror_agrees() -> None:

@@ -20,8 +20,7 @@ catch one base class and still discriminate:
     isolate a poisoned op).
 ``BackendUnavailable``
     an optional execution backend was requested without its dependency
-    (``backend="columnar"`` needs the ``repro[columnar]`` extra;
-    ``backend="compiled"`` needs the native extension built).
+    (``backend="compiled"`` needs the native extension built).
     Subclasses ``ImportError`` so generic dependency-guard call sites
     keep working unchanged.
 ``WALCorruptionError``

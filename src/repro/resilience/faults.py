@@ -214,35 +214,14 @@ def _corrupt_sparsify_weight(param: int, ctx: dict) -> Optional[dict]:
     return {"detail": f"incremental msf weight += {delta}"}
 
 
-def _corrupt_columnar_col(param: int, ctx: dict) -> Optional[dict]:
-    """Skew one entry of the columnar complex mirror of matrix ``C``.
-
-    Fired from ``ChunkSpace.mirror_column`` (a write site every surgery
-    passes through).  The authoritative object matrix is left intact, so
-    the corruption is only observable through columnar reads -- exactly
-    the desync the structural-tier array-vs-scalar cross-validation
-    (``checks``) and the full audit (via columnar LSDS aggregates) must
-    detect.
-    """
-    space = ctx.get("space")
-    colm = getattr(space, "colm", None)
-    if colm is None:
-        return None
-    cid = ctx.get("cid")
-    j = cid if cid is not None else param % colm.Jcap
-    i = param % colm.Jcap
-    delta = complex(0.5 + param % 3, 0.0)
-    colm.CC[i, j] += delta
-    return {"detail": f"columnar mirror C[{i},{j}] += {delta}"}
-
-
 def _corrupt_compiled_kernel(param: int, ctx: dict) -> Optional[dict]:
     """Skew one float64 of the compiled backend's flat key mirror.
 
-    Fired from ``ChunkSpace.mirror_column`` like ``columnar.col``.  The
-    authoritative object matrix stays intact; the corruption only shows
-    through the native kernels' reads, which is exactly the torn
-    dual-write the structural tier's ``compm.verify_against`` detects.
+    Fired from ``ChunkSpace.mirror_column`` (a write site every surgery
+    passes through).  The authoritative object matrix stays intact; the
+    corruption only shows through the native kernels' reads, which is
+    exactly the torn dual-write the structural tier's
+    ``compm.verify_against`` detects.
     """
     space = ctx.get("space")
     compm = getattr(space, "compm", None)
@@ -349,9 +328,6 @@ SITES: dict[str, tuple[str, Callable[[int, dict], Optional[dict]]]] = {
     "sparsify.weight": (
         "skew the sparsification tree's incremental MSF weight",
         _corrupt_sparsify_weight),
-    "columnar.col": (
-        "skew one entry of the columnar complex mirror of matrix C",
-        _corrupt_columnar_col),
     "compiled.kernel": (
         "skew one float64 of the compiled backend's flat key mirror",
         _corrupt_compiled_kernel),

@@ -251,9 +251,9 @@ def run_campaign(seed: int, *, engine: str = "sequential",
     ``cross_fraction`` knobs) via :func:`worker_mix_ops`;
     ``"restart_heavy"`` is the bursty checkpoint-then-churn durability
     profile via :func:`restart_heavy_ops`.  ``backend`` selects the
-    engine kernels; ``"columnar"`` adds the mirror-tearing
-    ``columnar.col`` site to the default schedule (detected by the
-    structural tier's array-vs-scalar cross-validation).
+    engine kernels; ``"compiled"`` adds the mirror-tearing
+    ``compiled.kernel`` site to the default schedule (detected by the
+    structural tier's mirror-vs-object cross-validation).
 
     ``durability="wal"`` runs the front with the write-ahead log and
     snapshots attached (under ``durable_dir``, or a private temporary
@@ -267,9 +267,7 @@ def run_campaign(seed: int, *, engine: str = "sequential",
                          f"got {durability!r}")
     if sites is None:
         sites = list(SITES_BY_CONFIG[(engine, sparsify)])
-        if backend == "columnar":
-            sites.append("columnar.col")
-        elif backend == "compiled":
+        if backend == "compiled":
             sites.append("compiled.kernel")
         if durability == "wal":
             sites.extend(DURABLE_SITES)

@@ -22,7 +22,9 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Optional
 
+from ..core.chunks import check_backend
 from ..core.degree import DegreeReducer
+from ..core.model import check_endpoints
 from ..core.sparsify import SparsifiedMSF, _check_weight
 from ..resilience import faults as _faults
 from ..resilience.errors import CorruptionError, UnknownEdgeError
@@ -62,9 +64,9 @@ class BatchedMSF:
         the read-heavy serving configuration (ROADMAP's
         "millions of users" goal) and what ``bench_serve.py`` measures.
     backend:
-        ``"scalar"`` (default), ``"columnar"`` or ``"compiled"``,
-        forwarded to the backend engines as in :class:`repro.DynamicMSF`;
-        bit-identical op streams either way.
+        ``"scalar"`` (default) or ``"compiled"``, forwarded to the
+        backend engines as in :class:`repro.DynamicMSF`; bit-identical
+        op streams either way.
     durability:
         ``"off"`` (default) or ``"wal"``.  Under ``"wal"`` every
         committed batch's *effectively applied* canonical op stream is
@@ -108,10 +110,7 @@ class BatchedMSF:
                                       or pool_size < 1):
             raise ValueError(
                 f"pool_size must be None or an int >= 1, got {pool_size!r}")
-        if backend not in ("scalar", "columnar", "compiled"):
-            raise ValueError(
-                f"backend must be 'scalar', 'columnar' or 'compiled', "
-                f"got {backend!r}")
+        check_backend(backend)
         if durability not in ("off", "wal"):
             raise ValueError(
                 f"durability must be 'off' or 'wal', got {durability!r}")
@@ -185,9 +184,7 @@ class BatchedMSF:
         """Buffer an edge insertion; returns its id immediately."""
         # raised (not asserted): boundary validation is what keeps bad ops
         # out of the batch, so it must survive `python -O`
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(
-                f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
+        check_endpoints(u, v, self.n)
         w = float(weight)
         _check_weight(w)
         eid = self._next_eid

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..cluster.coordinator import Coordinator
+from ..core.model import check_endpoints
 from ..core.sparsify import _check_weight
 from ..resilience.errors import UnknownEdgeError
 from .batch import CoalescedBatch, coalesce
@@ -134,9 +135,7 @@ class ClusterMSF:
 
     def insert_edge(self, u: int, v: int, weight: float) -> int:
         """Buffer an edge insertion; returns its id immediately."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(
-                f"endpoints ({u}, {v}) out of range 0..{self.n - 1}")
+        check_endpoints(u, v, self.n)
         w = float(weight)
         _check_weight(w)
         eid = self._next_eid

@@ -362,7 +362,7 @@ def build_rightmost(leaves: list[Node], pull: Pull = _noop_pull, *,
     When ``collect_levels`` is a list, each internal level's node list
     (height 1 first, left to right) is appended to it and ``pull`` is
     *not* called -- the caller batches the aggregate computation itself
-    (the columnar backend's level-at-a-time ``np.add.reduceat`` path).
+    (the compiled backend's level-at-a-time ``bt_level_aggs`` kernel).
     Shapes are identical either way.
 
     The bulk path matters because ``ChunkSpace.adopt_occurrences``

@@ -1,19 +1,18 @@
-"""Backend-parametrized differential suite (PR 8).
+"""Backend differential suite: scalar vs compiled.
 
-One contract, every optional execution backend: for any op stream,
-``backend="columnar"`` and ``backend="compiled"`` must produce the same
-forests, edge-id streams, ``msf_weight``, op-counter totals, PRAM
-depth/work and facade ``state_fingerprint`` as the scalar path -- only
-wall clock may differ.  PR 7 pinned this for the columnar backend in
-``test_columnar_differential.py``; this file is that suite refactored to
-parametrize over backends, so PR 8's compiled tier (and any future
-backend) rides the identical gates instead of growing a diverged copy.
-Backend-specific substrate tests stay in their own files.
+One contract for the optional execution backend: for any op stream,
+``backend="compiled"`` must produce the same forests, edge-id streams,
+``msf_weight``, op-counter totals, PRAM depth/work and facade
+``state_fingerprint`` as the scalar path -- only wall clock may differ.
+The suite is parametrized over :data:`BACKENDS` so any future backend
+rides the identical gates instead of growing a diverged copy.  The
+compiled tier's own substrate pieces (the flat mirror, the BT level
+aggregation kernel) and the backend-selection errors are pinned at the
+end of the file.
 
-Availability is per-backend: columnar rows skip without numpy, compiled
-rows skip without a C compiler -- when a compiler exists but the
-extension is stale or absent, the fixture builds it on the spot (the
-``repro[compiled]`` extra is a build step, not a dependency).
+Compiled rows skip without a C compiler -- when a compiler exists but
+the extension is stale or absent, the fixture builds it on the spot
+(the ``repro[compiled]`` extra is a build step, not a dependency).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.workloads import adversarial_cuts, churn, drive, query_mix, \
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
-BACKENDS = ("columnar", "compiled")
+BACKENDS = ("compiled",)
 
 
 def _ensure_compiled():
@@ -66,20 +65,15 @@ def _ensure_compiled():
     return None
 
 
-def _require_backend(backend: str) -> None:
-    if backend == "columnar":
-        pytest.importorskip(
-            "numpy", reason="the columnar backend needs the "
-            "repro[columnar] extra", exc_type=ImportError)
-    else:
-        reason = _ensure_compiled()
-        if reason is not None:
-            pytest.skip(reason)
+def _require_compiled() -> None:
+    reason = _ensure_compiled()
+    if reason is not None:
+        pytest.skip(reason)
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request) -> str:
-    _require_backend(request.param)
+    _require_compiled()
     return request.param
 
 
@@ -157,11 +151,9 @@ def test_seq_core_counters_and_mirror(backend: str) -> None:
         engines.append(eng)
     assert outs[0] == outs[1]
     space = engines[1].fabric.space
-    mirror = space.colm if backend == "columnar" else space.compm
-    assert mirror is not None
-    assert mirror.verify_against(space.C) == []
-    scalar_space = engines[0].fabric.space
-    assert scalar_space.colm is None and scalar_space.compm is None
+    assert space.compm is not None
+    assert space.compm.verify_against(space.C) == []
+    assert engines[0].fabric.space.compm is None
 
 
 def test_parallel_core_depth_work_identical(backend: str) -> None:
@@ -276,19 +268,8 @@ def test_sparse_lane_scans_match_full_width(backend: str) -> None:
     Jcap = 16
     INF = float("inf")
     INF_KEY = (INF, INF)
-    if backend == "columnar":
-        import numpy as np
-
-        from repro.core.columnar.matrix import ColumnarMatrix as Mat
-
-        # the columnar verifier consumes numpy-style object rows
-        C = np.empty((Jcap, Jcap), dtype=object)
-        for i in range(Jcap):
-            for j in range(Jcap):
-                C[i, j] = INF_KEY
-    else:
-        from repro.core.compiled.matrix import CompiledMatrix as Mat
-        C = [[INF_KEY] * Jcap for _ in range(Jcap)]
+    from repro.core.compiled.matrix import CompiledMatrix as Mat
+    C = [[INF_KEY] * Jcap for _ in range(Jcap)]
     rng = random.Random(97)
     full, sparse = Mat(Jcap), Mat(Jcap)
     live: dict[int, set[int]] = {i: set() for i in range(Jcap)}
@@ -314,12 +295,7 @@ def test_sparse_lane_scans_match_full_width(backend: str) -> None:
     assert full.verify_against(C) == []
     assert sparse.verify_against(C) == []
     # mirror_column: reload row cid sparsely, then sweep the column
-    if backend == "columnar":
-        row = np.empty(Jcap, dtype=object)
-        for j in range(Jcap):
-            row[j] = INF_KEY
-    else:
-        row = [INF_KEY] * Jcap
+    row = [INF_KEY] * Jcap
     lanes = sorted(rng.sample([j for j in range(Jcap) if j != cid], 5))
     for j in lanes:
         row[j] = (rng.random(), float(rng.randrange(1 << 20)))
@@ -380,9 +356,7 @@ def test_compiled_mirror_fault_detected_and_recovered() -> None:
     mirror skewed) is detected by ``compm.verify_against`` through the
     tiered checks and recovered by the ladder: the campaign must end
     ``ok`` with zero wrong answers."""
-    reason = _ensure_compiled()
-    if reason is not None:
-        pytest.skip(reason)
+    _require_compiled()
     report = run_campaign(7, engine="sequential", sparsify=True,
                           backend="compiled", sites=["compiled.kernel"],
                           n=32, n_ops=200, n_faults=4)
@@ -393,10 +367,8 @@ def test_compiled_mirror_fault_detected_and_recovered() -> None:
 
 def test_compiled_verify_against_pinpoints_skew() -> None:
     """``verify_against`` names the exact skewed entry and caps its
-    findings, mirroring the columnar verifier's shape."""
-    reason = _ensure_compiled()
-    if reason is not None:
-        pytest.skip(reason)
+    findings."""
+    _require_compiled()
     eng = SparseDynamicMSF(32, K=4, backend="compiled")
     handles = []
     for i in range(10):

@@ -1,12 +1,15 @@
-"""Columnar-specific substrate tests (PR 7).
+"""What survives of the retired columnar backend's substrate tests.
 
-The generic bit-identity contract (forests, eid streams, counter
-totals, PRAM depth/work, fingerprints under any op stream) moved to the
-backend-parametrized ``test_backend_differential.py`` in PR 8, where
-every optional backend rides the same gates.  What stays here is what
-only the columnar backend has: the vectorized substrate pieces
-(``build_rightmost`` level aggregation, ``TourArray``) pinned against
-their scalar twins, and the no-numpy degradation path.
+``backend="columnar"`` is gone; the generic bit-identity contract lives
+in ``test_backend_differential.py``.  Kept here, under their original
+names, are the checks whose subject outlived the backend:
+
+* the bulk BT build with ``collect_levels`` plus a vectorized level
+  aggregation, now pinned against the compiled ``bt_level_aggs`` kernel
+  (skipped without a C compiler);
+* backend selection: unknown and retired backend names are rejected at
+  every front;
+* the no-numpy degradation path of the scalar backend.
 """
 
 from __future__ import annotations
@@ -18,21 +21,16 @@ from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip(
-    "numpy", reason="the columnar backend needs the repro[columnar] extra",
-    exc_type=ImportError)
-
-from repro.core.chunks import _bt_pull
-from repro.core.columnar import ttree as cttree
-from repro.core.columnar.tour import TourArray
+from repro.core.chunks import ChunkSpace, _bt_pull
 from repro.core.msf import DynamicMSF
+from repro.serve import BatchedMSF
 from repro.structures import two_three_tree as tt
-from repro.structures.ett import EulerTourForest
+from tests.core.test_backend_differential import _require_compiled
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-# ------------------------------------------------- vectorized substrate
+# ------------------------------------------------- BT level aggregation
 
 def _shape_of(root) -> list:
     """Per-level kid-count lists, top-down (leaves excluded)."""
@@ -46,76 +44,61 @@ def _shape_of(root) -> list:
 
 @pytest.mark.parametrize("n_leaves", list(range(1, 41)))
 def test_build_rightmost_levels_shape_and_aggs(n_leaves: int) -> None:
-    """Exhaustive small-n equality of the columnar bulk build: same tree
-    shape as the scalar ``build_rightmost`` and the same ``(units,
-    edges)`` aggregate on every internal node."""
+    """Exhaustive small-n equality of the compiled BT bulk build: the
+    ``collect_levels`` tree has the scalar ``build_rightmost`` shape, and
+    ``bt_level_aggs`` assigns the same ``(units, edges)`` aggregate, as
+    python ints, to every internal node that ``_bt_pull`` computes."""
+    _require_compiled()
+    from repro.core import compiled
     rng = random.Random(n_leaves)
     degs = [rng.randrange(4) for _ in range(n_leaves)]
 
     scalar_leaves = [tt.leaf(i, agg=(1 + d, d)) for i, d in enumerate(degs)]
     scalar_root = tt.build_rightmost(scalar_leaves, _bt_pull)
 
-    col_leaves = [tt.leaf(i, agg=(1 + d, d)) for i, d in enumerate(degs)]
+    comp_leaves = [tt.leaf(i, agg=(1 + d, d)) for i, d in enumerate(degs)]
     levels: list = []
-    col_root = tt.build_rightmost(col_leaves, collect_levels=levels)
-    if n_leaves >= 2:
-        cttree.assign_level_aggs(levels, [1 + d for d in degs], degs)
+    comp_root = tt.build_rightmost(comp_leaves, collect_levels=levels)
+    if n_leaves >= 2:  # ChunkSpace.adopt_occurrences' own guard
+        compiled.kernels.bt_level_aggs(levels, [1 + d for d in degs], degs)
 
-    assert _shape_of(scalar_root) == _shape_of(col_root)
-    for a, b in zip(tt.iter_nodes(scalar_root), tt.iter_nodes(col_root)):
+    assert _shape_of(scalar_root) == _shape_of(comp_root)
+    for a, b in zip(tt.iter_nodes(scalar_root), tt.iter_nodes(comp_root)):
         assert a.agg == b.agg
-        assert type(a.agg[0]) is type(b.agg[0])  # python ints, not np
+        assert type(a.agg[0]) is type(b.agg[0]) is int
+        assert type(a.agg[1]) is type(b.agg[1]) is int
 
 
-def _ett_tour(f: EulerTourForest, v: int) -> list[int]:
-    return [lf.item.vertex for lf in tt.iter_leaves(f.tree_root(v))]
+# ------------------------------------------------------ backend selection
 
-
-@pytest.mark.parametrize("seed", list(range(30)))
-def test_tour_array_matches_ett(seed: int) -> None:
-    """200 random link/cut ops: the flat-array tours stay element-
-    identical to the pointer ETT's occurrence sequences throughout."""
-    n = 24
-    rng = random.Random(seed)
-    ta = TourArray(n)
-    f = EulerTourForest(n)
-    edges: dict[tuple[int, int], object] = {}
-    for _ in range(200):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            f.cut(edges.pop(key))
-            ta.cut(u, v)
-        elif not f.connected(u, v):
-            edges[key] = f.link(u, v)
-            ta.link(u, v)
-        else:
-            continue
-        assert ta.connected(u, v) == f.connected(u, v)
-        assert ta.tour_vertices(u) == _ett_tour(f, u)
-        assert ta.tour_vertices(v) == _ett_tour(f, v)
-    for w in range(n):
-        assert ta.tour_vertices(w) == _ett_tour(f, w)
+def test_bad_backend_rejected() -> None:
+    """Only :data:`repro.core.chunks.BACKENDS` are accepted: an unknown
+    name and the retired ``"columnar"`` backend raise ``ValueError`` at
+    every front, before any engine is built."""
+    for bad in ("simd", "columnar"):
+        with pytest.raises(ValueError, match="backend"):
+            DynamicMSF(4, backend=bad)
+        with pytest.raises(ValueError, match="backend"):
+            DynamicMSF(4, sparsify=True, backend=bad)
+        with pytest.raises(ValueError, match="backend"):
+            BatchedMSF(4, backend=bad)
+        with pytest.raises(ValueError, match="backend"):
+            ChunkSpace(4, backend=bad)
 
 
 # -------------------------------------------------- no-numpy degradation
 
-def test_bad_backend_rejected() -> None:
-    with pytest.raises(ValueError, match="backend"):
-        DynamicMSF(4, backend="simd")
-
-
 def test_backend_unavailable_without_numpy(tmp_path) -> None:
-    """Without numpy the scalar backend keeps working and the columnar
-    backend raises ``BackendUnavailable`` (an ImportError naming the
-    extra) -- exercised in a subprocess with numpy shadowed out."""
+    """Without numpy the scalar backend runs the sparsified facade on the
+    pure-python ``_nplite`` shim, and the retired ``"columnar"`` name is
+    a plain ``ValueError`` rather than a missing-dependency error --
+    exercised in a subprocess with numpy shadowed out."""
     shim = tmp_path / "numpy.py"
     shim.write_text("raise ImportError('numpy disabled for this test')\n")
     code = (
+        "import repro.core.chunks as chunks\n"
+        "assert chunks.np.__name__ == 'repro.core._nplite'\n"
         "from repro.core.msf import DynamicMSF\n"
-        "from repro.resilience.errors import BackendUnavailable\n"
         "m = DynamicMSF(8, sparsify=True)\n"
         "e1 = m.insert_edge(0, 1, 1.0); e2 = m.insert_edge(1, 2, 2.0)\n"
         "assert m.connected(0, 2) and m.msf_weight() == 3.0\n"
@@ -123,10 +106,10 @@ def test_backend_unavailable_without_numpy(tmp_path) -> None:
         "assert not m.connected(0, 2)\n"
         "try:\n"
         "    DynamicMSF(8, backend='columnar')\n"
-        "except BackendUnavailable as exc:\n"
-        "    assert 'columnar' in str(exc)\n"
+        "except ValueError as exc:\n"
+        "    assert 'backend' in str(exc)\n"
         "else:\n"
-        "    raise SystemExit('BackendUnavailable not raised')\n"
+        "    raise SystemExit('ValueError not raised')\n"
         "print('NO-NUMPY-OK')\n"
     )
     env_path = f"{tmp_path}:{REPO_ROOT / 'src'}"

@@ -101,31 +101,52 @@ def test_non_finite_weight_rejected_before_state_changes(sparsify, bad):
     assert m.self_check("full") == []
 
 
-@pytest.mark.parametrize("engine,backend", [("sequential", "scalar"),
-                                            ("parallel", "scalar"),
-                                            ("sequential", "compiled")])
-def test_out_of_range_endpoint_rejected_without_sparsify(engine, backend):
-    """The degree reducer rejects a vertex outside ``0..n-1`` before any
+#: endpoints every insert path must reject on a 4-vertex graph: out of
+#: range, then a bool (would alias vertex 1), an integral float, a
+#: fractional float and a string
+BAD_ENDPOINTS = ((0, 9), (9, 0), (-1, 2), (4, 4),
+                 (True, 1), (0.0, 2), (0.5, 2), (1, "2"))
+
+
+def _assert_bad_endpoints_change_nothing(**config) -> None:
+    """Every :data:`BAD_ENDPOINTS` insert raises ``ValueError`` before any
     state changes or an id is drawn."""
     from repro.resilience.checks import state_fingerprint
 
-    if backend == "compiled":
-        from repro.core import compiled
-        if not compiled.HAVE_COMPILED:
-            pytest.skip("compiled extension not built")
-    m = DynamicMSF(4, engine=engine, backend=backend)
-    twin = DynamicMSF(4, engine=engine, backend=backend)
+    m = DynamicMSF(4, **config)
+    twin = DynamicMSF(4, **config)
     for eng in (m, twin):
         eng.insert_edge(0, 1, 1.0)
-    before = state_fingerprint(m)
-    for u, v in ((0, 9), (9, 0), (-1, 2), (4, 4)):
-        with pytest.raises(ValueError, match="out of range 0..3"):
+    before = (state_fingerprint(m), m.edge_count())
+    for u, v in BAD_ENDPOINTS:
+        with pytest.raises(ValueError, match="range 0..3"):
             m.insert_edge(u, v, 1.0)
-        assert state_fingerprint(m) == before
+        assert (state_fingerprint(m), m.edge_count()) == before
     assert not m.connected(0, 2)
     # no id was drawn by a rejection: the next id is the twin's
     assert m.insert_edge(2, 3, 3.0) == twin.insert_edge(2, 3, 3.0)
     assert m.self_check("full") == []
+
+
+@pytest.mark.parametrize("engine,backend", [("sequential", "scalar"),
+                                            ("parallel", "scalar"),
+                                            ("sequential", "compiled")])
+def test_out_of_range_endpoint_rejected_without_sparsify(engine, backend):
+    """The degree reducer rejects a bad vertex before any state changes
+    or an id is drawn."""
+    if backend == "compiled":
+        from repro.core import compiled
+        if not compiled.HAVE_COMPILED:
+            pytest.skip("compiled extension not built")
+    _assert_bad_endpoints_change_nothing(engine=engine, backend=backend)
+
+
+@pytest.mark.parametrize("engine", ["sequential", "parallel"])
+def test_bad_endpoint_rejected_with_sparsify(engine):
+    """The sparsification tree rejects a bad vertex before it draws an id
+    or writes its edge registry (``0.5`` used to fail deep inside the
+    update, after the registry write)."""
+    _assert_bad_endpoints_change_nothing(engine=engine, sparsify=True)
 
 
 def test_sparsified_batch_rejects_nan_all_or_nothing():
@@ -144,6 +165,22 @@ def test_sparsified_batch_rejects_nan_all_or_nothing():
     with pytest.raises(ValueError):
         tree.insert_reported(4, 5, math.nan, eid=4)
     assert state_fingerprint(tree) == before
+
+
+@pytest.mark.parametrize("u,v", BAD_ENDPOINTS)
+def test_sparsified_batch_rejects_bad_endpoint_all_or_nothing(u, v):
+    """A bad endpoint anywhere in a batch rejects the whole batch before
+    any op of it is registered."""
+    from repro.core.sparsify import SparsifiedMSF
+    from repro.resilience.checks import state_fingerprint
+
+    tree = SparsifiedMSF(4, pool=None)
+    before = state_fingerprint(tree)
+    with pytest.raises(ValueError, match="range 0..3"):
+        tree.apply_batch([("ins", 1, 0, 1, 1.0), ("ins", 2, u, v, 1.0)])
+    assert state_fingerprint(tree) == before
+    assert tree.edge_count() == 0
+    assert tree.self_check("structural") == []
 
 
 def test_sparsified_parallel_composition():

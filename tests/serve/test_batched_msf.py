@@ -139,6 +139,35 @@ def test_non_finite_weight_rejected_at_submit(front_kind, bad):
             front.close()
 
 
+@pytest.mark.parametrize("front_kind", ["batched", "cluster"])
+def test_bad_endpoint_rejected_at_submit(front_kind):
+    """A bad vertex (out of range, bool, float, string) raises
+    ``ValueError`` at submit, before an eid is drawn -- it never reaches
+    a batch, where it would surface as a ``CorruptionError`` after a
+    recovery run."""
+    if front_kind == "batched":
+        front = BatchedMSF(8, batch_size=4)
+    else:
+        front = ClusterMSF(8, pool_size=2, processes=False, batch_size=4)
+    try:
+        front.insert_edge(0, 1, 1.0)
+        front.flush()
+        submitted = front.stats["ops_submitted"]
+        next_eid = front._next_eid
+        for u, v in ((0, 8), (-1, 2), (True, 2), (0.0, 2), (0.5, 2),
+                     (1, "2")):
+            with pytest.raises(ValueError, match="endpoints"):
+                front.insert_edge(u, v, 2.0)
+        front.flush()
+        assert front.stats["ops_submitted"] == submitted
+        assert front.stats["recoveries"] == 0
+        assert front.insert_edge(2, 3, 2.0) == next_eid
+        assert front.msf_weight() == 3.0
+    finally:
+        if front_kind == "cluster":
+            front.close()
+
+
 def test_degree_reducer_backend_matches_facade():
     """sparsify=False routes through the DegreeReducer; same contract."""
     n, ops = 32, list(churn(32, 150, seed=5))

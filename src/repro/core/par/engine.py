@@ -158,12 +158,11 @@ class ParallelDynamicMSF(SparseDynamicMSF):
     """
 
     def __init__(self, n_max: int, K: Optional[int] = None, *,
-                 machine: Optional[Machine] = None, strict: bool = True,
-                 audit: Optional[str] = None, impl: str = "onepass",
-                 ops: Optional[OpCounter] = None,
+                 machine: Optional[Machine] = None, audit: str = "strict",
+                 impl: str = "onepass", ops: Optional[OpCounter] = None,
                  backend: str = "scalar") -> None:
         self.machine = machine if machine is not None else Machine(
-            strict=strict, audit=audit, impl=impl)
+            audit=audit, impl=impl)
         self.update_stats: list[KernelStats] = []
         self._measuring = False
         super().__init__(n_max, K, flavor="parallel", with_bt=True, ops=ops,
@@ -176,8 +175,8 @@ class ParallelDynamicMSF(SparseDynamicMSF):
     def _zero_measurements(self) -> None:
         """Arena reset: also restore the PRAM measurement state.
 
-        The machine's kernel-shape audit caches survive (they are value-
-        keyed and produce bit-identical stats on hits -- the fast-path
+        The machine's replay plans survive (they are value-keyed and
+        charge bit-identical stats on hits -- the replay tier's
         guarantee), but depth/work totals, history, the memory's
         registrations and the per-update stats return to the
         just-constructed state.  The base ``reset`` calls this *before*

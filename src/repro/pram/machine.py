@@ -43,55 +43,37 @@ Two step-loop implementations exist:
 
 Audit ladder
 ------------
-``audit`` selects how much conflict bookkeeping a launch pays:
+``audit`` selects how violations are reported and whether kernels may
+replay:
 
 * ``"strict"`` -- every step fully checked; violations raise
   :class:`ErewViolation`.  Experiment E4's legality verdict uses only this
   mode.
 * ``"count"``  -- fully checked, violations only counted
-  (``stats.violations``); the legacy ``strict=False``.
-* ``"fast"``   -- benchmark mode.  Conflict bookkeeping is *skipped* for
-  kernel launches whose **shape signature** -- label + conflict policy +
-  processor count + per-step op-count fingerprint -- has already been
-  verified EREW-legal in this process.  The first launch of an unseen
-  signature runs fully checked and, when clean, its fingerprint is cached;
-  later launches stream against the cached fingerprints and **fall back to
-  strict checking for the remainder of the run** on any signature miss
-  (``machine.fast_misses`` counts them; a miss also schedules a fully
-  checked *relearn* launch of that signature so recurring shapes join the
-  verified set).  Depth/work/processors are computed identically in all
-  modes; ``fast`` only elides the legality bookkeeping, so it is a
-  *measurement* optimization -- never a legality verdict (see DESIGN.md).
-
-Shape-keyed kernel bypass (``audit="fast"`` only)
--------------------------------------------------
-Streaming a verified fingerprint still steps every generator, which caps
-the win at the bookkeeping share of the loop.  Kernels whose op stream's
-per-step (live, reads, writes) counts are a *pure function of a cheap
-structural key* -- e.g. the LSDS path-refresh kernel, whose shape is fully
-determined by ``(J, kid-counts along the path)`` -- can do better via
-:meth:`Machine.run_recorded` / :meth:`Machine.shaped_hit` /
-:meth:`Machine.charge_shaped`: the first launch of a key simulates fully
-checked (strict) and records the measured (depth, work, processors); later
-launches of the same key execute a host-speed *direct equivalent* supplied
-by the kernel and charge exactly the recorded stats.  The kernel author
-owes the invariant "equal key => equal per-step op counts and equal memory
-effects"; ``tests/pram/test_machine_fastpath.py`` checks it differentially
-on real workloads.  Like fingerprint streaming this is measurement-only:
-E4's legality verdict never runs under ``audit="fast"``.
+  (``stats.violations``).
+* ``"fast"``   -- benchmark mode: ``strict`` plus the keyed trace-replay
+  tier below.  Every :meth:`Machine.run` is still fully checked and
+  raises on a violation; only a kernel that supplies a shape key and
+  hits a recorded plan skips simulation.  Depth/work/processors are
+  identical in all three modes, so ``fast`` is a *measurement*
+  optimization -- never a legality verdict (see DESIGN.md).
 
 Trace-replay tier (``audit="fast"`` only)
 -----------------------------------------
-:meth:`Machine.run_recorded` now *compiles* each clean launch into a
-:class:`TracePlan`: the measured (depth, work, processors), the per-step
-op-count fingerprint, and the kernel-declared number of semantically
-visible memory effects -- with the EREW-exclusivity proof established once,
-at record time, by the fully checked simulation.  Subsequent launches of
-the same shape call :meth:`Machine.replay_plan` and, on a hit,
-:meth:`Machine.replay`: the kernel applies its direct host equivalent
-(only data-dependent values and buffered writes are evaluated -- no
-generator resumption, no per-op conflict re-checking) and the machine
-charges the recorded stats **bit-identically** to strict simulation.
+Kernels whose op stream's per-step (live, reads, writes) counts are a
+*pure function of a cheap structural key* -- e.g. the LSDS path-refresh
+kernel, whose shape is fully determined by ``(J, kid-counts along the
+path)`` -- may skip simulation.  :meth:`Machine.run_recorded` *compiles*
+each clean launch into a :class:`TracePlan`: the measured (depth, work,
+processors), the per-step op-count fingerprint, and the kernel-declared
+number of semantically visible memory effects -- with the
+EREW-exclusivity proof established once, at record time, by the fully
+checked simulation.  Subsequent launches of the same shape call
+:meth:`Machine.replay_plan` and, on a hit, :meth:`Machine.replay`: the
+kernel applies its direct host equivalent (only data-dependent values and
+buffered writes are evaluated -- no generator resumption, no per-op
+conflict re-checking) and the machine charges the recorded stats
+**bit-identically** to strict simulation.
 ``replay`` cross-checks the kernel's declared effect count against the
 plan, so a key collision between launches with different write sets is
 caught rather than silently mis-charged.
@@ -106,9 +88,9 @@ The record/verify/replay contract:
 * **replay** -- later launches charge the plan's stats and skip
   simulation entirely.
 
-All replay-tier caches are bounded LRUs (:class:`_LRU`) with
-hit/miss/eviction counters surfaced by :meth:`Machine.cache_info`;
-evicting a plan merely forces a clean re-record on next sighting.
+The plan cache is a bounded LRU (:class:`_LRU`) with hit/miss/eviction
+counters surfaced by :meth:`Machine.cache_info`; evicting a plan merely
+forces a clean re-record on next sighting.
 :attr:`Machine.history` is a bounded ring buffer by default
 (:class:`KernelHistory`); analysis scripts that need the full launch log
 opt in via ``machine.history.set_cap(None)``.
@@ -323,15 +305,15 @@ class TracePlan:
 class _LRU:
     """A bounded mapping with move-to-end recency and telemetry counters.
 
-    The replay-tier caches must be production-shaped: bounded (a long
-    serving run must not grow them without limit), with hit/miss/eviction
-    counters surfaced via :meth:`Machine.cache_info`.  Eviction is safe by
+    The plan cache must be production-shaped: bounded (a long serving
+    run must not grow it without limit), with hit/miss/eviction counters
+    surfaced via :meth:`Machine.cache_info`.  Eviction is safe by
     construction -- losing an entry only forces a clean re-record of the
     shape on its next sighting, never a wrong answer.
 
     ``get`` counts hits/misses (the hot-path probe); ``peek`` does not
-    (used by assertions and the legacy ``charge_shaped`` accessor after
-    the probe already counted).
+    (used by :meth:`Machine.charge_shaped` after the probe already
+    counted).
     """
 
     __slots__ = ("data", "cap", "hits", "misses", "evictions")
@@ -368,10 +350,6 @@ class _LRU:
             del data[next(iter(data))]   # least recently used
             self.evictions += 1
         data[key] = value
-
-    # dict-style conveniences (tests and the fingerprint cache use them)
-    def __setitem__(self, key, value) -> None:
-        self.put(key, value)
 
     def __contains__(self, key) -> bool:
         return key in self.data
@@ -472,39 +450,29 @@ class Machine:
         ``"erew"`` (default) raises/records on any same-step shared cell;
         ``"crew"`` permits concurrent reads (used by experiment E4 to show
         which kernels *need* the paper's EREW-specific machinery).
-    strict:
-        legacy knob: ``True`` (default) means ``audit="strict"``
-        (violations raise :class:`ErewViolation`), ``False`` means
-        ``audit="count"`` (violations only counted).
     audit:
-        explicit audit level -- ``"strict"``, ``"count"`` or ``"fast"``
-        (see the module docstring's *Audit ladder*).  Overrides ``strict``
-        when given.
+        ``"strict"`` (default), ``"count"`` or ``"fast"`` (see the module
+        docstring's *Audit ladder*).
     impl:
         step-loop implementation: ``"onepass"`` (default, fused
         interned-address loop) or ``"reference"`` (the retained four-pass
-        oracle loop; always fully checked, ignores ``audit="fast"``).
+        oracle loop).  Both are fully checked.
     history_cap:
         ring-buffer capacity of :attr:`history` (``None`` = unbounded,
         the legacy behaviour; the default bounds a long serving run's
         memory).  Adjustable later via ``machine.history.set_cap``.
-    shaped_cache_cap / fingerprint_cache_cap:
-        LRU bounds of the trace-plan and shape-signature caches (see
-        :meth:`cache_info`).
+    shaped_cache_cap:
+        LRU bound of the trace-plan cache (see :meth:`cache_info`).
     """
 
-    def __init__(self, mode: str = "erew", strict: bool = True,
-                 audit: Optional[str] = None,
+    def __init__(self, mode: str = "erew", audit: str = "strict",
                  impl: str = "onepass", *,
                  history_cap: Optional[int] = 512,
-                 shaped_cache_cap: Optional[int] = 4096,
-                 fingerprint_cache_cap: Optional[int] = 1024) -> None:
+                 shaped_cache_cap: Optional[int] = 4096) -> None:
         # raised (not asserted): public entry-point validation must survive
         # `python -O`
         if mode not in ("erew", "crew"):
             raise ValueError(f"mode must be 'erew' or 'crew', got {mode!r}")
-        if audit is None:
-            audit = "strict" if strict else "count"
         if audit not in ("strict", "count", "fast"):
             raise ValueError(
                 f"audit must be 'strict', 'count' or 'fast', got {audit!r}")
@@ -515,7 +483,7 @@ class Machine:
         self.mode = mode
         self.audit = audit
         self.impl = impl
-        #: violations raise (strict and fast's checked portions raise)
+        #: violations raise (strict and fast)
         self.strict = audit != "count"
         self.total = KernelStats(label="total")
         #: bounded ring of per-launch/charge stats (diagnostics only --
@@ -527,29 +495,21 @@ class Machine:
         self._trace: Optional[Callable[[int, int, Any], None]] = None
         self._paused = 0  # suspended analytic accounting (see `paused`)
         self._paused_cm: Optional[_PausedMachine] = None  # cached CM
-        # audit="fast" shape-signature cache (bounded LRU):
-        #   (label, policy, n_procs) -> list of verified per-step
-        #   op-count fingerprints (tuples of packed ints)
-        self._verified = _LRU(fingerprint_cache_cap)
-        #: signatures that missed recently; the next launch of such a
-        #: signature runs fully checked so its fingerprint can be learned
-        self._relearn: dict[tuple, int] = {}
         #: kernel-supplied shape key -> :class:`TracePlan` of a
         #: fully-checked clean launch (bounded LRU; see `run_recorded`)
         self._shaped = _LRU(shaped_cache_cap)
-        self.fast_hits = 0    # launches that skipped conflict bookkeeping
-        self.fast_misses = 0  # signature misses (fell back to checking)
+        self.fast_hits = 0    # plan replays (simulation skipped)
+        self.fast_misses = 0  # recording launches (plan compiled)
 
     # -- audit ladder ---------------------------------------------------------
 
     def set_audit(self, audit: str) -> None:
         """Switch the audit level in place (the recovery degrade ladder).
 
-        ``repro.resilience.recover`` demotes a machine whose replay-tier
-        caches were found corrupted -- ``fast`` -> ``count`` -> ``strict``
-        -- so subsequent launches pay progressively more per-launch
-        verification instead of trusting poisoned caches.  Also usable to
-        re-promote after the caches were purged and re-recorded.
+        ``repro.resilience.recover`` demotes a machine whose replay plans
+        were found corrupted -- ``fast`` -> ``count`` -> ``strict`` --
+        so later launches simulate instead of replaying a poisoned plan.
+        Also usable to re-promote after the plans were purged.
         """
         if audit not in ("strict", "count", "fast"):
             raise ValueError(
@@ -557,18 +517,15 @@ class Machine:
         self.audit = audit
         self.strict = audit != "count"
 
-    def purge_replay_caches(self) -> dict:
-        """Drop every compiled plan and verified fingerprint.
+    def purge_replay_caches(self) -> int:
+        """Drop every compiled plan; returns how many were dropped.
 
         The recovery ladder's evict-and-re-record primitive: after a purge
         the next sighting of each shape runs fully checked and re-records
-        from scratch.  Returns how much was evicted.
+        from scratch.
         """
-        dropped = {"plans": len(self._shaped), "fingerprints":
-                   len(self._verified), "relearn": len(self._relearn)}
+        dropped = len(self._shaped)
         self._shaped.clear()
-        self._verified.clear()
-        self._relearn.clear()
         return dropped
 
     def evict_plan(self, key: tuple) -> bool:
@@ -607,10 +564,10 @@ class Machine:
         machine would start without -- totals, history, and the memory's
         registrations and scratch registers (:meth:`Mem.clear`, the same
         call that closes every engine update) -- while *keeping* the
-        audit="fast" shape caches (``_verified`` / ``_relearn`` /
-        ``_shaped``): those are keyed by value shapes, never by host
-        objects, and the audit ladder's guarantee is exactly that cache
-        hits charge bit-identical stats to a fully-simulated launch.
+        audit="fast" plan cache (``_shaped``): plans are keyed by value
+        shapes, never by host objects, and the replay tier's guarantee is
+        exactly that a hit charges bit-identical stats to a fully
+        simulated launch.
         """
         self.mem.clear()
         self.total = KernelStats(label="total")
@@ -671,7 +628,7 @@ class Machine:
         return window
 
     def cache_info(self) -> dict:
-        """Telemetry snapshot of every replay-tier cache and the history.
+        """Telemetry snapshot of the plan cache, history and memory.
 
         Production-shaped observability for long-lived serving runs:
         bounded-cache pressure (hit/miss/eviction), history-ring drops,
@@ -679,8 +636,6 @@ class Machine:
         """
         return {
             "shaped": self._shaped.info(),
-            "fingerprint": self._verified.info(),
-            "relearn_pending": len(self._relearn),
             "history": {"len": len(self.history),
                         "cap": self.history.cap,
                         "dropped": self.history.dropped},
@@ -702,35 +657,17 @@ class Machine:
         """
         policy = self.mode if mode is None else mode
         assert policy in ("erew", "crew")
-        live: dict[int, Program] = {}
-        pending: dict[int, Any] = {}
-        for pid, prog in enumerate(programs):
-            try:
-                pending[pid] = next(prog)
-                live[pid] = prog
-            except StopIteration:
-                pass
+        live, pending = _start(programs)
         stats = KernelStats(label=label, launches=1)
         if self.impl == "reference":
             self._run_reference(live, pending, policy, stats)
-        elif self.audit == "fast":
-            self._run_fast(live, pending, policy, label, stats)
         else:
             self._run_checked(live, pending, policy, stats,
-                              raise_on_conflict=self.audit == "strict")
+                              raise_on_conflict=self.strict)
         self._account(stats)
         return stats
 
     # -- trace-replay tier (audit = "fast" only) ------------------------------
-
-    def shaped_hit(self, key: tuple) -> bool:
-        """True iff ``key`` was verified by a clean :meth:`run_recorded`.
-
-        Uncounted probe (compat shim over :meth:`replay_plan`); kernels on
-        the replay tier use :meth:`replay_plan` + :meth:`replay`, which
-        also maintain the LRU hit/miss telemetry.
-        """
-        return self.audit == "fast" and key in self._shaped
 
     def replay_plan(self, key: tuple) -> Optional[TracePlan]:
         """The compiled :class:`TracePlan` for ``key``, or ``None``.
@@ -745,11 +682,7 @@ class Machine:
         plan = self._shaped.get(key)
         if _faults.armed and plan is not None:
             _faults.fire("pram.plan", plan=plan, key=key, machine=self)
-        if plan is None or type(plan) is TracePlan:
-            return plan
-        # legacy tuple entry (tests may seed the cache directly)
-        d, w, p = plan
-        return TracePlan(key, "", d, w, p, (), None)
+        return plan
 
     def run_recorded(self, key: tuple, programs: Iterable[Program],
                      label: str = "", mode: Optional[str] = None,
@@ -766,14 +699,7 @@ class Machine:
         """
         policy = self.mode if mode is None else mode
         assert policy in ("erew", "crew")
-        live: dict[int, Program] = {}
-        pending: dict[int, Any] = {}
-        for pid, prog in enumerate(programs):
-            try:
-                pending[pid] = next(prog)
-                live[pid] = prog
-            except StopIteration:
-                pass
+        live, pending = _start(programs)
         stats = KernelStats(label=label, launches=1)
         fingerprint: list[int] = []
         self._run_checked(live, pending, policy, stats,
@@ -815,38 +741,28 @@ class Machine:
         return stats
 
     def charge_shaped(self, key: tuple, label: str = "") -> KernelStats:
-        """Charge the recorded cost of shape ``key`` (compat shim).
+        """Replay the recorded plan of ``key`` without an effect check.
 
-        Retained for kernels/tests predating :meth:`replay`; accepts both
-        compiled :class:`TracePlan` entries and legacy
-        ``(depth, work, processors)`` tuples.
+        An uncounted-probe spelling of :meth:`replay` for callers that
+        already hold a recorded key.
         """
-        plan = self._shaped.peek(key)
-        if type(plan) is TracePlan:
-            depth, work, procs = plan.depth, plan.work, plan.processors
-        else:
-            depth, work, procs = plan
-        stats = KernelStats(depth=depth, work=work, processors=procs,
-                            launches=1, label=label)
-        self.fast_hits += 1
-        self._account(stats)
-        return stats
+        return self.replay(self._shaped.peek(key), label)
 
-    # -- one-pass checked loop (audit = strict / count) -----------------------
+    # -- one-pass checked loop -------------------------------------------------
 
     def _run_checked(self, live: dict, pending: dict, policy: str,
                      stats: KernelStats, *, raise_on_conflict: bool,
-                     start_step: int = 0,
                      fingerprint: Optional[list[int]] = None) -> None:
         """Fused step loop: intern + conflict-check + read + buffered write
         + resume, one pass over the pending ops per step.
 
         Reads observe pre-step memory because writes are buffered and
         applied only after the whole step's ops were scanned.  Mutates
-        ``stats`` in place; ``start_step``/``fingerprint`` support the
-        ``audit="fast"`` fallback path, which hands over mid-run.  Interned
-        cell ids are launch-scoped: the tables are emptied when the launch
-        ends, after any violation report has named its cell.
+        ``stats`` in place; ``fingerprint``, when given, receives the
+        packed per-step op counts :meth:`run_recorded` compiles into a
+        plan.  Interned cell ids are launch-scoped: the tables are emptied
+        when the launch ends, after any violation report has named its
+        cell.
         """
         mem = self.mem
         try:
@@ -855,10 +771,10 @@ class Machine:
             cells = mem._cells
             write_interned = mem.write_interned
             crew = policy == "crew"
-            step = start_step
-            work = stats.work
-            violations = stats.violations
-            max_live = stats.processors
+            step = 0
+            work = 0
+            violations = 0
+            max_live = 0
             results: dict[int, Any] = {}
             writes: list = []
             touched: dict[int, int] = {}
@@ -923,119 +839,6 @@ class Machine:
             stats.violations = violations
         finally:
             mem.end_launch()
-
-    # -- fast loop (audit = "fast": shape-signature cache) --------------------
-
-    def _run_fast(self, live: dict, pending: dict, policy: str,
-                  label: str, stats: KernelStats) -> None:
-        """Skip conflict bookkeeping for shape-verified launches.
-
-        The signature key is ``(label, policy, initial processor count)``;
-        its value is the list of per-step op-count fingerprints observed on
-        fully-checked clean runs.  Stepping streams the live/read/write
-        counts of each step against the cached fingerprints; as long as a
-        verified fingerprint prefix matches, conflict bookkeeping is
-        skipped *and* writes apply immediately (legal because a verified
-        EREW/CREW step never writes a cell any other op touches).  On a
-        miss the remainder of the run falls back to the checked loop.
-        """
-        key = (label, policy, len(live))
-        verified = self._verified.get(key)
-        if _faults.armed and verified is not None:
-            _faults.fire("pram.fingerprint", fps=verified, key=key,
-                         machine=self)
-        if verified is None or self._relearn.get(key, 0) > 0:
-            # first sighting of this shape (or a relearn launch scheduled
-            # by an earlier miss): full strict check + fingerprint record
-            fingerprint: list[int] = []
-            self._run_checked(live, pending, policy, stats,
-                              raise_on_conflict=True,
-                              fingerprint=fingerprint)
-            if stats.violations == 0:
-                fp = tuple(fingerprint)
-                known = self._verified.peek(key)
-                if known is None:
-                    known = []
-                    self._verified.put(key, known)
-                if fp not in known and len(known) < 16:
-                    known.append(fp)
-            if verified is not None:
-                remaining = self._relearn[key] - 1
-                if remaining > 0:
-                    self._relearn[key] = remaining
-                else:
-                    del self._relearn[key]  # fully relearned: drop the entry
-            self.fast_misses += 1
-            return
-        mem = self.mem
-        seqs = mem._seqs
-        regs = mem._regs
-        step = 0
-        work = 0
-        max_live = 0
-        candidates = verified
-        results: dict[int, Any] = {}
-        while live:
-            nlive = len(live)
-            if nlive > max_live:
-                max_live = nlive
-            step += 1
-            results.clear()
-            nr = nw = 0
-            for pid, op in pending.items():
-                tag = op.tag if op.__class__ in _OP_CLASSES else \
-                    self._bad_op(pid, op)
-                if tag == _TAG_NOP:
-                    continue
-                addr = op.addr
-                kind = addr[0]
-                if tag == _TAG_READ:
-                    nr += 1
-                    if kind == "attr":
-                        results[pid] = getattr(addr[1], addr[2])
-                    elif kind == "idx":
-                        results[pid] = seqs[addr[1]][addr[2]]
-                    else:
-                        results[pid] = regs.get(addr[1])
-                else:
-                    nw += 1
-                    if kind == "attr":
-                        setattr(addr[1], addr[2], op.value)
-                    elif kind == "idx":
-                        seqs[addr[1]][addr[2]] = op.value
-                    else:
-                        regs[addr[1]] = op.value
-            work += nr + nw
-            packed = (nlive << 42) | (nr << 21) | nw
-            i = step - 1
-            candidates = [fp for fp in candidates
-                          if len(fp) > i and fp[i] == packed]
-            self._resume(step, live, pending, results)
-            if not candidates:
-                # signature miss: fall back to the strict checked loop for
-                # the remainder of the run.  The run's fingerprint is NOT
-                # added to the verified set -- its prefix was executed
-                # without conflict bookkeeping, so nothing vouches for it.
-                # Schedule a relearn launch instead so a recurring shape
-                # gets verified (and cached) next time it appears.
-                self._relearn[key] = min(self._relearn.get(key, 0) + 1, 8)
-                self.fast_misses += 1
-                stats.work = work
-                stats.processors = max_live
-                self._run_checked(live, pending, policy, stats,
-                                  raise_on_conflict=True, start_step=step)
-                return
-        if any(len(fp) == step for fp in candidates):
-            self.fast_hits += 1
-        else:
-            # the run ended while every matching fingerprint expected more
-            # steps: shape divergence detected post-hoc, count it and
-            # schedule a relearn launch for this signature
-            self._relearn[key] = min(self._relearn.get(key, 0) + 1, 8)
-            self.fast_misses += 1
-        stats.depth = step
-        stats.work = work
-        stats.processors = max_live
 
     # -- retained reference loop (differential oracle) ------------------------
 
@@ -1161,3 +964,16 @@ class Machine:
 
 
 _OP_CLASSES = frozenset((Read, Write, Nop))
+
+
+def _start(programs: Iterable[Program]) -> tuple[dict, dict]:
+    """Prime every program to its first op: ``(live, pending)`` by pid."""
+    live: dict[int, Program] = {}
+    pending: dict[int, Any] = {}
+    for pid, prog in enumerate(programs):
+        try:
+            pending[pid] = next(prog)
+            live[pid] = prog
+        except StopIteration:
+            pass
+    return live, pending

@@ -77,10 +77,8 @@ def check_machine(machine, level: str = "structural") -> list[Finding]:
     internally consistent with its own recorded fingerprint (depth =
     number of steps, work = sum of per-step reads+writes, processors =
     max per-step live count, and no step issues more ops than it has
-    live processors), every verified shape-signature fingerprint must
-    satisfy the same per-step arithmetic, and the simulator memory must be
-    empty, since nothing in it may outlive an update
-    (:meth:`Mem.check_interning`).
+    live processors), and the simulator memory must be empty, since
+    nothing in it may outlive an update (:meth:`Mem.check_interning`).
     """
     rank = _rank(level)
     out: list[Finding] = []
@@ -89,8 +87,6 @@ def check_machine(machine, level: str = "structural") -> list[Finding]:
 
     def plans() -> None:
         for key, plan in machine._shaped.data.items():
-            if type(plan) is not _trace_plan_type(machine):
-                continue  # legacy (depth, work, procs) tuples: nothing to do
             fp = plan.fingerprint
             if not fp:
                 continue  # plans may legitimately carry no fingerprint
@@ -115,27 +111,13 @@ def check_machine(machine, level: str = "structural") -> list[Finding]:
                     "machine", f"plan {key!r}: negative effect count "
                     f"{plan.n_effects}", level))
 
-    def signatures() -> None:
-        for key, fps in machine._verified.data.items():
-            for fp in fps:
-                bad = _fingerprint_problem(fp)
-                if bad is not None:
-                    out.append(Finding(
-                        "machine", f"signature {key!r}: {bad}", level))
-
     def interning() -> None:
         for problem in machine.mem.check_interning():
             out.append(Finding("machine", f"interning: {problem}", level))
 
     _guard(out, "machine", level, plans)
-    _guard(out, "machine", level, signatures)
     _guard(out, "machine", level, interning)
     return out
-
-
-def _trace_plan_type(machine):
-    from ..pram.machine import TracePlan
-    return TracePlan
 
 
 def _fingerprint_problem(fp) -> Optional[str]:

@@ -12,7 +12,6 @@ site                      corrupts
 ``pram.cell``             one interned PRAM memory cell between machine steps
 ``pram.plan``             a cached :class:`~repro.pram.machine.TracePlan`
                           (work/depth/n_effects skew)
-``pram.fingerprint``      a verified shape-signature fingerprint entry
 ``tt.agg``                a 2-3-tree internal aggregate after a refresh
 ``arena.reset``           an engine-pool ``reset()`` post-state (a field the
                           reset discipline must have restored)
@@ -118,23 +117,6 @@ def _corrupt_pram_plan(param: int, ctx: dict) -> Optional[dict]:
         return {"detail": f"plan {label!r}: n_effects += 1"}
     plan.work += 1
     return {"detail": f"plan {label!r}: work += 1 (no n_effects)"}
-
-
-def _corrupt_pram_fingerprint(param: int, ctx: dict) -> Optional[dict]:
-    """Bit-flip one packed step entry of a verified shape fingerprint."""
-    fps = ctx.get("fps")
-    if not fps:
-        return None
-    j = param % len(fps)
-    fp = fps[j]
-    if not fp:
-        return None
-    k = param % len(fp)
-    new = list(fp)
-    new[k] ^= 1 << (param % 21)
-    fps[j] = tuple(new)
-    return {"detail": f"verified fingerprint [{j}][{k}] bit {param % 21} "
-                      f"flipped"}
 
 
 def _corrupt_tt_agg(param: int, ctx: dict) -> Optional[dict]:
@@ -313,9 +295,6 @@ SITES: dict[str, tuple[str, Callable[[int, dict], Optional[dict]]]] = {
     "pram.plan": (
         "skew a cached TracePlan's recorded stats / effect count",
         _corrupt_pram_plan),
-    "pram.fingerprint": (
-        "bit-flip a verified shape-signature fingerprint entry",
-        _corrupt_pram_fingerprint),
     "tt.agg": (
         "tamper a 2-3-tree internal aggregate after a refresh",
         _corrupt_tt_agg),

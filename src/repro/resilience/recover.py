@@ -8,10 +8,9 @@ differentially verifies the result.  The ladder, in escalation order:
 
 1. **cache eviction + audit degrade** (:func:`recover_machine`) -- a
    machine whose replay tier is suspect drops every compiled
-   :class:`~repro.pram.machine.TracePlan` and verified fingerprint
-   (forcing clean re-records) and optionally steps its audit level down
-   one rung (``fast`` -> ``count`` -> ``strict``), paying more
-   per-launch verification instead of trusting caches.
+   :class:`~repro.pram.machine.TracePlan` (forcing clean re-records) and
+   optionally steps its audit level down one rung (``fast`` -> ``count``
+   -> ``strict``), simulating every launch instead of trusting plans.
 2. **arena sweep** (:func:`recover_pool`) -- free-listed engines that
    fail the reset-completeness audit are quarantined; quarantined
    engines are held by strong reference and ``release`` refuses them,
@@ -54,11 +53,11 @@ _DEGRADE = {"fast": "count", "count": "strict", "strict": "strict"}
 # ------------------------------------------------------------- machines
 
 def recover_machine(machine, *, degrade: bool = True) -> dict:
-    """Evict a machine's replay/shape caches; optionally degrade audit.
+    """Evict a machine's replay plans; optionally degrade audit.
 
-    Returns a report of what was dropped and the audit transition.  After
-    this, every kernel shape re-records from a fully checked launch on
-    next sighting -- the caches rebuild themselves clean.
+    Returns a report of how many plans were dropped and the audit
+    transition.  After this, every kernel shape re-records from a fully
+    checked launch on next sighting -- the plans rebuild themselves clean.
     """
     dropped = machine.purge_replay_caches()
     before = machine.audit

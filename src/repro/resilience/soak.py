@@ -50,11 +50,10 @@ SITES_BY_CONFIG = {
     ("sequential", True): ["tt.agg", "arena.reset", "serve.batch",
                            "sparsify.weight"],
     ("sequential", False): ["tt.agg", "serve.batch"],
-    ("parallel", True): ["pram.cell", "pram.plan", "pram.fingerprint",
-                         "tt.agg", "arena.reset", "serve.batch",
-                         "sparsify.weight"],
-    ("parallel", False): ["pram.cell", "pram.plan", "pram.fingerprint",
-                          "tt.agg", "serve.batch"],
+    ("parallel", True): ["pram.cell", "pram.plan", "tt.agg", "arena.reset",
+                         "serve.batch", "sparsify.weight"],
+    ("parallel", False): ["pram.cell", "pram.plan", "tt.agg",
+                          "serve.batch"],
 }
 
 #: crash-shaped sites reachable only when the front runs durability="wal"
@@ -188,13 +187,12 @@ def _machines(impl):
 def _set_fast_audit(impl) -> None:
     """Put every reachable machine on the ``fast`` tier.
 
-    The ``pram.plan`` / ``pram.fingerprint`` sites live inside the replay
-    and fingerprint-streaming tiers, which only engage under
-    ``audit="fast"`` -- facade-built machines default to ``strict``, so a
-    campaign that schedules those sites must flip the tier.  Called every
-    iteration because sparsified backends create node engines lazily and
-    a backend rebuild replaces the machines wholesale; the call is a
-    cheap no-op once a machine is already fast."""
+    The ``pram.plan`` site lives inside the trace-replay tier, which only
+    engages under ``audit="fast"`` -- facade-built machines default to
+    ``strict``, so a campaign that schedules that site must flip the
+    tier.  Called every iteration because sparsified backends create node
+    engines lazily and a backend rebuild replaces the machines wholesale;
+    the call is a cheap no-op once a machine is already fast."""
     for machine in _machines(impl):
         if machine.audit != "fast":
             machine.set_audit("fast")

@@ -93,7 +93,7 @@ def test_crew_allows_concurrent_reads_only():
 
 
 def test_non_strict_counts_violations():
-    m = Machine(strict=False)
+    m = Machine(audit="count")
     arr = [0]
     sid = m.mem.register(arr)
 

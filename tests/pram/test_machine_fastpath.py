@@ -1,5 +1,5 @@
 """Tests for the fast-path execution engine (one-pass loop, audit ladder,
-shape caches) and the KernelStats composition rules.
+trace-replay tier) and the KernelStats composition rules.
 
 The load-bearing assertions are differential: the one-pass loop against the
 retained four-pass reference oracle, and ``audit="fast"`` against
@@ -73,12 +73,11 @@ def test_crew_still_rejects_concurrent_writes():
 
 
 def test_audit_count_counts_instead_of_raising():
-    for machine in (Machine(strict=False), Machine(audit="count")):
-        assert machine.audit == "count"
-        stats = machine.run(_shared_readers(machine, 3))
-        # one shared cell touched concurrently => one violation, no raise
-        assert stats.violations == 1
-        assert machine.total.violations == 1
+    machine = Machine(audit="count")
+    stats = machine.run(_shared_readers(machine, 3))
+    # one shared cell touched concurrently => one violation, no raise
+    assert stats.violations == 1
+    assert machine.total.violations == 1
 
 
 def test_audit_count_read_write_and_write_write():
@@ -180,9 +179,9 @@ def test_onepass_matches_reference_on_real_workload():
 
 
 def test_fast_matches_strict_on_real_workload():
-    """Fast mode (fingerprint streaming + shape-keyed bypass) reports the
-    same per-update depth/work/processors and yields the same MSF as a
-    fully-checked strict run."""
+    """Fast mode reports the same per-update depth/work/processors and
+    yields the same MSF as a fully-checked strict run: every ``run`` is
+    checked, and only keyed trace replay bypasses simulation."""
     a = _run_engine_workload(48, 3, seed=7, audit="strict")
     b = _run_engine_workload(48, 3, seed=7, audit="fast")
     assert a[0] == b[0]
@@ -193,60 +192,35 @@ def test_fast_matches_strict_on_real_workload():
     assert machine.total.violations == 0
 
 
-def test_fast_learns_then_hits():
-    m = Machine(audit="fast")
-    arr = [0] * 8
-    sid = m.mem.register(arr)
-
-    def prog(i):
-        v = yield Read(("idx", sid, i))
-        yield Write(("idx", sid, i), v + 1)
-
-    s1 = m.run([prog(i) for i in range(8)], label="bump")
-    assert m.fast_misses == 1 and m.fast_hits == 0  # learning launch
-    s2 = m.run([prog(i) for i in range(8)], label="bump")
-    assert m.fast_hits == 1
-    assert (s1.depth, s1.work, s1.processors) == \
-        (s2.depth, s2.work, s2.processors)
-    assert arr == [2] * 8  # both launches' writes applied
-
-
 def test_fast_first_launch_still_raises_on_conflict():
-    """The learning launch of an unseen signature is fully strict."""
+    """Every ``run`` on a fast machine is fully checked, the first
+    launch of a label included."""
     m = Machine(audit="fast")
     with pytest.raises(ErewViolation):
         m.run(_shared_readers(m, 2), label="bad")
 
 
-def test_fast_miss_falls_back_and_relearns():
+def test_fast_run_checks_a_repeated_shape():
+    """A launch whose label and op-count shape match an earlier clean
+    launch is still checked: two processors reading one cell raise."""
     m = Machine(audit="fast")
-    arr = [0] * 4
+    arr = [0, 0]
     sid = m.mem.register(arr)
 
-    def short(i):
-        yield Write(("idx", sid, i), 1)
+    def own(i):
+        yield Read(("idx", sid, i))
 
-    def long(i):  # same label / policy / processor count, different shape
-        yield Write(("idx", sid, i), 2)
-        yield Write(("idx", sid, i), 3)
+    def shared(i):
+        yield Read(("idx", sid, 0))
 
-    m.run([short(i) for i in range(4)], label="k")   # learn shape A
-    stats = m.run([long(i) for i in range(4)], label="k")  # diverges
-    assert m.fast_misses == 2  # learning launch + the divergence
-    # stats of the diverged run are still exact
-    assert stats.depth == 2 and stats.work == 8 and stats.processors == 4
-    # the miss scheduled a relearn: the next launch of this signature runs
-    # checked and caches shape B, after which both shapes hit
-    m.run([long(i) for i in range(4)], label="k")    # relearn (miss #3)
-    assert m.fast_misses == 3
-    hits_before = m.fast_hits
-    m.run([long(i) for i in range(4)], label="k")
-    m.run([short(i) for i in range(4)], label="k")
-    assert m.fast_hits == hits_before + 2
+    clean = m.run([own(i) for i in range(2)], label="k")
+    assert (clean.depth, clean.work, clean.violations) == (1, 2, 0)
+    with pytest.raises(ErewViolation):
+        m.run([shared(i) for i in range(2)], label="k")
 
 
 # --------------------------------------------------------------------------
-# shape-keyed kernel bypass: run_recorded / shaped_hit / charge_shaped
+# keyed trace replay: run_recorded / replay_plan / charge_shaped
 # --------------------------------------------------------------------------
 
 
@@ -260,9 +234,11 @@ def test_shaped_bypass_records_and_charges_exactly():
         yield Write(("idx", sid, i), v + 10)
 
     key = ("demo", 6)
-    assert not m.shaped_hit(key)
+    assert m.replay_plan(key) is None
     rec = m.run_recorded(key, [prog(i) for i in range(6)], label="demo")
-    assert m.shaped_hit(key)
+    plan = m.replay_plan(key)
+    assert (plan.depth, plan.work, plan.processors) == \
+        (rec.depth, rec.work, rec.processors)
     charged = m.charge_shaped(key, label="demo")
     assert (charged.depth, charged.work, charged.processors) == \
         (rec.depth, rec.work, rec.processors)
@@ -272,21 +248,11 @@ def test_shaped_bypass_records_and_charges_exactly():
     assert m.total.work == rec.work + charged.work
 
 
-def test_shaped_hit_never_fires_outside_fast_mode():
-    """strict/count machines must simulate everything: shaped_hit is False
-    even for a key that *is* recorded, so E4's verdict never takes the
-    bypass."""
-    m = Machine(audit="strict")
-    m._shaped[("k",)] = (1, 1, 1)  # even if somehow present...
-    assert not m.shaped_hit(("k",))
-    assert not Machine(audit="count").shaped_hit(("k",))
-
-
 def test_run_recorded_is_strict_even_in_fast_mode():
     m = Machine(audit="fast")
     with pytest.raises(ErewViolation):
         m.run_recorded(("bad",), _shared_readers(m, 2), label="bad")
-    assert not m.shaped_hit(("bad",))  # nothing cached for a dirty launch
+    assert m.replay_plan(("bad",)) is None  # nothing cached for it
 
 
 # --------------------------------------------------------------------------

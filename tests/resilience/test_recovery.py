@@ -29,12 +29,13 @@ def test_recover_machine_purges_and_degrades():
     m.set_audit("fast")
     for i in range(1, 12):
         t.insert_edge(i % 16, (i * 5 + 1) % 16, float(i))
+    recorded = m.cache_info()["shaped"]["size"]
+    assert recorded > 0
     report = recover.recover_machine(m)
+    assert report["dropped"] == recorded
     assert report["audit"] == {"before": "fast", "after": "count"}
-    # all replay caches gone: every shape re-records from a checked run
-    info = m.cache_info()
-    assert info["shaped"]["size"] == 0
-    assert info["fingerprint"]["size"] == 0
+    # every plan gone: each shape re-records from a checked run
+    assert m.cache_info()["shaped"]["size"] == 0
     # degrade ladder saturates at strict
     m.set_audit("strict")
     report = recover.recover_machine(m)

@@ -24,10 +24,7 @@ PR 3 adds the ``structures-2-3-tree`` row: a substrate micro-bench that
 exercises the 2-3 tree directly (insert/delete/split+join plus leaf
 rewrites through ``refresh_upward_changed``) so regressions in the
 balanced-tree backbone are gated even when the engine rows hide them
-behind engine-level constants.  It also releases pooled engines between
-the best-of-N timing runs, so runs 2..N measure the warm engine-arena
-path (``repro.core.sparsify.EnginePool``) -- the steady state a serving
-deployment actually sits in -- while run 1 still covers the cold build.
+behind engine-level constants.
 
 PR 5 adds the ``resilience-overhead`` section: a paired A/B measurement
 on the ``facade-sparsified`` and ``parallel-core-fast`` rows asserting
@@ -303,16 +300,6 @@ class _TTDriver:
                 self.root = tt.join(left, right, pull)
 
 
-def _arena_state() -> str:
-    """One-line engine-arena summary for skip/diagnostic messages."""
-    try:
-        from repro.core.sparsify import default_pool
-        free = sum(1 for _ in default_pool.free_engines())
-        return f"arena: {free} pooled engine(s)"
-    except Exception:  # noqa: BLE001 - diagnostics must never raise
-        return "arena: unavailable"
-
-
 def _build(spec: dict, machine=None):
     """Returns (engine, core_style, machine_or_None).
 
@@ -321,24 +308,21 @@ def _build(spec: dict, machine=None):
     raised by an engine bug used to be silently reported as "engine lacks
     audit support"; the audit-ladder probe is now a signature check).
 
-    ``machine`` (par-core only) recycles the PRAM machine of a previous
-    run: its measurement state is arena-reset while the value-keyed
-    shape/trace caches survive -- the documented
-    ``ParallelDynamicMSF._zero_measurements`` contract, under which a
-    recycled engine measures bit-identically to a fresh one.  Best-of-N
-    runs 2..N therefore cover the warm trace-replay steady state, exactly
-    as the ``EnginePool`` recycling (PR 3) does for sparsification nodes.
+    ``machine`` (par-core only) reuses the PRAM machine of a previous
+    run: ``Machine.reset_stats`` zeroes its measurement state while the
+    value-keyed replay plans survive, and a replay hit charges exactly
+    what a simulated launch would.  Best-of-N runs 2..N therefore cover
+    the warm trace-replay steady state.
     """
     kind, n = spec["kind"], spec["n"]
     backend = spec.get("backend", "scalar")
     if backend == "compiled":
-        # skip reason names the backend and the arena state, so a CI log
-        # reading "SKIPPED" is attributable at a glance
+        # skip reason names the backend, so a CI log reading "SKIPPED"
+        # is attributable at a glance
         from repro.core import compiled as _compiled
         if not _compiled.HAVE_COMPILED:
             return None, (f"backend={backend} needs the native extension "
-                          f"(python -m repro.core.compiled.build; "
-                          f"{_arena_state()})"), None
+                          f"(python -m repro.core.compiled.build)"), None
     if kind == "structures":
         return _TTDriver(n), False, None
     if kind == "seq-core":
@@ -432,21 +416,6 @@ def _cheap_check(engine) -> None:
             f"{[str(f) for f in findings[:3]]}")
 
 
-def _release(engine) -> None:
-    """Return a tree's node engines to the arena, if the engine supports it.
-
-    Called *outside* the timed window after every run: the next ``_build``
-    then materializes its sparsification nodes from the warm
-    ``EnginePool`` free-list, so runs 2..N measure the pooled steady
-    state.  Pooling is measurement-neutral by construction (see
-    ``tests/core/test_arena.py``), so the model quantities recorded from
-    the first (cold) build still describe every run.
-    """
-    fn = getattr(engine, "release", None)
-    if fn is not None:
-        fn()
-
-
 def measure_profile(specs: dict, engines=None) -> dict:
     rows: dict[str, dict] = {}
     for name, spec in specs.items():
@@ -467,22 +436,19 @@ def measure_profile(specs: dict, engines=None) -> dict:
         t0 = time.perf_counter()
         _replay(engine, ops, core_style)
         dt = time.perf_counter() - t0
-        _release(engine)
         spent, runs = dt, 1
         # fast-audit rows gate the trace-replay *steady state*: run 1 is
         # the recording pass (every shape key misses and compiles a plan),
-        # so always take at least two recycled-machine runs on top of it,
+        # so always take at least two reused-machine runs on top of it,
         # even when the cold run alone exceeds the 0.5s noise floor
         floor_runs = 3 if spec.get("audit") == "fast" else 1
         while (spent < 0.5 or runs < floor_runs) and runs < 5:
-            # par-core: recycle the machine so runs 2..N measure the warm
+            # par-core: reuse the machine so runs 2..N measure the warm
             # trace-replay tier (see _build); other engines rebuild cold
-            # and rely on _release's pooled arenas for their warm state
             fresh = _build(spec, machine=machine)[0]
             t0 = time.perf_counter()
             _replay(fresh, ops, core_style)
             d = time.perf_counter() - t0
-            _release(fresh)
             spent += d
             runs += 1
             if d < dt:
@@ -531,9 +497,9 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
     configuration: every site compiled into the hot paths still executes
     its ``if _faults.armed`` guard.  Arm B replays the identical stream
     plus a cheap-tier self-check every :data:`RES_CHECK_EVERY` ops (and
-    once at the end).  Both arms run after a warm-up pass and recycle
-    the PRAM machine / engine arena exactly as ``measure_profile`` does,
-    so they compare warm steady states.
+    once at the end).  Both arms run after a warm-up pass and reuse the
+    PRAM machine exactly as ``measure_profile`` does, so they compare
+    warm steady states.
 
     The *gated* statistic is a component estimate (PR 9):
 
@@ -570,12 +536,11 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
         if spec is None or (engines and name not in engines):
             continue
         ops = _ops_for(spec)
-        # warm-up: populate the trace-replay caches / engine arena so both
-        # arms measure the steady state (fast-audit run 1 is the recording
-        # pass and would swamp a 2% comparison)
+        # warm-up: populate the trace-replay caches so both arms measure
+        # the steady state (fast-audit run 1 is the recording pass and
+        # would swamp a 2% comparison)
         engine, core_style, machine = _build(spec)
         _replay(engine, ops, core_style)
-        _release(engine)
         plain = checked = None
         ratios: list[float] = []
         spent, pairs = 0.0, 0
@@ -584,9 +549,7 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
             fresh = _build(spec, machine=machine)[0]
             t0 = time.perf_counter()
             _replay(fresh, ops, core_style, check_every=check_every)
-            d = time.perf_counter() - t0
-            _release(fresh)
-            return d
+            return time.perf_counter() - t0
 
         def _pair() -> None:
             nonlocal plain, checked, spent, pairs
@@ -615,7 +578,6 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
             t0 = time.perf_counter()
             _cheap_check(fresh)
             samples.append(time.perf_counter() - t0)
-        _release(fresh)
         check_cost = statistics.median(samples)
         n_checks = len(ops) // RES_CHECK_EVERY + 1
         overhead = n_checks * check_cost / plain
@@ -827,7 +789,6 @@ def _paired_backend_ratio(spec: dict, ops, other: str) -> dict:
         d = time.perf_counter() - t0
         if backend not in sigs:
             sigs[backend] = _equiv_signature(engine, core_style)
-        _release(engine)
         best[backend] = min(best.get(backend, d), d)
         return d
 
@@ -900,7 +861,7 @@ def measure_compiled_equivalence(specs: dict, engines=None, *,
     from repro.core import compiled as _compiled
     if not _compiled.HAVE_COMPILED:
         print(f"  skipped: native extension not built "
-              f"(python -m repro.core.compiled.build; {_arena_state()})")
+              f"(python -m repro.core.compiled.build)")
         return None
     rows: dict[str, dict] = {}
     for name in COMPILED_ROWS:
@@ -1066,7 +1027,6 @@ def measure_durability_overhead(specs: dict, engines=None):
                     restored.close()
         finally:
             front.close()
-            _release(front._impl)
             if tmp is not None:
                 shutil.rmtree(tmp, ignore_errors=True)
         best[mode] = min(best.get(mode, d), d)

@@ -13,21 +13,16 @@ engine: seq | par | par-fast | sparsify   (default seq, n=1024, steps=300)
 
 ``par-fast`` profiles the parallel engine with ``audit="fast"`` so the
 shape-keyed kernel bypass shows up in the profile instead of the lockstep
-simulator; like ``sparsify`` it gets an untimed warm-up pass by default
-(recording every kernel shape's ``TracePlan``, then rebuilding on the
-same machine) so the profiled loop is the replay steady state --
-``--cold`` attributes the recording pass instead.  Prints the top functions by the chosen sort key so optimization
-work targets the real bottlenecks (for the sequential engine these are the
-numpy vector pulls and the chunk rescans -- already the
-algorithmically-charged costs).  ``-o FILE`` additionally dumps the raw
-profile for ``snakeviz`` / ``pstats`` post-processing.
-
-For engines that support the PR 3 engine arena (``sparsify``), the default
-run first drives one *untimed* warm-up workload, releases the tree's node
-engines back to the pool, and rebuilds -- the profiled loop then shows the
-pooled steady state (no per-update ``DegreeReducer``/``ChunkSpace``
-construction and zero runtime class creation).  ``--cold`` disables the
-warm-up so cold-path construction costs can still be attributed.
+simulator; it gets an untimed warm-up pass by default (recording every
+kernel shape's ``TracePlan``, then rebuilding on the same machine) so the
+profiled loop is the replay steady state -- ``--cold`` attributes the
+recording pass instead.  The other engines have no warm-up: a
+sparsification tree builds each node engine when it needs one.  Prints
+the top functions by the chosen sort key so optimization work targets
+the real bottlenecks (for the sequential engine these are the numpy
+vector pulls and the chunk rescans -- already the algorithmically-charged
+costs).  ``-o FILE`` additionally dumps the raw profile for ``snakeviz``
+/ ``pstats`` post-processing.
 
 ``--json FILE`` additionally writes a machine-readable attribution record
 (top-N rows by ``cumtime`` and ``tottime`` plus per-module ``tottime``
@@ -242,8 +237,8 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "record (top-N cumtime/tottime rows plus "
                              "per-module totals) to FILE")
     parser.add_argument("--cold", action="store_true",
-                        help="skip the engine-arena warm-up pass and "
-                             "profile the cold build path instead")
+                        help="par-fast: skip the trace-replay warm-up "
+                             "pass and profile the recording pass instead")
     parser.add_argument("--backend", choices=BACKENDS, default="scalar",
                         help="execution backend to profile (compiled "
                              "requires the built native extension)")
@@ -274,20 +269,10 @@ def main(argv=None) -> int:
     except ImportError as exc:  # BackendUnavailable without numpy
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    arena = "cold"
+    start = "cold"
     adversarial = args.engine in ("par", "par-fast")
-    if not args.cold and getattr(eng, "release", None) is not None:
-        # Warm the engine arena: drive the workload once untimed, return the
-        # node engines to the pool, rebuild.  The profiled loop below then
-        # materializes its sparsification nodes from the free-list -- the
-        # pooled steady state PR 3's tentpole targets -- instead of paying
-        # cold DegreeReducer/ChunkSpace construction per node.
-        workload(eng, core_style, args.n, args.steps)
-        eng.release()
-        eng, core_style = build(args.engine, args.n, backend=args.backend)
-        arena = "warm"
-    elif (not args.cold
-          and getattr(getattr(eng, "machine", None), "audit", None) == "fast"):
+    if (not args.cold
+            and getattr(getattr(eng, "machine", None), "audit", None) == "fast"):
         # Warm the replay tier (PR 4 parity with the bench harness): drive
         # the workload once untimed so every kernel shape records its
         # TracePlan, then rebuild on the *same* machine --
@@ -298,7 +283,7 @@ def main(argv=None) -> int:
                  adversarial=adversarial)
         eng, core_style = build(args.engine, args.n, machine=eng.machine,
                                 backend=args.backend)
-        arena = "warm"
+        start = "warm"
     prof = cProfile.Profile()
     prof.enable()
     workload(eng, core_style, args.n, args.steps, adversarial=adversarial)
@@ -306,7 +291,7 @@ def main(argv=None) -> int:
     stats = pstats.Stats(prof)
     stats.sort_stats(args.sort)
     print(f"== {args.engine} engine ({args.backend} backend), n={args.n}, "
-          f"{args.steps} updates ({arena} arena): "
+          f"{args.steps} updates ({start} start): "
           f"top functions by {args.sort} ==")
     stats.print_stats(args.limit)
     if args.output:
@@ -327,7 +312,7 @@ def main(argv=None) -> int:
             "n": args.n,
             "steps": args.steps,
             "workload": "adversarial" if adversarial else "churn",
-            "arena": arena,
+            "arena": start,   # schema v3 key: "warm" = replay warm-up ran
             "time_split": time_split(stats),
             **attribution(stats, args.limit),
         }

@@ -272,8 +272,8 @@ class Coordinator:
             **{s: set() for s in self.shard_map.shards()},
             BOUNDARY: set(), LOOPS: set()}
         # cross-shard tier: full sparsification so dense cross traffic
-        # stays m-decoupled; no arena (engines are never released here)
-        self.boundary = SparsifiedMSF(n, K=K, pool=None)
+        # stays m-decoupled
+        self.boundary = SparsifiedMSF(n, K=K)
         # merge tier: union of <= k+1 disjoint-or-sparse forests, so a
         # flat degree-reduced engine with a 2n bound suffices
         self.merge = DegreeReducer(n, max_edges=2 * n + 16, K=K)

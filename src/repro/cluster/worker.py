@@ -39,10 +39,7 @@ class ShardEngine:
     def __init__(self, lo: int, hi: int, K: Optional[int] = None) -> None:
         self.lo = lo
         self.hi = hi
-        # each worker process owns exactly one tree, so the process-wide
-        # default arena would never see a second acquirer; keep it off to
-        # make worker state a pure function of the replayed ops
-        self.tree = SparsifiedMSF.for_vertex_range(lo, hi, K=K, pool=None)
+        self.tree = SparsifiedMSF.for_vertex_range(lo, hi, K=K)
         self.ops_applied = 0
 
     def apply(self, op: tuple) -> tuple[list[int], list[int]]:

@@ -204,27 +204,6 @@ class ChunkSpace:
         if self.backend == "compiled":
             self.compm = compiled.CompiledMatrix(Jcap)
 
-    def reset(self) -> None:
-        """Restore the space to its just-constructed state **in place**.
-
-        An allocated matrix buffer, ``inf_row`` and the stable
-        ``row_views`` survive (PRAM kernels address cells as
-        ``(row_view, column)``, so identity must be preserved across arena
-        reuse); only the contents and the id free-list are re-initialized.
-        Callers pause accounting around this, mirroring how ``__init__``'s
-        work lands outside any measurement window.
-        """
-        if self.C is not None:
-            self.C.fill(INF_KEY)
-        if self.compm is not None:
-            self.compm.reset()
-        self.chunk_of_id = [None] * self.Jcap
-        self._free_ids = list(range(self.Jcap - 1, -1, -1))
-        self.col_snap.clear()
-        if self._live is not None:
-            for lanes in self._live:
-                lanes.clear()
-
     # -- id management ---------------------------------------------------------
 
     @property

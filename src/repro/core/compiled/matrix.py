@@ -46,12 +46,9 @@ class CompiledMatrix:
     def __init__(self, Jcap: int) -> None:
         self.Jcap = Jcap
         self.buf = bytearray(16 * Jcap * Jcap)
-        self.reset()
+        kernels.fill_keys(self.buf, 0, Jcap * Jcap, _INF, _INF)
 
     # ------------------------------------------------------- maintenance
-
-    def reset(self) -> None:
-        kernels.fill_keys(self.buf, 0, self.Jcap * self.Jcap, _INF, _INF)
 
     def clear_row_col(self, cid: int, lanes=None) -> None:
         if lanes is None:

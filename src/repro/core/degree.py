@@ -24,12 +24,11 @@ Parallel edges are supported (each gets fresh host slots).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator, Optional
 
 from ..analysis.counters import OpCounter
 from ..resilience.errors import UnknownEdgeError
-from .model import Edge, check_endpoints
+from .model import Edge, check_endpoints, check_weight
 from .seq_msf import SparseDynamicMSF
 
 __all__ = ["DegreeReducer"]
@@ -115,22 +114,6 @@ class DegreeReducer:
         # chain core-edges: gadget id -> core Edge to its chain predecessor
         self._chain_edge: dict[int, Edge] = {}
 
-    def reset(self) -> None:
-        """In-place reset for engine-arena reuse (see ``core.sparsify``).
-
-        Delegates the heavy state to :meth:`SparseDynamicMSF.reset`.
-        After this the reducer is bit-identical to a freshly constructed
-        one: same eid stream, same gadget id order, same empty registries.
-        """
-        self._eid = itertools.count(1)
-        self.core.reset()
-        self._next_gadget = self.n
-        self._free_gadgets.clear()
-        self.chains.clear()
-        self.real.clear()
-        self.self_loops.clear()
-        self._chain_edge.clear()
-
     # ------------------------------------------------------------- queries
 
     def connected(self, u: int, v: int) -> bool:
@@ -166,9 +149,7 @@ class DegreeReducer:
         # duplicate ids raising even under `python -O`.  The weight and
         # endpoint checks come first so a rejected op does not even draw
         # an id.
-        if not math.isfinite(w):
-            raise ValueError(f"edge weight must be finite, got {w!r} "
-                             f"(infinite weights are reserved for gadgets)")
+        check_weight(w)
         check_endpoints(u, v, self.n)
         eid = next(self._eid) if eid is None else eid
         if eid <= 0:

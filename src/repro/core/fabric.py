@@ -103,15 +103,6 @@ class Fabric:
         self.fix_chunk = fix_chunk        # type: ignore[method-assign]
         registry.list_of_chunk = list_of_chunk  # type: ignore[method-assign]
 
-    def reset(self) -> None:
-        """In-place reset for arena reuse: matrix cleared, lists dropped.
-
-        The pull closures (and their hoisted scratch buffers) survive, as
-        does the matrix storage itself -- only contents are re-initialized.
-        """
-        self.space.reset()
-        self.registry.reset()
-
     # ------------------------------------------------------------------ lists
 
     def new_singleton_list(self, vertex: Vertex) -> tuple[EulerList, Occurrence]:

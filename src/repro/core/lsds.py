@@ -310,7 +310,7 @@ class ListRegistry:
             self._sweep = self._col_sweep
         # bound once: ``list_of_chunk`` runs a few thousand times per E9
         # update batch and the ``self.space.ops.charge`` attribute chain
-        # was measurable (the OpCounter's identity survives ``reset``)
+        # was measurable
         self._charge = space.ops.charge
         #: Version stamp for the chunk->list cache.  The chunk->list mapping
         #: only changes when a list is created or destroyed (every list
@@ -331,12 +331,6 @@ class ListRegistry:
         self.version += 1
         self.by_root.pop(lst.root, None)
         self.long_lists.discard(lst)
-
-    def reset(self) -> None:
-        """Drop every list, keeping the (hoisted) pull closures alive."""
-        self.by_root.clear()
-        self.long_lists.clear()
-        self.version += 1
 
     def set_root(self, lst: EulerList, root: tt.Node) -> None:
         if lst.root is not root:

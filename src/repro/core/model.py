@@ -19,7 +19,8 @@ import numbers
 from typing import Any, Optional
 
 __all__ = ["Key", "INF_KEY", "Occurrence", "Vertex", "Edge", "SideRec",
-           "adj_add", "adj_remove", "check_endpoints", "MAX_DEGREE"]
+           "adj_add", "adj_remove", "check_endpoints", "check_weight",
+           "MAX_DEGREE"]
 
 Key = tuple  # (weight, edge_id)
 
@@ -42,6 +43,21 @@ def check_endpoints(u: Any, v: Any, n: int) -> None:
                              f"vertex ids in range 0..{n - 1}")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"endpoints ({u}, {v}) out of range 0..{n - 1}")
+
+
+def check_weight(w: Any) -> None:
+    """Reject an edge weight that is not a finite real number.
+
+    Called by every public insert path next to :func:`check_endpoints`,
+    before any conversion, id draw or registry write.  NaN breaks the
+    ``(w, eid)`` total order, infinities are the gadget chains' keys,
+    and ``bool``, ``str``, ``None`` and ``complex`` are not weights
+    (``True`` would silently weigh 1, ``"1.5"`` would pass ``float()``).
+    """
+    if isinstance(w, bool) or not isinstance(w, numbers.Real):
+        raise ValueError(f"edge weight must be a real number, got {w!r}")
+    if not math.isfinite(w):
+        raise ValueError(f"edge weight must be finite, got {w!r}")
 
 
 #: The core engines require the Frederickson degree bound (Section 1.1);

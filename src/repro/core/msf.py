@@ -97,29 +97,15 @@ class DynamicMSF:
         else:
             self._impl = DegreeReducer(n, max_edges, K=K, backend=backend)
 
-    def release(self) -> None:
-        """Retire this structure, returning pooled resources to the arena.
-
-        Sparsified facades hand their tree-node engines back to the
-        :class:`repro.core.sparsify.EnginePool` free-list so the next
-        facade of the same shape materializes nodes allocation-free (and
-        bit-identically -- engines are reset on release).  Non-sparsified
-        facades have nothing pooled; ``release`` is a no-op for them.  The
-        facade must not be used after ``release``.
-        """
-        fn = getattr(self._impl, "release", None)
-        if fn is not None:
-            fn()
-
     def self_check(self, level: str = "cheap") -> list:
         """Tiered structural self-audit; returns a list of findings.
 
         ``level`` is ``"cheap"`` (O(|MSF|) consistency: registries, the
         incremental-vs-recomputed weight pair), ``"structural"`` (every
         per-structure invariant: chunk DLLs, Euler tours, 2-3-tree shapes
-        *and* aggregate recomputation, arena reset completeness) or
-        ``"full"`` (everything, including matrix-C brute force and the
-        Kruskal forest equality).  Empty list = clean; findings are
+        *and* aggregate recomputation) or ``"full"`` (everything,
+        including matrix-C brute force and the Kruskal forest equality).
+        Empty list = clean; findings are
         :class:`repro.resilience.checks.Finding` records.
         """
         from ..resilience import checks

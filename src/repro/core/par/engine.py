@@ -172,22 +172,6 @@ class ParallelDynamicMSF(SparseDynamicMSF):
                       backend) -> Fabric:
         return ParFabric(self.machine, n_max, K, ops=ops, backend=backend)
 
-    def _zero_measurements(self) -> None:
-        """Arena reset: also restore the PRAM measurement state.
-
-        The machine's replay plans survive (they are value-keyed and
-        charge bit-identical stats on hits -- the replay tier's
-        guarantee), but depth/work totals, history, the memory's
-        registrations and the per-update stats return to the
-        just-constructed state.  The base ``reset`` calls this *before*
-        the eager vertex rebuild, so the rebuild's analytic charges land on
-        the zeroed machine exactly as ``__init__``'s did -- a recycled
-        engine measures bit-identically to a fresh one.
-        """
-        self.machine.reset_stats()
-        self.update_stats.clear()
-        self._measuring = False
-
     # ------------------------------------------------------------- updates
 
     @contextmanager

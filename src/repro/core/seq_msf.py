@@ -159,62 +159,6 @@ class SparseDynamicMSF:
                 return CompiledLinkCutForest()
         return LinkCutForest()
 
-    def reset(self) -> None:
-        """Restore the engine to its just-constructed state **in place**.
-
-        The engine arena (``core.sparsify``) recycles retired node engines
-        instead of reconstructing them; ``reset`` must therefore leave the
-        engine *bit-identical* to a fresh build: per-instance eids restart
-        at 1, the change log is empty, and every counter reads exactly what
-        a fresh ``__init__`` would have left behind.  Tear-down runs with
-        accounting paused, counters are zeroed, and then -- for eager
-        engines only -- the vertex pool is rebuilt *with accounting on*,
-        replaying the same construction charges ``__init__`` makes.
-
-        Lazy engines just drop their vertices: the next tenant
-        materializes what it touches, paused, exactly like a fresh engine.
-        (Rebuilding the retired stream's vertices here would only move
-        work: a sparsification tree retires and recycles node engines on
-        its update path, and the next tenant rarely touches the same
-        local vertices.)
-        """
-        machine = self._machine
-        lazy = isinstance(self.vertices, _VertexTable)
-        with self.ops.paused():
-            if machine is not None:
-                with machine.paused():
-                    self._teardown_structures()
-            else:
-                self._teardown_structures()
-        self.ops.reset()
-        self._zero_measurements()
-        if not lazy:
-            # eager rebuild, charged exactly like __init__'s construction
-            self.vertices = []
-            for vid in range(self.n_max):
-                vx = Vertex(vid)
-                vx.lct = self.lct.make_node(label=("v", vid))
-                self.fabric.new_singleton_list(vx)
-                self.vertices.append(vx)
-        self.ops.flush()
-
-    def _teardown_structures(self) -> None:
-        self.fabric.reset()
-        self.lct = self._new_lct()
-        self.edges.clear()
-        self.tree_edges.clear()
-        self.change_log.clear()
-        self._w_finite = 0.0
-        self._w_ninf = 0
-        self._w_pinf = 0
-        self._eid = itertools.count(1)
-        if isinstance(self.vertices, _VertexTable):
-            self.vertices._slots = [None] * self.n_max
-
-    def _zero_measurements(self) -> None:
-        """Hook: the parallel engine also zeroes its PRAM machine here,
-        *before* the eager rebuild re-applies construction charges."""
-
     def _materialize_vertex(self, vid: int) -> Vertex:
         """Build vertex ``vid`` on first touch (``lazy_vertices`` mode).
 

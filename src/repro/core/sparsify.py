@@ -15,8 +15,8 @@ a node applies the child's MSF delta and forwards its *own* net MSF delta
 to its parent.  The MSF at the root is the MSF of the whole graph.  The
 root keeps the local graph in its own dynamic-MSF instance (a
 degree-reduced sparse engine sized ``O(n / 2^level)``); any other node
-builds one only when an update would leave it two edges, and gives it
-back when a batch leaves it with one -- a single edge is its own MSF.
+builds one only when an update would leave it two edges, and drops it
+again when a batch leaves it with one -- a single edge is its own MSF.
 
 Leaves (both ranges singleton) store the parallel edges of one vertex pair
 and contribute the lightest.  Nodes are materialized lazily and retired
@@ -39,27 +39,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from typing import Iterator, Optional, Sequence
 
 from ..resilience import faults as _faults
 from ..resilience.errors import UnknownEdgeError
 from .degree import DegreeReducer
-from .model import check_endpoints
+from .model import check_endpoints, check_weight
 
-__all__ = ["SparsifiedMSF", "EnginePool", "default_pool"]
+__all__ = ["SparsifiedMSF"]
 
 
 def _split(lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
     mid = (lo + hi) // 2
     return (lo, mid), (mid, hi)
-
-
-def _check_weight(w: float) -> None:
-    """Reject a weight before any state changes: NaN breaks the ``(w,
-    eid)`` total order and infinities are reserved for gadget chains."""
-    if not math.isfinite(w):
-        raise ValueError(f"edge weight must be finite, got {w!r}")
 
 
 def _fold(added: set, removed: set, a, r) -> None:
@@ -75,124 +67,6 @@ def _fold(added: set, removed: set, a, r) -> None:
             added.discard(x)
         else:
             removed.add(x)
-
-
-class EnginePool:
-    """Free-list arena of reset node engines, keyed ``(n_local, K, parallel)``.
-
-    Materializing a sparsification-tree node used to construct a full
-    ``DegreeReducer`` (gadget chains, chunk space, LSDS registry) from
-    scratch -- the dominant allocation cost of the E9 churn profile.  The
-    arena instead recycles retired engines: those of a whole tree handed
-    back by :meth:`SparsifiedMSF.release`, and those of single nodes a
-    tree retires or leaves with one edge (the node then keeps that edge
-    engine-free).  A node draws an engine when it first needs two edges.
-    Engines are :meth:`DegreeReducer.reset` *at release time* (with
-    accounting paused and counters re-zeroed), so an acquired engine is
-    bit-identical to a freshly constructed one -- same eid streams, empty
-    change logs, zeroed op counters and PRAM stats.  Pooling is therefore
-    measurement-neutral by construction; the arena-determinism tests
-    assert it op-for-op.
-
-    Every tree with a pool feeds it from its deletes, so
-    :data:`default_pool` is shared by every front in the process, on
-    whatever threads they run: one lock serializes ``acquire``,
-    ``release`` and ``quarantine``.
-    """
-
-    __slots__ = ("_free", "max_per_key", "hits", "misses", "recycled",
-                 "_quarantined", "_lock")
-
-    def __init__(self, max_per_key: int = 512) -> None:
-        # The bound is per (n_local, K, parallel, backend) bucket.  Only
-        # nodes with two or more edges hold engines, so a dense tree over
-        # n vertices can hold up to ~n/2 at its *smallest* n_local, while a
-        # sparse one holds few at the deep levels (743 in all after a
-        # 1,024-edge prefill at n=1024).  A bound much below the dense
-        # count would evict most of a released tree and the next build
-        # would pay cold construction again -- 512 covers the E9 sizes
-        # end-to-end while still bounding a pathological release storm.
-        self._free: dict[tuple, list[DegreeReducer]] = {}
-        self.max_per_key = max_per_key
-        self.hits = 0        # acquisitions served from the free-list
-        self.misses = 0      # acquisitions that had to build fresh
-        self.recycled = 0    # engines accepted back into the free-list
-        #: engines evicted by the recovery ladder: id -> engine.  Strong
-        #: refs on purpose -- a quarantined engine must never be garbage
-        #: collected into an ``id()`` that could later alias a healthy
-        #: engine, and ``release`` refuses quarantined instances so they
-        #: can never re-enter the free-list (the acceptance invariant of
-        #: the resilience layer).
-        self._quarantined: dict[int, DegreeReducer] = {}
-        self._lock = threading.Lock()
-
-    def acquire(self, key: tuple) -> Optional[DegreeReducer]:
-        with self._lock:
-            lst = self._free.get(key)
-            if lst:
-                self.hits += 1
-                return lst.pop()
-            self.misses += 1
-            return None
-
-    def release(self, key: tuple, engine: DegreeReducer) -> bool:
-        with self._lock:
-            if id(engine) in self._quarantined:
-                return False  # quarantined engines never rejoin the free-list
-            lst = self._free.get(key)
-            if lst is None:
-                lst = self._free[key] = []
-            if len(lst) >= self.max_per_key:
-                return False  # bounded: drop overflow engines on the floor
-            engine.reset()
-            if _faults.armed:  # reset-completeness corruption site
-                _faults.fire("arena.reset", engine=engine, key=key)
-            lst.append(engine)
-            self.recycled += 1
-            return True
-
-    def quarantine(self, engine: DegreeReducer) -> None:
-        """Permanently bar ``engine`` from the free-list.
-
-        Called by the recovery ladder on engines found (or suspected)
-        structurally corrupted.  Also evicts the engine if it is currently
-        sitting *in* the free-list (the ``arena.reset`` detection path).
-        """
-        with self._lock:
-            self._quarantined[id(engine)] = engine
-            for lst in self._free.values():
-                for i, cand in enumerate(lst):
-                    if cand is engine:
-                        del lst[i]
-                        break
-
-    @property
-    def quarantined_count(self) -> int:
-        return len(self._quarantined)
-
-    def is_quarantined(self, engine: DegreeReducer) -> bool:
-        return id(engine) in self._quarantined
-
-    def free_engines(self) -> Iterator[tuple[tuple, DegreeReducer]]:
-        """(key, engine) over a snapshot of the free-list (the pool
-        self-audit walks it)."""
-        with self._lock:
-            snapshot = [(key, engine) for key, lst in self._free.items()
-                        for engine in lst]
-        yield from snapshot
-
-    def size(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._free.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._free.clear()
-
-
-#: Process-wide default arena, fed by every pooled tree's retired nodes
-#: and by :meth:`SparsifiedMSF.release`.
-default_pool = EnginePool()
 
 
 def _lightest(edges: dict[int, float]) -> Optional[int]:
@@ -216,14 +90,9 @@ def _apply_held(edges: dict[int, float], ins, dels) -> tuple[list, list]:
             [before] if before is not None else [])
 
 
-def _build_engine(pool_key: tuple,
-                  pool: Optional[EnginePool]) -> DegreeReducer:
-    """A pristine node engine: recycled from ``pool`` when it has one,
-    else built cold (the two are bit-identical by the pool's invariant)."""
-    engine = pool.acquire(pool_key) if pool is not None else None
-    if engine is not None:
-        return engine
-    n_local, K, parallel, backend = pool_key
+def _build_engine(engine_key: tuple) -> DegreeReducer:
+    """A fresh node engine for ``(n_local, K, parallel, backend)``."""
+    n_local, K, parallel, backend = engine_key
     if parallel:
         from .par import ParallelDynamicMSF
         return DegreeReducer(
@@ -260,11 +129,12 @@ class _Node:
     edge, that edge *is* its MSF, so the node keeps it in ``edges`` and
     reports deltas like a leaf (``engine is None``).  An update that
     would leave it two edges builds the engine first (:meth:`apply`);
-    :meth:`SparsifiedMSF._retire_empty` hands it back once a batch
-    leaves the node with one.
+    :meth:`SparsifiedMSF._retire_empty` drops it once a batch leaves
+    the node with one.
     """
 
-    __slots__ = ("level", "arange", "brange", "engine", "edges", "pool_key")
+    __slots__ = ("level", "arange", "brange", "engine", "edges",
+                 "engine_key")
 
     def __init__(self, level: int, arange: tuple[int, int],
                  brange: tuple[int, int], K: Optional[int],
@@ -276,9 +146,7 @@ class _Node:
             n_local = arange[1] - arange[0]
         else:
             n_local = (arange[1] - arange[0]) + (brange[1] - brange[0])
-        # backend participates in the arena key: a recycled scalar engine
-        # must never serve a compiled tree (and vice versa)
-        self.pool_key = (n_local, K, parallel, backend)
+        self.engine_key = (n_local, K, parallel, backend)
         self.engine: Optional[DegreeReducer] = None
         #: eid -> weight of the held edge while engine-free (at most one
         #: between steps: an internal node's local graph is the union of
@@ -331,8 +199,8 @@ class _Node:
         return list(added), list(removed)
 
     def _promote(self, plan: "_PropagationPlan") -> DegreeReducer:
-        """Take an engine and move the held edge into it."""
-        engine = _build_engine(self.pool_key, plan.owner._pool)
+        """Build an engine and move the held edge into it."""
+        engine = _build_engine(self.engine_key)
         local = self._local
         for eid, w in self.edges.items():
             u, v, _w = plan.edge_info(eid)
@@ -423,7 +291,6 @@ class SparsifiedMSF:
 
     def __init__(self, n: int, K: Optional[int] = None, *,
                  parallel: bool = False,
-                 pool: Optional[EnginePool] = default_pool,
                  backend: str = "scalar") -> None:
         if n < 2:  # raised, not asserted: survives `python -O`
             raise ValueError(f"need at least 2 vertices, got n={n}")
@@ -436,9 +303,6 @@ class SparsifiedMSF:
         self.K = K
         self.parallel = parallel
         self.backend = backend
-        #: engine arena; ``None`` disables pooling entirely.  The shared
-        #: default pool is inert until some tree calls :meth:`release`.
-        self._pool = pool
         self.max_level = max(1, math.ceil(math.log2(n)))
         self.nodes: dict[tuple, object] = {}
         #: charged ops, EREW violations and PRAM depth/work of node engines
@@ -510,43 +374,9 @@ class SparsifiedMSF:
                 node = _Node(level, ra, rb, self.K, parallel=self.parallel,
                              backend=self.backend)
                 if level == 0:  # the root always runs an engine
-                    node.engine = _build_engine(node.pool_key, self._pool)
+                    node.engine = _build_engine(node.engine_key)
             self.nodes[key] = node
         return node
-
-    def release(self) -> None:
-        """Retire this tree, returning every node engine to the arena.
-
-        The tree must not be used afterwards.  Engines are reset on their
-        way into the free-list, so the next :class:`SparsifiedMSF` with the
-        same shape materializes nodes allocation-free and bit-identically
-        to a cold build.
-        """
-        pool = self._pool
-        if pool is not None:
-            for node in self.nodes.values():
-                if node.has_engine:
-                    pool.release(node.pool_key, node.engine)
-        self.nodes.clear()
-        self._path_cache.clear()
-
-    def quarantine(self) -> None:
-        """Retire this tree *without* returning any engine to the arena.
-
-        The recovery ladder's alternative to :meth:`release` for trees
-        found structurally corrupted: every materialized node engine is
-        registered as quarantined with the pool (so even an accidental
-        later ``release`` of the same object is refused) and the tree is
-        dismantled.  The tree must not be used afterwards.
-        """
-        pool = self._pool
-        if pool is not None:
-            for node in self.nodes.values():
-                if node.has_engine:
-                    pool.quarantine(node.engine)
-        self.nodes.clear()
-        self._path_cache.clear()
-        self._pool = None
 
     def self_check(self, level: str = "cheap") -> "list":
         """Tiered structural self-audit; returns a list of findings.
@@ -561,7 +391,7 @@ class SparsifiedMSF:
 
     def insert_edge(self, u: int, v: int, w: float,
                     eid: Optional[int] = None) -> int:
-        _check_weight(w)
+        check_weight(w)
         check_endpoints(u, v, self.n)
         eid = next(self._eid) if eid is None else eid
         if u == v:
@@ -597,7 +427,7 @@ class SparsifiedMSF:
         the global MSF so it can forward an O(1) delta to its own merge
         engine.  Self-loops report an empty delta.
         """
-        _check_weight(w)
+        check_weight(w)
         check_endpoints(u, v, self.n)
         eid = next(self._eid) if eid is None else eid
         if u == v:
@@ -624,9 +454,7 @@ class SparsifiedMSF:
 
     @classmethod
     def for_vertex_range(cls, lo: int, hi: int, K: Optional[int] = None, *,
-                         parallel: bool = False,
-                         pool: Optional[EnginePool] = default_pool
-                         ) -> "SparsifiedMSF":
+                         parallel: bool = False) -> "SparsifiedMSF":
         """A shard-scoped tree for the global vertex range ``[lo, hi)``.
 
         The returned tree's local vertex ids are ``u - lo``; callers (the
@@ -637,7 +465,7 @@ class SparsifiedMSF:
         """
         if not (0 <= lo < hi):
             raise ValueError(f"invalid vertex range [{lo}, {hi})")
-        tree = cls(max(2, hi - lo), K=K, parallel=parallel, pool=pool)
+        tree = cls(max(2, hi - lo), K=K, parallel=parallel)
         tree.vertex_base = lo
         tree.vertex_range = (lo, hi)
         return tree
@@ -655,14 +483,12 @@ class SparsifiedMSF:
         """Shed what the plans left unneeded (never at the root).
 
         A node left without edges is retired; a non-root engine node
-        left with one edge copies it out and returns its engine, keeping
+        left with one edge copies it out and drops its engine, keeping
         the node engine-free.  Runs after all of ``plans`` have run,
-        walking each plan's stations leaf first in plan order; plans run
-        in submission order, so which engines go -- and hence which
-        engines later nodes draw from the pool -- is a function of the
-        op stream alone.  A walk stops at the first engine node that keeps
-        two or more edges: those are on distinct vertex pairs, so its MSF
-        has two edges and every ancestor holds at least two as well.
+        walking each plan's stations leaf first in plan order.  A walk
+        stops at the first engine node that keeps two or more edges:
+        those are on distinct vertex pairs, so its MSF has two edges and
+        every ancestor holds at least two as well.
         """
         nodes = self.nodes
         root = self.root
@@ -677,18 +503,17 @@ class SparsifiedMSF:
                 if engine is not None:
                     if engine.edge_count() >= 2:
                         break
-                    # read before the release: the pool resets the engine
-                    held = {eid: rec[2] for eid, rec in engine.real.items()}
                     self._retire_engine(node)
-                    node.engine = None
-                    node.edges.update(held)
                 if not node.edges:
                     del nodes[key]
 
     def _retire_engine(self, node: "_Node") -> None:
-        """Fold ``node``'s accounting into :attr:`retired`, then hand its
-        engine to the pool (which resets it) or drop it."""
-        core = node.engine.core
+        """Fold ``node``'s accounting into :attr:`retired`, keep its edge
+        (if any) engine-free, and drop the engine."""
+        engine = node.engine
+        node.edges.update((eid, rec[2]) for eid, rec in engine.real.items())
+        node.engine = None
+        core = engine.core
         retired = self.retired
         retired["ops"] += core.ops.grand_total()
         machine = getattr(core, "machine", None)
@@ -697,8 +522,6 @@ class SparsifiedMSF:
             retired["violations"] += total.violations
             retired["depth"] += total.depth
             retired["work"] += total.work
-        if self._pool is not None:
-            self._pool.release(node.pool_key, node.engine)
 
     def _fold_root_delta(self, plan: _PropagationPlan) -> None:
         """Fold one plan's root MSF delta into the incremental weight."""
@@ -731,10 +554,7 @@ class SparsifiedMSF:
         fork-join composition (per-level depths add within a level, the
         max is taken across levels).
         """
-        for op in ops:  # all-or-nothing: reject before any state changes
-            if op[0] == "ins":
-                _check_weight(op[4])
-                check_endpoints(op[2], op[3], self.n)
+        self._reject_bad_ops(ops)
         removed_info: dict[int, tuple[int, int, float]] = {}
         plans: list[_PropagationPlan] = []
         for op in ops:
@@ -743,8 +563,6 @@ class SparsifiedMSF:
                 if u == v:
                     self.self_loops[eid] = (u, w)
                     continue
-                if eid in self.edges:
-                    raise ValueError(f"duplicate edge id {eid}")
                 self.edges[eid] = (u, v, w)
                 plans.append(_PropagationPlan(
                     self, u, v, [(eid, u, v, w)], [], removed_info))
@@ -753,10 +571,7 @@ class SparsifiedMSF:
                 if eid in self.self_loops:
                     del self.self_loops[eid]
                     continue
-                info = self.edges.pop(eid, None)
-                if info is None:
-                    raise UnknownEdgeError(eid)
-                u, v, w = info
+                u, v, w = self.edges.pop(eid)
                 removed_info[eid] = (u, v, w)
                 plans.append(_PropagationPlan(
                     self, u, v, [], [eid], removed_info))
@@ -778,6 +593,33 @@ class SparsifiedMSF:
         self._retire_empty(plans)
         return {"ops": len(ops), "plans": len(plans),
                 "stations": sum(len(p.levels) for p in plans)}
+
+    def _reject_bad_ops(self, ops) -> None:
+        """Raise on the first op the apply loop could not take, before
+        any state changes: a bad weight or endpoint, a duplicate edge id
+        or an unknown delete, judged against the registry as the ops
+        before it in the batch leave it."""
+        real: dict[int, bool] = {}    # eid -> live, for eids the batch touched
+        loops: dict[int, bool] = {}
+        for op in ops:
+            if op[0] == "ins":
+                _t, eid, u, v, w = op
+                check_weight(w)
+                check_endpoints(u, v, self.n)
+                if u == v:
+                    loops[eid] = True
+                elif real.get(eid, eid in self.edges):
+                    raise ValueError(f"duplicate edge id {eid}")
+                else:
+                    real[eid] = True
+                continue
+            eid = op[1]
+            if loops.get(eid, eid in self.self_loops):
+                loops[eid] = False
+            elif real.get(eid, eid in self.edges):
+                real[eid] = False
+            else:
+                raise UnknownEdgeError(eid)
 
     @staticmethod
     def _node_ops(node) -> int:

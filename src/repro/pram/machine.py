@@ -554,20 +554,20 @@ class Machine:
             cm = self._paused_cm = _PausedMachine(self)
         return cm
 
-    # -- arena support --------------------------------------------------------
+    # -- warm reuse -----------------------------------------------------------
 
     def reset_stats(self) -> None:
         """Return the machine to its post-construction accounting state.
 
-        Pooled node engines (``repro.core.sparsify`` arena) reuse one
-        machine across engine lifetimes; this clears everything a fresh
-        machine would start without -- totals, history, and the memory's
-        registrations and scratch registers (:meth:`Mem.clear`, the same
-        call that closes every engine update) -- while *keeping* the
-        audit="fast" plan cache (``_shaped``): plans are keyed by value
-        shapes, never by host objects, and the replay tier's guarantee is
-        exactly that a hit charges bit-identical stats to a fully
-        simulated launch.
+        Benchmarks that rebuild an engine on a used machine (to measure
+        the warm replay tier) call this first.  It clears everything a
+        fresh machine would start without -- totals, history, and the
+        memory's registrations and scratch registers (:meth:`Mem.clear`,
+        the same call that closes every engine update) -- while *keeping*
+        the audit="fast" plan cache (``_shaped``): plans are keyed by
+        value shapes, never by host objects, and the replay tier's
+        guarantee is exactly that a hit charges bit-identical stats to a
+        fully simulated launch.
         """
         self.mem.clear()
         self.total = KernelStats(label="total")

@@ -145,8 +145,8 @@ class Mem:
         """Drop registrations and scratch registers (the update scope).
 
         Also forgets interned cells, so a cleared memory is exactly a
-        fresh one -- the arena reset and the per-update scope are one
-        mechanism.
+        fresh one -- ``Machine.reset_stats`` and the per-update scope are
+        one mechanism.
         """
         self._seqs.clear()
         self._regs.clear()

@@ -4,17 +4,15 @@ Three cooperating pieces (see README "Resilience"):
 
 * :mod:`repro.resilience.faults` -- a seeded, deterministic fault-injection
   registry threaded through the PRAM machine, the replay caches, the
-  2-3-tree substrate, the engine arena, the sparsification tree and the
-  serving layer.  Zero cost while disarmed.
+  2-3-tree substrate, the sparsification tree and the serving layer.  Zero cost while disarmed.
 * :mod:`repro.resilience.checks` -- tiered invariant checkers
   (``cheap`` / ``structural`` / ``full``) surfaced as ``self_check()`` on
   :class:`repro.DynamicMSF` / :class:`repro.SparsifiedMSF` /
   :class:`repro.BatchedMSF`.
 * :mod:`repro.resilience.recover` -- the quarantine-and-rebuild ladder:
   evict-and-re-record for poisoned replay caches, audit-degrade for
-  machines, quarantine (never back to the free-list) plus
-  rebuild-from-edge-multiset for structurally corrupted engines, and
-  batch bisection for the serving layer.
+  machines, drop-and-rebuild-from-edge-multiset for structurally
+  corrupted engines, and batch bisection for the serving layer.
 * :mod:`repro.resilience.soak` -- the seeded soak campaign driving all of
   the above against the Kruskal oracle (``benchmarks/bench_soak.py``).
 

@@ -12,7 +12,7 @@ Every public entry point returns a list of :class:`Finding` records
     every per-structure invariant: chunk DLL contiguity, Euler-tour
     validity, 2-3-tree shape *and* aggregate recomputation, LSDS
     aggregates, replay-plan fingerprint revalidation, interned-memory
-    table consistency, engine-arena reset completeness.
+    table consistency.
 ``"full"``
     everything, plus the brute-force matrix-``C`` recomputation and the
     Kruskal forest-equality oracle (the strongest, slowest verdict).
@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 
 __all__ = [
     "Finding", "check_engine", "check_tree", "check_reducer",
-    "check_machine", "check_pool", "check_batched", "check_cluster",
+    "check_machine", "check_batched", "check_cluster",
     "check_core", "check_durability", "state_fingerprint",
 ]
 
@@ -43,7 +43,7 @@ _MASK21 = (1 << 21) - 1
 class Finding:
     """One detected invariant violation."""
 
-    component: str   # "machine" | "reducer" | "tree" | "pool" | "serve"
+    component: str   # "machine" | "reducer" | "tree" | "serve"
     message: str
     level: str       # the tier that caught it
 
@@ -251,68 +251,6 @@ def _weights_agree(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-6)
 
 
-# ------------------------------------------------------------------ pool
-
-
-def check_pool(pool, level: str = "cheap") -> list[Finding]:
-    """Checks for an :class:`~repro.core.sparsify.EnginePool` arena.
-
-    Cheap: no quarantined engine sits in the free-list.  Structural and
-    up: every free-listed engine is *pristine* -- reset really completed
-    (empty registries, no gadget id issued, no chains, zero weight,
-    empty change log), which is the invariant ``acquire`` relies on.
-    """
-    rank = _rank(level)
-    out: list[Finding] = []
-
-    def no_quarantined() -> None:
-        for key, engine in pool.free_engines():
-            if pool.is_quarantined(engine):
-                out.append(Finding(
-                    "pool", f"quarantined engine in free-list under "
-                    f"{key!r}", "cheap"))
-
-    _guard(out, "pool", "cheap", no_quarantined)
-    if rank < 1:
-        return out
-
-    def pristine() -> None:
-        for key, engine in pool.free_engines():
-            problems = _reset_problems(engine)
-            for msg in problems:
-                out.append(Finding(
-                    "pool", f"free-listed engine under {key!r} not "
-                    f"pristine: {msg}", level))
-
-    _guard(out, "pool", level, pristine)
-    return out
-
-
-def _reset_problems(engine) -> list[str]:
-    """Why ``engine`` is not bit-identical to a freshly built reducer."""
-    msgs: list[str] = []
-    if engine.real:
-        msgs.append(f"{len(engine.real)} stale real edges")
-    if engine.self_loops:
-        msgs.append(f"{len(engine.self_loops)} stale self-loops")
-    if engine._chain_edge:
-        msgs.append(f"{len(engine._chain_edge)} stale chain edges")
-    if engine._next_gadget != engine.n or engine._free_gadgets:
-        msgs.append(f"gadget ids issued up to {engine._next_gadget} with "
-                    f"{len(engine._free_gadgets)} returned, expected none")
-    if engine.chains:
-        msgs.append(f"{len(engine.chains)} chains not reset")
-    core = engine.core
-    if getattr(core, "change_log", None):
-        msgs.append(f"core change log holds {len(core.change_log)} entries")
-    if getattr(core, "edges", None):
-        msgs.append(f"core still registers {len(core.edges)} edges")
-    w = core.msf_weight()
-    if w != 0.0:
-        msgs.append(f"core incremental weight {w!r} != 0.0")
-    return msgs
-
-
 # ------------------------------------------------------------------ tree
 
 
@@ -321,9 +259,9 @@ def check_tree(tree, level: str = "cheap") -> list[Finding]:
 
     Cheap: the delta-maintained ``msf_weight`` against a full
     recomputation, and the root MSF ids against the edge registry.
-    Structural: recurse into every materialized node engine (and the
-    engine arena, when pooling is on), and check that a non-root node
-    runs an engine exactly when it holds two or more edges.  Full:
+    Structural: recurse into every materialized node engine, and check
+    that a non-root node runs an engine exactly when it holds two or
+    more edges.  Full:
     additionally the Kruskal oracle over the *global* edge set against
     the root forest.
     """
@@ -363,8 +301,6 @@ def check_tree(tree, level: str = "cheap") -> list[Finding]:
                 out.append(Finding(
                     "tree", f"node {key!r}: {len(node.edges)} edges held "
                     f"without an engine", level))
-        if tree._pool is not None:
-            out.extend(check_pool(tree._pool, level))
     if rank >= 2:
         def forest() -> None:
             from ..reference.oracle import kruskal

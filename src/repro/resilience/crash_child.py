@@ -55,8 +55,7 @@ def main(argv=None) -> int:
     else:
         ops = restart_heavy_ops(cfg["seed"], cfg["n"], cfg["n_ops"],
                                 burst=cfg.get("burst", 24),
-                                churn=cfg.get("churn", 16),
-                                recycle_every=0)
+                                churn=cfg.get("churn", 16))
     eid_of: dict[int, int] = {}
     next_eid = 1
     for i, op in enumerate(ops):

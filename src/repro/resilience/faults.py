@@ -13,8 +13,6 @@ site                      corrupts
 ``pram.plan``             a cached :class:`~repro.pram.machine.TracePlan`
                           (work/depth/n_effects skew)
 ``tt.agg``                a 2-3-tree internal aggregate after a refresh
-``arena.reset``           an engine-pool ``reset()`` post-state (a field the
-                          reset discipline must have restored)
 ``serve.batch``           a coalesced batch op stream (drop / duplicate one)
 ``sparsify.weight``       the sparsification tree's incremental MSF weight
 ``cluster.worker``        a sharded-cluster worker process (SIGKILL mid-batch)
@@ -147,32 +145,6 @@ def _corrupt_tt_agg(param: int, ctx: dict) -> Optional[dict]:
         return None
 
 
-def _corrupt_arena_reset(param: int, ctx: dict) -> Optional[dict]:
-    """Violate the reset-at-release invariant on a pooled engine."""
-    engine = ctx.get("engine")
-    if engine is None:
-        return None
-    variant = param % 3
-    if variant == 0:
-        loops = getattr(engine, "self_loops", None)
-        if loops is not None:
-            loops[2 ** 30 + param] = (0, 0.0)
-            return {"detail": "stray self_loops entry left after reset"}
-    if variant == 1 and hasattr(engine, "_next_gadget"):
-        gone = engine._next_gadget
-        engine._next_gadget += 1
-        return {"detail": f"gadget id {gone} leaked"}
-    core = getattr(engine, "core", None)
-    if core is not None and hasattr(core, "_w_finite"):
-        core._w_finite += 1.0
-        return {"detail": "core incremental weight not re-zeroed"}
-    loops = getattr(engine, "self_loops", None)
-    if loops is not None:
-        loops[2 ** 30 + param] = (0, 0.0)
-        return {"detail": "stray self_loops entry left after reset"}
-    return None
-
-
 def _corrupt_serve_batch(param: int, ctx: dict) -> Optional[dict]:
     """Drop or duplicate one op of a coalesced batch stream."""
     ops = ctx.get("ops")
@@ -298,9 +270,6 @@ SITES: dict[str, tuple[str, Callable[[int, dict], Optional[dict]]]] = {
     "tt.agg": (
         "tamper a 2-3-tree internal aggregate after a refresh",
         _corrupt_tt_agg),
-    "arena.reset": (
-        "leave a field unreset on an engine entering the arena free-list",
-        _corrupt_arena_reset),
     "serve.batch": (
         "drop or duplicate one op of a coalesced serving batch",
         _corrupt_serve_batch),

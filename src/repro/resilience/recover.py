@@ -11,19 +11,16 @@ differentially verifies the result.  The ladder, in escalation order:
    :class:`~repro.pram.machine.TracePlan` (forcing clean re-records) and
    optionally steps its audit level down one rung (``fast`` -> ``count``
    -> ``strict``), simulating every launch instead of trusting plans.
-2. **arena sweep** (:func:`recover_pool`) -- free-listed engines that
-   fail the reset-completeness audit are quarantined; quarantined
-   engines are held by strong reference and ``release`` refuses them,
-   so they can never re-enter the free-list.
-3. **backend rebuild** (:func:`rebuild_backend`) -- a serving front's
-   poisoned engine is quarantined wholesale (every pooled node engine
-   included) and rebuilt from the front's authoritative edge registry,
-   then verified; bounded retries, then :class:`QuarantineExhausted`.
-4. **batch bisection** (:func:`recover_batch`) -- a batch that failed
+2. **backend rebuild** (:func:`rebuild_backend`) -- a serving front's
+   poisoned engine is dropped wholesale (every node engine included;
+   nothing it owns is reused) and rebuilt from the front's
+   authoritative edge registry, then verified; bounded retries, then
+   :class:`QuarantineExhausted`.
+3. **batch bisection** (:func:`recover_batch`) -- a batch that failed
    mid-apply is re-run on a rebuilt backend with binary splitting; ops
    that fail in a singleton segment are *rejected* (reported to the
    caller) while every healthy op commits.
-5. **durable-artifact rebuild** (:func:`repair_wal`) -- a damaged
+4. **durable-artifact rebuild** (:func:`repair_wal`) -- a damaged
    write-ahead log or snapshot set is replaced wholesale: a fresh
    snapshot of the live front's authoritative registry anchors the
    directory at the current epoch, the suspect log is pruned through
@@ -43,8 +40,8 @@ from collections import deque
 from . import checks
 from .errors import QuarantineExhausted
 
-__all__ = ["recover_machine", "recover_pool", "rebuild_backend",
-           "recover_batch", "repair_wal"]
+__all__ = ["recover_machine", "rebuild_backend", "recover_batch",
+           "repair_wal"]
 
 #: audit degrade ladder: each level maps to the next-more-verified one
 _DEGRADE = {"fast": "count", "count": "strict", "strict": "strict"}
@@ -69,34 +66,7 @@ def recover_machine(machine, *, degrade: bool = True) -> dict:
     return {"dropped": dropped, "audit": {"before": before, "after": after}}
 
 
-# ---------------------------------------------------------------- arena
-
-def recover_pool(pool) -> dict:
-    """Sweep an engine arena, quarantining non-pristine free engines.
-
-    Uses the same reset-completeness predicate as the ``"structural"``
-    pool check; every offender is removed from the free-list *and*
-    registered as quarantined (``release`` will refuse it forever).
-    """
-    offenders = []
-    for key, engine in list(pool.free_engines()):
-        problems = checks._reset_problems(engine)
-        if problems:
-            pool.quarantine(engine)
-            offenders.append({"key": repr(key), "problems": problems})
-    return {"quarantined": len(offenders), "offenders": offenders}
-
-
 # -------------------------------------------------------------- backends
-
-def _quarantine_impl(impl) -> None:
-    """Retire a suspect backend without recycling anything it owns."""
-    fn = getattr(impl, "quarantine", None)
-    if fn is not None:
-        fn()  # SparsifiedMSF: every node engine -> pool quarantine
-    # DegreeReducer backends own nothing pooled; dropping the reference
-    # suffices (nothing must be returned to any arena)
-
 
 def _build_from_registry(front, edges: dict, committed) -> object:
     """A fresh backend holding ``edges`` plus the ``committed`` op replay.
@@ -125,16 +95,13 @@ def rebuild_backend(front, *, max_attempts: int = 3,
 
     Verifies each rebuild with :func:`repro.resilience.checks.check_engine`
     at ``level`` plus the edge-count cross-check; a rebuild that still
-    shows findings is itself quarantined and retried (a fresh build pulls
-    different -- or no -- pooled engines each time, since quarantine
-    evicts the ones it used).  Raises :class:`QuarantineExhausted` after
-    ``max_attempts`` dirty rebuilds.
+    shows findings is itself dropped and retried.  Raises
+    :class:`QuarantineExhausted` after ``max_attempts`` dirty rebuilds.
     """
     attempts = 0
     last_findings: list = []
     while attempts < max_attempts:
         attempts += 1
-        _quarantine_impl(front._impl)
         front._impl = _build_from_registry(front, front._edges, ())
         front._snapshot = None
         last_findings = checks.check_engine(front._impl, level)
@@ -252,7 +219,6 @@ def recover_batch(front, batch, exc: BaseException, *,
     while segments:
         seg = segments.popleft()
         if dirty:
-            _quarantine_impl(front._impl)
             front._impl = _build_from_registry(front, pre_edges, committed)
             dirty = False
         try:
@@ -272,7 +238,6 @@ def recover_batch(front, batch, exc: BaseException, *,
     while True:
         attempts += 1
         if dirty:
-            _quarantine_impl(front._impl)
             front._impl = _build_from_registry(front, pre_edges, committed)
             dirty = False
         front._snapshot = None

@@ -47,11 +47,10 @@ __all__ = ["SITES_BY_CONFIG", "DURABLE_SITES", "generate_ops",
 #: injection sites reachable per engine configuration (scheduling a fault
 #: on an unreachable site would just report "unreached")
 SITES_BY_CONFIG = {
-    ("sequential", True): ["tt.agg", "arena.reset", "serve.batch",
-                           "sparsify.weight"],
+    ("sequential", True): ["tt.agg", "serve.batch", "sparsify.weight"],
     ("sequential", False): ["tt.agg", "serve.batch"],
-    ("parallel", True): ["pram.cell", "pram.plan", "tt.agg", "arena.reset",
-                         "serve.batch", "sparsify.weight"],
+    ("parallel", True): ["pram.cell", "pram.plan", "tt.agg", "serve.batch",
+                         "sparsify.weight"],
     ("parallel", False): ["pram.cell", "pram.plan", "tt.agg",
                           "serve.batch"],
 }
@@ -62,8 +61,7 @@ DURABLE_SITES = ["wal.append", "wal.fsync", "snapshot.write"]
 
 # ---------------------------------------------------------------- stream
 
-def generate_ops(seed: int, n: int, n_ops: int, *,
-                 recycle_every: int = 25) -> list[tuple]:
+def generate_ops(seed: int, n: int, n_ops: int) -> list[tuple]:
     """The deterministic op stream both the faulted run and its clean
     twin replay.  Edge ids are predicted (the front assigns them from a
     per-instance counter, so prediction is exact)."""
@@ -71,10 +69,7 @@ def generate_ops(seed: int, n: int, n_ops: int, *,
     ops: list[tuple] = []
     next_eid = 1
     live: list[int] = []
-    for i in range(n_ops):
-        if recycle_every and i and i % recycle_every == 0:
-            ops.append(("recycle",))
-            continue
+    for _ in range(n_ops):
         r = rng.random()
         if r < 0.48 or not live:
             u = rng.randrange(n)
@@ -94,11 +89,9 @@ def generate_ops(seed: int, n: int, n_ops: int, *,
 
 
 def worker_mix_ops(seed: int, n: int, n_ops: int, *, shards: int = 4,
-                   cross_fraction: float = 0.05,
-                   recycle_every: int = 25) -> list[tuple]:
+                   cross_fraction: float = 0.05) -> list[tuple]:
     """The sharded serving workload (:func:`repro.workloads.worker_mix`)
-    translated into the campaign op vocabulary with predicted edge ids,
-    plus the usual arena-recycle interleaves.
+    translated into the campaign op vocabulary with predicted edge ids.
 
     Deletions in the source stream reference the *op index* of the
     insert; the front assigns eids from a per-instance counter, so the
@@ -113,8 +106,6 @@ def worker_mix_ops(seed: int, n: int, n_ops: int, *, shards: int = 4,
                         cross_fraction=cross_fraction,
                         seed=seed ^ 0x5F5E1)
     for idx, op in enumerate(stream):
-        if recycle_every and out and len(out) % recycle_every == 0:
-            out.append(("recycle",))
         if op[0] == "ins":
             out.append(op)
             eid_of[idx] = next_eid
@@ -129,12 +120,11 @@ def worker_mix_ops(seed: int, n: int, n_ops: int, *, shards: int = 4,
 
 
 def restart_heavy_ops(seed: int, n: int, n_ops: int, *, burst: int = 24,
-                      churn: int = 16, recycle_every: int = 25) -> list[tuple]:
+                      churn: int = 16) -> list[tuple]:
     """The durability-stressing workload (:func:`repro.workloads.
     restart_heavy`) translated into the campaign op vocabulary with
     predicted edge ids -- the same prediction contract as
-    :func:`worker_mix_ops`.  ``recycle_every=0`` disables the arena
-    recycles (the crash-restart child wants a pure serving stream)."""
+    :func:`worker_mix_ops`."""
     from ..workloads import restart_heavy
     out: list[tuple] = []
     next_eid = 1
@@ -142,8 +132,6 @@ def restart_heavy_ops(seed: int, n: int, n_ops: int, *, burst: int = 24,
     stream = restart_heavy(n, n_ops, burst=burst, churn=churn,
                            seed=seed ^ 0x5F5E1)
     for idx, op in enumerate(stream):
-        if recycle_every and out and len(out) % recycle_every == 0:
-            out.append(("recycle",))
         if op[0] == "ins":
             out.append(op)
             eid_of[idx] = next_eid
@@ -155,17 +143,6 @@ def restart_heavy_ops(seed: int, n: int, n_ops: int, *, burst: int = 24,
         else:  # ("weight",)
             out.append(("w",))
     return out
-
-
-def _recycle(n: int, engine: str) -> None:
-    """Build, touch and release a throwaway tree -- drives engines through
-    the arena so the ``arena.reset`` site accumulates visits."""
-    from ..core.msf import DynamicMSF
-    t = DynamicMSF(max(4, n // 8), engine=engine, sparsify=True)
-    t.insert_edge(0, 1, 1.0)
-    t.insert_edge(1, 2, 2.0)
-    t.insert_edge(0, 2, 3.0)
-    t.release()
 
 
 # ------------------------------------------------------------- recovery
@@ -208,20 +185,16 @@ def _charged_work(impl) -> int:
 
 def _recover_from_findings(front, findings) -> list[str]:
     """Route findings to the cheapest applicable rung of the ladder."""
-    from ..core.sparsify import default_pool
     rungs: list[str] = []
     components = {f.component for f in findings}
     if "machine" in components:
         for machine in _machines(front._impl):
             recover.recover_machine(machine, degrade=False)
         rungs.append("machine-cache-purge")
-    if "pool" in components:
-        recover.recover_pool(default_pool)
-        rungs.append("pool-sweep")
     if "durability" in components:
         recover.repair_wal(front)
         rungs.append("wal-repair")
-    if components - {"machine", "pool", "durability"}:
+    if components - {"machine", "durability"}:
         recover.rebuild_backend(front, level="cheap")
         rungs.append("backend-rebuild")
     return rungs
@@ -349,8 +322,6 @@ def run_campaign(seed: int, *, engine: str = "sequential",
                         if not checks._weights_agree(
                                 front.msf_weight(), oracle.msf_weight()):
                             wrong_answers += 1
-                else:  # recycle
-                    _recycle(n, engine)
             except WALCorruptionError as exc:
                 # structured durable-log failure (e.g. a lost tail caught
                 # by the next append's contiguity check): rung 5.  The
@@ -379,10 +350,6 @@ def run_campaign(seed: int, *, engine: str = "sequential",
                 level = ("structural"
                          if (i + 1) % (4 * check_every) == 0 else "cheap")
                 findings = front.self_check(level)
-                if level == "structural":
-                    from ..core.sparsify import default_pool
-                    findings = findings + checks.check_pool(
-                        default_pool, "structural")
                 if findings:
                     rungs = _recover_from_findings(front, findings)
                     note_recovery("check", i,
@@ -551,8 +518,7 @@ def run_crash_campaign(seed: int, *, engine: str = "sequential",
     env = dict(os.environ)
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    ops = restart_heavy_ops(seed, n, n_ops, burst=burst, churn=churn,
-                            recycle_every=0)
+    ops = restart_heavy_ops(seed, n, n_ops, burst=burst, churn=churn)
     base_cfg = {"dir": directory, "seed": seed, "n": n, "n_ops": n_ops,
                 "engine": engine, "sparsify": sparsify, "backend": backend,
                 "batch_size": batch_size, "snapshot_every": snapshot_every,

@@ -24,8 +24,8 @@ from typing import Iterator, Optional
 
 from ..core.chunks import check_backend
 from ..core.degree import DegreeReducer
-from ..core.model import check_endpoints
-from ..core.sparsify import SparsifiedMSF, _check_weight
+from ..core.model import check_endpoints, check_weight
+from ..core.sparsify import SparsifiedMSF
 from ..resilience import faults as _faults
 from ..resilience.errors import CorruptionError, UnknownEdgeError
 from .batch import CoalescedBatch, coalesce
@@ -184,9 +184,9 @@ class BatchedMSF:
         """Buffer an edge insertion; returns its id immediately."""
         # raised (not asserted): boundary validation is what keeps bad ops
         # out of the batch, so it must survive `python -O`
+        check_weight(weight)
         check_endpoints(u, v, self.n)
         w = float(weight)
-        _check_weight(w)
         eid = self._next_eid
         self._next_eid += 1
         self._pending.append(("ins", eid, u, v, w))

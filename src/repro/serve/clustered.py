@@ -33,8 +33,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..cluster.coordinator import Coordinator
-from ..core.model import check_endpoints
-from ..core.sparsify import _check_weight
+from ..core.model import check_endpoints, check_weight
 from ..resilience.errors import UnknownEdgeError
 from .batch import CoalescedBatch, coalesce
 from .snapshot import ConnectivitySnapshot
@@ -135,9 +134,9 @@ class ClusterMSF:
 
     def insert_edge(self, u: int, v: int, weight: float) -> int:
         """Buffer an edge insertion; returns its id immediately."""
+        check_weight(weight)
         check_endpoints(u, v, self.n)
         w = float(weight)
-        _check_weight(w)
         eid = self._next_eid
         self._next_eid += 1
         self._pending.append(("ins", eid, u, v, w))

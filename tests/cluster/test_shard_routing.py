@@ -45,8 +45,8 @@ def test_shard_map_validates():
 
 def test_for_vertex_range_translates_and_matches_global():
     # a shard tree over [4, 8) must behave like a fresh 4-vertex tree
-    shard = SparsifiedMSF.for_vertex_range(4, 8, pool=None)
-    plain = SparsifiedMSF(4, pool=None)
+    shard = SparsifiedMSF.for_vertex_range(4, 8)
+    plain = SparsifiedMSF(4)
     edges = [(0, 1, 5.0), (1, 2, 3.0), (2, 3, 4.0), (0, 3, 1.0)]
     for i, (u, v, w) in enumerate(edges, start=1):
         a1, r1 = shard.insert_reported(u, v, w, eid=i)
@@ -61,14 +61,14 @@ def test_for_vertex_range_translates_and_matches_global():
 
 
 def test_for_vertex_range_pads_single_vertex_range():
-    t = SparsifiedMSF.for_vertex_range(5, 6, pool=None)
+    t = SparsifiedMSF.for_vertex_range(5, 6)
     assert t.n == 2              # padded to the engine floor
     t.insert_edge(0, 0, 1.0, eid=1)   # the only legal local edge: a loop
     assert t.msf_ids() == set()
 
 
 def test_reported_deltas_on_plain_tree():
-    t = SparsifiedMSF(4, pool=None)
+    t = SparsifiedMSF(4)
     assert t.insert_reported(0, 1, 1.0, eid=1) == ([1], [])
     assert t.insert_reported(1, 2, 2.0, eid=2) == ([2], [])
     # a cycle-closing heavier edge changes nothing

@@ -111,7 +111,6 @@ def test_facade_fuzz_bit_identity(backend: str, workload: str,
         eng = DynamicMSF(n, sparsify=True, backend=bk)
         outs.append(_facade_out(eng, drive(eng, ops)))
         assert eng.self_check("structural") == []
-        eng.release()
     assert outs[0] == outs[1]
 
 

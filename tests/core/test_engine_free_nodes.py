@@ -4,7 +4,7 @@ A non-root node of the sparsification tree runs a dynamic-MSF engine
 only while it holds two or more edges; with one edge it keeps that edge
 like a leaf.  These tests pin the invariant, the forest under churn that
 moves nodes back and forth across it, the (add e, remove f) swap that
-must not build an engine, and pool neutrality of both moves.
+must not build an engine, and schedule neutrality of both moves.
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro import BatchedMSF
-from repro.core.sparsify import EnginePool, SparsifiedMSF, _build_engine, _Leaf
+from repro.core.sparsify import SparsifiedMSF, _build_engine, _Leaf
 from repro.reference.oracle import kruskal
 from repro.resilience.checks import check_tree, state_fingerprint
 from repro.serve.executor import LevelExecutor
@@ -42,7 +42,7 @@ def _assert_forest(tree: SparsifiedMSF) -> None:
 def test_engine_exactly_at_root_or_two_edges_after_prefill(batched):
     n = 64
     rng = random.Random(11)
-    tree = SparsifiedMSF(n, pool=EnginePool())
+    tree = SparsifiedMSF(n)
     ops = []
     for eid in range(1, 161):
         u, v = rng.sample(range(n), 2)
@@ -70,8 +70,7 @@ def test_churn_across_one_and_two_edges_matches_kruskal(pool_size):
     Batches go through the executor of a front of ``pool_size``."""
     n = 12
     rng = random.Random(5)
-    pool = EnginePool()
-    tree = SparsifiedMSF(n, pool=pool)
+    tree = SparsifiedMSF(n)
     executor = BatchedMSF(n, pool_size=pool_size).executor
     live: list[int] = []
     eid = 0
@@ -93,21 +92,17 @@ def test_churn_across_one_and_two_edges_matches_kruskal(pool_size):
             if node is not tree.root and not isinstance(node, _Leaf):
                 engine_states.setdefault(key, set()).add(node.has_engine)
     assert any(states == {True, False} for states in engine_states.values())
-    assert pool.recycled > 0 and pool.hits > 0
     assert check_tree(tree, "full") == []
 
 
 def test_swap_at_a_one_edge_node_builds_no_engine():
     """A lighter parallel edge replaces the leaf's best: every node above
     sees (add e, remove f) in one step and stays engine-free."""
-    pool = EnginePool()
-    tree = SparsifiedMSF(16, pool=pool)
+    tree = SparsifiedMSF(16)
     f = tree.insert_edge(3, 12, 2.0)
     assert [node for node in tree.nodes.values()
             if node.has_engine] == [tree.root]
-    drawn = pool.hits + pool.misses
     e = tree.insert_edge(3, 12, 1.0)
-    assert pool.hits + pool.misses == drawn
     assert [node for node in tree.nodes.values()
             if node.has_engine] == [tree.root]
     for key in tree._path(3, 12)[1:-1]:
@@ -117,8 +112,9 @@ def test_swap_at_a_one_edge_node_builds_no_engine():
     assert tree._last_levels[-1][1] > 0
     # and back: deleting e restores f the same way
     tree.delete_edge(e)
-    assert pool.hits + pool.misses == drawn
     assert tree.msf_ids() == {f}
+    assert [node for node in tree.nodes.values()
+            if node.has_engine] == [tree.root]
     _assert_engine_iff_two_edges(tree)
 
 
@@ -147,12 +143,8 @@ def _batches(n: int, seed: int, count: int):
         yield batch
 
 
-def _run_front(engine: str, pool_size: int, pooled: bool, n: int,
-               count: int) -> list:
+def _run_front(engine: str, pool_size: int, n: int, count: int) -> list:
     front = BatchedMSF(n, engine=engine, batch_size=64, pool_size=pool_size)
-    if not pooled:
-        front._impl = SparsifiedMSF(n, parallel=(engine == "parallel"),
-                                    pool=None)
     eids: dict[int, int] = {}
     seen = []
     for batch in _batches(n, seed=3, count=count):
@@ -170,11 +162,10 @@ def _run_front(engine: str, pool_size: int, pooled: bool, n: int,
                                           ("parallel", 15)])
 def test_promotion_and_demotion_are_schedule_and_pool_neutral(engine, count):
     n = 16
-    ref = _run_front(engine, 1, True, n, count)
-    assert any(obs[2]["ops"] for obs in ref)  # engines were handed back
+    ref = _run_front(engine, 1, n, count)
+    assert any(obs[2]["ops"] for obs in ref)  # engines were dropped
     for pool_size in (2, 4):
-        assert _run_front(engine, pool_size, True, n, count) == ref
-    assert _run_front(engine, 2, False, n, count) == ref
+        assert _run_front(engine, pool_size, n, count) == ref
 
 
 def _one_edge_holder(tree: SparsifiedMSF):
@@ -186,11 +177,11 @@ def _one_edge_holder(tree: SparsifiedMSF):
 
 
 def test_check_tree_reports_a_one_edge_engine_node():
-    tree = SparsifiedMSF(16, pool=None)
+    tree = SparsifiedMSF(16)
     eid = tree.insert_edge(0, 9, 1.0)
     assert check_tree(tree, "structural") == []
     key, node = _one_edge_holder(tree)
-    engine = _build_engine(node.pool_key, None)
+    engine = _build_engine(node.engine_key)
     u, v, w = tree.edges[eid]
     engine.insert_edge(node._local(u), node._local(v), w, eid=eid)
     node.engine, node.edges = engine, {}
@@ -202,7 +193,7 @@ def test_check_tree_reports_a_one_edge_engine_node():
 
 
 def test_check_tree_reports_a_two_edge_holder():
-    tree = SparsifiedMSF(16, pool=None)
+    tree = SparsifiedMSF(16)
     tree.insert_edge(0, 9, 1.0)
     key, node = _one_edge_holder(tree)
     node.edges[999] = 5.0

@@ -153,7 +153,7 @@ def test_sparsified_batch_rejects_nan_all_or_nothing():
     from repro.core.sparsify import SparsifiedMSF
     from repro.resilience.checks import state_fingerprint
 
-    tree = SparsifiedMSF(8, pool=None)
+    tree = SparsifiedMSF(8)
     tree.insert_edge(0, 1, 1.0, eid=1)
     before = state_fingerprint(tree)
     nodes = set(tree.nodes)
@@ -174,13 +174,53 @@ def test_sparsified_batch_rejects_bad_endpoint_all_or_nothing(u, v):
     from repro.core.sparsify import SparsifiedMSF
     from repro.resilience.checks import state_fingerprint
 
-    tree = SparsifiedMSF(4, pool=None)
+    tree = SparsifiedMSF(4)
     before = state_fingerprint(tree)
     with pytest.raises(ValueError, match="range 0..3"):
         tree.apply_batch([("ins", 1, 0, 1, 1.0), ("ins", 2, u, v, 1.0)])
     assert state_fingerprint(tree) == before
     assert tree.edge_count() == 0
     assert tree.self_check("structural") == []
+
+
+#: batches ``apply_batch`` must reject whole, on a tree holding edges 1
+#: (0-1) and 2 (1-2) and self-loop 3 (at 2): a duplicate eid inside the
+#: batch, a duplicate of a live edge, an unknown delete after an insert,
+#: and two double deletes
+BAD_ID_BATCHES = (
+    [("ins", 10, 0, 1, 1.0), ("ins", 11, 1, 2, 2.0), ("ins", 10, 2, 3, 3.0)],
+    [("ins", 10, 2, 3, 1.0), ("ins", 1, 0, 3, 2.0)],
+    [("ins", 10, 0, 1, 1.0), ("del", 99)],
+    [("del", 1), ("ins", 10, 2, 3, 1.0), ("del", 1)],
+    [("del", 3), ("del", 3)],
+)
+
+
+@pytest.mark.parametrize("ops", BAD_ID_BATCHES)
+def test_sparsified_batch_rejects_bad_ids_all_or_nothing(ops):
+    """A duplicate eid or an unknown delete anywhere in a batch, judged
+    against the registry as the ops before it leave it, rejects the
+    whole batch before any op of it is registered."""
+    from repro.core.sparsify import SparsifiedMSF
+    from repro.resilience.checks import state_fingerprint
+
+    tree = SparsifiedMSF(8)
+    tree.apply_batch([("ins", 1, 0, 1, 1.0), ("ins", 2, 1, 2, 2.0),
+                      ("ins", 3, 2, 2, 0.5)])
+
+    def observe():
+        return (state_fingerprint(tree), dict(tree.edges), tree.msf_ids(),
+                dict(tree.self_loops), sorted(tree.nodes),
+                tree.ops_by_node())
+
+    before = observe()
+    with pytest.raises((ValueError, KeyError)):
+        tree.apply_batch(ops)
+    assert observe() == before
+    assert tree.self_check("full") == []
+    # a delete and a re-insert of one eid inside a batch is fine
+    tree.apply_batch([("del", 1), ("ins", 1, 0, 3, 4.0), ("del", 3)])
+    assert tree.msf_ids() == {1, 2} and tree.self_loops == {}
 
 
 def test_sparsified_parallel_composition():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.msf import DynamicMSF
-from repro.core.sparsify import default_pool
 from repro.resilience import checks, recover
 from repro.resilience.errors import (CorruptionError, QuarantineExhausted,
                                      UnknownEdgeError)
@@ -40,36 +39,6 @@ def test_recover_machine_purges_and_degrades():
     m.set_audit("strict")
     report = recover.recover_machine(m)
     assert report["audit"] == {"before": "strict", "after": "strict"}
-    t.release()
-
-
-# ---------------------------------------------------------------- arena
-
-def test_recover_pool_quarantines_dirty_engines():
-    t = DynamicMSF(16, engine="sequential", sparsify=True)
-    t.insert_edge(0, 1, 1.0)
-    t.release()
-    free = list(default_pool.free_engines())
-    assert free, "release should have returned engines to the arena"
-    key, engine = free[0]
-    engine.self_loops[999] = (0, 0, 1.0)  # corrupt a free-listed engine
-    report = recover.recover_pool(default_pool)
-    assert report["quarantined"] >= 1
-    assert default_pool.is_quarantined(engine)
-    # the quarantined engine never re-enters the free-list
-    assert all(e is not engine for _k, e in default_pool.free_engines())
-
-
-def test_quarantined_engine_refused_by_release():
-    t = DynamicMSF(16, engine="sequential", sparsify=True)
-    t.insert_edge(0, 1, 1.0)
-    t.release()
-    k, engine = next(iter(default_pool.free_engines()))
-    default_pool.quarantine(engine)
-    before = len(list(default_pool.free_engines()))
-    default_pool.release(k, engine)  # refused: no-op
-    assert len(list(default_pool.free_engines())) == before
-    assert all(e is not engine for _k, e in default_pool.free_engines())
 
 
 # -------------------------------------------------------------- backends

@@ -67,8 +67,8 @@ def replay_raw(engine, pending, applied_deletes):
 def test_coalesced_replay_equals_raw_replay(seed):
     rng = random.Random(seed)
     n = 32
-    raw = SparsifiedMSF(n, pool=None)
-    coal = SparsifiedMSF(n, pool=None)
+    raw = SparsifiedMSF(n)
+    coal = SparsifiedMSF(n)
     live_raw: set[int] = set()
     live_coal: set[int] = set()
     next_eid = 1
@@ -112,7 +112,7 @@ def test_coalesced_batch_matches_oracle(seed):
     from repro.reference.oracle import kruskal
     rng = random.Random(1000 + seed)
     n = 24
-    engine = SparsifiedMSF(n, pool=None)
+    engine = SparsifiedMSF(n)
     live: set[int] = set()
     registry = {}
     next_eid = 1

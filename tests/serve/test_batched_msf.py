@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro import BatchedMSF, ClusterMSF, DynamicMSF
+from repro.core.sparsify import SparsifiedMSF
 from repro.workloads import churn, drive, query_mix
 
 
@@ -137,6 +138,39 @@ def test_non_finite_weight_rejected_at_submit(front_kind, bad):
     finally:
         if front_kind == "cluster":
             front.close()
+
+
+def _small_front(kind):
+    if kind == "tree":
+        return SparsifiedMSF(8)
+    if kind == "batched":
+        return BatchedMSF(8, batch_size=4)
+    if kind == "cluster":
+        return ClusterMSF(8, pool_size=2, processes=False, batch_size=4)
+    return DynamicMSF(8, sparsify=(kind == "sparsified"))
+
+
+@pytest.mark.parametrize("bad", ["1.5", None, 1 + 0j, True])
+@pytest.mark.parametrize("kind", ["flat", "sparsified", "tree", "batched",
+                                  "cluster"])
+def test_non_real_weight_rejected_at_every_front(kind, bad):
+    """Every insert path runs one weight check before converting the
+    weight: a string, ``None``, a complex number or a bool raises
+    ``ValueError`` and changes nothing, not even the next edge id."""
+    front, twin = _small_front(kind), _small_front(kind)
+    try:
+        for f in (front, twin):
+            f.insert_edge(0, 1, 1.0)
+        for u, v in ((0, 1), (2, 3), (4, 4)):  # parallel, fresh, self-loop
+            with pytest.raises(ValueError, match="real number"):
+                front.insert_edge(u, v, bad)
+        assert front.insert_edge(2, 3, 2.0) == twin.insert_edge(2, 3, 2.0)
+        assert front.msf_weight() == twin.msf_weight() == 3.0
+        assert front.edge_count() == twin.edge_count() == 2
+    finally:
+        for f in (front, twin):
+            if kind == "cluster":
+                f.close()
 
 
 @pytest.mark.parametrize("front_kind", ["batched", "cluster"])
@@ -313,32 +347,32 @@ def test_stats_account_for_every_submitted_op():
             == s["ops_submitted"])
 
 
-def test_fronts_on_threads_share_the_default_pool():
-    """Every pooled tree feeds ``default_pool`` from its deletes; fronts
-    churning concurrently against it (more threads than cores, short
-    switch interval) must each end exactly where a serial replay of
-    their own stream ends."""
+def test_fronts_on_threads_match_kruskal():
+    """Fronts churning concurrently on their callers' own threads (more
+    threads than cores, short switch interval) share no engine state:
+    each ends on the Kruskal forest of its own live edges, exactly where
+    a serial replay of its own stream ends."""
     import sys
     import threading
 
-    from repro.core.sparsify import default_pool
+    from repro.reference.oracle import kruskal
 
     n = 40
     streams = [list(churn(n, 240, p_delete=0.45, seed=s))
                for s in (12, 13, 14)]
     fronts = [BatchedMSF(n, batch_size=4, pool_size=2) for _ in streams]
-    assert all(f._impl._pool is default_pool for f in fronts)
+    handles = [None] * len(fronts)
     errors = []
 
-    def run(front, ops):
+    def run(i):
         try:
-            drive(front, ops)
-            front.flush()
+            handles[i] = drive(fronts[i], streams[i])
+            fronts[i].flush()
         except Exception as exc:  # surfaced below
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=pair)
-               for pair in zip(fronts, streams)]
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(fronts))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -350,11 +384,12 @@ def test_fronts_on_threads_share_the_default_pool():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    for front, ops in zip(fronts, streams):
+    for front, ops, handle in zip(fronts, streams, handles):
+        live = [(*ops[i][1:], eid) for i, eid in handle.eids.items()]
+        assert front.msf_ids() == kruskal(live)
         replay = BatchedMSF(n, batch_size=4, pool_size=1)
         drive(replay, ops)
         replay.flush()
-        assert front.msf_ids() == replay.msf_ids()
         assert front.msf_weight() == replay.msf_weight()
         assert front._impl.ops_by_node() == replay._impl.ops_by_node()
         assert front._impl.retired == replay._impl.retired

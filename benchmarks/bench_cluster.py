@@ -6,20 +6,24 @@ Exercises :class:`repro.serve.ClusterMSF` (PR 6) end to end:
 1. **Bit-identity gate** -- the same ``worker_mix`` stream replayed at
    pool sizes {1, 2, 4} (real worker processes) must produce final
    forests, read-result streams, ``msf_weight`` and state fingerprints
-   bit-identical to the serial ``BatchedMSF(pool_size=1)`` path.
+   bit-identical to the serial ``BatchedMSF`` path, and pass a full
+   ``self_check`` -- on every round.
 2. **Kill-a-worker recovery** -- one worker is SIGKILLed mid-campaign;
    the run must detect the death, clean up the stale claim, rebuild the
    shard from the coordination store's edge registry, verify the
    rebuild's fingerprint against a never-crashed twin, and finish with
    state bit-identical to an unkilled run.
 3. **Speedup** -- wall-clock of pool {2, 4} vs pool 1 on the same
-   stream, reported with the host's CPU count (on a single-core box the
-   multiplier measures the work *reduction* of sharding -- two
-   half-size engines do less total work than one full-size engine --
-   plus coordinator/worker overlap, not true parallelism).
+   stream (fastest of the rounds per pool), reported with the host's
+   CPU count (on a single-core box the multiplier measures the work
+   *reduction* of sharding -- two half-size engines do less total work
+   than one full-size engine -- plus coordinator/worker overlap, not
+   true parallelism).  The full profile gates it: the best pool >= 2
+   must beat pool 1.
 
-``--smoke`` is the CI profile (~1 min); the default profile measures
-the n=1024 serving configuration.  The JSON report lands at ``--out``
+``--smoke`` is the CI profile (one round, speedup reported only); the
+default profile measures the n=1024 serving configuration over three
+rounds sampled by ``_common.rounds``.  The JSON report lands at ``--out``
 (default ``cluster-report.json``) and is uploaded as a CI artifact.
 
 Usage:
@@ -41,15 +45,22 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _common import rounds  # noqa: E402
+
 from repro.resilience.checks import state_fingerprint  # noqa: E402
 from repro.serve import BatchedMSF, ClusterMSF  # noqa: E402
 from repro.workloads import drive, worker_mix  # noqa: E402
 
+#: ``rounds`` samples every pool that many times; ``gate_speedup``
+#: fails the run unless the best pool >= 2 beats pool 1 (too noisy to
+#: gate at smoke sizes)
 PROFILES = {
     "smoke": dict(n=256, steps=800, batch=128, read_ratio=0.3,
-                  cross_fraction=0.05, kill_at=300, seed=17),
+                  cross_fraction=0.05, kill_at=300, seed=17,
+                  rounds=1, gate_speedup=False),
     "full": dict(n=1024, steps=2000, batch=256, read_ratio=0.2,
-                 cross_fraction=0.05, kill_at=800, seed=17),
+                 cross_fraction=0.05, kill_at=800, seed=17,
+                 rounds=3, gate_speedup=True),
 }
 
 POOLS = (1, 2, 4)
@@ -79,15 +90,16 @@ def _run_cluster(prof: dict, ops: list, pool: int, *, kill_at=None):
 
 
 def identity_gate(prof: dict, ops: list) -> dict:
-    """Pool {1,2,4} must be bit-identical to the serial path."""
-    ref = BatchedMSF(prof["n"], sparsify=True, pool_size=1,
+    """Pool {1,2,4} must be bit-identical to the serial path, every round;
+    on the full profile the best pool >= 2 must also beat pool 1."""
+    ref = BatchedMSF(prof["n"], sparsify=True,
                      batch_size=prof["batch"], consistency="deferred")
     sref = drive(ref, ops)
     ref.flush()
     fp_ref = state_fingerprint(ref)
-    rows = {}
-    ok = True
-    for pool in POOLS:
+    rows: dict[str, dict] = {}
+
+    def arm(pool: int) -> float:
         dt, s, c = _run_cluster(prof, ops, pool)
         try:
             match = (s.results == sref.results
@@ -95,26 +107,35 @@ def identity_gate(prof: dict, ops: list) -> dict:
                      and c.msf_weight() == ref.msf_weight()
                      and state_fingerprint(c) == fp_ref)
             clean = not c.self_check("full")
-            rows[f"pool{pool}"] = {
-                "seconds": round(dt, 4),
-                "ops_per_s": round(len(ops) / dt, 1),
-                "bit_identical": match,
-                "self_check_clean": clean,
-                "boundary_ops": c._coord.stats["ops_boundary"],
-                "recoveries": c.stats["recoveries"],
-            }
-            ok = ok and match and clean
+            row = rows.setdefault(f"pool{pool}", {
+                "runs": 0, "bit_identical": True, "self_check_clean": True})
+            row["runs"] += 1
+            row["bit_identical"] &= match
+            row["self_check_clean"] &= clean
+            row["boundary_ops"] = c._coord.stats["ops_boundary"]
+            row["recoveries"] = c.stats["recoveries"]
             print(f"  pool={pool}: {dt:7.3f}s  {len(ops) / dt:8.1f} ops/s  "
                   f"identical={match} clean={clean}")
         finally:
             c.close()
+        return dt
+
+    samples = rounds({f"pool{p}": (lambda p=p: arm(p)) for p in POOLS},
+                     min_rounds=prof["rounds"], budget_s=0.0)
+    for key, row in rows.items():
+        row["seconds"] = round(min(r[key] for r in samples), 4)
+        row["ops_per_s"] = round(len(ops) / row["seconds"], 1)
     base = rows["pool1"]["seconds"]
     speedups = {f"x{p}": round(base / rows[f'pool{p}']['seconds'], 3)
                 for p in POOLS if p > 1}
     best = max(speedups.values())
     print(f"  speedup vs pool1: {speedups}  "
-          f"(cpu_count={os.cpu_count()})")
+          f"(cpu_count={os.cpu_count()}, fastest of {len(samples)} "
+          f"round(s))")
+    ok = all(r["bit_identical"] and r["self_check_clean"]
+             for r in rows.values())
     return {"pools": rows, "speedups": speedups, "best_speedup": best,
+            "speedup_ok": best > 1.0 or not prof["gate_speedup"],
             "ok": ok}
 
 
@@ -159,7 +180,7 @@ def recovery_gate(prof: dict, ops: list) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="CI-sized profile (~1 min)")
+                    help="CI-sized profile (one round, speedup not gated)")
     ap.add_argument("--out", type=Path,
                     default=Path("cluster-report.json"),
                     help="JSON report path")
@@ -178,7 +199,7 @@ def main(argv=None) -> int:
     recov = recovery_gate(prof, ops)
 
     report = {
-        "schema": "bench-cluster/v1",
+        "schema": "bench-cluster/v2",
         "profile": profile,
         "host": {
             "cpu_count": os.cpu_count(),
@@ -188,13 +209,17 @@ def main(argv=None) -> int:
         "config": {**prof, "ops": len(ops), "updates": n_updates},
         "identity": ident,
         "recovery": recov,
-        "ok": ident["ok"] and recov["ok"],
     }
+    broken = [gate for gate, ok in (("identity", ident["ok"]),
+                                    ("speedup", ident["speedup_ok"]),
+                                    ("recovery", recov["ok"])) if not ok]
+    report["ok"] = not broken
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"report -> {args.out}")
-    if not report["ok"]:
-        print("FAIL: identity or recovery gate broken")
+    if broken:
+        print(f"FAIL: {', '.join(broken)} gate broken (best pool>=2 "
+              f"speedup {ident['best_speedup']}x)")
         return 1
     print(f"OK: pools {POOLS} bit-identical, recovery verified, best "
           f"speedup {ident['best_speedup']}x on {os.cpu_count()} CPU(s)")

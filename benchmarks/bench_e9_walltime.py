@@ -8,7 +8,7 @@ time on their machine.
 from __future__ import annotations
 
 import pytest
-from _common import banner, render_table
+from _common import banner, render_table, replay
 
 from repro import DynamicMSF
 from repro.baselines.recompute import RecomputeMSF
@@ -16,23 +16,6 @@ from repro.baselines.scan import ScanDynamicMSF
 from repro.core.par import ParallelDynamicMSF
 from repro.core.seq_msf import SparseDynamicMSF
 from repro.workloads import churn
-
-
-def replay(engine, ops, core_style: bool):
-    handles = {}
-    idx = 0
-    for op in ops:
-        if op[0] == "ins":
-            _t, u, v, w = op
-            if core_style:
-                handles[idx] = engine.insert_edge(u, v, w, eid=10_000 + idx)
-            else:
-                handles[idx] = engine.insert_edge(u, v, w)
-        else:
-            ref = op[1]
-            h = handles.pop(ref)
-            engine.delete_edge(h if core_style else h)
-        idx += 1
 
 
 ENGINES = {

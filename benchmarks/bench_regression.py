@@ -2,92 +2,37 @@
 """Benchmark-regression harness: measure every engine, gate future PRs.
 
 Runs the E9 workload family across all engines and records
-``engine -> {n, updates, updates_per_s, depth, work}`` into a
-``BENCH_PR<k>.json`` at the repo root.  Two workload profiles exist:
+``engine -> {n, updates, updates_per_s, depth, work}`` plus the host it
+ran on.  Two workload profiles exist: ``full`` (the E9 sizes, with the
+kernel-bound ``adversarial_cuts`` stream for the parallel rows, since
+random churn at n=1024 barely launches kernels) and ``quick`` (scaled
+down for CI).  Beside the throughput rows, three sections carry absolute
+bars that gate both modes, because they are properties of the current
+code and not of any baseline:
 
-* ``full``  -- the E9 sizes, with a *kernel-bound* adversarial workload for
-  the parallel engine (random churn at n=1024 barely launches kernels, so
-  it cannot detect simulator regressions; ``adversarial_cuts`` keeps one
-  large Euler tour and forces full-width MWR searches every round, which is
-  exactly the hot path ``Machine.run`` optimizations target);
-* ``quick`` -- scaled-down versions of the same workloads for CI smoke.
+* ``resilience_overhead`` -- disarmed fault sites plus cheap self-checks
+  cost less than :data:`RES_OVERHEAD_TOL` (component estimate);
+* ``compiled`` -- paired scalar/compiled replays are bit-identical and
+  clear their same-run ratio bars (median of per-round ratios);
+* ``durability_overhead`` -- the WAL-on arm restores bit-identically
+  and its in-run attributed overhead stays under
+  :data:`DURABILITY_OVERHEAD_TOL` (minimum over rounds).
 
-PR 2 adds the serving layer (``repro.serve``) and two engines:
-``facade-batched`` drives the deferred-consistency ``BatchedMSF`` over a
-read/write ``query_mix`` stream (batch coalescing + epoch-snapshot
-reads), and ``query-path`` measures a pure read burst against a
-prefilled ``BatchedMSF`` (union-find snapshot + O(1) incremental
-weight).  Both are gated like every other engine; ``bench_serve.py``
-holds the side-by-side before/after comparison.
+Every timing is sampled by ``_common.rounds`` and every op stream is
+driven by ``_common.replay``.
 
-PR 3 adds the ``structures-2-3-tree`` row: a substrate micro-bench that
-exercises the 2-3 tree directly (insert/delete/split+join plus leaf
-rewrites through ``refresh_upward_changed``) so regressions in the
-balanced-tree backbone are gated even when the engine rows hide them
-behind engine-level constants.
-
-PR 5 adds the ``resilience-overhead`` section: a paired A/B measurement
-on the ``facade-sparsified`` and ``parallel-core-fast`` rows asserting
-that the deployed resilience configuration -- fault-injection sites
-compiled into the hot paths but *disarmed*, plus cheap-tier self-checks
-every :data:`RES_CHECK_EVERY` ops -- costs less than 2% over the plain
-replay.  The bar is enforced in both measure and ``--check`` modes (it
-is a property of the current code, not of any committed baseline).
-
-PR 6 adds the ``cluster-sharded`` section: the multi-process serving
-cluster (``repro.serve.ClusterMSF``) replays a ``worker_mix`` stream at
-pool sizes {1, 2, 4} with real worker processes.  Two absolute gates,
-enforced in both measure and ``--check`` modes like the resilience bar:
-every pool size must be *bit-identical* to the serial ``BatchedMSF``
-path (forests, read results, ``msf_weight``), and on the full profile
-the best pool >= 2 must beat pool 1 on wall clock (the measured
-multiplier is recorded).  Results now also carry a ``host`` block
-(CPU count, python version, platform) because the cluster multiplier is
-host-dependent: on a single-core runner it measures sharding's work
-*reduction* plus coordinator/worker overlap, not parallelism.
-
-The numpy struct-of-array execution backend, with its facade row and
-its paired-replay section, has been retired; ``scalar`` and
-``compiled`` are the two backends measured here.
-
-PR 8 adds the compiled execution backend: a ``facade-compiled`` row
-(the sparsified facade with ``backend="compiled"``, skipped with an
-attributable reason when the native extension is not built), the
-``seq-core-wide`` row -- the PR 7 wide-Jcap probe (n=2048, K=16,
-Jcap ~ 640) promoted from an EXPERIMENTS.md footnote to a gated row,
-replayed under ``adversarial_cuts`` because tree-edge deletions are
-what drive the column sweeps and MWR scans the native kernels cover --
-and a ``compiled`` section holding a paired scalar/compiled replay of
-the gated rows.  Gates (both modes): bit-identity everywhere, the
-:data:`COMPILED_RATIO_FLOOR` on the small rows, and a hard
-:data:`COMPILED_WIDE_MIN` (2x) same-run speedup on ``seq-core-wide``.
-
-PR 9 moves the compiled tier's *structural plumbing* (charge batching,
-splay/transition walks, sparse-aware mirror scans) behind the native
-facade and re-centres the churn gating on the regime where that pays:
-a new ``seq-core-wide-churn`` row (n=2048, K=8, Jcap ~ 512, dense
-churn) is replayed in the compiled section under a hard
-:data:`COMPILED_CHURN_MIN` (1.5x) same-run bar on the full profile.
-The narrow churn rows (``facade-sparsified``, ``parallel-core-fast``)
-keep the bit-identity gate plus the catastrophe floor: their residual
-time is facade/PRAM-simulator Python *above* the backend seam, so no
-compiled-tier work can move them (measured ~1.0-1.3x; EXPERIMENTS.md
-E9).  The ``resilience_overhead`` section also switches to a
-median-of-ratios estimator over more A/B pairs -- each pair shares one
-host state, so per-pair ratios cancel slow drift and the median rejects
-steal bursts that the old min-of-each-arm estimator read as +/-8%
-phantom overhead on 1-CPU hosts.
-
-``--check`` re-measures and compares against the most recent committed
-``BENCH_*.json``: ``updates_per_s`` may not drop more than ``--tolerance``
-(default 15%), and the model quantities ``depth``/``work`` -- which are
-deterministic -- may not drift more than the same tolerance in either
-direction.  Sections a baseline predates (e.g. ``cluster`` vs a pre-PR6
-file) are simply not compared.  Exit status is non-zero on any
-regression, so CI can gate PRs.
+``--check`` re-measures and gates against the committed trajectory of
+``BENCH_PR<k>.json`` files (:func:`compare`): a row's ``updates_per_s``
+may not drop more than ``--tolerance`` below the best of the
+:data:`TRAJECTORY` newest files measured on a matching host (rows with
+no such file print as unresolved and are not gated), and the
+machine-independent ``depth``/``work`` may not drift more than the same
+tolerance from the newest file that has the row, on any host.  Exit
+status is non-zero on any failure.
 
 Usage:
     python benchmarks/bench_regression.py                  # measure + write
+    python benchmarks/bench_regression.py -o BENCH_PR<k>.json
     python benchmarks/bench_regression.py --quick          # quick profile only
     python benchmarks/bench_regression.py --check          # compare, no write
     python benchmarks/bench_regression.py --check --quick  # CI smoke gate
@@ -109,15 +54,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-SCHEMA = "bench-regression/v6"
+from _common import cheap_check, replay, rounds
+
+#: v7 drops the ``cluster`` section (``bench_cluster.py`` gates it)
+SCHEMA = "bench-regression/v7"
+#: how many of the newest host-matched baselines gate a throughput row
+TRAJECTORY = 3
+#: the ``host`` fields that must agree for wall clock to be comparable
+HOST_KEYS = ("cpu_count", "implementation", "python", "machine", "numpy")
 
 
 def host_meta() -> dict:
-    """The machine facts a reader needs to interpret the numbers --
-    especially the cluster speedup, which is meaningless without the
-    CPU count it was measured on.  v3 adds the numpy version (None when
-    numpy is absent), since the scalar backend's wall clock depends on
-    it."""
+    """The machine facts a reader needs to interpret the numbers; the
+    :data:`HOST_KEYS` among them decide which baselines are comparable.
+    ``numpy`` is None when numpy is absent, since the scalar backend's
+    wall clock depends on it."""
     try:
         import numpy
         numpy_version = numpy.__version__
@@ -303,15 +254,13 @@ class _TTDriver:
 def _build(spec: dict, machine=None):
     """Returns (engine, core_style, machine_or_None).
 
-    On skip, returns ``(None, reason, None)`` with a human-readable reason
-    -- real constructor failures are *not* swallowed (a ``TypeError``
-    raised by an engine bug used to be silently reported as "engine lacks
-    audit support"; the audit-ladder probe is now a signature check).
+    On skip, returns ``(None, reason, None)`` with a human-readable
+    reason; real constructor failures are not swallowed.
 
-    ``machine`` (par-core only) reuses the PRAM machine of a previous
-    run: ``Machine.reset_stats`` zeroes its measurement state while the
-    value-keyed replay plans survive, and a replay hit charges exactly
-    what a simulated launch would.  Best-of-N runs 2..N therefore cover
+    ``machine`` (fast-audit par-core only) reuses the PRAM machine of a
+    previous run: ``Machine.reset_stats`` zeroes its measurement state
+    while the value-keyed replay plans survive, and a replay hit charges
+    exactly what a simulated launch would.  Rounds 2..N therefore cover
     the warm trace-replay steady state.
     """
     kind, n = spec["kind"], spec["n"]
@@ -330,16 +279,10 @@ def _build(spec: dict, machine=None):
         eng = SparseDynamicMSF(n, K=spec.get("K"), backend=backend)
         return eng, True, None
     if kind == "par-core":
-        import inspect
-
         from repro.core.par import ParallelDynamicMSF
         audit = spec.get("audit")
         if audit is None:
             eng = ParallelDynamicMSF(n, backend=backend)
-        elif "audit" not in inspect.signature(
-                ParallelDynamicMSF.__init__).parameters:
-            return None, "engine predates the audit ladder (no 'audit' " \
-                         "constructor parameter)", None
         elif machine is not None:
             machine.reset_stats()
             eng = ParallelDynamicMSF(n, machine=machine, backend=backend)
@@ -357,7 +300,7 @@ def _build(spec: dict, machine=None):
     if kind == "facade-batched":
         from repro import BatchedMSF
         eng = BatchedMSF(n, consistency="deferred",
-                         batch_size=spec["batch"], pool_size=1)
+                         batch_size=spec["batch"])
         return eng, False, None
     if kind == "query-path":
         from repro import BatchedMSF
@@ -370,52 +313,6 @@ def _build(spec: dict, machine=None):
     raise ValueError(f"unknown engine kind {kind!r}")
 
 
-def _replay(engine, ops, core_style: bool, *, check_every: int = 0) -> None:
-    """Drive one op stream; ``check_every > 0`` interleaves cheap
-    self-checks every that many ops (the resilience-overhead B arm)."""
-    run_ops = getattr(engine, "run_ops", None)
-    if run_ops is not None:  # substrate drivers interpret their own stream
-        run_ops(ops)
-        return
-    handles = {}
-    idx = 0
-    for op in ops:
-        tag = op[0]
-        if tag == "ins":
-            _t, u, v, w = op
-            if core_style:
-                handles[idx] = engine.insert_edge(u, v, w, eid=10_000 + idx)
-            else:
-                handles[idx] = engine.insert_edge(u, v, w)
-        elif tag == "del":
-            engine.delete_edge(handles.pop(op[1]))
-        elif tag == "conn":
-            engine.connected(op[1], op[2])
-        elif tag == "weight":
-            engine.msf_weight()
-        idx += 1
-        if check_every and idx % check_every == 0:
-            _cheap_check(engine)
-    flush = getattr(engine, "flush", None)
-    if flush is not None:  # batched fronts: include the final batch apply
-        flush()
-    if check_every:
-        _cheap_check(engine)
-
-
-def _cheap_check(engine) -> None:
-    """One cheap-tier self-audit; a dirty engine voids the measurement."""
-    if hasattr(engine, "self_check"):
-        findings = engine.self_check("cheap")
-    else:  # bare core engines (par-core rows)
-        from repro.resilience import checks
-        findings = checks.check_engine(engine, "cheap")
-    if findings:
-        raise RuntimeError(
-            f"cheap self-check found problems mid-benchmark: "
-            f"{[str(f) for f in findings[:3]]}")
-
-
 def measure_profile(specs: dict, engines=None) -> dict:
     rows: dict[str, dict] = {}
     for name, spec in specs.items():
@@ -426,33 +323,25 @@ def measure_profile(specs: dict, engines=None) -> dict:
         if built[0] is None:
             print(f"  {name:<22} SKIPPED ({built[1]})")
             continue
-        engine, core_style, machine = built
-        # best-of-N timing: sub-10ms engines are far too noisy for a 15%
-        # gate on a single sample, so repeat (on a fresh engine each time,
-        # construction excluded) until >=0.5s total or 5 runs, and keep the
-        # fastest -- the standard noise floor for micro-timings.  Slow
-        # engines (the simulator) exceed the floor on run one and pay
-        # nothing extra.  Model quantities come from the first build.
-        t0 = time.perf_counter()
-        _replay(engine, ops, core_style)
-        dt = time.perf_counter() - t0
-        spent, runs = dt, 1
-        # fast-audit rows gate the trace-replay *steady state*: run 1 is
-        # the recording pass (every shape key misses and compiles a plan),
-        # so always take at least two reused-machine runs on top of it,
-        # even when the cold run alone exceeds the 0.5s noise floor
-        floor_runs = 3 if spec.get("audit") == "fast" else 1
-        while (spent < 0.5 or runs < floor_runs) and runs < 5:
-            # par-core: reuse the machine so runs 2..N measure the warm
-            # trace-replay tier (see _build); other engines rebuild cold
-            fresh = _build(spec, machine=machine)[0]
+        machine = built[2]
+        pending = [built]
+
+        def arm() -> float:
+            # fast-audit rows reuse the machine so rounds 2..N measure the
+            # warm trace-replay tier (see _build); others rebuild cold
+            engine, core_style, _m = (pending.pop() if pending
+                                      else _build(spec, machine=machine))
             t0 = time.perf_counter()
-            _replay(fresh, ops, core_style)
-            d = time.perf_counter() - t0
-            spent += d
-            runs += 1
-            if d < dt:
-                dt = d
+            replay(engine, ops, core_style)
+            return time.perf_counter() - t0
+
+        # the minimum is the noise floor for micro-timings.  Fast-audit
+        # round 1 is the recording pass (every shape key misses), so those
+        # rows always take two warm rounds on top of it
+        samples = rounds({name: arm},
+                         min_rounds=3 if spec.get("audit") == "fast" else 1,
+                         budget_s=0.5)
+        dt = min(r[name] for r in samples)
         rows[name] = {
             "n": spec["n"],
             "workload": spec["workload"],
@@ -480,7 +369,7 @@ RESILIENCE_ROWS = ("facade-sparsified", "parallel-core-fast")
 RES_CHECK_EVERY = 32
 #: allowed relative cost of disarmed sites + cheap checks (the PR 5 bar)
 RES_OVERHEAD_TOL = 0.02
-#: minimum A/B pairs for the median-of-ratios diagnostic: the median of
+#: minimum A/B rounds for the median-of-ratios diagnostic: the median of
 #: fewer than 5 samples still lets one steal burst through on a 1-CPU
 #: host (the +/-8% swings the min-based estimator suffered)
 RES_MIN_PAIRS = 5
@@ -499,7 +388,7 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
     plus a cheap-tier self-check every :data:`RES_CHECK_EVERY` ops (and
     once at the end).  Both arms run after a warm-up pass and reuse the
     PRAM machine exactly as ``measure_profile`` does, so they compare
-    warm steady states.
+    warm steady states.  The arms are sampled by ``rounds``.
 
     The *gated* statistic is a component estimate (PR 9):
 
@@ -507,7 +396,7 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
 
     where the check cost is timed directly (:data:`RES_CHECK_SAMPLES`
     calls on the warm post-replay engine; median ~7 us on the facade
-    row) and ``plain`` is the best plain-arm replay.  Every factor is a
+    row) and ``plain`` is the fastest plain-arm round.  Every factor is a
     tight median or best-of, so the estimate is stable run to run.  The
     end-to-end A/B difference, by contrast, is *unmeasurable* at a 2%
     scale on a shared 1-CPU host: the timing windows are ~20-900 ms and
@@ -522,9 +411,9 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
     effects of the checks on the hot loop (cache eviction, allocator
     churn) and the cost of the compiled-in *disarmed* fault-site guards
     -- is gated end-to-end by the ordinary ``facade-sparsified`` /
-    ``parallel-core-fast`` throughput rows against the committed
-    ``BENCH_PR4.json`` (recorded before the sites existed), where a 15%+
-    tolerance matches what wall clock can actually resolve.
+    ``parallel-core-fast`` throughput rows against the host-matched
+    trajectory, where a 15%+ tolerance matches what wall clock can
+    actually resolve.
     """
     from repro.resilience import faults
     if faults.armed:  # pragma: no cover - defensive; nothing arms here
@@ -540,43 +429,29 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
         # the steady state (fast-audit run 1 is the recording pass and
         # would swamp a 2% comparison)
         engine, core_style, machine = _build(spec)
-        _replay(engine, ops, core_style)
-        plain = checked = None
-        ratios: list[float] = []
-        spent, pairs = 0.0, 0
+        replay(engine, ops, core_style)
 
-        def _one(check_every: int) -> float:
+        def arm(check_every: int) -> float:
             fresh = _build(spec, machine=machine)[0]
             t0 = time.perf_counter()
-            _replay(fresh, ops, core_style, check_every=check_every)
+            replay(fresh, ops, core_style, check_every=check_every)
             return time.perf_counter() - t0
 
-        def _pair() -> None:
-            nonlocal plain, checked, spent, pairs
-            if pairs % 2:  # alternate arm order (see docstring)
-                d_checked = _one(RES_CHECK_EVERY)
-                d_plain = _one(0)
-            else:
-                d_plain = _one(0)
-                d_checked = _one(RES_CHECK_EVERY)
-            plain = d_plain if plain is None else min(plain, d_plain)
-            checked = (d_checked if checked is None
-                       else min(checked, d_checked))
-            ratios.append(d_checked / d_plain)
-            spent += d_plain + d_checked
-            pairs += 1
-
-        while (spent < 1.6 or pairs < RES_MIN_PAIRS) and pairs < 12:
-            _pair()
-        paired_ab = statistics.median(ratios) - 1.0
+        pairs = rounds({"plain": lambda: arm(0),
+                        "checked": lambda: arm(RES_CHECK_EVERY)},
+                       min_rounds=RES_MIN_PAIRS, budget_s=1.6)
+        plain = min(r["plain"] for r in pairs)
+        checked = min(r["checked"] for r in pairs)
+        paired_ab = statistics.median(
+            r["checked"] / r["plain"] for r in pairs) - 1.0
         # gated component estimate: time the warm cheap check directly on
         # a post-replay engine (the same state the checked arm audits)
         fresh = _build(spec, machine=machine)[0]
-        _replay(fresh, ops, core_style)
+        replay(fresh, ops, core_style)
         samples: list[float] = []
         for _ in range(RES_CHECK_SAMPLES):
             t0 = time.perf_counter()
-            _cheap_check(fresh)
+            cheap_check(fresh)
             samples.append(time.perf_counter() - t0)
         check_cost = statistics.median(samples)
         n_checks = len(ops) // RES_CHECK_EVERY + 1
@@ -588,7 +463,7 @@ def measure_resilience_overhead(specs: dict, engines=None) -> dict:
             "check_every": RES_CHECK_EVERY,
             "checks": n_checks,
             "check_cost_us": round(1e6 * check_cost, 2),
-            "pairs": pairs,
+            "pairs": len(pairs),
             "estimator": "component-cost (paired A/B diagnostic only)",
             "plain_updates_per_s": round(len(ops) / plain, 2),
             "checked_updates_per_s": round(len(ops) / checked, 2),
@@ -616,129 +491,7 @@ def overhead_failures(rows: dict, tolerance: float = RES_OVERHEAD_TOL
 
 
 # ---------------------------------------------------------------------------
-# sharded serving cluster (PR 6)
-# ---------------------------------------------------------------------------
-
-#: worker_mix serving configuration replayed at every pool size; the
-#: full profile is the acceptance configuration (n=1024), quick is the
-#: CI-sized shadow that keeps the identity gate hot without the >1x
-#: speedup requirement (too noisy at smoke sizes).
-CLUSTER_FULL = dict(n=1024, steps=2000, batch=256, read_ratio=0.2,
-                    cross_fraction=0.05, shards=4, seed=17,
-                    pools=(1, 2, 4), gate_speedup=True)
-CLUSTER_QUICK = dict(n=256, steps=600, batch=128, read_ratio=0.3,
-                     cross_fraction=0.05, shards=4, seed=17,
-                     pools=(1, 2), gate_speedup=False)
-
-
-def measure_cluster(spec: dict) -> dict:
-    """Replay one ``worker_mix`` stream serially and at every pool size.
-
-    Every cluster run uses real worker processes (``processes=True``)
-    and deferred consistency -- the deployment configuration.  The row
-    records per-pool wall clock plus the speedup of each pool over
-    pool 1, and carries the bit-identity verdict: read-result stream,
-    final forest and ``msf_weight`` (bitwise, not approx) must all match
-    the serial ``BatchedMSF`` replay of the same ops.
-    """
-    from repro.serve import BatchedMSF, ClusterMSF
-    from repro.workloads import OpStream, drive, worker_mix
-    ops = list(worker_mix(spec["n"], spec["steps"], shards=spec["shards"],
-                          cross_fraction=spec["cross_fraction"],
-                          read_ratio=spec["read_ratio"], seed=spec["seed"]))
-    ref = BatchedMSF(spec["n"], sparsify=True, pool_size=1,
-                     batch_size=spec["batch"], consistency="deferred")
-    sref = drive(ref, ops)
-    ref.flush()
-    ref_ids, ref_weight = ref.msf_ids(), ref.msf_weight()
-
-    def one_run(pool: int) -> tuple[float, bool]:
-        c = ClusterMSF(spec["n"], pool_size=pool, processes=True,
-                       batch_size=spec["batch"], consistency="deferred")
-        try:
-            s = OpStream(c)
-            t0 = time.perf_counter()
-            for op in ops:
-                s.apply(op)
-            c.flush()
-            dt = time.perf_counter() - t0
-            match = (s.results == sref.results
-                     and c.msf_ids() == ref_ids
-                     and c.msf_weight() == ref_weight)
-        finally:
-            c.close()
-        return dt, match
-
-    pools: dict[str, dict] = {}
-    identical = True
-    for pool in spec["pools"]:
-        # best-of-N, same rationale as measure_profile: a single sample
-        # on a shared/virtualized host can eat a multi-second steal
-        # burst, and the speedup gate compares two such samples.  The
-        # minimum over a few fresh clusters is the stable statistic;
-        # bit-identity is asserted on *every* run, not just the kept one.
-        dt, match = one_run(pool)
-        runs = 1
-        while runs < 3:
-            d, m = one_run(pool)
-            match = match and m
-            runs += 1
-            if d < dt:
-                dt = d
-        identical = identical and match
-        pools[f"pool{pool}"] = {
-            "seconds": round(dt, 4),
-            "ops_per_s": round(len(ops) / dt, 2),
-            "runs": runs,
-            "bit_identical": match,
-        }
-        print(f"  pool={pool}: n={spec['n']:<5} {len(ops):>5} ops  "
-              f"{dt:8.3f}s  {len(ops) / dt:10.1f} ops/s  "
-              f"(best of {runs})  identical={match}")
-    base = pools[f"pool{spec['pools'][0]}"]["seconds"]
-    speedups = {f"x{p}": round(base / pools[f'pool{p}']['seconds'], 3)
-                for p in spec["pools"] if p > 1}
-    best = max(speedups.values()) if speedups else None
-    if speedups:
-        print(f"  speedup vs pool1: {speedups}  "
-              f"(best {best}x on {os.cpu_count()} CPU(s))")
-    return {
-        "n": spec["n"],
-        "workload": "worker-mix",
-        "shards": spec["shards"],
-        "cross_fraction": spec["cross_fraction"],
-        "read_ratio": spec["read_ratio"],
-        "updates": sum(1 for op in ops if op[0] in ("ins", "del")),
-        "ops": len(ops),
-        "pools": pools,
-        "speedups": speedups,
-        "best_speedup": best,
-        "bit_identical": identical,
-        "gate_speedup": spec["gate_speedup"],
-    }
-
-
-def cluster_failures(row: dict) -> list[str]:
-    """Absolute gates for the cluster row (both modes, like the
-    resilience bar): bit-identity always; >1x speedup when gated."""
-    failures: list[str] = []
-    if not row["bit_identical"]:
-        bad = [k for k, v in row["pools"].items() if not v["bit_identical"]]
-        failures.append(
-            f"cluster-sharded: {', '.join(bad)} diverged from the serial "
-            f"BatchedMSF path (forests/read-results/msf_weight must be "
-            f"bit-identical)")
-    if row["gate_speedup"] and (row["best_speedup"] is None
-                                or row["best_speedup"] <= 1.0):
-        failures.append(
-            f"cluster-sharded: best pool>=2 speedup "
-            f"{row['best_speedup']}x is not >1x over pool 1 "
-            f"(n={row['n']}, {row['ops']} ops)")
-    return failures
-
-
-# ---------------------------------------------------------------------------
-# paired backend replay (shared by the backend-equivalence section)
+# compiled backend equivalence (PR 8)
 # ---------------------------------------------------------------------------
 
 def _equiv_signature(engine, core_style: bool) -> tuple:
@@ -756,64 +509,10 @@ def _equiv_signature(engine, core_style: bool) -> tuple:
             round(engine.msf_weight(), 9))
 
 
-#: Minimum interleaved pairs per backend-equivalence row.  One pair per
-#: arm order, plus a tiebreaker: enough for a meaningful median while
-#: keeping the wide full-profile rows under ~half a minute.
+#: Minimum rounds per backend-equivalence row.  One per arm order, plus
+#: a tiebreaker: enough for a meaningful median while keeping the wide
+#: full-profile rows under ~half a minute.
 CMP_MIN_PAIRS = 3
-
-
-def _paired_backend_ratio(spec: dict, ops, other: str) -> dict:
-    """Interleaved scalar-vs-``other`` pairs; median-of-ratios estimate.
-
-    The original best-of-N-per-arm scheme timed one whole arm after the
-    other, which on 1-CPU hosts let slow drift (thermal, steal) land
-    entirely on the second arm -- the same bias the resilience-overhead
-    row exhibited, and how a ~1.0x parallel row once measured 0.39x at
-    the tail of a long full profile.  Here each pair runs both backends
-    back to back, arm order alternating per pair, and the reported
-    ratio is the median of per-pair ratios; long-period host noise
-    cancels within a pair instead of accumulating across arms.
-    Signatures for the bit-identity gate come from the first pair (the
-    replay is deterministic, so any pair would do).
-    """
-    machines: dict[str, object] = {}
-    sigs: dict[str, object] = {}
-    best: dict[str, float] = {}
-
-    def _one(backend: str) -> float:
-        bspec = dict(spec, backend=backend)
-        engine, core_style, m = _build(bspec, machine=machines.get(backend))
-        machines[backend] = m
-        t0 = time.perf_counter()
-        _replay(engine, ops, core_style)
-        d = time.perf_counter() - t0
-        if backend not in sigs:
-            sigs[backend] = _equiv_signature(engine, core_style)
-        best[backend] = min(best.get(backend, d), d)
-        return d
-
-    ratios: list[float] = []
-    pairs = 0
-    spent = 0.0
-    while (spent < 1.2 or pairs < CMP_MIN_PAIRS) and pairs < 12:
-        order = (other, "scalar") if pairs % 2 else ("scalar", other)
-        d = {bk: _one(bk) for bk in order}
-        spent += d["scalar"] + d[other]
-        ratios.append(d["scalar"] / d[other])
-        pairs += 1
-    return {
-        "ratio": statistics.median(ratios),
-        "identical": sigs["scalar"] == sigs[other],
-        "scalar_s": best["scalar"],
-        "other_s": best[other],
-        "pairs": pairs,
-    }
-
-
-# ---------------------------------------------------------------------------
-# compiled backend equivalence (PR 8)
-# ---------------------------------------------------------------------------
-
 #: rows replayed under both backends; every pair must be bit-identical
 #: and the wide-Jcap rows must clear their hard speedup bars
 COMPILED_ROWS = ("facade-sparsified", "parallel-core-fast", "seq-core-wide",
@@ -832,8 +531,7 @@ COMPILED_RATIO_FLOOR = 0.5
 #: after the PR 9 plumbing port; see EXPERIMENTS.md E9.
 COMPILED_WIDE_MIN = 2.0
 #: hard same-run speedup bar on ``seq-core-wide-churn`` (full profile
-#: only -- at quick sizes the pair is inside host noise, the
-#: ``CLUSTER_QUICK`` ``gate_speedup=False`` precedent): dense churn over
+#: only -- at quick sizes the pair is inside host noise): dense churn over
 #: a wide Jcap is the serving-traffic regime the PR 9 structural
 #: plumbing (batched charges, C-side splay/transition walks,
 #: sparse-aware mirror scans) targets; measured ~2x on the dev host
@@ -848,11 +546,14 @@ def measure_compiled_equivalence(specs: dict, engines=None, *,
     Replays each gated row's exact op stream on a fresh engine per
     backend and compares the end states (forest edge ids, ``msf_weight``,
     the facade ``state_fingerprint``, and PRAM ``depth``/``work`` where
-    measured) -- identical op stream, interleaved pairs with a
-    median-of-ratios estimate (:func:`_paired_backend_ratio`) so the
-    recorded ratio carries neither cross-host noise nor same-run
-    arm-order drift.  Returns None (section omitted) when the native
-    extension is not built.
+    measured).  Both backends are arms of one ``rounds`` call, so each
+    round runs them back to back in alternating order; the recorded
+    ratio is the median of per-round ratios and carries neither
+    cross-host noise nor same-run arm-order drift (a fixed-order run
+    once read a ~1.0x row as 0.39x).  Signatures for the bit-identity
+    gate come from the first round; the replay is deterministic.
+    Returns None (section omitted) when the native extension is not
+    built.
     ``gate_churn=False`` (the quick profile) drops the hard
     :data:`COMPILED_CHURN_MIN` bar on ``seq-core-wide-churn`` -- at
     smoke sizes the pair sits inside host noise -- while keeping its
@@ -869,28 +570,40 @@ def measure_compiled_equivalence(specs: dict, engines=None, *,
         if spec is None or (engines and name not in engines):
             continue
         ops = _ops_for(spec)
-        pair = _paired_backend_ratio(spec, ops, "compiled")
-        arms = {"scalar": {"seconds": pair["scalar_s"]},
-                "compiled": {"seconds": pair["other_s"]}}
-        identical = pair["identical"]
-        ratio = pair["ratio"]
+        machines: dict[str, object] = {}
+        sigs: dict[str, tuple] = {}
+
+        def arm(backend: str) -> float:
+            engine, core_style, machines[backend] = _build(
+                dict(spec, backend=backend), machine=machines.get(backend))
+            t0 = time.perf_counter()
+            replay(engine, ops, core_style)
+            d = time.perf_counter() - t0
+            if backend not in sigs:
+                sigs[backend] = _equiv_signature(engine, core_style)
+            return d
+
+        pairs = rounds({"scalar": lambda: arm("scalar"),
+                        "compiled": lambda: arm("compiled")},
+                       min_rounds=CMP_MIN_PAIRS, budget_s=1.2)
+        ratio = statistics.median(r["scalar"] / r["compiled"] for r in pairs)
+        best = {bk: min(r[bk] for r in pairs) for bk in ("scalar", "compiled")}
+        identical = sigs["scalar"] == sigs["compiled"]
         rows[name] = {
             "n": spec["n"],
             "workload": spec["workload"],
             "updates": len(ops),
-            "scalar_updates_per_s": round(
-                len(ops) / arms["scalar"]["seconds"], 2),
-            "compiled_updates_per_s": round(
-                len(ops) / arms["compiled"]["seconds"], 2),
+            "scalar_updates_per_s": round(len(ops) / best["scalar"], 2),
+            "compiled_updates_per_s": round(len(ops) / best["compiled"], 2),
             "compiled_speedup": round(ratio, 3),
             "bit_identical": identical,
             "gate_churn": gate_churn and name == "seq-core-wide-churn",
-            "pairs": pair["pairs"],
+            "pairs": len(pairs),
             "estimator": "median-of-ratios",
         }
         print(f"  {name:<22} n={spec['n']:<5} scalar "
-              f"{len(ops) / arms['scalar']['seconds']:10.1f} upd/s  "
-              f"compiled {len(ops) / arms['compiled']['seconds']:10.1f} "
+              f"{len(ops) / best['scalar']:10.1f} upd/s  "
+              f"compiled {len(ops) / best['compiled']:10.1f} "
               f"upd/s  ratio {ratio:5.2f}x  identical={identical}")
     return rows
 
@@ -966,8 +679,8 @@ def measure_durability_overhead(specs: dict, engines=None):
     Numerator and denominator share one run's noise environment, so
     host drift cancels by construction -- a wall-clock A/B ratio on a
     shared host swings +-15% per run, far beyond a 5% bar.  Noise can
-    only *inflate* the attribution, so the minimum across runs is the
-    estimator.  The paired off-arms remain for the reported throughput
+    only *inflate* the attribution, so the minimum across ``rounds`` is
+    the estimator.  The paired off-arms remain for the reported throughput
     and to prove the streams end bit-identical; the first on-arm's
     directory is additionally **restored** after the timed window and
     must reproduce the live fronts' ``state_fingerprint`` -- an
@@ -985,17 +698,16 @@ def measure_durability_overhead(specs: dict, engines=None):
     steps = spec["steps"] * DURABILITY_STEP_SCALE
     ops = list(churn(spec["n"], steps, seed=7))
     fps: dict[str, object] = {}
-    best: dict[str, float] = {}
     attributed: list[float] = []
 
-    def _one(mode: str) -> float:
+    def arm(mode: str) -> float:
         tmp = (tempfile.mkdtemp(prefix="repro-bench-wal-")
                if mode == "on" else None)
         durable = ({"durability": "wal", "durable_dir": tmp,
                     "snapshot_every": DURABILITY_SNAPSHOT_EVERY}
                    if mode == "on" else {})
         front = BatchedMSF(spec["n"], sparsify=True,
-                           batch_size=DURABILITY_BATCH, pool_size=1,
+                           batch_size=DURABILITY_BATCH,
                            consistency="deferred", **durable)
         spent_durable = [0.0]
         if mode == "on":
@@ -1011,7 +723,7 @@ def measure_durability_overhead(specs: dict, engines=None):
             front._write_durable_snapshot = _timed(
                 front._write_durable_snapshot)
         t0 = time.perf_counter()
-        _replay(front, ops, False)
+        replay(front, ops, False)
         d = time.perf_counter() - t0
         if mode == "on":
             attributed.append(spent_durable[0] / (d - spent_durable[0]))
@@ -1029,16 +741,11 @@ def measure_durability_overhead(specs: dict, engines=None):
             front.close()
             if tmp is not None:
                 shutil.rmtree(tmp, ignore_errors=True)
-        best[mode] = min(best.get(mode, d), d)
         return d
 
-    pairs = 0
-    spent = 0.0
-    while (spent < 2.5 or pairs < 5) and pairs < 12:
-        order = ("on", "off") if pairs % 2 else ("off", "on")
-        d = {mode: _one(mode) for mode in order}
-        spent += d["off"] + d["on"]
-        pairs += 1
+    pairs = rounds({"off": lambda: arm("off"), "on": lambda: arm("on")},
+                   min_rounds=5, budget_s=2.5)
+    best = {mode: min(r[mode] for r in pairs) for mode in ("off", "on")}
     overhead = min(attributed)
     identical = fps["off"] == fps["on"] == fps["restore"]
     row = {
@@ -1051,7 +758,7 @@ def measure_durability_overhead(specs: dict, engines=None):
         "on_updates_per_s": round(len(ops) / best["on"], 2),
         "overhead_pct": round(100.0 * overhead, 2),
         "restore_identical": identical,
-        "pairs": pairs,
+        "pairs": len(pairs),
         "estimator": "min-attributed-in-run",
     }
     print(f"  {DURABILITY_ROW:<22} n={spec['n']:<5} off "
@@ -1085,45 +792,77 @@ def durability_failures(rows) -> list[str]:
 # baseline lookup and comparison
 # ---------------------------------------------------------------------------
 
-def latest_baseline(exclude: Path | None = None) -> Path | None:
-    """The most recent committed BENCH_PR<k>.json (highest k)."""
-    best, best_k = None, -1
-    for p in REPO_ROOT.glob("BENCH_*.json"):
-        if exclude is not None and p.resolve() == exclude.resolve():
-            continue
-        m = re.search(r"(\d+)", p.stem)
-        k = int(m.group(1)) if m else 0
-        if k > best_k:
-            best, best_k = p, k
-    return best
+def committed_baselines() -> list[tuple[str, dict]]:
+    """Every committed ``BENCH_PR<k>.json`` as ``(file name, record)``,
+    newest (highest k) first."""
+    found = []
+    for p in REPO_ROOT.glob("BENCH_PR*.json"):
+        m = re.fullmatch(r"BENCH_PR(\d+)", p.stem)
+        if m:
+            found.append((int(m.group(1)), p))
+    return [(p.name, json.loads(p.read_text()))
+            for _k, p in sorted(found, reverse=True)]
 
 
-def compare(current: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Return a list of regression messages (empty == pass)."""
+def host_matches(a: dict | None, b: dict | None) -> bool:
+    """Whether wall clock measured on host ``a`` is comparable with ``b``."""
+    return (a is not None and b is not None
+            and all(a.get(k) == b.get(k) for k in HOST_KEYS))
+
+
+def _same_row(base: dict | None, cur: dict) -> bool:
+    """A baseline row counts only if it ran the same workload."""
+    return base is not None and all(
+        base.get(k, d) == cur.get(k, d)
+        for k, d in (("workload", None), ("n", None), ("backend", "scalar")))
+
+
+def compare(current: dict, section: str, history: list[tuple[str, dict]],
+            host: dict, tolerance: float) -> tuple[list[str], list[str]]:
+    """Gate one section's rows against the committed trajectory.
+
+    ``history`` is :func:`committed_baselines` output (newest first).
+    Throughput is gated against the best ``updates_per_s`` among the
+    :data:`TRAJECTORY` newest files whose ``host`` matches (see
+    :data:`HOST_KEYS`); a row no such file has is *unresolved* and not
+    gated, because wall clock measures the host as much as the code.
+    ``depth``/``work`` do not depend on the host, so they are gated
+    against the newest file that has the row, wherever it ran.  Returns
+    ``(failures, unresolved row names)``.
+    """
+    matched = [(f, rec) for f, rec in history
+               if host_matches(rec.get("host"), host)][:TRAJECTORY]
     failures: list[str] = []
+    unresolved: list[str] = []
     for name, cur in current.items():
-        base = baseline.get(name)
-        if base is None:
+        bases = [(rec[section][name]["updates_per_s"], f)
+                 for f, rec in matched
+                 if _same_row(rec.get(section, {}).get(name), cur)]
+        if bases:
+            best, f = max(bases)
+            floor = best * (1.0 - tolerance)
+            if cur["updates_per_s"] < floor:
+                failures.append(
+                    f"{name}: {cur['updates_per_s']:.1f} upd/s < "
+                    f"{floor:.1f} (best baseline {best:.1f} in {f} "
+                    f"- {tolerance:.0%})")
+        else:
+            unresolved.append(name)
+        model = next(((f, rec[section][name]) for f, rec in history
+                      if _same_row(rec.get(section, {}).get(name), cur)),
+                     None)
+        if model is None:
             continue
-        if base.get("workload") != cur.get("workload") or \
-                base.get("n") != cur.get("n") or \
-                base.get("backend", "scalar") != cur.get("backend", "scalar"):
-            continue  # workload redefined; not comparable
-        floor = base["updates_per_s"] * (1.0 - tolerance)
-        if cur["updates_per_s"] < floor:
-            failures.append(
-                f"{name}: {cur['updates_per_s']:.1f} upd/s < "
-                f"{floor:.1f} (baseline {base['updates_per_s']:.1f} "
-                f"- {tolerance:.0%})")
+        f, base = model
         for q in ("depth", "work"):
             b, c = base.get(q), cur.get(q)
             if b is None or c is None or b == 0:
                 continue
             if abs(c - b) > tolerance * b:
                 failures.append(
-                    f"{name}: {q} drifted {b} -> {c} "
+                    f"{name}: {q} drifted {b} -> {c} vs {f} "
                     f"(> {tolerance:.0%}; model quantities should be stable)")
-    return failures
+    return failures, unresolved
 
 
 # ---------------------------------------------------------------------------
@@ -1135,17 +874,18 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="measure only the quick (CI smoke) profile")
     ap.add_argument("--check", action="store_true",
-                    help="compare against the last committed BENCH_*.json "
-                         "instead of writing a new file")
+                    help="compare against the committed BENCH_PR*.json "
+                         "trajectory instead of writing a new file")
     ap.add_argument("--tolerance", type=float, default=0.15,
                     help="allowed relative regression (default 0.15)")
     ap.add_argument("--engines", nargs="*", default=None,
                     help="restrict to these engine names")
-    ap.add_argument("-o", "--out", default=str(REPO_ROOT / "BENCH_PR10.json"),
-                    help="output file (default BENCH_PR10.json)")
+    ap.add_argument("-o", "--out",
+                    default=str(REPO_ROOT / "bench-regression.json"),
+                    help="output file (default bench-regression.json; "
+                         "name it BENCH_PR<k>.json to commit a baseline)")
     args = ap.parse_args(argv)
 
-    out_path = Path(args.out)
     meta = host_meta()
     print(_describe_host(meta))
     result = {"schema": SCHEMA,
@@ -1162,11 +902,6 @@ def main(argv=None) -> int:
     result["resilience_overhead"] = measure_resilience_overhead(
         QUICK if args.quick else FULL, args.engines)
     over = overhead_failures(result["resilience_overhead"])
-    if args.engines is None or "cluster-sharded" in args.engines:
-        print("== sharded serving cluster (bit-identity + speedup) ==")
-        result["cluster"] = measure_cluster(
-            CLUSTER_QUICK if args.quick else CLUSTER_FULL)
-        over += cluster_failures(result["cluster"])
     print("== compiled backend (bit-identity + same-run ratio) ==")
     compiled_rows = measure_compiled_equivalence(
         QUICK if args.quick else FULL, args.engines,
@@ -1182,43 +917,30 @@ def main(argv=None) -> int:
     over += durability_failures(durability_rows)
 
     if args.check:
-        base_path = latest_baseline()
-        if base_path is None:
-            print("no committed BENCH_*.json baseline; nothing to check "
-                  "(pass)")
-            print(_describe_host(meta, "measured on"))
-            return 1 if over else 0
-        baseline = json.loads(base_path.read_text())
+        history = committed_baselines()
         failures: list[str] = list(over)
-        for section in ("engines", "quick_engines"):
-            if section in result and section in baseline:
-                failures += compare(result[section], baseline[section],
-                                    args.tolerance)
         print()
         print(_describe_host(meta, "measured on"))
-        base_host = baseline.get("host")
-        if base_host:
-            print(_describe_host(base_host, f"baseline {base_path.name} on"))
-            if base_host.get("cpu_count") != meta.get("cpu_count"):
-                print(f"  note: CPU count changed "
-                      f"({base_host.get('cpu_count')} -> "
-                      f"{meta.get('cpu_count')}); wall-clock comparisons "
-                      f"are cross-host")
-        else:
-            print(f"baseline {base_path.name} predates host metadata "
-                  f"(schema {baseline.get('schema', '?')})")
+        matched = [f for f, rec in history
+                   if host_matches(rec.get("host"), meta)][:TRAJECTORY]
+        print(f"throughput baselines (newest {TRAJECTORY} host-matched): "
+              f"{', '.join(matched) or 'none'}")
+        for section in ("engines", "quick_engines"):
+            if section not in result:
+                continue
+            fails, unresolved = compare(result[section], section, history,
+                                        meta, args.tolerance)
+            failures += fails
+            for name in unresolved:
+                print(f"  {section}/{name}: unresolved "
+                      f"(no host-matched baseline)")
         if failures:
-            print(f"\nREGRESSIONS vs {base_path.name}:")
+            print("\nREGRESSIONS:")
             for f in failures:
                 print(f"  FAIL {f}")
             return 1
-        print(f"\nOK: no regression vs {base_path.name} "
-              f"(tolerance {args.tolerance:.0%}); resilience overhead "
-              f"within {RES_OVERHEAD_TOL:.0%}")
-        if "cluster" in result:
-            print(f"cluster: bit-identical at pools "
-                  f"{[p for p in result['cluster']['pools']]}, best speedup "
-                  f"{result['cluster']['best_speedup']}x")
+        print(f"\nOK: no regression (tolerance {args.tolerance:.0%}); "
+              f"resilience overhead within {RES_OVERHEAD_TOL:.0%}")
         return 0
 
     if over:  # absolute bars also gate the measure-and-write mode
@@ -1226,6 +948,7 @@ def main(argv=None) -> int:
             print(f"  FAIL {f}")
         return 1
 
+    out_path = Path(args.out)
     out_path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"\nwrote {out_path}")
     return 0

@@ -88,12 +88,10 @@ def bench_mix(n: int, steps: int, read_ratio: float, seed: int,
     rows: dict[str, tuple[float, OpStream]] = {}
     dt, base = _drive_timed(DynamicMSF(n, sparsify=True), ops)
     rows["facade-sparsified"] = (dt, base)
-    dt, strong = _drive_timed(
-        BatchedMSF(n, pool_size=1, batch_size=batch_size), ops)
+    dt, strong = _drive_timed(BatchedMSF(n, batch_size=batch_size), ops)
     rows["batched strong p=1"] = (dt, strong)
     dt, d1 = _drive_timed(
-        BatchedMSF(n, pool_size=1, batch_size=batch_size,
-                   consistency="deferred"), ops)
+        BatchedMSF(n, batch_size=batch_size, consistency="deferred"), ops)
     rows["batched deferred p=1"] = (dt, d1)
 
     # differential gates while we're here: strong mode must agree with

@@ -9,7 +9,6 @@ Usage:
                                           [--backend {scalar,compiled}]
 
 engine: seq | par | par-fast | sparsify   (default seq, n=1024, steps=300)
-(also accepted flag-style: ``--engine par-fast``, the CI spelling)
 
 ``par-fast`` profiles the parallel engine with ``audit="fast"`` so the
 shape-keyed kernel bypass shows up in the profile instead of the lockstep
@@ -26,7 +25,8 @@ costs).  ``-o FILE`` additionally dumps the raw profile for ``snakeviz``
 
 ``--json FILE`` additionally writes a machine-readable attribution record
 (top-N rows by ``cumtime`` and ``tottime`` plus per-module ``tottime``
-totals) so CI can archive hotspot attribution next to the BENCH file.
+totals, with the native ``_kernels`` extension as its own module) so CI
+can archive hotspot attribution next to the BENCH file.
 
 Unknown engine names are rejected *before* any profiling starts, and the
 process exits non-zero so shell pipelines fail loudly.
@@ -41,17 +41,23 @@ import os
 import pstats
 import sys
 import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from _common import replay
 
 ENGINES = ("seq", "par", "par-fast", "sparsify")
 
 BACKENDS = ("scalar", "compiled")
 
-#: v3 (PR 9): adds ``time_split`` (tottime attributed to the native
-#: ``_kernels`` extension vs pure python vs other builtins) and
-#: ``charge_streams`` (C-side ChargeStream add/drain telemetry summed
-#: over every attached counter), so CI artifacts show the plumbing
-#: share moving across the C boundary instead of just shuffling rows.
-JSON_SCHEMA = "hotspot-attribution/v3"
+#: v4: ``tottime_by_module`` keys the native ``_kernels`` built-ins as
+#: their own module, and ``start`` is "warm" when the replay warm-up ran.
+#: ``charge_streams`` sums the C-side ChargeStream add/drain telemetry
+#: over every attached counter.
+JSON_SCHEMA = "hotspot-attribution/v4"
 
 
 def build(engine: str, n: int, machine=None, backend: str = "scalar"):
@@ -91,24 +97,18 @@ def workload(eng, core_style: bool, n: int, steps: int,
     else:
         from repro.workloads import churn
         ops = churn(n, steps, seed=11, max_degree=3 if core_style else None)
-    handles = {}
-    idx = 0
-    for op in ops:
-        if op[0] == "ins":
-            _t, u, v, w = op
-            if core_style:
-                handles[idx] = eng.insert_edge(u, v, w, eid=10_000 + idx)
-            else:
-                handles[idx] = eng.insert_edge(u, v, w)
-        else:
-            h = handles.pop(op[1])
-            eng.delete_edge(h)
-        idx += 1
+    replay(eng, ops, core_style)
 
 
-def _module_of(filename: str) -> str:
-    """Human attribution key: python module (or builtin bucket) of a row."""
+def _module_of(filename: str, funcname: str) -> str:
+    """Human attribution key: python module (or builtin bucket) of a row.
+
+    Built-ins of the compiled extension are keyed ``_kernels``, so the
+    native share shows in ``tottime_by_module`` (pstats names a
+    built-in by its qualified name, with no file)."""
     if filename.startswith("<") or filename == "~":
+        if "repro.core.compiled._kernels" in funcname:
+            return "_kernels"
         return "<builtins>"
     return os.path.splitext(os.path.basename(filename))[0]
 
@@ -119,7 +119,7 @@ def attribution(stats: pstats.Stats, limit: int) -> dict:
     modules: dict[str, float] = {}
     for (filename, lineno, funcname), row in stats.stats.items():
         _cc, nc, tottime, cumtime, _callers = row
-        module = _module_of(filename)
+        module = _module_of(filename, funcname)
         entries.append({
             "module": module,
             "function": funcname,
@@ -139,34 +139,6 @@ def attribution(stats: pstats.Stats, limit: int) -> dict:
             m: round(t, 6)
             for m, t in sorted(modules.items(), key=lambda kv: -kv[1])
         },
-    }
-
-
-def time_split(stats: pstats.Stats) -> dict:
-    """C-vs-Python tottime attribution.
-
-    ``native_kernels`` is everything executed inside the compiled
-    ``_kernels`` extension (pstats shows built-ins with their qualified
-    name); ``python`` is bytecode in repro/stdlib frames; remaining
-    built-ins (list.append, numpy ufuncs, ...) land in
-    ``other_builtins``.  Shares are of the profiled total.
-    """
-    native = python = builtins = 0.0
-    for (filename, _lineno, funcname), row in stats.stats.items():
-        tottime = row[2]
-        if "repro.core.compiled._kernels" in funcname:
-            native += tottime
-        elif filename.startswith("<") or filename == "~":
-            builtins += tottime
-        else:
-            python += tottime
-    total = native + python + builtins
-    return {
-        "native_kernels_s": round(native, 6),
-        "python_s": round(python, 6),
-        "other_builtins_s": round(builtins, 6),
-        "native_share": round(native / total, 4) if total else 0.0,
-        "python_share": round(python / total, 4) if total else 0.0,
     }
 
 
@@ -209,22 +181,10 @@ def parse_args(argv=None) -> argparse.Namespace:
         description="Profile an engine's hot paths under the churn workload.")
     parser.add_argument("engine", nargs="?", default="seq", choices=ENGINES,
                         help="engine to profile (default: seq)")
-    parser.add_argument("--engine", dest="engine_flag", choices=ENGINES,
-                        default=None, metavar="ENGINE",
-                        help="flag-style alias for the positional engine "
-                             "argument (CI invocations use --engine "
-                             "par-fast --json ...); overrides the "
-                             "positional when both are given")
     parser.add_argument("n", nargs="?", type=int, default=1024,
                         help="vertex-set size (default: 1024)")
     parser.add_argument("steps", nargs="?", type=int, default=300,
                         help="number of updates (default: 300)")
-    parser.add_argument("--n", dest="n_flag", type=int, default=None,
-                        help="flag-style alias for the positional n "
-                             "(needed alongside --engine, which leaves "
-                             "no positional engine slot to anchor n)")
-    parser.add_argument("--steps", dest="steps_flag", type=int, default=None,
-                        help="flag-style alias for the positional steps")
     parser.add_argument("--sort", choices=("cumulative", "tottime"),
                         default="cumulative",
                         help="pstats sort key (default: cumulative)")
@@ -247,12 +207,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.engine_flag is not None:
-        args.engine = args.engine_flag
-    if args.n_flag is not None:
-        args.n = args.n_flag
-    if args.steps_flag is not None:
-        args.steps = args.steps_flag
     # Validate *everything* that can fail before the profiler starts, so a
     # typo never burns a multi-minute workload first.
     if args.n < 2:
@@ -312,8 +266,7 @@ def main(argv=None) -> int:
             "n": args.n,
             "steps": args.steps,
             "workload": "adversarial" if adversarial else "churn",
-            "arena": start,   # schema v3 key: "warm" = replay warm-up ran
-            "time_split": time_split(stats),
+            "start": start,
             **attribution(stats, args.limit),
         }
         streams = charge_stream_stats(eng)

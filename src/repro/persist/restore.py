@@ -20,7 +20,10 @@
    own fingerprint is refused;
 4. **replay** -- the retained WAL tail re-applies batch by batch via the
    same apply path, restoring ``seq``, the eid counter and the
-   source-stream resume cursor exactly;
+   source-stream resume cursor exactly.  Each record's ops are first
+   validated against the live registry (:func:`_check_record`), so a
+   well-checksummed but forged record raises ``WALCorruptionError``
+   instead of reaching the apply path;
 5. **resume** -- the returned front has durability re-attached and live:
    new batches append at ``seq + 1`` and the caller resumes its source
    stream at ``report["cursor"] + 1``.
@@ -35,8 +38,10 @@ checked from the durable artifacts alone.
 
 from __future__ import annotations
 
+import numbers
 import os
 
+from ..core.model import check_endpoints, check_weight
 from ..resilience.errors import SnapshotStaleError, WALCorruptionError
 from .snapshot import fingerprint_digest, latest_valid_snapshot
 from .wal import WAL_FILENAME, OpLog
@@ -67,6 +72,48 @@ def _build_front(config: dict, directory: str, overrides: dict):
     raise WALCorruptionError(
         f"stored config names unknown front kind {kind!r}",
         path=os.path.join(directory, WAL_FILENAME))
+
+
+def _check_record(rec, edges, n: int, path: str) -> None:
+    """Reject a WAL record whose ops cannot replay on the registry.
+
+    ``edges`` is the front's live ``eid -> (u, v, w)`` registry before
+    the record; each op is checked against it as the record's earlier
+    ops leave it: the tag and arity, an insert's eid, endpoints and
+    weight, that an insert's eid is not live and that a delete's is.
+    """
+    added: set = set()
+    removed: set = set()
+    try:
+        for op in rec.ops:
+            tag = op[0] if op else None
+            if tag == "del" and len(op) == 2:
+                eid = op[1]
+                if eid in added:
+                    added.discard(eid)
+                elif eid in edges and eid not in removed:
+                    removed.add(eid)
+                else:
+                    raise ValueError(f"delete of unknown edge {eid!r}")
+            elif tag == "ins" and len(op) == 5:
+                _t, eid, u, v, w = op
+                if isinstance(eid, bool) or not isinstance(
+                        eid, numbers.Integral):
+                    raise ValueError(f"edge id {eid!r} is not an integer")
+                check_endpoints(u, v, n)
+                check_weight(w)
+                if eid in added or (eid in edges and eid not in removed):
+                    raise ValueError(f"insert of live edge id {eid}")
+                if eid in removed:
+                    removed.discard(eid)
+                else:
+                    added.add(eid)
+            else:
+                raise ValueError(f"malformed op {op!r}")
+    except (TypeError, ValueError) as exc:
+        raise WALCorruptionError(
+            f"WAL record at seq {rec.seq} does not replay: {exc}",
+            seq=rec.seq, path=path) from exc
 
 
 def restore(directory: str, *, level: str = "cheap",
@@ -133,6 +180,7 @@ def restore(directory: str, *, level: str = "cheap",
             front._resume_counters(seq=base, next_eid=int(snap["next_eid"]))
             cursor = int(snap["cursor"])
         for rec in records:
+            _check_record(rec, front._edges, front.n, wal_path)
             front._replay_committed(rec.ops)
             front._resume_counters(seq=rec.seq, next_eid=rec.next_eid)
             cursor = rec.cursor

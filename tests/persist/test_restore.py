@@ -212,3 +212,50 @@ def test_restore_charges_replay_work(tmp_path):
 def test_resume_point_helper():
     assert resume_point({"cursor": 41}) == 42
     assert resume_point({"cursor": -1}) == 0
+
+
+#: forged records, each built from the front's next free eid and one
+#: live eid; every one passes the checksum and hash chain
+FORGED = {
+    "nan-weight": lambda new, live: [("ins", new, 0, 1, float("nan"))],
+    "str-weight": lambda new, live: [("ins", new, 0, 1, "1.5")],
+    "endpoint-range": lambda new, live: [("ins", new, 0, 99, 1.0)],
+    "unknown-delete": lambda new, live: [("del", new + 1000)],
+    "duplicate-eid": lambda new, live: [("ins", live, 2, 3, 1.0)],
+    "unknown-tag": lambda new, live: [("upd", live, 2.0)],
+}
+
+FRONTS = {
+    "sparsified": lambda d: BatchedMSF(12, batch_size=4, durability="wal",
+                                       durable_dir=d, snapshot_every=3),
+    "flat": lambda d: BatchedMSF(12, sparsify=False, batch_size=4,
+                                 durability="wal", durable_dir=d,
+                                 snapshot_every=3),
+    "cluster": lambda d: ClusterMSF(12, batch_size=4, processes=False,
+                                    durability="wal", durable_dir=d,
+                                    snapshot_every=3),
+}
+
+
+@pytest.mark.parametrize("record", list(FORGED))
+@pytest.mark.parametrize("front_kind", list(FRONTS))
+def test_forged_record_raises_wal_corruption(tmp_path, front_kind, record):
+    """A well-checksummed record whose ops cannot replay is corruption,
+    whatever the front: it never reaches the apply path."""
+    from repro.persist.wal import OpLog
+
+    front = FRONTS[front_kind](str(tmp_path))
+    eids = [front.insert_edge(i % 12, (i + 5) % 12, float(i + 1))
+            for i in range(10)]
+    front.delete_edge(eids[3])
+    front.flush()
+    seq, next_eid = front.epoch, front._next_eid
+    front.close()
+    with OpLog(os.path.join(str(tmp_path), WAL_FILENAME)) as log:
+        log.append(seq + 1, FORGED[record](next_eid, eids[0]),
+                   next_eid=next_eid + 1)
+    overrides = {"processes": False} if front_kind == "cluster" else {}
+    with pytest.raises(WALCorruptionError) as info:
+        restore(str(tmp_path), **overrides)
+    assert info.value.seq == seq + 1
+    assert info.value.path.endswith(WAL_FILENAME)

@@ -37,7 +37,7 @@ class Box:
 
 
 # --------------------------------------------------------------------------
-# workload driver (mirrors benchmarks/bench_regression.py `_replay`)
+# workload driver (mirrors benchmarks/_common.py `replay`)
 # --------------------------------------------------------------------------
 
 

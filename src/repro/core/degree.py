@@ -27,7 +27,7 @@ import itertools
 from typing import Iterator, Optional
 
 from ..analysis.counters import OpCounter
-from ..resilience.errors import UnknownEdgeError
+from ..resilience.errors import InvalidInputError, UnknownEdgeError
 from .model import Edge, check_endpoints, check_weight
 from .seq_msf import SparseDynamicMSF
 
@@ -156,7 +156,7 @@ class DegreeReducer:
             raise ValueError(
                 "non-positive ids are reserved for gadget chain edges")
         if eid in self.real or eid in self.self_loops:
-            raise ValueError(f"duplicate real edge id {eid}")
+            raise InvalidInputError(f"duplicate real edge id {eid}")
         if u == v:
             self.self_loops[eid] = (u, w)
             return eid

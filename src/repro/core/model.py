@@ -18,6 +18,8 @@ import math
 import numbers
 from typing import Any, Optional
 
+from ..resilience.errors import InvalidInputError
+
 __all__ = ["Key", "INF_KEY", "Occurrence", "Vertex", "Edge", "SideRec",
            "adj_add", "adj_remove", "check_endpoints", "check_weight",
            "MAX_DEGREE"]
@@ -39,10 +41,12 @@ def check_endpoints(u: Any, v: Any, n: int) -> None:
     """
     for x in (u, v):
         if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise ValueError(f"endpoints ({u!r}, {v!r}) must be integer "
-                             f"vertex ids in range 0..{n - 1}")
+            raise InvalidInputError(
+                f"endpoints ({u!r}, {v!r}) must be integer vertex ids in "
+                f"range 0..{n - 1}")
     if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"endpoints ({u}, {v}) out of range 0..{n - 1}")
+        raise InvalidInputError(
+            f"endpoints ({u}, {v}) out of range 0..{n - 1}")
 
 
 def check_weight(w: Any) -> None:
@@ -55,9 +59,10 @@ def check_weight(w: Any) -> None:
     (``True`` would silently weigh 1, ``"1.5"`` would pass ``float()``).
     """
     if isinstance(w, bool) or not isinstance(w, numbers.Real):
-        raise ValueError(f"edge weight must be a real number, got {w!r}")
+        raise InvalidInputError(
+            f"edge weight must be a real number, got {w!r}")
     if not math.isfinite(w):
-        raise ValueError(f"edge weight must be finite, got {w!r}")
+        raise InvalidInputError(f"edge weight must be finite, got {w!r}")
 
 
 #: The core engines require the Frederickson degree bound (Section 1.1);

@@ -16,7 +16,7 @@ to its parent.  The MSF at the root is the MSF of the whole graph.  The
 root keeps the local graph in its own dynamic-MSF instance (a
 degree-reduced sparse engine sized ``O(n / 2^level)``); any other node
 builds one only when an update would leave it two edges, and drops it
-again when a batch leaves it with one -- a single edge is its own MSF.
+again when an update leaves it with one -- a single edge is its own MSF.
 
 Leaves (both ranges singleton) store the parallel edges of one vertex pair
 and contribute the lightest.  Nodes are materialized lazily and retired
@@ -25,6 +25,26 @@ allocates its gadget chains and chunk matrix only on first use, so space
 is ``O(m log n)`` in the *live* edges ``m`` -- not in every vertex pair
 the tree has ever seen.  Engine-free nodes charge no elementary ops,
 like leaves.
+
+**Density.**  Sparsification only pays when ``m >> n``: for ``m = O(n)``
+Theorem 3.1's engine meets the bound directly.  So a tree runs *flat*
+while it has at most ``GROW_ABOVE * n`` live real edges: the root's
+engine (capped at ``3n + 8`` edges) holds the real edges themselves,
+each update's plan has one station, the root, and no other node exists.
+Above that the edge-partition tree is built *beside* the flat engine,
+which keeps answering (global rebuilding): every real-graph op moves
+``MOVES_PER_OP`` not-yet-moved live edges into the new side, and an
+update to an edge the new side already has is applied to both sides.
+When the last edge has moved, the sides swap in O(1) and the flat
+engine is retired.  Below ``FOLD_BELOW * n`` live edges the same
+mechanism feeds a fresh flat root engine and retires the tree.  A
+growth that falls back below ``FOLD_BELOW * n``, or a fold that climbs
+above ``GROW_ABOVE * n``, drops its half-built side (hysteresis).  No
+op moves more than ``MOVES_PER_OP`` edges, so a switch is never an
+O(m) spike, and since the MSF is unique under ``(w, eid)`` both sides
+hold the same forest when they swap.  The mode is decided per op, when
+the op runs, on the serial path and in :meth:`SparsifiedMSF.apply_batch`
+alike.
 
 The **parallel sparsification** of Section 5.3 is realized by cost
 accounting: per update, each level's local-engine work is independent
@@ -42,11 +62,21 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from ..resilience import faults as _faults
-from ..resilience.errors import UnknownEdgeError
+from ..resilience.errors import InvalidInputError, UnknownEdgeError
 from .degree import DegreeReducer
 from .model import check_endpoints, check_weight
 
-__all__ = ["SparsifiedMSF"]
+__all__ = ["SparsifiedMSF", "GROW_ABOVE", "FOLD_BELOW", "MOVES_PER_OP"]
+
+#: a flat tree grows its edge-partition levels above ``GROW_ABOVE * n``
+#: live real edges ...
+GROW_ABOVE = 2
+#: ... and a grown tree folds back to flat below ``FOLD_BELOW * n``
+FOLD_BELOW = 1
+#: edges a mode switch moves into its half-built side per real-graph op;
+#: a growth starting at ``2n + 1`` edges ends by about ``2.5 n``, inside
+#: the flat root engine's ``3n + 8`` cap
+MOVES_PER_OP = 4
 
 
 def _split(lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -90,6 +120,17 @@ def _apply_held(edges: dict[int, float], ins, dels) -> tuple[list, list]:
             [before] if before is not None else [])
 
 
+def _per_level(plans) -> list[tuple[int, int, int]]:
+    """The plans' ``(level, ops, depth)`` marks summed per level, in
+    first-visit order."""
+    acc: dict[int, tuple[int, int]] = {}
+    for plan in plans:
+        for level, ops_d, depth_d in plan.levels:
+            o, d = acc.get(level, (0, 0))
+            acc[level] = (o + ops_d, d + depth_d)
+    return [(level, o, d) for level, (o, d) in acc.items()]
+
+
 def _build_engine(engine_key: tuple) -> DegreeReducer:
     """A fresh node engine for ``(n_local, K, parallel, backend)``."""
     n_local, K, parallel, backend = engine_key
@@ -124,12 +165,13 @@ class _Leaf:
 class _Node:
     """An internal edge-partition node.
 
-    The root always runs a local dynamic-MSF engine.  Any other node
-    runs one only while it holds two or more edges: with at most one
-    edge, that edge *is* its MSF, so the node keeps it in ``edges`` and
-    reports deltas like a leaf (``engine is None``).  An update that
-    would leave it two edges builds the engine first (:meth:`apply`);
-    :meth:`SparsifiedMSF._retire_empty` drops it once a batch leaves
+    The root always runs a local dynamic-MSF engine (holding the real
+    edges themselves while the tree is flat).  Any other node runs one
+    only while it holds two or more edges: with at most one edge, that
+    edge *is* its MSF, so the node keeps it in ``edges`` and reports
+    deltas like a leaf (``engine is None``).  An update that would leave
+    it two edges builds the engine first (:meth:`apply`);
+    :meth:`SparsifiedMSF._retire_empty` drops it once an update leaves
     the node with one.
     """
 
@@ -211,45 +253,46 @@ class _Node:
 
 
 class _PropagationPlan:
-    """One update's leaf-to-root walk, reified as an executable plan.
+    """One update's leaf-to-root walk on one side, reified as a plan.
 
-    ``stations`` is the ordered list of tree-node keys the update visits
-    (leaf first, root last) and ``step(pos)`` performs exactly one node's
-    ``apply`` -- returning ``True`` when the MSF delta has emptied and the
-    remaining stations can be skipped (Eppstein et al.'s stability
-    property).  :meth:`run_serial` is the one station walk: the serial
-    update path and the batch path (directly or through
-    ``repro.serve.LevelExecutor``) both run plans through it in
-    submission order, so per-node op sequences -- and therefore forests,
-    op counters and PRAM depth/work -- are the same on every path.
+    ``stations`` is the ordered list of node keys the update visits in
+    ``nodes`` (leaf first, root last; just the root on a flat side) and
+    ``step(pos)`` performs exactly one node's ``apply`` -- returning
+    ``True`` when the MSF delta has emptied and the remaining stations
+    can be skipped (Eppstein et al.'s stability property).
+    :meth:`run_serial` is the one station walk every update path runs,
+    so per-node op sequences -- and therefore forests, op counters and
+    PRAM depth/work -- are the same on every path.
     """
 
-    __slots__ = ("owner", "stations", "init_ins", "carry", "levels",
-                 "root_delta", "_winfo")
+    __slots__ = ("owner", "nodes", "stations", "init_ins", "carry",
+                 "levels", "root_delta", "_winfo")
 
-    def __init__(self, owner: "SparsifiedMSF", u: int, v: int,
-                 ins: Sequence[tuple], dels: Sequence[int],
+    def __init__(self, owner: "SparsifiedMSF", nodes: dict, flat: bool,
+                 u: int, v: int, ins: Sequence[tuple], dels: Sequence[int],
                  winfo: Optional[dict] = None) -> None:
         self.owner = owner
+        self.nodes = nodes
         # materialize the whole path up front, so ``step`` only reads
-        # ``owner.nodes``
-        self.stations = list(reversed(owner._path(u, v)))
+        # ``nodes``
+        self.stations = ([owner._root_key] if flat
+                         else list(reversed(owner._path(u, v))))
         for key in self.stations:
-            owner._get_node(*key)
+            owner._get_node(nodes, key)
         self.init_ins = list(ins)
         self.carry: tuple[list, list] = (
             [eid for eid, _u, _v, _w in ins], list(dels))
         #: per visited station: (level, engine ops delta, machine depth
         #: delta) -- same shape as ``SparsifiedMSF._last_levels``
         self.levels: list[tuple[int, int, int]] = []
-        #: net (added, removed) edge ids of the *root* MSF, i.e. the
-        #: global forest delta of this update (empty on early exit)
+        #: net (added, removed) edge ids of this side's *root* MSF, i.e.
+        #: the global forest delta of this update (empty on early exit)
         self.root_delta: tuple[list, list] = ([], [])
         self._winfo = winfo
 
     def edge_info(self, eid: int) -> tuple[int, int, float]:
-        """(u, v, w) of ``eid``, falling back to the batch's tombstone
-        registry for edges whose deletion is part of the same batch."""
+        """(u, v, w) of ``eid``, falling back to the deleted edge's
+        record for the edge this update removes."""
         info = self.owner.edges.get(eid)
         if info is None:
             info = self._winfo[eid]
@@ -259,7 +302,7 @@ class _PropagationPlan:
         """Run station ``pos``; returns ``True`` if the plan is finished."""
         owner = self.owner
         key = self.stations[pos]
-        node = owner.nodes[key]
+        node = self.nodes[key]
         # marks before the step, so an engine this step builds is charged
         # here for re-inserting the edge the node held
         mark = owner._node_ops(node)
@@ -281,12 +324,48 @@ class _PropagationPlan:
                 return
 
 
+class _OpStep:
+    """One batch op in executor form: :meth:`run_serial` applies it
+    through the serial update path and keeps the plans it ran."""
+
+    __slots__ = ("owner", "op", "plans")
+
+    def __init__(self, owner: "SparsifiedMSF", op: tuple) -> None:
+        self.owner = owner
+        self.op = op
+        self.plans: list[_PropagationPlan] = []
+
+    def run_serial(self) -> None:
+        self.plans = self.owner._apply_op(self.op)
+
+
+class _Migration:
+    """The half-built side of a mode switch (see the module doc).
+
+    ``nodes`` is that side's node table, its own root included, and
+    ``flat`` the mode it will serve in; ``order`` snapshots the live
+    edge ids when the switch began, ``cursor`` is how far moving has got
+    through them, and ``moved`` holds the live edge ids the side has.
+    """
+
+    __slots__ = ("flat", "nodes", "order", "cursor", "moved")
+
+    def __init__(self, flat: bool, order: list[int]) -> None:
+        self.flat = flat
+        self.nodes: dict[tuple, object] = {}
+        self.order = order
+        self.cursor = 0
+        self.moved: set[int] = set()
+
+
 class SparsifiedMSF:
     """Dynamic MSF for general graphs with ``f(n)``-bounded updates.
 
     The public API mirrors the facade: global edge ids, arbitrary degrees,
     parallel edges, self-loops (ignored), and ``m`` decoupled from the
     per-update cost (experiment E6 verifies cost is flat in ``m``).
+    ``nodes``/``root``/``flat`` describe the side serving queries;
+    ``migration`` is the half-built side while the tree grows or folds.
     """
 
     def __init__(self, n: int, K: Optional[int] = None, *,
@@ -304,14 +383,19 @@ class SparsifiedMSF:
         self.parallel = parallel
         self.backend = backend
         self.max_level = max(1, math.ceil(math.log2(n)))
-        self.nodes: dict[tuple, object] = {}
         #: charged ops, EREW violations and PRAM depth/work of node engines
         #: this tree has retired (their counters leave with them)
         self.retired = {"ops": 0, "violations": 0, "depth": 0, "work": 0}
         self.edges: dict[int, tuple[int, int, float]] = {}
         self.self_loops: dict[int, tuple[int, float]] = {}
-        self.root = self._get_node(0, (0, n), (0, n))
+        self._root_key = (0, (0, n), (0, n))
+        self.nodes: dict[tuple, object] = {}
+        self.root = self._get_node(self.nodes, self._root_key)
         assert isinstance(self.root, _Node)
+        #: the serving side is flat: its root engine holds the real edges
+        self.flat = True
+        #: the half-built side while the tree grows or folds, else None
+        self.migration: Optional[_Migration] = None
         # per touched level: (level, engine ops delta, machine depth delta)
         self._last_levels: list[tuple[int, int, int]] = []
         # incremental MSF weight, maintained from root-level deltas so
@@ -320,7 +404,7 @@ class SparsifiedMSF:
         # The vertex-partition tree is a pure function of `n`, so the
         # per-vertex level ranges and the per-pair root-to-leaf node paths
         # never change: memoize them instead of re-deriving each update
-        # (the old per-update `_range_at` descents dominated `_propagate`).
+        # (per-update `_range_at` descents used to dominate the update path).
         self._range_cache: dict[int, list[tuple[int, int]]] = {}
         self._path_cache: dict[tuple[int, int], list[tuple]] = {}
 
@@ -363,19 +447,19 @@ class SparsifiedMSF:
         self._path_cache[pair] = keys
         return keys
 
-    def _get_node(self, level: int, ra: tuple[int, int], rb: tuple[int, int]):
-        key = (level, ra, rb)
-        node = self.nodes.get(key)
+    def _get_node(self, nodes: dict, key: tuple):
+        """The node at ``key`` in one side's table, materialized if new."""
+        node = nodes.get(key)
         if node is None:
-            is_leaf = ra[1] - ra[0] == 1 and rb[1] - rb[0] == 1
-            if is_leaf and level > 0:
+            level, ra, rb = key
+            if level > 0 and ra[1] - ra[0] == 1 and rb[1] - rb[0] == 1:
                 node = _Leaf()
             else:
                 node = _Node(level, ra, rb, self.K, parallel=self.parallel,
                              backend=self.backend)
-                if level == 0:  # the root always runs an engine
+                if level == 0:  # a root always runs an engine
                     node.engine = _build_engine(node.engine_key)
-            self.nodes[key] = node
+            nodes[key] = node
         return node
 
     def self_check(self, level: str = "cheap") -> "list":
@@ -391,28 +475,10 @@ class SparsifiedMSF:
 
     def insert_edge(self, u: int, v: int, w: float,
                     eid: Optional[int] = None) -> int:
-        check_weight(w)
-        check_endpoints(u, v, self.n)
-        eid = next(self._eid) if eid is None else eid
-        if u == v:
-            self.self_loops[eid] = (u, w)
-            return eid
-        if eid in self.edges:
-            raise ValueError(f"duplicate edge id {eid}")
-        self.edges[eid] = (u, v, w)
-        self._propagate(u, v, ins=[(eid, u, v, w)], dels=[])
-        return eid
+        return self._insert(u, v, w, eid)[0]
 
     def delete_edge(self, eid: int) -> None:
-        if eid in self.self_loops:
-            del self.self_loops[eid]
-            return
-        info = self.edges.pop(eid, None)
-        if info is None:
-            raise UnknownEdgeError(eid)
-        u, v, w = info
-        self._propagate(u, v, ins=[], dels=[eid],
-                        winfo={eid: (u, v, w)})
+        self.delete_reported(eid)
 
     # ----------------------------------------------- MSF-delta reporting
 
@@ -427,30 +493,30 @@ class SparsifiedMSF:
         the global MSF so it can forward an O(1) delta to its own merge
         engine.  Self-loops report an empty delta.
         """
-        check_weight(w)
-        check_endpoints(u, v, self.n)
-        eid = next(self._eid) if eid is None else eid
-        if u == v:
-            self.self_loops[eid] = (u, w)
-            return [], []
-        if eid in self.edges:
-            raise ValueError(f"duplicate edge id {eid}")
-        self.edges[eid] = (u, v, w)
-        plan = self._propagate(u, v, ins=[(eid, u, v, w)], dels=[])
-        return plan.root_delta
+        return self._insert(u, v, w, eid)[1]
 
     def delete_reported(self, eid: int) -> tuple[list[int], list[int]]:
         """Delete and return the net root MSF delta ``(added, removed)``."""
-        if eid in self.self_loops:
-            del self.self_loops[eid]
-            return [], []
-        info = self.edges.pop(eid, None)
-        if info is None:
+        if eid not in self.self_loops and eid not in self.edges:
             raise UnknownEdgeError(eid)
-        u, v, w = info
-        plan = self._propagate(u, v, ins=[], dels=[eid],
-                               winfo={eid: (u, v, w)})
-        return plan.root_delta
+        return self._serial(("del", eid))
+
+    def _insert(self, u: int, v: int, w: float, eid: Optional[int]):
+        """Validate and apply one insert; returns (eid, root delta)."""
+        check_weight(w)
+        check_endpoints(u, v, self.n)
+        eid = next(self._eid) if eid is None else eid
+        if u != v and eid in self.edges:
+            raise InvalidInputError(f"duplicate edge id {eid}")
+        return eid, self._serial(("ins", eid, u, v, w))
+
+    def _serial(self, op: tuple) -> tuple[list[int], list[int]]:
+        """Apply one validated op; returns the global MSF delta."""
+        plans = self._apply_op(op)
+        if not plans:  # a self-loop
+            return [], []
+        self._last_levels = _per_level(plans)
+        return plans[0].root_delta
 
     @classmethod
     def for_vertex_range(cls, lo: int, hi: int, K: Optional[int] = None, *,
@@ -470,42 +536,99 @@ class SparsifiedMSF:
         tree.vertex_range = (lo, hi)
         return tree
 
-    def _propagate(self, u: int, v: int, ins, dels,
-                   winfo=None) -> "_PropagationPlan":
-        plan = _PropagationPlan(self, u, v, ins, dels, winfo)
-        plan.run_serial()
-        self._last_levels = plan.levels
+    def _apply_op(self, op: tuple) -> list[_PropagationPlan]:
+        """Apply one validated op to every side, then steer the mode.
+
+        Returns the plans the op ran: the serving side's first (its root
+        delta is the global MSF delta), then the half-built side's copy
+        of the op and the edge moves.  A self-loop runs none.
+        """
+        if op[0] == "ins":
+            _t, eid, u, v, w = op
+            if u == v:
+                self.self_loops[eid] = (u, w)
+                return []
+            self.edges[eid] = (u, v, w)
+            ins, dels, winfo = [(eid, u, v, w)], [], None
+        else:
+            eid = op[1]
+            if eid in self.self_loops:
+                del self.self_loops[eid]
+                return []
+            u, v, w = self.edges.pop(eid)
+            ins, dels, winfo = [], [eid], {eid: (u, v, w)}
+        plan = self._run_plan(self.nodes, self.flat, u, v, ins, dels, winfo)
         self._fold_root_delta(plan)
-        self._retire_empty((plan,))
+        plans = [plan]
+        mig = self.migration
+        if mig is not None and (ins or eid in mig.moved):
+            if ins:
+                mig.moved.add(eid)
+            else:
+                mig.moved.discard(eid)
+            plans.append(self._run_plan(mig.nodes, mig.flat, u, v, ins,
+                                        dels, winfo))
+        self._steer(plans)
+        return plans
+
+    def _run_plan(self, nodes: dict, flat: bool, u: int, v: int, ins,
+                  dels, winfo) -> _PropagationPlan:
+        plan = _PropagationPlan(self, nodes, flat, u, v, ins, dels, winfo)
+        plan.run_serial()
+        self._retire_empty(plan)
         return plan
 
-    def _retire_empty(self, plans) -> None:
-        """Shed what the plans left unneeded (never at the root).
+    def _steer(self, plans: list) -> None:
+        """Start, drop, advance or finish a mode switch after one op;
+        the moves' plans are appended to ``plans``."""
+        live = len(self.edges)
+        grow, fold = live > GROW_ABOVE * self.n, live < FOLD_BELOW * self.n
+        mig = self.migration
+        if mig is not None and (grow if mig.flat else fold):
+            self._retire_side(mig.nodes)  # the switch is moot: drop it
+            self.migration = mig = None
+        if mig is None:
+            if not (grow if self.flat else fold):
+                return
+            mig = self.migration = _Migration(not self.flat, list(self.edges))
+            self._get_node(mig.nodes, self._root_key)
+        stop = min(mig.cursor + MOVES_PER_OP, len(mig.order))
+        edges = self.edges
+        for eid in mig.order[mig.cursor:stop]:
+            if eid in edges and eid not in mig.moved:
+                mig.moved.add(eid)
+                u, v, w = edges[eid]
+                plans.append(self._run_plan(mig.nodes, mig.flat, u, v,
+                                            [(eid, u, v, w)], [], None))
+        mig.cursor = stop
+        if stop == len(mig.order):  # every live edge has moved: swap
+            self._retire_side(self.nodes)
+            self.nodes, self.flat = mig.nodes, mig.flat
+            self.root = self.nodes[self._root_key]
+            self.migration = None
+
+    def _retire_empty(self, plan: _PropagationPlan) -> None:
+        """Shed what one plan left unneeded (never a root).
 
         A node left without edges is retired; a non-root engine node
         left with one edge copies it out and drops its engine, keeping
-        the node engine-free.  Runs after all of ``plans`` have run,
-        walking each plan's stations leaf first in plan order.  A walk
-        stops at the first engine node that keeps two or more edges:
-        those are on distinct vertex pairs, so its MSF has two edges and
-        every ancestor holds at least two as well.
+        the node engine-free.  The walk goes leaf first and stops at the
+        first engine node that keeps two or more edges: those are on
+        distinct vertex pairs, so its MSF has two edges and every
+        ancestor holds at least two as well.
         """
-        nodes = self.nodes
-        root = self.root
-        for plan in plans:
-            for key in plan.stations:
-                node = nodes.get(key)
-                if node is None:
-                    continue  # retired by an earlier plan of the batch
-                if node is root:
+        nodes = plan.nodes
+        for key in plan.stations:
+            if key[0] == 0:
+                break
+            node = nodes[key]
+            engine = node.engine
+            if engine is not None:
+                if engine.edge_count() >= 2:
                     break
-                engine = node.engine
-                if engine is not None:
-                    if engine.edge_count() >= 2:
-                        break
-                    self._retire_engine(node)
-                if not node.edges:
-                    del nodes[key]
+                self._retire_engine(node)
+            if not node.edges:
+                del nodes[key]
 
     def _retire_engine(self, node: "_Node") -> None:
         """Fold ``node``'s accounting into :attr:`retired`, keep its edge
@@ -513,6 +636,16 @@ class SparsifiedMSF:
         engine = node.engine
         node.edges.update((eid, rec[2]) for eid, rec in engine.real.items())
         node.engine = None
+        self._fold_accounting(engine)
+
+    def _retire_side(self, nodes: dict) -> None:
+        """Fold the accounting of every engine of a side leaving service
+        into :attr:`retired`."""
+        for node in nodes.values():
+            if node.engine is not None:
+                self._fold_accounting(node.engine)
+
+    def _fold_accounting(self, engine: DegreeReducer) -> None:
         core = engine.core
         retired = self.retired
         retired["ops"] += core.ops.grand_total()
@@ -541,12 +674,13 @@ class SparsifiedMSF:
 
         ``ops`` is a sequence of ``("ins", eid, u, v, w)`` /
         ``("del", eid)`` tuples in a fixed canonical order (the
-        ``repro.serve`` layer produces it).  The edge registry is updated
-        up front; each real-graph op becomes a :class:`_PropagationPlan`,
-        and the plans run in submission order -- through ``executor``
-        (a ``repro.serve.LevelExecutor``) when one is given, else
-        directly -- so every node sees the op sequence the serial path
-        would feed it, and the result is bit-identical to it.
+        ``repro.serve`` layer produces it).  Each op runs, in order,
+        through the serial update path -- through ``executor`` (a
+        ``repro.serve.LevelExecutor``) when one is given, else directly
+        -- so every node sees the op sequence the serial path would feed
+        it, the mode is decided per op, and the result is bit-identical
+        to the serial path.  ``plans`` and ``stations`` in the result
+        count the station walks the batch ran.
 
         After the batch, ``_last_levels`` holds the per-level aggregate
         ``(level, ops, depth)`` across the whole batch, so
@@ -555,42 +689,14 @@ class SparsifiedMSF:
         max is taken across levels).
         """
         self._reject_bad_ops(ops)
-        removed_info: dict[int, tuple[int, int, float]] = {}
-        plans: list[_PropagationPlan] = []
-        for op in ops:
-            if op[0] == "ins":
-                _t, eid, u, v, w = op
-                if u == v:
-                    self.self_loops[eid] = (u, w)
-                    continue
-                self.edges[eid] = (u, v, w)
-                plans.append(_PropagationPlan(
-                    self, u, v, [(eid, u, v, w)], [], removed_info))
-            else:
-                eid = op[1]
-                if eid in self.self_loops:
-                    del self.self_loops[eid]
-                    continue
-                u, v, w = self.edges.pop(eid)
-                removed_info[eid] = (u, v, w)
-                plans.append(_PropagationPlan(
-                    self, u, v, [], [eid], removed_info))
+        steps = [_OpStep(self, op) for op in ops]
         if executor is None:
-            for plan in plans:
-                plan.run_serial()
+            for step in steps:
+                step.run_serial()
         else:
-            executor.run(plans)
-        # merge in plan (submission) order
-        per_level: dict[int, tuple[int, int]] = {}
-        for plan in plans:
-            for level, ops_d, depth_d in plan.levels:
-                o, d = per_level.get(level, (0, 0))
-                per_level[level] = (o + ops_d, d + depth_d)
-        self._last_levels = [(level, o, d)
-                             for level, (o, d) in sorted(per_level.items())]
-        for plan in plans:
-            self._fold_root_delta(plan)
-        self._retire_empty(plans)
+            executor.run(steps)
+        plans = [plan for step in steps for plan in step.plans]
+        self._last_levels = _per_level(plans)
         return {"ops": len(ops), "plans": len(plans),
                 "stations": sum(len(p.levels) for p in plans)}
 
@@ -609,7 +715,7 @@ class SparsifiedMSF:
                 if u == v:
                     loops[eid] = True
                 elif real.get(eid, eid in self.edges):
-                    raise ValueError(f"duplicate edge id {eid}")
+                    raise InvalidInputError(f"duplicate edge id {eid}")
                 else:
                     real[eid] = True
                 continue
@@ -687,67 +793,55 @@ class SparsifiedMSF:
                     sum(1 for _l, o, d in self._last_levels if o or d),
                 "measured": self.parallel}
 
+    def engines(self) -> Iterator[tuple[tuple, DegreeReducer]]:
+        """``(node key, engine)`` for every engine the tree runs, on both
+        sides of a mode switch: keys of the half-built side carry a
+        leading ``"next"``."""
+        for key, node in self.nodes.items():
+            if node.engine is not None:
+                yield key, node.engine
+        if self.migration is not None:
+            for key, node in self.migration.nodes.items():
+                if node.engine is not None:
+                    yield ("next", *key), node.engine
+
+    def machines(self) -> Iterator[tuple[tuple, object]]:
+        """``(node key, machine)`` of the engines that run on a PRAM
+        machine (none for ``parallel=False`` trees)."""
+        for key, engine in self.engines():
+            machine = getattr(engine.core, "machine", None)
+            if machine is not None:
+                yield key, machine
+
     def erew_violations(self) -> int:
         """Total EREW violations across every level engine, retired ones
-        included.
-
-        Safe on any tree shape: partially-materialized trees only iterate
-        the nodes that exist, leaves and one-edge nodes carry no engine, and
-        ``parallel=False`` engines have no ``machine`` attribute -- all of
-        those contribute 0, so the serving layer can always report this.
-        """
-        total = self.retired["violations"]
-        for node in self.nodes.values():
-            if node.has_engine:
-                machine = getattr(getattr(node.engine, "core", None),
-                                  "machine", None)
-                if machine is not None:
-                    total += machine.total.violations
-        return total
+        included (0 for ``parallel=False`` trees), so the serving layer
+        can always report this."""
+        return self.retired["violations"] + sum(
+            machine.total.violations for _key, machine in self.machines())
 
     def pram_cache_info(self) -> dict:
-        """{node key -> ``Machine.cache_info()``} over materialized engines.
-
-        Guarded exactly like :meth:`erew_violations` (empty for
-        ``parallel=False`` trees and ``_Leaf`` nodes), so a serving run can
-        always watch replay-cache pressure and interned-memory growth per
-        level machine.
-        """
-        out: dict[tuple, dict] = {}
-        for key, node in self.nodes.items():
-            if node.has_engine:
-                machine = getattr(getattr(node.engine, "core", None),
-                                  "machine", None)
-                info = getattr(machine, "cache_info", None) \
-                    if machine is not None else None
-                if info is not None:
-                    out[key] = info()
-        return out
+        """{node key -> ``Machine.cache_info()``} over engines that run
+        on a PRAM machine (empty for ``parallel=False`` trees), so a
+        serving run can always watch replay-cache pressure and
+        interned-memory growth per level machine."""
+        return {key: machine.cache_info()
+                for key, machine in self.machines()}
 
     # ---------------------------------------------------- determinism aids
 
     def ops_by_node(self) -> dict[tuple, int]:
-        """{node key -> elementary-op total} over materialized engines.
+        """{node key -> elementary-op total} over the live engines.
 
         An op-order fingerprint: two trees fed the same op stream the
         same way agree on it (each engine sees the same op sequence).
         Retired engines are summed in ``retired["ops"]`` instead.
         """
-        return {key: node.engine.core.ops.grand_total()
-                for key, node in self.nodes.items()
-                if node.has_engine}
+        return {key: engine.core.ops.grand_total()
+                for key, engine in self.engines()}
 
     def depth_work_by_node(self) -> dict[tuple, tuple[int, int]]:
-        """{node key -> (machine depth, work)} for parallel-mode engines.
-
-        Empty for ``parallel=False`` trees (no machine attribute) --
-        guarded the same way as :meth:`erew_violations`.
-        """
-        out: dict[tuple, tuple[int, int]] = {}
-        for key, node in self.nodes.items():
-            if node.has_engine:
-                machine = getattr(getattr(node.engine, "core", None),
-                                  "machine", None)
-                if machine is not None:
-                    out[key] = (machine.total.depth, machine.total.work)
-        return out
+        """{node key -> (machine depth, work)} for parallel-mode engines
+        (empty for ``parallel=False`` trees)."""
+        return {key: (machine.total.depth, machine.total.work)
+                for key, machine in self.machines()}

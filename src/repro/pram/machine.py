@@ -506,9 +506,9 @@ class Machine:
     def set_audit(self, audit: str) -> None:
         """Switch the audit level in place (the recovery degrade ladder).
 
-        ``repro.resilience.recover`` demotes a machine whose replay plans
-        were found corrupted -- ``fast`` -> ``count`` -> ``strict`` --
-        so later launches simulate instead of replaying a poisoned plan.
+        ``repro.resilience.recover`` moves a machine whose replay plans
+        were found corrupted to ``strict``, so later launches simulate
+        instead of replaying a poisoned plan.
         Also usable to re-promote after the plans were purged.
         """
         if audit not in ("strict", "count", "fast"):

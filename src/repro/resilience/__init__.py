@@ -25,8 +25,8 @@ The heavier submodules load lazily on attribute access.
 from __future__ import annotations
 
 from . import faults
-from .errors import (CorruptionError, QuarantineExhausted, ReproError,
-                     UnknownEdgeError)
+from .errors import (CorruptionError, InvalidInputError, QuarantineExhausted,
+                     ReproError, UnknownEdgeError)
 
 __all__ = [
     "faults",
@@ -35,6 +35,7 @@ __all__ = [
     "soak",
     "ReproError",
     "CorruptionError",
+    "InvalidInputError",
     "UnknownEdgeError",
     "QuarantineExhausted",
 ]

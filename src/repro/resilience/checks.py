@@ -259,14 +259,15 @@ def check_tree(tree, level: str = "cheap") -> list[Finding]:
 
     Cheap: the delta-maintained ``msf_weight`` against a full
     recomputation, and the root MSF ids against the edge registry.
-    Structural: recurse into every materialized node engine, and check
-    that a non-root node runs an engine exactly when it holds two or
-    more edges.  Full:
-    additionally the Kruskal oracle over the *global* edge set against
-    the root forest.
+    Structural: recurse into every engine on both sides of a mode
+    switch, and check each side's shape -- a flat side is its root
+    alone, holding exactly its edges within the root engine's cap; in
+    a tree side a non-root node runs an engine exactly when it holds
+    two or more edges -- and that a switch has moved only live edges.
+    Full: additionally the Kruskal oracle over the *global* edge set
+    against the serving root forest, and over the moved edges against
+    the half-built side's root forest.
     """
-    from ..core.sparsify import _Leaf
-
     rank = _rank(level)
     out: list[Finding] = []
 
@@ -286,34 +287,72 @@ def check_tree(tree, level: str = "cheap") -> list[Finding]:
                 f"{ref!r}", "cheap"))
 
     _guard(out, "tree", "cheap", weight_pair)
+    mig = tree.migration
+    sides = [("", tree.nodes, tree.flat, tree.edges.keys())]
+    if mig is not None:
+        sides.append(("next ", mig.nodes, mig.flat, mig.moved))
     if rank >= 1:
-        for key, node in sorted(tree.nodes.items()):
-            if node.has_engine:
-                for f in check_reducer(node.engine, level):
-                    out.append(Finding(
-                        f.component, f"node {key!r}: {f.message}", f.level))
-                held = node.engine.edge_count()
-                if node is not tree.root and held < 2:
-                    out.append(Finding(
-                        "tree", f"node {key!r}: engine kept for {held} "
-                        f"edge(s)", level))
-            elif not isinstance(node, _Leaf) and len(node.edges) > 1:
-                out.append(Finding(
-                    "tree", f"node {key!r}: {len(node.edges)} edges held "
-                    f"without an engine", level))
+        for side in sides:
+            _guard(out, "tree", level,
+                   lambda side=side: _side_findings(out, tree, *side, level))
+        if mig is not None and not mig.moved <= tree.edges.keys():
+            stray = sorted(mig.moved - tree.edges.keys())
+            out.append(Finding(
+                "tree", f"moved edges {stray[:5]} are not live", level))
     if rank >= 2:
         def forest() -> None:
             from ..reference.oracle import kruskal
-            want = kruskal((u, v, w, eid)
-                           for eid, (u, v, w) in tree.edges.items())
-            got = tree.msf_ids()
-            if got != want:
-                out.append(Finding(
-                    "tree", f"root forest != Kruskal MSF: extra="
-                    f"{sorted(got - want)[:5]} missing="
-                    f"{sorted(want - got)[:5]}", level))
+            for tag, nodes, _flat, edge_ids in sides:
+                want = kruskal((*tree.edges[eid], eid) for eid in edge_ids
+                               if eid in tree.edges)
+                got = nodes[tree._root_key].engine.msf_ids()
+                if got != want:
+                    out.append(Finding(
+                        "tree", f"{tag}root forest != Kruskal MSF: extra="
+                        f"{sorted(got - want)[:5]} missing="
+                        f"{sorted(want - got)[:5]}", level))
         _guard(out, "tree", level, forest)
     return out
+
+
+def _side_findings(out: list, tree, tag: str, nodes: dict, flat: bool,
+                   edge_ids, level: str) -> None:
+    """Append the structural findings of one side of a sparsification
+    tree to ``out``."""
+    from ..core.sparsify import _Leaf
+
+    for key, node in sorted(nodes.items()):
+        if node.has_engine:
+            for f in check_reducer(node.engine, level):
+                out.append(Finding(
+                    f.component, f"{tag}node {key!r}: {f.message}",
+                    f.level))
+            held = node.engine.edge_count()
+            if key[0] != 0 and held < 2:
+                out.append(Finding(
+                    "tree", f"{tag}node {key!r}: engine kept for {held} "
+                    f"edge(s)", level))
+        elif not isinstance(node, _Leaf) and len(node.edges) > 1:
+            out.append(Finding(
+                "tree", f"{tag}node {key!r}: {len(node.edges)} edges held "
+                f"without an engine", level))
+    if flat:
+        extra = sorted(set(nodes) - {tree._root_key})
+        if extra:
+            out.append(Finding(
+                "tree", f"{tag}flat side materialized nodes {extra[:3]!r}",
+                level))
+        engine = nodes[tree._root_key].engine
+        held = engine.real.keys()
+        if held != edge_ids:
+            out.append(Finding(
+                "tree", f"{tag}flat root holds {len(held)} edges, not its "
+                f"{len(edge_ids)}: extra={sorted(held - edge_ids)[:5]} "
+                f"missing={sorted(edge_ids - held)[:5]}", level))
+        if len(held) > engine.max_edges:
+            out.append(Finding(
+                "tree", f"{tag}flat root holds {len(held)} edges, over its "
+                f"cap {engine.max_edges}", level))
 
 
 # ------------------------------------------------------------------ core

@@ -10,6 +10,11 @@ catch one base class and still discriminate:
     a structural self-audit (or a differential check) found state that
     violates a deterministic invariant.  Carries the machine-readable
     :attr:`findings` list produced by :mod:`repro.resilience.checks`.
+``InvalidInputError``
+    an operation was malformed: an endpoint that is not a vertex id, a
+    weight that is not a finite real, or a duplicate edge id.
+    Subclasses ``ValueError`` as well, so pre-existing ``except
+    ValueError`` / ``pytest.raises(ValueError)`` call sites keep working.
 ``UnknownEdgeError``
     an operation referenced an edge id that is not live.  Subclasses
     ``KeyError`` as well, so pre-existing ``except KeyError`` /
@@ -39,6 +44,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "CorruptionError",
+    "InvalidInputError",
     "UnknownEdgeError",
     "QuarantineExhausted",
     "BackendUnavailable",
@@ -70,6 +76,14 @@ class CorruptionError(ReproError):
         super().__init__(message)
         self.findings = list(findings) if findings else []
         self.site = site
+
+
+class InvalidInputError(ReproError, ValueError):
+    """A malformed operation was rejected before it changed any state.
+
+    Inherits from ``ValueError`` for backwards compatibility with callers
+    that predate the structured hierarchy.
+    """
 
 
 class UnknownEdgeError(ReproError, KeyError):

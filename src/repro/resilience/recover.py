@@ -9,8 +9,9 @@ differentially verifies the result.  The ladder, in escalation order:
 1. **cache eviction + audit degrade** (:func:`recover_machine`) -- a
    machine whose replay tier is suspect drops every compiled
    :class:`~repro.pram.machine.TracePlan` (forcing clean re-records) and
-   optionally steps its audit level down one rung (``fast`` -> ``count``
-   -> ``strict``), simulating every launch instead of trusting plans.
+   optionally moves its audit level to ``strict`` (from ``fast`` or
+   ``count``), simulating and checking every launch instead of trusting
+   plans.
 2. **backend rebuild** (:func:`rebuild_backend`) -- a serving front's
    poisoned engine is dropped wholesale (every node engine included;
    nothing it owns is reused) and rebuilt from the front's
@@ -43,8 +44,10 @@ from .errors import QuarantineExhausted
 __all__ = ["recover_machine", "rebuild_backend", "recover_batch",
            "repair_wal"]
 
-#: audit degrade ladder: each level maps to the next-more-verified one
-_DEGRADE = {"fast": "count", "count": "strict", "strict": "strict"}
+#: audit degrade ladder: each level maps to one that checks at least as
+#: strictly and replays nothing ("fast" already raises on a violation,
+#: so it must not fall to "count", which only counts)
+_DEGRADE = {"fast": "strict", "count": "strict", "strict": "strict"}
 
 
 # ------------------------------------------------------------- machines

@@ -148,13 +148,9 @@ def restart_heavy_ops(seed: int, n: int, n_ops: int, *, burst: int = 24,
 # ------------------------------------------------------------- recovery
 
 def _machines(impl):
-    if hasattr(impl, "nodes"):          # SparsifiedMSF
-        for node in impl.nodes.values():
-            if node.has_engine:
-                machine = getattr(getattr(node.engine, "core", None),
-                                  "machine", None)
-                if machine is not None:
-                    yield machine
+    if hasattr(impl, "engines"):        # SparsifiedMSF
+        for _key, machine in impl.machines():
+            yield machine
     else:                               # DegreeReducer
         machine = getattr(getattr(impl, "core", None), "machine", None)
         if machine is not None:

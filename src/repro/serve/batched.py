@@ -347,10 +347,9 @@ class BatchedMSF:
     def _op_counters(self):
         """The backend's op counters (for measurement-paused sections)."""
         impl = self._impl
-        if hasattr(impl, "nodes"):              # SparsifiedMSF
-            for node in impl.nodes.values():
-                if node.has_engine:
-                    yield node.engine.core.ops
+        if hasattr(impl, "engines"):            # SparsifiedMSF
+            for _key, engine in impl.engines():
+                yield engine.core.ops
         else:                                   # DegreeReducer
             core = getattr(impl, "core", None)
             if core is not None and hasattr(core, "ops"):

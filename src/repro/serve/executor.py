@@ -9,10 +9,10 @@ which could never overlap the GIL-holding engine steps.  Host
 parallelism lives in :class:`repro.serve.ClusterMSF`'s worker processes.
 
 :class:`LevelExecutor` therefore runs a batch's *plans* (objects with a
-``run_serial()`` walk over their stations, see
-``core.sparsify._PropagationPlan``) one after another in submission
-order, so every tree node sees the batch's updates exactly as the
-serial update path would feed them.  It stays a class of its own as the
+``run_serial()`` method; the tree hands it one ``core.sparsify._OpStep``
+per op, which runs that op's station walks) one after another in
+submission order, so every tree node sees the batch's updates exactly
+as the serial update path would feed them.  It stays a class of its own as the
 seam through which a serving front hands a batch to the tree.
 """
 
@@ -27,7 +27,7 @@ class Plan(Protocol):
     """Structural interface the executor runs (see module doc)."""
 
     def run_serial(self) -> None:
-        """Walk the plan's stations, leaf first, until it is finished."""
+        """Run the plan to completion."""
         ...  # pragma: no cover - protocol
 
 

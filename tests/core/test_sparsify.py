@@ -1,4 +1,9 @@
-"""Sparsification tree vs. the oracle on general (dense, multi) graphs."""
+"""Sparsification tree vs. the oracle on general (dense, multi) graphs.
+
+A tree runs flat (its root engine holds the edges) until it has more
+than ``GROW_ABOVE * n`` edges; the churn tests run past that line, so
+they cover the grown tree and the switch into it.
+"""
 
 from __future__ import annotations
 
@@ -56,6 +61,7 @@ def test_dense_complete_graph():
             eid = sp.insert_edge(u, v, w)
             orc.insert(u, v, w, eid)
     check(sp, orc)
+    assert not sp.flat
     # tear down half the edges
     for eid in list(orc.edges)[::2]:
         sp.delete_edge(eid)
@@ -87,8 +93,10 @@ def test_random_churn_dense(n, seed):
     sp = SparsifiedMSF(n)
     orc = KruskalOracle()
     live = {}
+    grew = False
     for step in range(200):
-        if live and rng.random() < 0.4:
+        grew = grew or not sp.flat
+        if live and rng.random() < 0.3:
             eid = rng.choice(list(live))
             is_loop = live.pop(eid)
             sp.delete_edge(eid)
@@ -104,6 +112,7 @@ def test_random_churn_dense(n, seed):
         if step % 10 == 0:
             check(sp, orc)
     check(sp, orc)
+    assert grew
 
 
 @settings(max_examples=12, deadline=None)
@@ -114,8 +123,8 @@ def test_hypothesis_churn_sparsify(seed):
     sp = SparsifiedMSF(n)
     orc = KruskalOracle()
     live = []
-    for _ in range(70):
-        if live and rng.random() < 0.45:
+    for _ in range(90):
+        if live and rng.random() < 0.3:
             eid = live.pop(rng.randrange(len(live)))
             sp.delete_edge(eid)
             orc.delete(eid)

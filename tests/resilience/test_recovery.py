@@ -32,13 +32,31 @@ def test_recover_machine_purges_and_degrades():
     assert recorded > 0
     report = recover.recover_machine(m)
     assert report["dropped"] == recorded
-    assert report["audit"] == {"before": "fast", "after": "count"}
+    # fast already raises on a violation: the rung keeps it raising
+    assert report["audit"] == {"before": "fast", "after": "strict"}
     # every plan gone: each shape re-records from a checked run
     assert m.cache_info()["shaped"]["size"] == 0
     # degrade ladder saturates at strict
-    m.set_audit("strict")
     report = recover.recover_machine(m)
     assert report["audit"] == {"before": "strict", "after": "strict"}
+
+
+def test_violation_after_recover_machine_rung_still_raises():
+    """A fast machine raises on an EREW violation before a
+    ``recover_machine`` rung and still raises after it."""
+    from repro.pram.machine import ErewViolation, Machine, Read
+
+    m = Machine(audit="fast")
+    sid = m.mem.register([0])
+
+    def reader():
+        yield Read(("idx", sid, 0))
+
+    with pytest.raises(ErewViolation):
+        m.run([reader(), reader()])
+    recover.recover_machine(m)
+    with pytest.raises(ErewViolation):
+        m.run([reader(), reader()])
 
 
 # -------------------------------------------------------------- backends

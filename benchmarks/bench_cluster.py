@@ -7,7 +7,10 @@ Exercises :class:`repro.serve.ClusterMSF` (PR 6) end to end:
    pool sizes {1, 2, 4} (real worker processes) must produce final
    forests, read-result streams, ``msf_weight`` and state fingerprints
    bit-identical to the serial ``BatchedMSF`` path, and pass a full
-   ``self_check`` -- on every round.
+   ``self_check`` -- on every round.  The smoke profile runs a second,
+   dense ``worker_mix`` stream through the same gate: its cross-shard
+   edges outnumber ``2n``, so at pools >= 2 the coordinator's merge tree
+   must end the stream grown.
 2. **Kill-a-worker recovery** -- one worker is SIGKILLed mid-campaign;
    the run must detect the death, clean up the stale claim, rebuild the
    shard from the coordination store's edge registry, verify the
@@ -53,11 +56,15 @@ from repro.workloads import drive, worker_mix  # noqa: E402
 
 #: ``rounds`` samples every pool that many times; ``gate_speedup``
 #: fails the run unless the best pool >= 2 beats pool 1 (too noisy to
-#: gate at smoke sizes)
+#: gate at smoke sizes); ``dense`` overrides them for a stream of
+#: mostly cross-shard edges that piles up past ``2n`` live edges
 PROFILES = {
     "smoke": dict(n=256, steps=800, batch=128, read_ratio=0.3,
                   cross_fraction=0.05, kill_at=300, seed=17,
-                  rounds=1, gate_speedup=False),
+                  rounds=1, gate_speedup=False,
+                  dense=dict(n=48, steps=260, batch=32, read_ratio=0.1,
+                             cross_fraction=0.75, p_delete=0.15,
+                             max_live=480)),
     "full": dict(n=1024, steps=2000, batch=256, read_ratio=0.2,
                  cross_fraction=0.05, kill_at=800, seed=17,
                  rounds=3, gate_speedup=True),
@@ -70,6 +77,8 @@ def _ops(prof: dict) -> list:
     return list(worker_mix(prof["n"], prof["steps"], shards=4,
                            cross_fraction=prof["cross_fraction"],
                            read_ratio=prof["read_ratio"],
+                           p_delete=prof.get("p_delete", 0.4),
+                           max_live=prof.get("max_live"),
                            seed=prof["seed"]))
 
 
@@ -114,8 +123,9 @@ def identity_gate(prof: dict, ops: list) -> dict:
             row["self_check_clean"] &= clean
             row["boundary_ops"] = c._coord.stats["ops_boundary"]
             row["recoveries"] = c.stats["recoveries"]
+            row["merge_grown"] = grown = not c._coord.merge.flat
             print(f"  pool={pool}: {dt:7.3f}s  {len(ops) / dt:8.1f} ops/s  "
-                  f"identical={match} clean={clean}")
+                  f"identical={match} clean={clean} merge_grown={grown}")
         finally:
             c.close()
         return dt
@@ -195,6 +205,16 @@ def main(argv=None) -> int:
 
     print("== bit-identity gate (vs serial BatchedMSF) ==")
     ident = identity_gate(prof, ops)
+    dense_ident = None
+    if "dense" in prof:
+        dense = {**prof, **prof["dense"], "rounds": 1}
+        dense_ops = _ops(dense)
+        print(f"== bit-identity gate, dense cross-shard stream "
+              f"n={dense['n']} ops={len(dense_ops)} ==")
+        dense_ident = identity_gate(dense, dense_ops)
+        dense_ident["ok"] &= all(row["merge_grown"] for pool, row in
+                                 dense_ident["pools"].items()
+                                 if pool != "pool1")
     print("== kill-a-worker recovery ==")
     recov = recovery_gate(prof, ops)
 
@@ -208,11 +228,14 @@ def main(argv=None) -> int:
         },
         "config": {**prof, "ops": len(ops), "updates": n_updates},
         "identity": ident,
+        "identity_dense": dense_ident,
         "recovery": recov,
     }
-    broken = [gate for gate, ok in (("identity", ident["ok"]),
-                                    ("speedup", ident["speedup_ok"]),
-                                    ("recovery", recov["ok"])) if not ok]
+    gates = [("identity", ident["ok"]), ("speedup", ident["speedup_ok"]),
+             ("recovery", recov["ok"])]
+    if dense_ident is not None:
+        gates.append(("dense identity", dense_ident["ok"]))
+    broken = [gate for gate, ok in gates if not ok]
     report["ok"] = not broken
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")

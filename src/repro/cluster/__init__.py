@@ -5,8 +5,8 @@ argument one level up: where a single sparsification tree only *models*
 its independent per-level engine updates as parallel (by cost
 accounting), this package shards the *vertex set* over a pool of worker
 **processes**, each owning a warm shard-scoped sparsification engine,
-with a coordinator that routes canonical batches, owns the cross-shard
-boundary engine, merges per-op MSF deltas deterministically, and
+with a coordinator that routes canonical batches, merges the shard
+forests and the raw cross-shard edges in one deterministic merge tree, and
 recovers dead workers from a SQLite-WAL coordination store.
 
 The merged forest is provably identical to the serial path at every

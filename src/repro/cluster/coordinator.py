@@ -5,24 +5,23 @@ into a provably-serial-identical parallel execution:
 
 1. **Route** every op (deletes first, then inserts -- the canonical
    order is preserved end-to-end) to its home: a shard worker process
-   (both endpoints in one vertex range), the coordinator-owned
-   **boundary engine** (cross-shard edges, a full
-   :class:`~repro.core.sparsify.SparsifiedMSF` so cross traffic of any
-   density stays ``m``-decoupled), or the registry alone (self-loops).
+   (both endpoints in one vertex range), the coordinator's **merge
+   tree** directly (cross-shard edges), or the registry alone
+   (self-loops).
 2. **Dispatch** each shard's ops in one pipe message; workers apply
    them in canonical order and reply with per-op shard-MSF deltas (eid
-   lists).  While workers compute, the coordinator applies the boundary
-   ops locally -- the two tiers own disjoint edges (Section 5.3's
-   independence, promoted to processes).
-3. **Merge** in global canonical order: each op's home-MSF delta is
-   replayed into the **merge engine** -- a
-   :class:`~repro.core.degree.DegreeReducer` over the union of the home
-   MSFs (at most ``2n`` edges: k disjoint shard forests plus one
-   boundary forest).  Because MSF is a sparsification-closed operator
-   (``MSF(G) = MSF(MSF(G_1) u ... u MSF(G_k))`` for any edge partition)
-   and unique under the strict ``(weight, eid)`` order, the merge
-   engine's forest after every op prefix *is* the serial tree's forest
-   -- bit-identical at every pool size.
+   lists).
+3. **Merge** in global canonical order into the one **merge tree** --
+   a :class:`~repro.core.sparsify.SparsifiedMSF` over the union of the
+   shard forests and the raw cross-shard edges.  A shard op's delta is
+   replayed into it; a cross-shard op is applied to it as is.  Because
+   MSF is a sparsification-closed operator
+   (``MSF(G) = MSF(MSF(G_1) u ... u MSF(G_k) u B)`` for any edge
+   partition, with the cross-shard set ``B`` entering raw) and unique
+   under the strict ``(weight, eid)`` order, the merge tree's forest
+   after every op prefix *is* the serial tree's forest -- bit-identical
+   at every pool size.  The tree runs flat while sparse and grows its
+   edge-partition tree only when dense cross traffic makes it so.
 4. **Fold** each op's net global delta into the incremental
    ``msf_weight`` with exactly the serial tree's arithmetic (a single
    edge update swaps at most one edge in and one out, so the float op
@@ -52,7 +51,6 @@ import tempfile
 import time
 from typing import Optional, Sequence
 
-from ..core.degree import DegreeReducer
 from ..core.sparsify import SparsifiedMSF, _fold
 from ..resilience import faults as _faults
 from ..resilience.errors import CorruptionError, QuarantineExhausted
@@ -230,7 +228,7 @@ class _LocalWorker:
 
 
 class Coordinator:
-    """Owns the shard map, worker pool, boundary/merge tiers and store."""
+    """Owns the shard map, worker pool, merge tree and store."""
 
     def __init__(self, n: int, *, shards: Optional[int] = None,
                  store_path: Optional[str] = None,
@@ -271,14 +269,11 @@ class Coordinator:
         self.home_eids: dict[int, set[int]] = {
             **{s: set() for s in self.shard_map.shards()},
             BOUNDARY: set(), LOOPS: set()}
-        # cross-shard tier: full sparsification so dense cross traffic
-        # stays m-decoupled
-        self.boundary = SparsifiedMSF(n, K=K)
-        # merge tier: union of <= k+1 disjoint-or-sparse forests, so a
-        # flat degree-reduced engine with a 2n bound suffices
-        self.merge = DegreeReducer(n, max_edges=2 * n + 16, K=K)
+        # the shard forests plus the raw cross-shard edges: flat while
+        # sparse, a grown tree under dense cross traffic
+        self.merge = SparsifiedMSF(n, K=K)
         #: incremental global MSF weight, folded per op with the serial
-        #: tree's exact arithmetic (see :meth:`_merge_one`)
+        #: tree's exact arithmetic (see :meth:`_merge`)
         self.msf_weight = 0.0
         self.seq = 0
         self.stats = {
@@ -359,37 +354,29 @@ class Coordinator:
             eid: self.edges[eid] for eid in batch.deletes}
         for eid, u, v, w in batch.inserts:
             binfo[eid] = (u, v, w)
+        homes = [self._home_of_op(op, binfo) for op in ops]
         shard_ops: dict[int, list[tuple[int, tuple]]] = {}
-        boundary_ops: list[tuple[int, tuple]] = []
-        n_loops = 0
-        for idx, op in enumerate(ops):
-            home = self._home_of_op(op, binfo)
-            if home == LOOPS:
-                n_loops += 1
-            elif home == BOUNDARY:
-                boundary_ops.append((idx, op))
-            else:
-                shard_ops.setdefault(home, []).append((idx, op))
+        for idx, home in enumerate(homes):
+            if home not in (BOUNDARY, LOOPS):
+                shard_ops.setdefault(home, []).append((idx, ops[idx]))
+        n_boundary, n_loops = homes.count(BOUNDARY), homes.count(LOOPS)
         self.seq += 1
         seq = self.seq
-        deltas = self._execute(seq, shard_ops, boundary_ops)
-        homes = {idx: home
-                 for home, items in shard_ops.items() for idx, _op in items}
-        homes.update({idx: BOUNDARY for idx, _op in boundary_ops})
-        merged = self._merge(ops, deltas, binfo)
+        deltas = self._execute(seq, shard_ops)
+        merged = self._merge(ops, deltas, homes, binfo)
         self._commit(seq, batch, homes)
         self.stats["batches"] += 1
         self.stats["ops_routed"] += len(ops)
-        self.stats["ops_shard"] += sum(len(v) for v in shard_ops.values())
-        self.stats["ops_boundary"] += len(boundary_ops)
+        self.stats["ops_shard"] += len(ops) - n_boundary - n_loops
+        self.stats["ops_boundary"] += n_boundary
         self.stats["ops_loops"] += n_loops
         return {"seq": seq, "ops": len(ops), "shards_touched":
-                len(shard_ops), "boundary_ops": len(boundary_ops),
+                len(shard_ops), "boundary_ops": n_boundary,
                 "merge_ops": merged}
 
-    def _execute(self, seq: int, shard_ops: dict, boundary_ops: list,
-                 *, max_attempts: int = 3) -> dict:
-        """Fan out shard ops, apply boundary ops, collect all deltas.
+    def _execute(self, seq: int, shard_ops: dict, *,
+                 max_attempts: int = 3) -> dict:
+        """Fan out shard ops and collect their deltas.
 
         Returns ``{op idx -> (added eids, removed eids)}``.  Worker
         death anywhere in the exchange triggers shard recovery and a
@@ -403,15 +390,6 @@ class Coordinator:
             except WorkerDied as death:
                 self._recover_worker(death.shard, death.reason)
                 self.workers[s].send(("batch", seq, items))
-        # overlap: the boundary tier runs while workers compute
-        for idx, op in boundary_ops:
-            if op[0] == "ins":
-                _t, eid, u, v, w = op
-                added, removed = self.boundary.insert_reported(u, v, w,
-                                                               eid=eid)
-            else:
-                added, removed = self.boundary.delete_reported(op[1])
-            deltas[idx] = (sorted(added), sorted(removed))
         for s, items in pending.items():
             attempts = 0
             while True:
@@ -449,36 +427,41 @@ class Coordinator:
                 break
         return deltas
 
-    def _merge(self, ops: Sequence[tuple], deltas: dict,
+    def _merge(self, ops: Sequence[tuple], deltas: dict, homes: list[int],
                binfo: dict) -> int:
-        """Replay home-MSF deltas into the merge engine, in canonical
-        order, folding each op's net global delta into ``msf_weight``
-        with the serial tree's exact arithmetic."""
+        """Apply each op to the merge tree in canonical order -- a
+        cross-shard op as is, a shard op as its replayed delta --
+        folding each op's net global delta into ``msf_weight`` with the
+        serial tree's exact arithmetic."""
         merge = self.merge
         edges = self.edges
         merge_ops = 0
-        for idx in range(len(ops)):
-            delta = deltas.get(idx)
-            if delta is None:
-                continue
-            added_ids, removed_ids = delta
-            if not added_ids and not removed_ids:
-                continue
+        for idx, op in enumerate(ops):
             g_added: set[int] = set()
             g_removed: set[int] = set()
-            # insertions first -- the same stability ordering _Node.apply
-            # uses (an eviction arriving as (add e, del f) makes f's
-            # removal a cheap non-tree delete)
-            for eid in added_ids:
-                info = edges.get(eid)
-                u, v, w = info if info is not None else binfo[eid]
-                a, r = merge.insert_reported(u, v, w, eid=eid)
+            if homes[idx] == BOUNDARY:
+                if op[0] == "ins":
+                    _t, eid, u, v, w = op
+                    a, r = merge.insert_reported(u, v, w, eid=eid)
+                else:
+                    a, r = merge.delete_reported(op[1])
                 _fold(g_added, g_removed, a, r)
                 merge_ops += 1
-            for eid in removed_ids:
-                a, r = merge.delete_reported(eid)
-                _fold(g_added, g_removed, a, r)
-                merge_ops += 1
+            elif idx in deltas:
+                added_ids, removed_ids = deltas[idx]
+                # insertions first -- the same stability ordering
+                # _Node.apply uses (an eviction arriving as (add e,
+                # del f) makes f's removal a cheap non-tree delete)
+                for eid in added_ids:
+                    info = edges.get(eid)
+                    u, v, w = info if info is not None else binfo[eid]
+                    a, r = merge.insert_reported(u, v, w, eid=eid)
+                    _fold(g_added, g_removed, a, r)
+                    merge_ops += 1
+                for eid in removed_ids:
+                    a, r = merge.delete_reported(eid)
+                    _fold(g_added, g_removed, a, r)
+                    merge_ops += 1
             if not g_added and not g_removed:
                 continue
             # term-for-term the serial tree's _fold_root_delta arithmetic:
@@ -499,7 +482,7 @@ class Coordinator:
             info = binfo[eid]
         return info[2]
 
-    def _commit(self, seq: int, batch, homes: dict[int, int]) -> None:
+    def _commit(self, seq: int, batch, homes: list[int]) -> None:
         """Fold the batch into the registry + store (single transaction)."""
         ops = batch.ops()
         inserts = []
@@ -507,7 +490,7 @@ class Coordinator:
             if op[0] != "ins":
                 continue
             _t, eid, u, v, w = op
-            home = homes.get(idx, LOOPS)
+            home = homes[idx]
             self.edges[eid] = (u, v, w)
             self.home_eids[home].add(eid)
             inserts.append((eid, u, v, w, home))

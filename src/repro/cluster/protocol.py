@@ -7,7 +7,7 @@ to one level).  An edge's *home* is:
 * shard ``s`` when both endpoints fall in shard ``s``'s range (the
   worker for ``s`` owns it inside a shard-scoped sparsification tree);
 * :data:`~repro.cluster.store.BOUNDARY` when the endpoints fall in
-  different shards (the coordinator's boundary engine owns it);
+  different shards (the coordinator's merge tree holds it raw);
 * :data:`~repro.cluster.store.LOOPS` for self-loops (registry-only).
 
 Edge sets of distinct homes are disjoint, so per-home engines never

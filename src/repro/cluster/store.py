@@ -44,7 +44,7 @@ from typing import Iterable, Optional
 __all__ = ["CoordinationStore", "BOUNDARY", "LOOPS"]
 
 #: pseudo-shard ids for edges no worker owns
-BOUNDARY = -1   # cross-shard edges: coordinator-owned boundary engine
+BOUNDARY = -1   # cross-shard edges: held raw by the coordinator merge tree
 LOOPS = -2      # self-loops: registry-only, never reach any engine
 
 _SCHEMA = """

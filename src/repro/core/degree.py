@@ -153,7 +153,7 @@ class DegreeReducer:
         check_endpoints(u, v, self.n)
         eid = next(self._eid) if eid is None else eid
         if eid <= 0:
-            raise ValueError(
+            raise InvalidInputError(
                 "non-positive ids are reserved for gadget chain edges")
         if eid in self.real or eid in self.self_loops:
             raise InvalidInputError(f"duplicate real edge id {eid}")

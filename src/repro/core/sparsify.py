@@ -531,10 +531,7 @@ class SparsifiedMSF:
         """
         if not (0 <= lo < hi):
             raise ValueError(f"invalid vertex range [{lo}, {hi})")
-        tree = cls(max(2, hi - lo), K=K, parallel=parallel)
-        tree.vertex_base = lo
-        tree.vertex_range = (lo, hi)
-        return tree
+        return cls(max(2, hi - lo), K=K, parallel=parallel)
 
     def _apply_op(self, op: tuple) -> list[_PropagationPlan]:
         """Apply one validated op to every side, then steer the mode.

@@ -493,17 +493,15 @@ def check_cluster(front, level: str = "cheap") -> list[Finding]:
     """Checks for one :class:`~repro.serve.clustered.ClusterMSF` front.
 
     Cheap: the facade's ``_live`` set vs the authoritative registry, the
-    per-home eid partition tiling the registry exactly, the boundary
-    engine's edge count, and the coordinator-folded ``msf_weight``
-    against a recomputation over the merged forest.  Structural: recurse
-    into the merge engine (:func:`check_reducer`) and the boundary tree
+    per-home eid partition tiling the registry exactly, and the
+    coordinator-folded ``msf_weight`` against a recomputation over the
+    merged forest.  Structural: recurse into the merge tree
     (:func:`check_tree`), and cross-check the SQLite store (edge count,
     batch seq, one live claim per shard).  Full: additionally the
     Kruskal oracle over the *global* registry against the merged forest,
     and every live worker's shard fingerprint against a never-crashed
     twin built coordinator-side from the registry.
     """
-    from ..cluster.store import BOUNDARY
     rank = _rank(level)
     out: list[Finding] = []
     coord = front._coord
@@ -526,12 +524,6 @@ def check_cluster(front, level: str = "cheap") -> list[Finding]:
             out.append(Finding(
                 "cluster", f"per-home eid sets do not tile the registry "
                 f"({total} homed ids over {len(edges)} edges)", "cheap"))
-        nb = coord.boundary.edge_count()
-        want = len(coord.home_eids[BOUNDARY])
-        if nb != want:
-            out.append(Finding(
-                "cluster", f"boundary engine holds {nb} edges, registry "
-                f"assigns it {want}", "cheap"))
 
     def weight_pair() -> None:
         inc = coord.msf_weight
@@ -545,12 +537,9 @@ def check_cluster(front, level: str = "cheap") -> list[Finding]:
     _guard(out, "cluster", "cheap", registries)
     _guard(out, "cluster", "cheap", weight_pair)
     if rank >= 1:
-        for f in check_reducer(coord.merge, level):
+        for f in check_tree(coord.merge, level):
             out.append(Finding(
-                f.component, f"merge engine: {f.message}", f.level))
-        for f in check_tree(coord.boundary, level):
-            out.append(Finding(
-                f.component, f"boundary engine: {f.message}", f.level))
+                f.component, f"merge tree: {f.message}", f.level))
 
         def store_sync() -> None:
             got = coord.store.edge_count()

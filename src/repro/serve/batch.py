@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..resilience.errors import UnknownEdgeError
+from ..resilience.errors import InvalidInputError, UnknownEdgeError
 
 __all__ = ["CoalescedBatch", "coalesce"]
 
@@ -66,7 +66,9 @@ def coalesce(pending: Sequence[tuple],
 
     ``known`` is the set of edge ids live *before* the batch; a delete of
     an id that is neither known nor inserted by the batch raises
-    ``KeyError`` (the serving front also guards this at submit time).
+    ``KeyError`` (the serving front also guards this at submit time), and
+    an insert of an id that is already known or inserted raises
+    :class:`~repro.resilience.errors.InvalidInputError`.
     """
     known = set(known)
     inserts: dict[int, tuple[int, int, int, float]] = {}
@@ -77,7 +79,8 @@ def coalesce(pending: Sequence[tuple],
         if op[0] == "ins":
             _t, eid, u, v, w = op
             if eid in inserts or eid in known:
-                raise KeyError(f"duplicate insert of edge id {eid}")
+                raise InvalidInputError(
+                    f"duplicate insert of edge id {eid}")
             inserts[eid] = (eid, u, v, w)
         elif op[0] == "del":
             eid = op[1]

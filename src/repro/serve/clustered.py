@@ -5,8 +5,8 @@ writes, deterministic coalescing, epoch-versioned snapshot reads,
 strong/deferred consistency) but the backend is a
 :class:`repro.cluster.Coordinator`: a pool of worker *processes*, each
 owning a warm shard-scoped sparsification engine over a contiguous
-vertex range, plus a coordinator-owned boundary engine for cross-shard
-edges and a degree-reduced merge engine over the union of the home MSFs.
+vertex range, plus one coordinator-owned merge tree that holds the shard
+forests and the raw cross-shard edges together.
 
 **Determinism contract.**  For any op stream and any ``pool_size``, the
 final forest (``msf_ids``), the eid streams, and the incrementally
@@ -51,7 +51,8 @@ class ClusterMSF:
     pool_size:
         worker-process count (= shard count).  ``1`` is the
         single-shard cluster (everything lands in one worker; the
-        boundary engine stays empty); ``None`` picks a small default.
+        merge tree holds only that worker's forest); ``None`` picks a
+        small default.
     batch_size:
         auto-flush threshold for the write buffer.
     consistency:

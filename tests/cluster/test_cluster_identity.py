@@ -7,11 +7,13 @@ churn, query-mix and worker-mix workloads.  Inline workers
 real IPC path.
 """
 
+import random
+
 import pytest
 
 from repro.resilience.checks import state_fingerprint
 from repro.serve import BatchedMSF, ClusterMSF
-from repro.workloads import churn, drive, query_mix, worker_mix
+from repro.workloads import OpStream, churn, drive, query_mix, worker_mix
 
 N = 64
 BATCH = 32
@@ -133,16 +135,55 @@ def test_facade_validation_matches_batched():
         c.close()
 
 
-def test_cross_shard_edges_live_in_boundary_engine():
+def test_cross_shard_edges_live_in_merge_tree():
     c = ClusterMSF(N, pool_size=2, processes=False)
     try:
         c.insert_edge(0, 1, 1.0)             # shard 0
         c.insert_edge(40, 41, 1.0)           # shard 1
-        c.insert_edge(0, 40, 1.0)            # cross-shard
+        cross = c.insert_edge(0, 40, 1.0)    # cross-shard
         c.flush()
         assert c._coord.stats["ops_boundary"] == 1
-        assert c._coord.boundary.edge_count() == 1
+        # one merge tree holds both shard forests and the raw cross edge
+        assert c._coord.merge.edges[cross] == (0, 40, 1.0)
+        assert c._coord.merge.edge_count() == 3
         assert c.component_count() == N - 3  # 0-1-40-41 one component
         assert len(c.msf_ids()) == 3
+    finally:
+        c.close()
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_dense_cross_traffic_grows_and_folds_the_merge_tree(pool):
+    """More than 2n live cross-shard edges grow the merge tree; draining
+    below n folds it back.  Every flush matches the serial path."""
+    n = 48
+    # ~150 cross-shard inserts and no deletes, then random deletes down
+    # to n // 4 live edges
+    ops = list(worker_mix(n, 220, shards=pool, cross_fraction=0.75,
+                          read_ratio=0.1, p_delete=0.0, max_live=10 * n,
+                          seed=pool))
+    live = [i for i, op in enumerate(ops) if op[0] == "ins"]
+    random.Random(pool).shuffle(live)
+    ops += [("del", ref) for ref in live[n // 4:]]
+    ref = BatchedMSF(n, sparsify=True, pool_size=1, batch_size=BATCH)
+    c = ClusterMSF(n, pool_size=pool, batch_size=BATCH, processes=False)
+    sref, sc = OpStream(ref), OpStream(c)
+    grew = False
+    try:
+        for start in range(0, len(ops), 16):
+            for op in ops[start:start + 16]:
+                sref.apply(op)
+                sc.apply(op)
+            ref.flush()
+            c.flush()
+            assert sc.eids == sref.eids
+            assert c.msf_ids() == ref.msf_ids()
+            assert c.msf_weight() == ref.msf_weight()   # bitwise
+            assert state_fingerprint(c) == state_fingerprint(ref)
+            grew |= not c._coord.merge.flat
+        assert sc.results == sref.results
+        assert grew
+        assert c._coord.merge.flat and c._coord.merge.migration is None
+        assert c.self_check("full") == []
     finally:
         c.close()

@@ -17,6 +17,7 @@ from repro.core.degree import DegreeReducer
 from repro.core.model import check_endpoints, check_weight
 from repro.core.sparsify import SparsifiedMSF
 from repro.resilience.errors import InvalidInputError, ReproError
+from repro.serve.batch import coalesce
 
 
 def _dup_sparsified():
@@ -34,6 +35,10 @@ def _dup_degree():
     red = DegreeReducer(8)
     red.insert_edge(0, 1, 1.0, eid=5)
     red.insert_edge(2, 3, 1.0, eid=5)
+
+
+def _nonpositive_degree():
+    DegreeReducer(8).insert_edge(0, 1, 1.0, eid=0)
 
 
 def _cluster_submit():
@@ -57,6 +62,9 @@ FRONTS = {
     "sparsified-duplicate-id": _dup_sparsified,
     "sparsified-batch-duplicate-id": _dup_sparsified_batch,
     "degree-duplicate-id": _dup_degree,
+    "degree-nonpositive-id": _nonpositive_degree,
+    "coalesce-duplicate-insert": lambda: coalesce(
+        [("ins", 1, 0, 1, 1.0), ("ins", 1, 2, 3, 4.0)]),
 }
 
 

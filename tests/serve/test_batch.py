@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.resilience.errors import InvalidInputError
 from repro.serve.batch import CoalescedBatch, coalesce
 
 
@@ -54,9 +55,9 @@ def test_delete_of_unknown_id_raises():
 
 
 def test_duplicate_insert_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidInputError):
         coalesce([("ins", 1, 0, 1, 1.0), ("ins", 1, 2, 3, 4.0)])
-    with pytest.raises(KeyError):                       # already live
+    with pytest.raises(InvalidInputError):              # already live
         coalesce([("ins", 1, 0, 1, 1.0)], known={1})
 
 

@@ -157,6 +157,9 @@ class ColumnView:
     def copy(self) -> PyArray:
         return PyArray(list(self))
 
+    def tolist(self) -> list:
+        return list(self)
+
     def __eq__(self, other) -> BoolVec:  # type: ignore[override]
         ov = _values(other)
         return BoolVec([a == b for a, b in zip(self, ov)])

@@ -20,6 +20,13 @@ Chunks of the parallel engine additionally maintain ``BT_c``: a 2-3 tree
 over the chunk's occurrences whose vertices store ``(units, edges)``
 aggregates -- ``edges`` are the paper's edge counters ``ec_v`` driving
 ``getEdge``, ``units`` drive balanced Invariant-1 splits.
+
+Chunk surgery on the scalar sequential path walks only what moved
+(:meth:`ChunkSpace.split_off`, :meth:`ChunkSpace.absorb`): a merge's row is
+the lane-wise min of the two rows (:func:`merge_rows`), only the moved side
+is restamped, and a split's kept half gets its totals by subtraction.  The
+charges are those of the full O(K) rescan they replace (Lemma 2.2): the
+``OpCounter`` models the paper's algorithm, not the host's loop.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from ..structures import two_three_tree as tt
 from . import compiled
 from .model import INF_KEY, Edge, Key, Occurrence, Vertex
 
-__all__ = ["BACKENDS", "Chunk", "ChunkSpace", "check_backend", "default_K"]
+__all__ = ["BACKENDS", "Chunk", "ChunkSpace", "check_backend", "default_K",
+           "merge_rows"]
 
 #: the execution backends every front accepts: ``"scalar"`` (numpy, or the
 #: ``_nplite`` shim) and ``"compiled"`` (the native extension).  Both are
@@ -118,6 +126,54 @@ class Chunk:
         return f"<Chunk id={self.id} count={self.count} n_edges={self.n_edges}>"
 
 
+def merge_rows(row_l: list, row_r: list, lid: int, rid: int) -> list:
+    """``CAdj`` of the merge of chunks ``lid`` and ``rid`` from their rows.
+
+    Lane ``j`` of the merged chunk is the lightest edge from either half
+    to chunk ``j``: the lane-wise min.  Lane ``rid`` is folded into lane
+    ``lid`` -- the self lane becomes ``min(C[l,l], C[l,r], C[r,r])`` --
+    and cleared, since the merged chunk keeps ``lid`` and ``rid`` is freed.
+    """
+    vals = [a if a < b else b for a, b in zip(row_l, row_r)]
+    if vals[rid] < vals[lid]:
+        vals[lid] = vals[rid]
+    vals[rid] = INF_KEY
+    return vals
+
+
+def _restamp(head: Occurrence, tail: Occurrence, c: Chunk,
+             cid: Optional[int]) -> tuple[int, int]:
+    """Stamp ``occ.chunk``/``occ.chunk_id`` on ``head..tail``; return the
+    run's ``(count, n_edges)``.  The scalar twin of the compiled
+    ``adopt_scan`` kernel (same signature and result)."""
+    count = 0
+    n_edges = 0
+    occ = head
+    while occ is not None:
+        occ.chunk = c
+        occ.chunk_id = cid
+        count += 1
+        vx = occ.vertex
+        if vx.pc is occ:  # inlined is_principal / degree()
+            n_edges += len(vx.edges)
+        if occ is tail:
+            break
+        occ = occ.next
+    return count, n_edges
+
+
+def _stamp(head: Optional[Occurrence], tail: Optional[Occurrence], c: Chunk,
+           cid: Optional[int]) -> None:
+    """Stamp ``occ.chunk``/``occ.chunk_id`` on ``head..tail``; no counts."""
+    occ = head
+    while occ is not None:
+        occ.chunk = c
+        occ.chunk_id = cid
+        if occ is tail:
+            break
+        occ = occ.next
+
+
 def _bt_pull(node: tt.Node) -> None:
     units = 0
     edges = 0
@@ -167,9 +223,15 @@ class ChunkSpace:
         #: parallel flavor keeps object aggregates and compiles the
         #: host-side twins instead.
         self.comp_lsds = backend == "compiled" and flavor == "sequential"
-        #: non-BT adoption scan: the one hot loop compiled wholesale
+        #: non-BT adoption scan (stamp-and-count walk), compiled
+        #: wholesale on the compiled backend
         self._adopt = (compiled.kernels.adopt_scan
-                       if backend == "compiled" else None)
+                       if backend == "compiled" else _restamp)
+        #: chunk surgery walks only what moved (:meth:`split_off`,
+        #: :meth:`absorb`) on the scalar sequential path; ``BT_c`` shape
+        #: is load-bearing for the parallel engine and the compiled
+        #: backend keeps its kernels, so both re-adopt whole chunks
+        self._moved_only = backend == "scalar" and not with_bt
         #: per-row live-lane sets (compiled sequential backend only):
         #: ``_live[i]`` is exactly ``{j : C[i][j] != INF_KEY}``, maintained
         #: at every write site below.  Row rebuilds, column mirrors and id
@@ -211,6 +273,14 @@ class ChunkSpace:
         return self.Jcap - len(self._free_ids)
 
     def assign_id(self, c: Chunk) -> int:
+        cid = self._claim_id(c)
+        _stamp(c.head, c.tail, c, cid)  # keep per-occurrence id replicas fresh
+        self.ops.charge("id_assign", self.Jcap + c.count)
+        return cid
+
+    def _claim_id(self, c: Chunk) -> int:
+        """Give ``c`` a free id; the caller stamps the occurrences and
+        charges ``id_assign``."""
         assert c.id is None
         if not self._free_ids:
             raise RuntimeError("chunk-id space exhausted; Jcap undersized")
@@ -230,15 +300,19 @@ class ChunkSpace:
         self.chunk_of_id[c.id] = c
         c.memb_row = np.zeros(self.Jcap, dtype=bool)
         c.memb_row[c.id] = True
-        for occ in c.occurrences():  # keep per-occurrence id replicas fresh
-            occ.chunk_id = c.id
-        self.ops.charge("id_assign", self.Jcap + c.count)
         return c.id
 
     def release_id(self, c: Chunk) -> int:
+        cid = self._free_id(c)
+        _stamp(c.head, c.tail, c, None)
+        return cid
+
+    def _free_id(self, c: Chunk) -> int:
+        """Clear row and column ``id_c`` and free the id; the caller
+        restamps the occurrences."""
         assert c.id is not None
         cid = c.id
-        # see assign_id: snapshots must not survive an id-tenure boundary
+        # see _claim_id: snapshots must not survive an id-tenure boundary
         self.col_snap.clear()
         live = self._live
         if live is not None:
@@ -263,9 +337,70 @@ class ChunkSpace:
         self._free_ids.append(cid)
         c.id = None
         c.memb_row = None
-        for occ in c.occurrences():
-            occ.chunk_id = None
         return cid
+
+    # -- chunk surgery (Lemma 2.2) -----------------------------------------------
+
+    def split_off(self, c: Chunk, c2: Chunk) -> None:
+        """Account a split: ``c`` was cut after its (new) ``tail`` and the
+        fresh ``c2`` holds the rest.  ``c2`` takes an id iff ``c`` has one.
+
+        Only ``c2``'s occurrences are walked: the kept half's occurrences
+        are already stamped, and its ``count``/``n_edges`` are the old
+        totals minus the moved half's.  ``occ_scan`` is charged the old
+        total, which is what re-adopting both halves scanned.  Rows are
+        not touched: min cannot be inverted, so the caller rebuilds both.
+        """
+        if not self._moved_only:
+            self.adopt_occurrences(c)
+            self.adopt_occurrences(c2)
+            if c.id is not None:
+                self.assign_id(c2)
+            return
+        assert c2.head is not None and c2.tail is not None
+        total = c.count
+        cid2 = self._claim_id(c2) if c.id is not None else None
+        count, n_edges = _restamp(c2.head, c2.tail, c2, cid2)
+        c2.count = count
+        c2.n_edges = n_edges
+        c.count = total - count
+        c.n_edges -= n_edges
+        charge = self.ops.charge
+        charge("occ_scan", total)
+        if cid2 is not None:
+            charge("id_assign", self.Jcap + count)
+
+    def absorb(self, cl: Chunk, cr: Chunk) -> Optional[list]:
+        """Account a merge: ``cl`` takes the occurrences of its right
+        neighbour ``cr`` (already adjacent in the tour), whose id -- if
+        any -- is freed.
+
+        Only ``cr``'s occurrences are walked (restamped) and
+        ``count``/``n_edges`` add up; ``occ_scan`` is charged the merged
+        count, as re-adopting ``cl`` did.  The merged row is returned for
+        :meth:`write_row` (read before ``cr``'s row is cleared); ``None``
+        means there is no row, or the caller rebuilds it by a scan.
+        """
+        if not self._moved_only:
+            if cr.id is not None:
+                self.release_id(cr)
+            cl.tail = cr.tail
+            self.adopt_occurrences(cl)
+            return None
+        assert cr.head is not None and cr.tail is not None
+        vals = None
+        if cr.id is not None:
+            assert cl.id is not None
+            C = self.C
+            vals = merge_rows(C[cl.id].tolist(), C[cr.id].tolist(),
+                              cl.id, cr.id)
+            self._free_id(cr)
+        _stamp(cr.head, cr.tail, cl, cl.id)
+        cl.tail = cr.tail
+        cl.count += cr.count
+        cl.n_edges += cr.n_edges
+        self.ops.charge("occ_scan", cl.count)
+        return vals
 
     # -- CAdj row maintenance ----------------------------------------------------
 
@@ -277,12 +412,14 @@ class ChunkSpace:
         """Recompute ``CAdj_c`` by scanning the <=3K edges touching ``c``
         (Lemma 2.2), then mirror it into column ``id_c``.
 
-        Hot-loop hygiene (this O(K) scan dominates every fix_chunk): the
+        Hot-loop hygiene (this O(K) scan dominates every split): the
         row is staged as a plain python list (object ndarray indexing per
         edge was measurable), the ``edge_endpoints`` generator and the
         ``is_principal`` / ``other()`` helpers are inlined via the
-        per-endpoint :class:`SideRec` replicas, and ``edge_scan`` is
-        charged once with the scan total (identical counter sums).
+        per-endpoint :class:`SideRec` replicas, the far chunk's id is
+        read from its occurrence's ``chunk_id`` replica, and ``edge_scan``
+        is charged once with the scan total -- ``c.n_edges``, since each
+        principal copy has one side per edge (audited).
         """
         assert c.id is not None
         cid = c.id
@@ -331,26 +468,38 @@ class ChunkSpace:
             self.mirror_column(c)
             return
         vals = [INF_KEY] * self.Jcap
-        scanned = 0
         occ = c.head
         tail = c.tail
         while occ is not None:
             vertex = occ.vertex
             if vertex.pc is occ:
-                sides = vertex.sides
-                scanned += len(sides)
-                for s in sides:
-                    oc = s.far.pc.chunk  # type: ignore[union-attr]
-                    oid = oc.id
-                    if oid is not None and s.key < vals[oid]:
-                        vals[oid] = s.key
+                for s in vertex.sides:
+                    oid = s.far.pc.chunk_id  # type: ignore[union-attr]
+                    if oid is not None:
+                        key = s.key
+                        if key < vals[oid]:
+                            vals[oid] = key
             if occ is tail:
                 break
             occ = occ.next
         row = self.C[cid]
         row[:] = vals
         self.ops.charge("row_clear", self.Jcap)
-        self.ops.charge("edge_scan", scanned)
+        self.ops.charge("edge_scan", c.n_edges)
+        self.mirror_column(c)
+
+    def write_row(self, c: Chunk, vals: list) -> None:
+        """Install a ``CAdj_c`` computed without a scan (a merge's
+        :func:`merge_rows`) and mirror it into column ``id_c``.
+
+        Charges what :meth:`rebuild_row` charges: its scan visits each
+        principal copy's ``sides``, one per edge, so ``edge_scan`` is
+        ``c.n_edges`` (``len(sides) == len(edges)`` is audited).
+        """
+        assert c.id is not None
+        self.C[c.id][:] = vals
+        self.ops.charge("row_clear", self.Jcap)
+        self.ops.charge("edge_scan", c.n_edges)
         self.mirror_column(c)
 
     def mirror_column(self, c: Chunk, lanes: Optional[list[int]] = None) -> None:
@@ -467,27 +616,8 @@ class ChunkSpace:
         bt_root: Optional[tt.Node] = None
         cid = c.id
         tail = c.tail
-        charge = self.ops.charge
         if not self.with_bt:
-            if self._adopt is not None:
-                # compiled: the whole stamp-and-count walk in one C call
-                count, n_edges = self._adopt(c.head, tail, c, cid)
-            else:
-                # Hot-loop hygiene: the sequential engine takes this branch
-                # on every Invariant-1 fix; the per-occurrence ``with_bt``
-                # test, attribute re-lookups and the generator frame of
-                # ``occ_iter_between`` are hoisted out of the O(K) scan.
-                occ = c.head
-                while occ is not None:
-                    occ.chunk = c
-                    occ.chunk_id = cid
-                    count += 1
-                    vx = occ.vertex
-                    if vx.pc is occ:  # inlined is_principal / degree()
-                        n_edges += len(vx.edges)
-                    if occ is tail:
-                        break
-                    occ = occ.next
+            count, n_edges = self._adopt(c.head, tail, c, cid)
         else:
             # Bulk O(K) construction: ``tt.build_rightmost`` produces the
             # exact shape (and aggregates) of the old insert-after loop
@@ -526,7 +656,7 @@ class ChunkSpace:
                                              collect_levels=levels)
                 units = [1 + d for d in degs]
                 compiled.kernels.bt_level_aggs(levels, units, degs)
-        charge("occ_scan", count)
+        self.ops.charge("occ_scan", count)
         c.count = count
         c.n_edges = n_edges
         c.bt_root = bt_root

@@ -12,6 +12,11 @@ on but states informally:
 * **edge/occurrence/principal bookkeeping**: the O(K)-scan row rebuilds and
   ``UpdateAdj`` calls each mutation requires.
 
+Chunk splits and merges walk only the occurrences that change chunk
+(``ChunkSpace.split_off`` / ``absorb``): a merged row is the lane-wise min
+of the two rows, and a split's kept half gets its totals by subtraction.
+Both are charged exactly what the rescans they replace were charged.
+
 Everything here is *sequential*; the parallel engine reuses the same state
 but executes the heavy inner loops as PRAM kernels (see ``core.par``).
 """
@@ -183,7 +188,8 @@ class Fabric:
         occ = c.head
         tail = c.tail
         while occ is not None:
-            acc += 1 + (occ.vertex.degree() if occ.is_principal else 0)
+            vx = occ.vertex
+            acc += 1 + (len(vx.edges) if vx.pc is occ else 0)
             scanned += 1
             at = occ
             if acc >= target or occ is tail:
@@ -204,10 +210,8 @@ class Fabric:
         c2.head = at_occ.next
         c2.tail = c.tail
         c.tail = at_occ
-        self.space.adopt_occurrences(c)
-        self.space.adopt_occurrences(c2)
+        self.space.split_off(c, c2)
         if c.id is not None:
-            self.space.assign_id(c2)
             self.space.rebuild_row(c)
             self.space.rebuild_row(c2)
             new_root = tt.insert_after(c.leaf, c2.leaf, self.pull)
@@ -230,14 +234,20 @@ class Fabric:
         """Merge adjacent chunks (Lemma 2.2); keeps ``cl`` and its id."""
         assert cl.id is not None and cr.id is not None
         lst = self.registry.list_of_chunk(cl)
-        freed = self.space.release_id(cr)
+        space = self.space
+        freed = cr.id
+        merged = space.absorb(cl, cr)
         cr.dead = True
-        cl.tail = cr.tail
-        self.space.adopt_occurrences(cl)
         new_root = tt.delete_leaf(cr.leaf, self.pull)
         assert new_root is not None
         self.registry.set_root(lst, new_root)
-        self.space.rebuild_row(cl)
+        # the row is written after the LSDS delete, as the rescan was:
+        # the delete's pulls then read the same rows, so UpdateAdj's
+        # early exit -- and its charges -- are unchanged
+        if merged is None:
+            space.rebuild_row(cl)
+        else:
+            space.write_row(cl, merged)
         self.registry.update_adj(cl)
         self.registry.refresh_column(freed)
         return cl
@@ -264,8 +274,7 @@ class Fabric:
             c2.head = occ.next
             c2.tail = c.tail
             c.tail = occ
-            self.space.adopt_occurrences(c)
-            self.space.adopt_occurrences(c2)
+            self.space.split_off(c, c2)
             boundary = c
             right_head = c2.head
             assert right_head is not None
@@ -301,9 +310,8 @@ class Fabric:
             assert t1 is not None and h2 is not None
             t1.next = h2
             h2.prev = t1
-            c1.tail = c2.tail
+            self.space.absorb(c1, c2)
             c2.dead = True
-            self.space.adopt_occurrences(c1)
             self.registry.retire(right)
             self._transition(left)
             return left

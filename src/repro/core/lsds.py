@@ -303,11 +303,6 @@ class ListRegistry:
         self.long_lists: set[EulerList] = set()
         self.pull = make_pull(space)
         self.pull_changed = make_pull_changed(space)
-        # column-sweep flavor bound once (fixed at construction)
-        if space.comp_lsds:
-            self._sweep = self._col_sweep_compiled
-        else:
-            self._sweep = self._col_sweep
         # bound once: ``list_of_chunk`` runs a few thousand times per E9
         # update batch and the ``self.space.ops.charge`` attribute chain
         # was measurable
@@ -380,52 +375,71 @@ class ListRegistry:
     def refresh_column(self, j: int) -> None:
         """Recompute entry ``j`` of every LSDS vertex of every long list.
 
-        The O(J)-total column sweep of ``UpdateAdj``; bottom-up per tree.
+        The O(J)-total column sweep of ``UpdateAdj``, bottom-up per tree.
+        ``col_sweep`` is charged once with the number of vertices visited
+        (leaves included), the sum the per-vertex charges used to make.
         """
+        long_lists = self.long_lists
+        if not long_lists:
+            return
         space = self.space
-        if space.comp_lsds and self.long_lists:
+        if space.comp_lsds:
             # batched: one kernel call sweeps every long list's tree (most
             # are single-leaf roots -- pure dispatch overhead in python)
-            # and one charge with the summed visited-vertex count keeps the
-            # counter totals bit-identical to the per-list recursion.
             n_nodes = compiled.kernels.col_sweep_many(
-                list(self.long_lists), j, space.compm.buf, space.Jcap)
+                list(long_lists), j, space.compm.buf, space.Jcap)
             space.ops.charge("col_sweep", n_nodes)
             return
-        sweep = self._sweep
-        for lst in self.long_lists:
-            sweep(lst.root, j)
+        n_nodes = 0
+        col = None
+        for lst in long_lists:
+            root = lst.root
+            if not root.height:  # single-chunk list: a leaf, no aggregate
+                n_nodes += 1
+                continue
+            if col is None:  # column j, read once
+                col = space.C[:, j].tolist()
+            n_nodes += _sweep_tree(root, j, col)
+        space.ops.charge("col_sweep", n_nodes)
 
-    def _col_sweep(self, node: tt.Node, j: int) -> tuple:
-        space = self.space
-        if node.is_leaf:
-            chunk: Chunk = node.item
-            assert chunk.id is not None
-            space.ops.charge("col_sweep")
-            return space.C[chunk.id, j], chunk.id == j
+
+def _sweep_tree(root: tt.Node, j: int, col: list) -> int:
+    """Set entry ``j`` of every internal vertex under ``root`` (height
+    >= 1) from column ``col`` of ``C``, level by level from the bottom,
+    with the strict-< leftmost-wins fold of the pulls.  Returns the
+    number of vertices visited, leaves included."""
+    levels = [[root]]
+    while levels[-1][0].height > 1:
+        levels.append([kid for node in levels[-1] for kid in node.kids])
+    visited = 0
+    for node in levels[-1]:  # height 1: the kids are chunk leaves
         best = INF_KEY
         memb = False
-        for kid in node.kids:
-            k_cadj, k_memb = self._col_sweep(kid, j)
-            if k_cadj < best:
-                best = k_cadj
-            memb = memb or k_memb
+        kids = node.kids
+        for kid in kids:
+            cid = kid.item.id
+            key = col[cid]
+            if key < best:
+                best = key
+            if cid == j:
+                memb = True
         cadj, mb = node.agg
         cadj[j] = best
         mb[j] = memb
-        space.ops.charge("col_sweep")
-        return best, memb
-
-    def _col_sweep_compiled(self, node: tt.Node, j: int) -> None:
-        """Compiled twin of :meth:`_col_sweep`: the whole post-order
-        recursion runs in C over the flat matrix and aggregate buffers
-        (same strict-< leftmost-wins fold); ``col_sweep`` is charged once
-        with the kernel's visited-vertex count -- identical sums."""
-        space = self.space
-        if node.is_leaf:
-            assert node.item.id is not None
-            space.ops.charge("col_sweep")
-            return
-        n_nodes = compiled.kernels.col_sweep(node, j, space.compm.buf,
-                                             space.Jcap)
-        space.ops.charge("col_sweep", n_nodes)
+        visited += len(kids) + 1
+    for level in reversed(levels[:-1]):
+        for node in level:
+            best = INF_KEY
+            memb = False
+            for kid in node.kids:
+                k_cadj, k_memb = kid.agg
+                key = k_cadj[j]
+                if key < best:
+                    best = key
+                if k_memb[j]:
+                    memb = True
+            cadj, mb = node.agg
+            cadj[j] = best
+            mb[j] = memb
+        visited += len(level)
+    return visited

@@ -29,13 +29,15 @@ __all__ = ["find_mwr"]
 
 def _scan_short(fabric: Fabric, short: EulerList, other: EulerList) -> Optional[Edge]:
     best: Optional[Edge] = None
-    chunk = short.only_chunk
-    for vertex, e in chunk.edge_endpoints():
-        fabric.space.ops.charge("mwr_scan")
+    scanned = 0
+    for vertex, e in short.only_chunk.edge_endpoints():
+        scanned += 1
         w = e.other(vertex)
         if fabric.list_of(w.pc.chunk) is other:  # type: ignore[union-attr]
             if best is None or e.key < best.key:
                 best = e
+    if scanned:  # an empty scan charges nothing, as per-endpoint charges did
+        fabric.space.ops.charge("mwr_scan", scanned)
     return best
 
 
@@ -65,13 +67,15 @@ def _find_mwr_compiled(fabric: Fabric, l1: EulerList, l2: EulerList) -> Optional
     assert chat is not None
     memb1 = root1.item.memb_row if root1.is_leaf else root1.agg[1]
     best: Optional[Edge] = None
+    scanned = 0
     for vertex, ed in chat.edge_endpoints():
-        space.ops.charge("mwr_scan")
+        scanned += 1
         v2 = ed.other(vertex)
         wc = v2.pc.chunk  # type: ignore[union-attr]
         if wc.id is not None and memb1[wc.id]:
             if best is None or ed.key < best.key:
                 best = ed
+    space.ops.charge("mwr_scan", scanned)
     assert best is not None and best.key[0] == w, \
         "candidate chunk scan must realize the gamma minimum"
     return best
@@ -98,13 +102,15 @@ def find_mwr(fabric: Fabric, l1: EulerList, l2: EulerList) -> Optional[Edge]:
     assert chat is not None
     memb1 = node_memb(space, l1.root)
     best: Optional[Edge] = None
+    scanned = 0
     for vertex, e in chat.edge_endpoints():
-        space.ops.charge("mwr_scan")
+        scanned += 1
         w = e.other(vertex)
         wc = w.pc.chunk  # type: ignore[union-attr]
         if wc.id is not None and memb1[wc.id]:
             if best is None or e.key < best.key:
                 best = e
+    space.ops.charge("mwr_scan", scanned)
     assert best is not None and best.key[0] == gamma[j][0], \
         "candidate chunk scan must realize the gamma minimum"
     return best

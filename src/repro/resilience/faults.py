@@ -52,6 +52,7 @@ duck-typed); low-level modules can import it without cycles.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,32 +68,55 @@ __all__ = ["SITES", "Fault", "FaultPlan", "arm", "disarm", "injected",
 # corruption and is reported as such)
 # ---------------------------------------------------------------------------
 
+def _nudge(val: Any, param: int) -> Any:
+    """``val`` with its first finite numeric component changed: a float
+    moved by ``0.5 + param % 3``, an int xor-ed with ``1 + param % 7``.
+    ``None`` when nothing in it is a finite number (bools excluded)."""
+    if type(val) is float:
+        return val + (0.5 + param % 3) if math.isfinite(val) else None
+    if type(val) is int:
+        return val ^ (1 + param % 7)
+    if type(val) is tuple:
+        for i, part in enumerate(val):
+            new = _nudge(part, param)
+            if new is not None:
+                return val[:i] + (new,) + val[i + 1:]
+    return None
+
+
 def _corrupt_pram_cell(param: int, ctx: dict) -> Optional[dict]:
-    """Scramble one interned PRAM memory cell (float preferred, int else)."""
+    """Scramble one interned PRAM memory cell: a finite float preferred,
+    else an int, else a tuple of numbers -- a ``(w, eid)`` key or a BT_c
+    ``(units, edges)`` aggregate, the only numeric cells a small
+    sparsified parallel tree may hold at a step boundary."""
     mem = ctx.get("mem")
     cells = getattr(mem, "_cells", None)
     if not cells:
         return None
     n = len(cells)
     start = param % n
-    int_fallback = None
+    found: dict[type, tuple[int, Any, Any]] = {}
     for off in range(min(n, 256)):
         aid = (start + off) % n
         try:
             val = mem.read_interned(aid)
         except Exception:
             continue
-        if type(val) is float and val == val and val not in (
-                float("inf"), float("-inf")):
-            delta = 0.5 + (param % 3)
-            mem.write_interned(aid, val + delta)
-            return {"detail": f"cell #{aid}: float {val!r} += {delta}"}
-        if int_fallback is None and type(val) is int and type(val) is not bool:
-            int_fallback = (aid, val)
-    if int_fallback is not None:
-        aid, val = int_fallback
-        mem.write_interned(aid, val ^ (1 + param % 7))
-        return {"detail": f"cell #{aid}: int {val!r} ^= {1 + param % 7}"}
+        kind = type(val)
+        if kind in found:
+            continue
+        new = _nudge(val, param)
+        if new is None:
+            continue
+        found[kind] = (aid, val, new)
+        if kind is float:
+            break
+    for kind in (float, int, tuple):
+        if kind in found:
+            aid, val, new = found[kind]
+            mem.write_interned(aid, new)
+            return {"detail": f"cell #{aid}: {kind.__name__} {val!r} -> "
+                              f"{new!r}"}
     return None
 
 

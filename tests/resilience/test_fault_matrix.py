@@ -67,6 +67,19 @@ def test_site_detect_or_mask(engine, sparsify, site):
     assert final["twin_fingerprint_match"]
 
 
+def test_pram_cell_injects_into_tuple_cells():
+    """On a small sparsified parallel tree the cells live at the
+    scheduled steps hold no finite float or int, only ``(w, eid)`` keys
+    and BT_c ``(units, edges)`` aggregates; ``pram.cell`` must still
+    inject every fault, and the campaign must stay green."""
+    report = run_campaign(7, engine="parallel", sparsify=True, n=6,
+                          n_ops=100, sites=["pram.cell"], n_faults=3)
+    assert report["n_injected"] == 3, report["faults"]["log"]
+    assert report["ok"], report["final"]
+    assert report["wrong_answers"] == 0
+    assert report["n_detected"] + report["n_masked"] >= 3
+
+
 @pytest.mark.parametrize("engine,sparsify", [("sequential", True),
                                              ("sequential", False)])
 def test_unreachable_pram_sites_never_inject(engine, sparsify):

@@ -1,11 +1,17 @@
-"""Property/fuzz test for the coalescing algebra (``serve/batch.py``).
+"""Property/fuzz tests for the coalescing algebra (``serve/batch.py``)
+and for malformed input at every front.
 
-The contract under test: replaying the *coalesced* batch (deletes-first
+The coalescing contract: replaying the *coalesced* batch (deletes-first
 canonical order, annihilation, dedupe) against a fresh engine yields a
 forest and ``msf_weight`` identical to replaying the *raw* op stream
 one op at a time -- across seeded random insert/delete/duplicate-delete
 mixes.  This is the algebraic fact the whole serving stack (BatchedMSF
 and the sharded cluster alike) leans on.
+
+The rejection contract: a malformed insert interleaved with valid churn
+raises :class:`InvalidInputError` -- never :class:`CorruptionError` --
+and leaves the front exactly as it was: same ``state_fingerprint``,
+forest still the Kruskal MSF of the live edges.
 """
 
 import math
@@ -13,8 +19,12 @@ import random
 
 import pytest
 
+from repro import BatchedMSF, ClusterMSF, DynamicMSF
+from repro.core import compiled
 from repro.core.sparsify import SparsifiedMSF
-from repro.resilience.checks import _weights_agree
+from repro.reference.oracle import kruskal
+from repro.resilience.checks import _weights_agree, state_fingerprint
+from repro.resilience.errors import CorruptionError, InvalidInputError
 from repro.serve.batch import coalesce
 
 
@@ -109,7 +119,6 @@ def test_coalesced_replay_equals_raw_replay(seed):
 def test_coalesced_batch_matches_oracle(seed):
     """End-to-end: the coalesced replay's forest equals the Kruskal MSF
     of the surviving edge set."""
-    from repro.reference.oracle import kruskal
     rng = random.Random(1000 + seed)
     n = 24
     engine = SparsifiedMSF(n)
@@ -133,3 +142,84 @@ def test_coalesced_batch_matches_oracle(seed):
         want = kruskal((u, v, w, eid)
                        for eid, (u, v, w) in registry.items())
         assert engine.msf_ids() == want
+
+
+# ------------------------------------------------------- malformed input
+
+FUZZ_N = 10
+#: below the degree reducers' default ``max_edges`` (``2 n``)
+FUZZ_MAX_LIVE = 16
+
+#: malformed inserts ``(u, v, weight)``: endpoints outside ``0..n-1`` or
+#: not integers, weights that are not finite reals
+BAD_INSERTS = [
+    (0, FUZZ_N, 1.0), (-1, 0, 1.0), (True, 1, 1.0), (0.0, 1, 1.0),
+    (0.5, 1, 1.0), ("1", 2, 1.0), (None, 2, 1.0),
+    (0, 1, math.nan), (0, 1, math.inf), (0, 1, -math.inf), (0, 1, "1.5"),
+    (0, 1, None), (0, 1, True), (0, 1, complex(1, 0)),
+]
+
+FUZZ_FRONTS = {
+    "facade": lambda b: DynamicMSF(FUZZ_N, backend=b),
+    "facade-sparsified": lambda b: DynamicMSF(FUZZ_N, sparsify=True,
+                                              backend=b),
+    "facade-parallel": lambda b: DynamicMSF(FUZZ_N, engine="parallel",
+                                            backend=b),
+    "batched-strong": lambda b: BatchedMSF(FUZZ_N, batch_size=4,
+                                           pool_size=2, backend=b),
+    "batched-deferred": lambda b: BatchedMSF(FUZZ_N, batch_size=4,
+                                             pool_size=2, backend=b,
+                                             consistency="deferred"),
+    # the cluster runs the scalar backend only
+    "cluster": lambda b: ClusterMSF(FUZZ_N, pool_size=2, batch_size=4,
+                                    processes=False),
+}
+
+FUZZ_CASES = [(f, b) for f in sorted(FUZZ_FRONTS) for b in ("scalar",
+                                                           "compiled")
+              if not (f == "cluster" and b == "compiled")]
+
+
+def _settle(front) -> None:
+    if hasattr(front, "flush"):
+        front.flush()
+
+
+@pytest.mark.parametrize("front_name,backend", FUZZ_CASES)
+def test_malformed_inserts_change_nothing(front_name, backend):
+    if backend == "compiled" and not compiled.HAVE_COMPILED:
+        pytest.skip("native extension not built")
+    rng = random.Random(f"malformed/{front_name}/{backend}")
+    front = FUZZ_FRONTS[front_name](backend)
+    live: dict[int, tuple[int, int, float]] = {}
+    rejected = 0
+    try:
+        for _ in range(90):
+            r = rng.random()
+            if r < 0.3:
+                _settle(front)
+                before = state_fingerprint(front)
+                u, v, w = rng.choice(BAD_INSERTS)
+                with pytest.raises(InvalidInputError) as info:
+                    front.insert_edge(u, v, w)
+                assert not isinstance(info.value, CorruptionError)
+                rejected += 1
+                assert getattr(front, "pending_ops", 0) == 0
+                assert state_fingerprint(front) == before
+                assert front.msf_ids() == kruskal(
+                    (a, b, x, eid) for eid, (a, b, x) in live.items())
+            elif live and (r < 0.55 or len(live) >= FUZZ_MAX_LIVE):
+                eid = rng.choice(sorted(live))
+                del live[eid]
+                front.delete_edge(eid)
+            else:
+                u, v = rng.sample(range(FUZZ_N), 2)
+                w = round(rng.uniform(0.0, 10.0), 2)
+                live[front.insert_edge(u, v, w)] = (u, v, w)
+        _settle(front)
+        assert rejected >= 15
+        assert front.msf_ids() == kruskal(
+            (a, b, x, eid) for eid, (a, b, x) in live.items())
+    finally:
+        if hasattr(front, "close"):
+            front.close()

@@ -50,10 +50,9 @@ class _ScanRegistry(ListRegistry):
 
 
 class _ScanFabric(Fabric):
-    def __init__(self, n_max, K=None, *, flavor="sequential", with_bt=False,
+    def __init__(self, n_max, K=None, *, flavor="sequential",
                  ops=None) -> None:
-        self.space = ChunkSpace(n_max, K, flavor=flavor, with_bt=with_bt,
-                                ops=ops)
+        self.space = ChunkSpace(n_max, K, flavor=flavor, ops=ops)
         self.registry = _ScanRegistry(self.space)
         self.pull = self.registry.pull
 
@@ -61,11 +60,11 @@ class _ScanFabric(Fabric):
 class ScanDynamicMSF(SparseDynamicMSF):
     """The paper's engine with the LSDS ablated (chunk-pair scans)."""
 
-    def _build_fabric(self, n_max, K, flavor, with_bt, ops,
+    def _build_fabric(self, n_max, K, flavor, ops,
                       backend="scalar") -> Fabric:
         # the scan baseline ablates the LSDS, so there is nothing for the
         # compiled backend to accelerate; it always runs scalar
-        return _ScanFabric(n_max, K, flavor=flavor, with_bt=with_bt, ops=ops)
+        return _ScanFabric(n_max, K, flavor=flavor, ops=ops)
 
     def _find_mwr(self, lu: EulerList, lv: EulerList) -> Optional[Edge]:
         space = self.fabric.space

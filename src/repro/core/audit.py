@@ -5,13 +5,15 @@ invariants simultaneously:
 
 * Invariant 1 on every chunk; id'dness matches the short-list regime;
 * DLL contiguity of chunks and lists;
-* the global matrix ``C`` equals a brute-force recomputation;
+* the global matrix ``C`` equals a brute-force recomputation, and every
+  row's live-lane set names exactly its non-``INF_KEY`` lanes;
 * every LSDS vertex aggregate equals the recomputed min/OR of its subtree;
 * every list is a valid Euler tour of its tree (cyclic adjacencies are
   exactly the tree-edge arcs, each tree edge owns exactly two arcs,
   occurrence multiplicities are ``max(1, deg_T)``);
 * principal-copy pointers are consistent;
-* ``BT_c`` trees mirror chunk contents (when maintained);
+* ``BT_c`` trees mirror chunk contents (wherever the chunk space keeps
+  them: the parallel engine's ``ParChunkSpace``);
 * the engine's forest equals the Kruskal-unique MSF of its edge set.
 """
 
@@ -27,6 +29,7 @@ except ImportError:  # pure-python fallback; see core._nplite
 from ..reference.oracle import kruskal
 from ..structures import two_three_tree as tt
 from .model import INF_KEY
+from .par.engine import ParChunkSpace
 from .seq_msf import SparseDynamicMSF
 
 __all__ = ["audit"]
@@ -46,6 +49,7 @@ def audit(engine: SparseDynamicMSF, *, lsds: bool = True,
     space = engine.fabric.space
     registry = engine.fabric.registry
     K = space.K
+    keeps_bt = isinstance(space, ParChunkSpace)
 
     seen_occs = set()
     seen_chunks = set()
@@ -92,7 +96,7 @@ def audit(engine: SparseDynamicMSF, *, lsds: bool = True,
             assert c.n_c <= 3 * K, f"overflowing chunk n_c={c.n_c}"
             if len(chunks) > 1:
                 assert c.n_c >= K, f"underfull chunk n_c={c.n_c}"
-            if space.with_bt:
+            if keeps_bt:
                 _audit_bt(c)
             tour.extend(occs)
         # --- tour validity
@@ -131,6 +135,8 @@ def audit(engine: SparseDynamicMSF, *, lsds: bool = True,
             got.fill(INF_KEY)
         mism = np.nonzero(got != expect)
         assert len(mism[0]) == 0, f"C mismatch at {list(zip(*mism))[:5]}"
+        stale = space.verify_live_lanes(max_findings=1)
+        assert not stale, f"live lanes: {stale[0]}"
 
     # --- forest equals the unique MSF
     if forest:

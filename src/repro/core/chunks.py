@@ -16,17 +16,20 @@ change): row ``id_c`` of ``C`` is the vector ``CAdj_c``, where
 ``c`` and ``c'``.  An edge is recorded iff *both* endpoint chunks carry ids
 (chunks of *short* single-chunk lists carry none -- Section 6).
 
-Chunks of the parallel engine additionally maintain ``BT_c``: a 2-3 tree
-over the chunk's occurrences whose vertices store ``(units, edges)``
-aggregates -- ``edges`` are the paper's edge counters ``ec_v`` driving
-``getEdge``, ``units`` drive balanced Invariant-1 splits.
-
-Chunk surgery on the scalar sequential path walks only what moved
+Each row keeps its set of live lanes (``ChunkSpace._live``, the columns
+holding a key), so row rebuilds, column mirrors and id releases write only
+the stale and new lanes, and chunk surgery walks only what moved
 (:meth:`ChunkSpace.split_off`, :meth:`ChunkSpace.absorb`): a merge's row is
 the lane-wise min of the two rows (:func:`merge_rows`), only the moved side
-is restamped, and a split's kept half gets its totals by subtraction.  The
-charges are those of the full O(K) rescan they replace (Lemma 2.2): the
-``OpCounter`` models the paper's algorithm, not the host's loop.
+is restamped, and a split's kept half gets its totals by subtraction.  One
+path serves both backends; ``backend`` only picks which kernel runs a loop.
+The charges are those of the full-width O(K) rescan this replaces (Lemma
+2.2): the ``OpCounter`` models the paper's algorithm, not the host's loop.
+
+The parallel engine's chunks additionally maintain ``BT_c`` (a 2-3 tree
+over the chunk's occurrences driving ``getEdge``); that lives in
+:class:`repro.core.par.engine.ParChunkSpace`, which overrides the ``bt_*``
+hooks and adopts whole chunks on surgery.
 """
 
 from __future__ import annotations
@@ -126,18 +129,25 @@ class Chunk:
         return f"<Chunk id={self.id} count={self.count} n_edges={self.n_edges}>"
 
 
-def merge_rows(row_l: list, row_r: list, lid: int, rid: int) -> list:
+def merge_rows(row_l, row_r, lanes, lid: int, rid: int) -> dict[int, Key]:
     """``CAdj`` of the merge of chunks ``lid`` and ``rid`` from their rows.
 
     Lane ``j`` of the merged chunk is the lightest edge from either half
-    to chunk ``j``: the lane-wise min.  Lane ``rid`` is folded into lane
-    ``lid`` -- the self lane becomes ``min(C[l,l], C[l,r], C[r,r])`` --
-    and cleared, since the merged chunk keeps ``lid`` and ``rid`` is freed.
+    to chunk ``j``: the lane-wise min over ``lanes`` (the union of both
+    rows' live lanes; every other lane is ``INF_KEY`` in both).  Lane
+    ``rid`` is folded into lane ``lid`` -- the self lane becomes
+    ``min(C[l,l], C[l,r], C[r,r])`` -- and dropped, since the merged chunk
+    keeps ``lid`` and ``rid`` is freed.  Returns the live lanes as
+    ``{lane: key}``.
     """
-    vals = [a if a < b else b for a, b in zip(row_l, row_r)]
-    if vals[rid] < vals[lid]:
-        vals[lid] = vals[rid]
-    vals[rid] = INF_KEY
+    vals = {}
+    for j in lanes:
+        a = row_l[j]
+        b = row_r[j]
+        vals[j] = a if a < b else b
+    folded = vals.pop(rid, INF_KEY)
+    if folded < vals.get(lid, INF_KEY):
+        vals[lid] = folded
     return vals
 
 
@@ -174,21 +184,11 @@ def _stamp(head: Optional[Occurrence], tail: Optional[Occurrence], c: Chunk,
         occ = occ.next
 
 
-def _bt_pull(node: tt.Node) -> None:
-    units = 0
-    edges = 0
-    for k in node.kids:
-        u, e = k.agg
-        units += u
-        edges += e
-    node.agg = (units, edges)
-
-
 class ChunkSpace:
     """Global chunk bookkeeping: ids, the matrix ``C``, and counters."""
 
     def __init__(self, n_max: int, K: Optional[int] = None, *,
-                 flavor: str = "sequential", with_bt: bool = False,
+                 flavor: str = "sequential",
                  ops: Optional[OpCounter] = None,
                  backend: str = "scalar") -> None:
         check_backend(backend)
@@ -208,7 +208,6 @@ class ChunkSpace:
         self.row_views: Optional[list[np.ndarray]] = None
         self.chunk_of_id: list[Optional[Chunk]] = [None] * self.Jcap
         self._free_ids = list(range(self.Jcap - 1, -1, -1))
-        self.with_bt = with_bt
         self.ops = ops if ops is not None else OpCounter()
         self.backend = backend
         #: flat float64 mirror of ``C`` (see core.compiled): the native
@@ -223,25 +222,20 @@ class ChunkSpace:
         #: parallel flavor keeps object aggregates and compiles the
         #: host-side twins instead.
         self.comp_lsds = backend == "compiled" and flavor == "sequential"
-        #: non-BT adoption scan (stamp-and-count walk), compiled
-        #: wholesale on the compiled backend
+        #: the stamp-and-count walk over a run of occurrences, and the
+        #: stamp-only walk for callers that know the counts; both run the
+        #: compiled ``adopt_scan`` kernel on the compiled backend
         self._adopt = (compiled.kernels.adopt_scan
                        if backend == "compiled" else _restamp)
-        #: chunk surgery walks only what moved (:meth:`split_off`,
-        #: :meth:`absorb`) on the scalar sequential path; ``BT_c`` shape
-        #: is load-bearing for the parallel engine and the compiled
-        #: backend keeps its kernels, so both re-adopt whole chunks
-        self._moved_only = backend == "scalar" and not with_bt
-        #: per-row live-lane sets (compiled sequential backend only):
-        #: ``_live[i]`` is exactly ``{j : C[i][j] != INF_KEY}``, maintained
-        #: at every write site below.  Row rebuilds, column mirrors and id
-        #: releases then touch O(live) lanes instead of Theta(Jcap) -- the
-        #: model-cost charges stay full-width (``row_clear``/``col_mirror``
-        #: /``id_release`` are the paper's accounting), only the wall-clock
-        #: work shrinks.  ``None`` for scalar and parallel flavors, whose
-        #: write paths are unchanged.
-        self._live: Optional[list[set[int]]] = (
-            [set() for _ in range(self.Jcap)] if self.comp_lsds else None)
+        self._stamp = (compiled.kernels.adopt_scan
+                       if backend == "compiled" else _stamp)
+        #: per-row live-lane sets: ``_live[i]`` is exactly
+        #: ``{j : C[i][j] != INF_KEY}``, maintained at every write site.
+        #: Row rebuilds, column mirrors and id releases then touch O(live)
+        #: lanes instead of Theta(Jcap) -- the model-cost charges stay
+        #: full-width (``row_clear``/``col_mirror``/``id_release`` are the
+        #: paper's accounting), only the wall-clock work shrinks.
+        self._live: list[set[int]] = [set() for _ in range(self.Jcap)]
         #: Per-column snapshots of ``C[:, j]`` as of the last column sweep
         #: that absorbed column ``j`` (trace-replay fast path only; see
         #: ``repro.core.par.kernels.column_sweep_kernel``).  Lazily
@@ -274,7 +268,7 @@ class ChunkSpace:
 
     def assign_id(self, c: Chunk) -> int:
         cid = self._claim_id(c)
-        _stamp(c.head, c.tail, c, cid)  # keep per-occurrence id replicas fresh
+        self._stamp(c.head, c.tail, c, cid)  # fresh per-occurrence ids
         self.ops.charge("id_assign", self.Jcap + c.count)
         return cid
 
@@ -304,7 +298,7 @@ class ChunkSpace:
 
     def release_id(self, c: Chunk) -> int:
         cid = self._free_id(c)
-        _stamp(c.head, c.tail, c, None)
+        self._stamp(c.head, c.tail, c, None)
         return cid
 
     def _free_id(self, c: Chunk) -> int:
@@ -314,24 +308,16 @@ class ChunkSpace:
         cid = c.id
         # see _claim_id: snapshots must not survive an id-tenure boundary
         self.col_snap.clear()
-        live = self._live
-        if live is not None:
-            # only the live lanes can hold non-INF values (and the column
-            # mirrors the row by the symmetric-write invariant)
-            lanes = sorted(live[cid])
-            C = self.C
-            for j in lanes:
-                C[cid, j] = INF_KEY
-                C[j, cid] = INF_KEY
-                live[j].discard(cid)
-            live[cid].clear()
-            if self.compm is not None:
-                self.compm.clear_row_col(cid, lanes=lanes)
-        else:
-            self.C[cid, :].fill(INF_KEY)
-            self.C[:, cid].fill(INF_KEY)
-            if self.compm is not None:
-                self.compm.clear_row_col(cid)
+        # only the live lanes can hold non-INF values (and the column
+        # mirrors the row by the symmetric-write invariant)
+        lanes = self.set_live(cid, set())
+        views = self.row_views
+        row = views[cid]
+        for j in lanes:
+            row[j] = INF_KEY
+            views[j][cid] = INF_KEY
+        if self.compm is not None:
+            self.compm.write_lanes(cid, lanes, row)
         self.ops.charge("id_release", 2 * self.Jcap)
         self.chunk_of_id[cid] = None
         self._free_ids.append(cid)
@@ -351,16 +337,10 @@ class ChunkSpace:
         total, which is what re-adopting both halves scanned.  Rows are
         not touched: min cannot be inverted, so the caller rebuilds both.
         """
-        if not self._moved_only:
-            self.adopt_occurrences(c)
-            self.adopt_occurrences(c2)
-            if c.id is not None:
-                self.assign_id(c2)
-            return
         assert c2.head is not None and c2.tail is not None
         total = c.count
         cid2 = self._claim_id(c2) if c.id is not None else None
-        count, n_edges = _restamp(c2.head, c2.tail, c2, cid2)
+        count, n_edges = self._adopt(c2.head, c2.tail, c2, cid2)
         c2.count = count
         c2.n_edges = n_edges
         c.count = total - count
@@ -370,7 +350,7 @@ class ChunkSpace:
         if cid2 is not None:
             charge("id_assign", self.Jcap + count)
 
-    def absorb(self, cl: Chunk, cr: Chunk) -> Optional[list]:
+    def absorb(self, cl: Chunk, cr: Chunk) -> Optional[dict[int, Key]]:
         """Account a merge: ``cl`` takes the occurrences of its right
         neighbour ``cr`` (already adjacent in the tour), whose id -- if
         any -- is freed.
@@ -381,21 +361,17 @@ class ChunkSpace:
         :meth:`write_row` (read before ``cr``'s row is cleared); ``None``
         means there is no row, or the caller rebuilds it by a scan.
         """
-        if not self._moved_only:
-            if cr.id is not None:
-                self.release_id(cr)
-            cl.tail = cr.tail
-            self.adopt_occurrences(cl)
-            return None
         assert cr.head is not None and cr.tail is not None
         vals = None
         if cr.id is not None:
-            assert cl.id is not None
-            C = self.C
-            vals = merge_rows(C[cl.id].tolist(), C[cr.id].tolist(),
-                              cl.id, cr.id)
+            lid, rid = cl.id, cr.id
+            assert lid is not None
+            views = self.row_views
+            live = self._live
+            vals = merge_rows(views[lid], views[rid], live[lid] | live[rid],
+                              lid, rid)
             self._free_id(cr)
-        _stamp(cr.head, cr.tail, cl, cl.id)
+        self._stamp(cr.head, cr.tail, cl, cl.id)
         cl.tail = cr.tail
         cl.count += cr.count
         cl.n_edges += cr.n_edges
@@ -404,70 +380,25 @@ class ChunkSpace:
 
     # -- CAdj row maintenance ----------------------------------------------------
 
-    def row(self, c: Chunk) -> np.ndarray:
-        assert c.id is not None
-        return self.C[c.id]
-
     def rebuild_row(self, c: Chunk) -> None:
         """Recompute ``CAdj_c`` by scanning the <=3K edges touching ``c``
-        (Lemma 2.2), then mirror it into column ``id_c``.
+        (Lemma 2.2), then write it out with :meth:`write_row`.
 
-        Hot-loop hygiene (this O(K) scan dominates every split): the
-        row is staged as a plain python list (object ndarray indexing per
-        edge was measurable), the ``edge_endpoints`` generator and the
-        ``is_principal`` / ``other()`` helpers are inlined via the
-        per-endpoint :class:`SideRec` replicas, the far chunk's id is
-        read from its occurrence's ``chunk_id`` replica, and ``edge_scan``
-        is charged once with the scan total -- ``c.n_edges``, since each
-        principal copy has one side per edge (audited).
+        The scan yields the sparse ``{lane: key}`` minima: the compiled
+        ``rebuild_row_scan`` kernel on the compiled backend, else a python
+        loop that inlines the ``edge_endpoints`` generator and the
+        ``is_principal`` / ``other()`` helpers via the per-endpoint
+        :class:`SideRec` replicas and reads the far chunk's id from its
+        occurrence's ``chunk_id`` replica.  ``edge_scan`` is charged once
+        with the scan total -- ``c.n_edges``, since each principal copy
+        has one side per edge (audited).
         """
         assert c.id is not None
-        cid = c.id
-        live = self._live
         if self.compm is not None:
-            if live is not None:
-                # sparse-aware scan: the kernel clears only the previously
-                # live lanes, emits only the touched minima, and the
-                # column mirror walks stale+new lanes -- O(live) work
-                # replacing three Theta(Jcap) passes.  Charges unchanged.
-                prev = live[cid]
-                prev_lanes = sorted(prev)
-                pairs, scanned = compiled.kernels.rebuild_row_scan(
-                    c.head, c.tail, self.compm.buf, self.Jcap, cid,
-                    prev_lanes)
-                row = self.C[cid]
-                new_lanes = {oid for oid, _ in pairs}
-                stale = prev - new_lanes
-                for j in stale:
-                    row[j] = INF_KEY
-                for oid, key in pairs:
-                    row[oid] = key
-                for j in stale:
-                    if j != cid:
-                        live[j].discard(cid)
-                for j in new_lanes:
-                    if j != cid:
-                        live[j].add(cid)
-                live[cid] = new_lanes
-                self.ops.charge("row_clear", self.Jcap)
-                self.ops.charge("edge_scan", scanned)
-                self.mirror_column(c, lanes=sorted(stale | new_lanes))
-                return
-            # the whole Lemma 2.2 scan runs in C: the kernel writes the
-            # flat mirror row directly and returns the sparse (oid, key)
-            # minima holding the *original* key objects, so the
-            # authoritative object row never round-trips through float64.
-            pairs, scanned = compiled.kernels.rebuild_row_scan(
-                c.head, c.tail, self.compm.buf, self.Jcap, cid)
-            vals = [INF_KEY] * self.Jcap
-            for oid, key in pairs:
-                vals[oid] = key
-            self.C[cid][:] = vals
-            self.ops.charge("row_clear", self.Jcap)
-            self.ops.charge("edge_scan", scanned)
-            self.mirror_column(c)
+            self.write_row(c, compiled.kernels.rebuild_row_scan(
+                c.head, c.tail, self.Jcap))
             return
-        vals = [INF_KEY] * self.Jcap
+        vals: dict[int, Key] = {}
         occ = c.head
         tail = c.tail
         while occ is not None:
@@ -477,65 +408,66 @@ class ChunkSpace:
                     oid = s.far.pc.chunk_id  # type: ignore[union-attr]
                     if oid is not None:
                         key = s.key
-                        if key < vals[oid]:
+                        if oid not in vals or key < vals[oid]:
                             vals[oid] = key
             if occ is tail:
                 break
             occ = occ.next
-        row = self.C[cid]
-        row[:] = vals
-        self.ops.charge("row_clear", self.Jcap)
-        self.ops.charge("edge_scan", c.n_edges)
-        self.mirror_column(c)
+        self.write_row(c, vals)
 
-    def write_row(self, c: Chunk, vals: list) -> None:
-        """Install a ``CAdj_c`` computed without a scan (a merge's
-        :func:`merge_rows`) and mirror it into column ``id_c``.
+    def write_row(self, c: Chunk, vals: dict[int, Key]) -> None:
+        """Install ``CAdj_c`` from its live lanes ``{lane: key}`` (a
+        :meth:`rebuild_row` scan or a merge's :func:`merge_rows`) and
+        mirror it into column ``id_c``.
 
-        Charges what :meth:`rebuild_row` charges: its scan visits each
-        principal copy's ``sides``, one per edge, so ``edge_scan`` is
-        ``c.n_edges`` (``len(sides) == len(edges)`` is audited).
+        Only the stale lanes (live before, absent from ``vals``) and the
+        new ones are written, in the row and in the column: every other
+        lane is ``INF_KEY`` in both, by the symmetric-write invariant.
+        The charges are the full-width rescan's: ``row_clear`` and
+        ``col_mirror`` are ``Jcap``, and ``edge_scan`` is ``c.n_edges``,
+        one side per edge of each principal copy (``len(sides) ==
+        len(edges)`` is audited).
         """
         assert c.id is not None
-        self.C[c.id][:] = vals
-        self.ops.charge("row_clear", self.Jcap)
-        self.ops.charge("edge_scan", c.n_edges)
-        self.mirror_column(c)
-
-    def mirror_column(self, c: Chunk, lanes: Optional[list[int]] = None) -> None:
-        """Set ``CAdj_{c'}[id_c] = CAdj_c[id_{c'}]`` for every chunk ``c'``.
-
-        With ``lanes``, only those rows are mirrored: exact whenever every
-        lane outside ``lanes`` already satisfies ``C[j][cid] == C[cid][j]``,
-        which the symmetric-write invariant guarantees (every write site
-        stores both directions; a row rebuild changes only stale+new lanes).
-        """
-        assert c.id is not None
-        if lanes is None:
-            self.C[:, c.id] = self.C[c.id]
-        else:
-            C = self.C
-            cid = c.id
-            row = C[cid]
-            for j in lanes:
-                C[j, cid] = row[j]
+        cid = c.id
+        views = self.row_views
+        row = views[cid]
+        for j in self._live[cid].difference(vals):
+            row[j] = INF_KEY
+            views[j][cid] = INF_KEY
+        for j, key in vals.items():
+            row[j] = key
+            views[j][cid] = key
+        lanes = self.set_live(cid, set(vals))
         if self.compm is not None:
-            self.compm.mirror_column(c.id, lanes=lanes)
+            self.compm.write_lanes(cid, lanes, row)
             if _faults.armed:
-                _faults.fire("compiled.kernel", space=self, cid=c.id)
-        self.ops.charge("col_mirror", self.Jcap)
+                _faults.fire("compiled.kernel", space=self, cid=cid)
+        charge = self.ops.charge
+        charge("row_clear", self.Jcap)
+        charge("edge_scan", c.n_edges)
+        charge("col_mirror", self.Jcap)
+
+    def set_live(self, cid: int, new: set[int]) -> set[int]:
+        """Make ``new`` the live-lane set of row ``cid`` (and add or drop
+        ``cid`` in the sets of the rows it gained or lost, which mirror
+        it); return the stale and new lanes, the ones a write touched."""
+        live = self._live
+        prev = live[cid]
+        for j in prev - new:
+            if j != cid:
+                live[j].discard(cid)
+        for j in new - prev:
+            if j != cid:
+                live[j].add(cid)
+        live[cid] = new
+        return prev | new
 
     def entry_update_insert(self, c1: Chunk, c2: Chunk, key: Key) -> None:
         """Min-merge a freshly inserted edge's key into both directions."""
         assert c1.id is not None and c2.id is not None
         if key < self.C[c1.id, c2.id]:
-            self.C[c1.id, c2.id] = key
-            self.C[c2.id, c1.id] = key
-            if self._live is not None:  # a real edge key is never INF
-                self._live[c1.id].add(c2.id)
-                self._live[c2.id].add(c1.id)
-            if self.compm is not None:
-                self.compm.set_entry(c1.id, c2.id, key)
+            self.set_pair(c1.id, c2.id, key)
         self.ops.charge("entry_update", 2)
 
     def entry_recompute_pair(self, c1: Chunk, c2: Chunk) -> None:
@@ -562,28 +494,33 @@ class ChunkSpace:
                 break
             occ = occ.next
         self.ops.charge("edge_scan", scanned)
-        self.C[c1.id, c2.id] = best
-        self.C[c2.id, c1.id] = best
-        if self._live is not None:
-            if best is INF_KEY:
-                self._live[c1.id].discard(c2.id)
-                self._live[c2.id].discard(c1.id)
-            else:
-                self._live[c1.id].add(c2.id)
-                self._live[c2.id].add(c1.id)
-        if self.compm is not None:
-            self.compm.set_entry(c1.id, c2.id, best)
+        self.set_pair(c1.id, c2.id, best)
         self.ops.charge("entry_update", 2)
+
+    def set_pair(self, i: int, j: int, key: Key) -> None:
+        """Write ``key`` at ``(i, j)`` and ``(j, i)`` of ``C``, the live
+        lanes and the compiled mirror (uncharged)."""
+        views = self.row_views
+        views[i][j] = key
+        views[j][i] = key
+        live = self._live
+        if key == INF_KEY:
+            live[i].discard(j)
+            live[j].discard(i)
+        else:
+            live[i].add(j)
+            live[j].add(i)
+        if self.compm is not None:
+            self.compm.set_entry(i, j, key)
 
     def verify_live_lanes(self, max_findings: int = 5) -> list[str]:
         """Audit the live-lane invariant against the authoritative matrix.
 
         O(Jcap^2), audit-tier only (wired into resilience.checks beside
-        the mirror verifies).  Returns findings; empty means consistent.
+        the mirror verifies, and into ``audit(matrix=True)``).  Returns
+        findings; empty means consistent.
         """
         live = self._live
-        if live is None:
-            return []
         out: list[str] = []
         C = self.C
         for i in range(self.Jcap):
@@ -598,97 +535,22 @@ class ChunkSpace:
 
     # -- occurrence plumbing (raw; Invariant-1 restoration is in maintenance) --
 
-    def occ_iter_between(self, head: Occurrence, tail: Occurrence) -> Iterator[Occurrence]:
-        occ: Optional[Occurrence] = head
-        while occ is not None:
-            yield occ
-            if occ is tail:
-                break
-            occ = occ.next
-
     def adopt_occurrences(self, c: Chunk) -> None:
-        """Stamp ``occ.chunk`` for every occurrence between head and tail,
-        recompute ``count``/``n_edges`` (the O(K) scan of Lemma 2.2), and
-        rebuild ``BT_c`` when the parallel engine maintains it."""
+        """Stamp ``occ.chunk`` for every occurrence between head and tail
+        and recompute ``count``/``n_edges`` (the O(K) scan of Lemma 2.2)."""
         assert c.head is not None and c.tail is not None
-        count = 0
-        n_edges = 0
-        bt_root: Optional[tt.Node] = None
-        cid = c.id
-        tail = c.tail
-        if not self.with_bt:
-            count, n_edges = self._adopt(c.head, tail, c, cid)
-        else:
-            # Bulk O(K) construction: ``tt.build_rightmost`` produces the
-            # exact shape (and aggregates) of the old insert-after loop
-            # without the O(log K) root walk per occurrence.  Shape
-            # equality is load-bearing -- ``getEdge`` descends BT_c, so its
-            # measured depth/work depend on the tree structure.
-            tt_leaf = tt.leaf
-            bt_leaves: list[tt.Node] = []
-            append = bt_leaves.append
-            degs: Optional[list[int]] = ([] if self.backend == "compiled"
-                                         else None)
-            occ = c.head
-            while occ is not None:
-                occ.chunk = c
-                occ.chunk_id = cid
-                count += 1
-                vx = occ.vertex
-                deg = len(vx.edges) if vx.pc is occ else 0
-                n_edges += deg
-                lf = tt_leaf(occ, agg=(1 + deg, deg))
-                occ.bt_leaf = lf
-                append(lf)
-                if degs is not None:
-                    degs.append(deg)
-                if occ is tail:
-                    break
-                occ = occ.next
-            if degs is None or len(bt_leaves) < 2:
-                bt_root = tt.build_rightmost(bt_leaves, _bt_pull)
-            else:
-                # compiled: identical shape, aggregates summed
-                # level-at-a-time by the C kernel instead of per-node
-                # _bt_pull
-                levels: list[list[tt.Node]] = []
-                bt_root = tt.build_rightmost(bt_leaves,
-                                             collect_levels=levels)
-                units = [1 + d for d in degs]
-                compiled.kernels.bt_level_aggs(levels, units, degs)
+        count, n_edges = self._adopt(c.head, c.tail, c, c.id)
         self.ops.charge("occ_scan", count)
         c.count = count
         c.n_edges = n_edges
-        c.bt_root = bt_root
+
+    # -- BT_c hooks: no-ops here; the parallel chunk space keeps BT_c --------
 
     def bt_refresh_occ(self, occ: Occurrence) -> None:
         """Recompute one BT_c leaf aggregate after a degree/principal change."""
-        if not self.with_bt or occ.bt_leaf is None:
-            return
-        deg = occ.vertex.degree() if occ.is_principal else 0
-        occ.bt_leaf.agg = (1 + deg, deg)
-        tt.refresh_upward(occ.bt_leaf, _bt_pull)
-        occ.chunk.bt_root = tt.root_of(occ.bt_leaf)
-        self.ops.charge("bt_refresh", 1)
 
     def bt_insert_occ(self, occ: Occurrence, after: Optional[Occurrence]) -> None:
         """Mirror a DLL insertion into BT_c (leaf after ``after`` or first)."""
-        if not self.with_bt:
-            return
-        c: Chunk = occ.chunk
-        deg = occ.vertex.degree() if occ.is_principal else 0
-        lf = tt.leaf(occ, agg=(1 + deg, deg))
-        occ.bt_leaf = lf
-        if c.bt_root is None:
-            c.bt_root = lf
-        elif after is not None:
-            c.bt_root = tt.root_of(tt.insert_after(after.bt_leaf, lf, _bt_pull))
-        else:
-            c.bt_root = tt.insert_first(c.bt_root, lf, _bt_pull)
 
     def bt_delete_occ(self, occ: Occurrence) -> None:
-        if not self.with_bt or occ.bt_leaf is None:
-            return
-        c: Chunk = occ.chunk
-        c.bt_root = tt.delete_leaf(occ.bt_leaf, _bt_pull)
-        occ.bt_leaf = None
+        """Mirror a DLL deletion out of BT_c."""

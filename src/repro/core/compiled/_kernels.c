@@ -158,54 +158,6 @@ k_fill_keys(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* clear_row_col(buf, Jcap, cid, w, e): row cid and column cid := (w, e) */
-static PyObject *
-k_clear_row_col(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 5)
-        return PyErr_Format(PyExc_TypeError, "clear_row_col takes 5 args");
-    double *b = keybuf(args[0], "clear_row_col");
-    if (b == NULL)
-        return NULL;
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[1]);
-    Py_ssize_t cid = PyLong_AsSsize_t(args[2]);
-    double w = PyFloat_AsDouble(args[3]);
-    double e = PyFloat_AsDouble(args[4]);
-    if (PyErr_Occurred())
-        return NULL;
-    double *row = b + 2 * cid * Jcap;
-    for (Py_ssize_t j = 0; j < Jcap; j++) {
-        row[2 * j] = w;
-        row[2 * j + 1] = e;
-        double *cell = b + 2 * (j * Jcap + cid);
-        cell[0] = w;
-        cell[1] = e;
-    }
-    Py_RETURN_NONE;
-}
-
-/* mirror_column(buf, Jcap, cid): buf[:, cid] = buf[cid, :] */
-static PyObject *
-k_mirror_column(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "mirror_column takes 3 args");
-    double *b = keybuf(args[0], "mirror_column");
-    if (b == NULL)
-        return NULL;
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[1]);
-    Py_ssize_t cid = PyLong_AsSsize_t(args[2]);
-    if (PyErr_Occurred())
-        return NULL;
-    const double *row = b + 2 * cid * Jcap;
-    for (Py_ssize_t i = 0; i < Jcap; i++) {
-        double *cell = b + 2 * (i * Jcap + cid);
-        cell[0] = row[2 * i];
-        cell[1] = row[2 * i + 1];
-    }
-    Py_RETURN_NONE;
-}
-
 /* set_entry(buf, Jcap, i, j, w, e): both directions */
 static PyObject *
 k_set_entry(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -227,54 +179,6 @@ k_set_entry(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     a1[0] = w; a1[1] = e;
     a2[0] = w; a2[1] = e;
     Py_RETURN_NONE;
-}
-
-/* load_row(buf, Jcap, cid, seq): row cid := [(w, e), ...] (length Jcap) */
-static PyObject *
-k_load_row(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "load_row takes 4 args");
-    double *b = keybuf(args[0], "load_row");
-    if (b == NULL)
-        return NULL;
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[1]);
-    Py_ssize_t cid = PyLong_AsSsize_t(args[2]);
-    if (PyErr_Occurred())
-        return NULL;
-    PyObject *fast = PySequence_Fast(args[3], "load_row: seq not iterable");
-    if (fast == NULL)
-        return NULL;
-    if (PySequence_Fast_GET_SIZE(fast) != Jcap) {
-        Py_DECREF(fast);
-        return PyErr_Format(PyExc_ValueError, "load_row: length mismatch");
-    }
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    double *row = b + 2 * cid * Jcap;
-    for (Py_ssize_t j = 0; j < Jcap; j++) {
-        PyObject *key = items[j];
-        PyObject *wo = PySequence_GetItem(key, 0);
-        if (wo == NULL)
-            goto fail;
-        PyObject *eo = PySequence_GetItem(key, 1);
-        if (eo == NULL) {
-            Py_DECREF(wo);
-            goto fail;
-        }
-        double w = PyFloat_AsDouble(wo);
-        double e = PyFloat_AsDouble(eo);
-        Py_DECREF(wo);
-        Py_DECREF(eo);
-        if (PyErr_Occurred())
-            goto fail;
-        row[2 * j] = w;
-        row[2 * j + 1] = e;
-    }
-    Py_DECREF(fast);
-    Py_RETURN_NONE;
-fail:
-    Py_DECREF(fast);
-    return NULL;
 }
 
 /* get_column_bytes(buf, Jcap, j) -> bytes of Jcap (w, e) pairs */
@@ -831,33 +735,23 @@ fail:
     return NULL;
 }
 
-/* rebuild_row_scan(head, tail, buf, Jcap, cid) -> (pairs, scanned)
+/* rebuild_row_scan(head, tail, Jcap) -> {oid: key}
  *
- * The Lemma 2.2 row scan of rebuild_row: walk the chunk's occurrences,
- * and for each principal copy fold every incident edge's key into the
- * per-destination-chunk minimum (strict python < on the key objects, so
- * int/float eid ties break exactly like the scalar loop).  Writes the
- * flat mirror row (INF-filled first) and returns the sparse non-INF
- * slots as [(oid, key), ...] plus the scanned-edge count, so the caller
- * can refresh the authoritative object row with the *original* key
- * objects (no float round trip in space.C). */
+ * The Lemma 2.2 row scan of ChunkSpace.rebuild_row: walk the chunk's
+ * occurrences, and for each principal copy fold every incident edge's key
+ * into the per-destination-chunk minimum (strict python < on the key
+ * objects, so int/float eid ties break exactly like the scalar loop).
+ * Returns the live lanes as a dict of the *original* key objects in
+ * first-touch order; ChunkSpace.write_row installs them in the object
+ * row, and write_lanes in the flat mirror. */
 static PyObject *
 k_rebuild_row_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5 && nargs != 6)
-        return PyErr_Format(PyExc_TypeError,
-                            "rebuild_row_scan takes 5 or 6 args");
-    double *mat = keybuf(args[2], "rebuild_row_scan");
-    if (mat == NULL)
-        return NULL;
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[3]);
-    Py_ssize_t cid = PyLong_AsSsize_t(args[4]);
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError, "rebuild_row_scan takes 3 args");
+    Py_ssize_t Jcap = PyLong_AsSsize_t(args[2]);
     if (PyErr_Occurred())
         return NULL;
-    /* optional 6th arg: the row's previously-live lanes.  When given, the
-     * write-out clears those lanes and emits only touched ones (first-
-     * touch order) -- O(live + touched) instead of Theta(Jcap). */
-    PyObject *prev = (nargs == 6 && args[5] != Py_None) ? args[5] : NULL;
     PyObject *tail = args[1];
     PyObject **best = PyMem_New(PyObject *, (size_t)Jcap);
     Py_ssize_t *touched = PyMem_New(Py_ssize_t, (size_t)Jcap);
@@ -868,7 +762,6 @@ k_rebuild_row_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return PyErr_NoMemory();
     }
     memset(best, 0, sizeof(PyObject *) * (size_t)Jcap);
-    long scanned = 0;
     PyObject *occ = args[0];
     Py_INCREF(occ);
     while (occ != Py_None) {
@@ -895,7 +788,6 @@ k_rebuild_row_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 goto fail;
             }
             Py_ssize_t ns = PySequence_Fast_GET_SIZE(fs);
-            scanned += (long)ns;
             PyObject **srecs = PySequence_Fast_ITEMS(fs);
             for (Py_ssize_t si = 0; si < ns; si++) {
                 PyObject *s = srecs[si];
@@ -961,68 +853,25 @@ k_rebuild_row_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     Py_DECREF(occ);
     occ = NULL;
-    /* write the flat row and collect the sparse (oid, key) pairs */
     {
-        double *row = mat + 2 * cid * Jcap;
-        PyObject *pairs = PyList_New(0);
-        if (pairs == NULL)
+        PyObject *lanes = PyDict_New();
+        if (lanes == NULL)
             goto fail;
-        if (prev != NULL) {
-            /* sparse mode: only the previously-live lanes can hold stale
-             * non-INF values; everything else is INF already */
-            PyObject *fp = PySequence_Fast(prev, "prev_lanes not iterable");
-            if (fp == NULL) {
-                Py_DECREF(pairs);
+        for (Py_ssize_t t = 0; t < n_touched; t++) {
+            Py_ssize_t o = touched[t];
+            PyObject *oid = PyLong_FromSsize_t(o);
+            if (oid == NULL || PyDict_SetItem(lanes, oid, best[o]) < 0) {
+                Py_XDECREF(oid);
+                Py_DECREF(lanes);
                 goto fail;
             }
-            Py_ssize_t np = PySequence_Fast_GET_SIZE(fp);
-            PyObject **lv = PySequence_Fast_ITEMS(fp);
-            for (Py_ssize_t t = 0; t < np; t++) {
-                Py_ssize_t j = PyLong_AsSsize_t(lv[t]);
-                if (j == -1 && PyErr_Occurred()) {
-                    Py_DECREF(fp);
-                    Py_DECREF(pairs);
-                    goto fail;
-                }
-                row[2 * j] = INFINITY;
-                row[2 * j + 1] = INFINITY;
-            }
-            Py_DECREF(fp);
-        }
-        Py_ssize_t limit = (prev != NULL) ? n_touched : Jcap;
-        for (Py_ssize_t t = 0; t < limit; t++) {
-            Py_ssize_t o = (prev != NULL) ? touched[t] : t;
-            if (best[o] == NULL) {
-                row[2 * o] = INFINITY;
-                row[2 * o + 1] = INFINITY;
-                continue;
-            }
-            PyObject *wo = PySequence_GetItem(best[o], 0);
-            PyObject *eo = (wo == NULL) ? NULL
-                : PySequence_GetItem(best[o], 1);
-            double w = (eo == NULL) ? 0.0 : PyFloat_AsDouble(wo);
-            double e = (eo == NULL) ? 0.0 : PyFloat_AsDouble(eo);
-            Py_XDECREF(wo);
-            Py_XDECREF(eo);
-            if (eo == NULL || PyErr_Occurred()) {
-                Py_DECREF(pairs);
-                goto fail;
-            }
-            row[2 * o] = w;
-            row[2 * o + 1] = e;
-            PyObject *pair = Py_BuildValue("(nO)", o, best[o]);
-            if (pair == NULL || PyList_Append(pairs, pair) < 0) {
-                Py_XDECREF(pair);
-                Py_DECREF(pairs);
-                goto fail;
-            }
-            Py_DECREF(pair);
+            Py_DECREF(oid);
         }
         for (Py_ssize_t o = 0; o < Jcap; o++)
             Py_XDECREF(best[o]);
         PyMem_Free(best);
         PyMem_Free(touched);
-        return Py_BuildValue("(Nl)", pairs, scanned);
+        return lanes;
     }
 fail:
     Py_XDECREF(occ);
@@ -2003,81 +1852,64 @@ k_fix_probe(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* ------------------------------------------------- sparse lane variants */
+/* ------------------------------------------------------- lane writes */
 
-/* clear_row_col_lanes(buf, Jcap, cid, lanes, w, e): write (w, e) at
- * (cid, j) and (j, cid) for each lane j only */
+/* write_lanes(buf, Jcap, cid, lanes, row): for each lane j, write the
+ * (w, e) key row[j] at (cid, j) and (j, cid).  The one flat-mirror writer
+ * of row writes, column mirrors and id releases: exact whenever the other
+ * lanes already agree, which the live-lane invariant guarantees. */
 static PyObject *
-k_clear_row_col_lanes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+k_write_lanes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 6)
-        return PyErr_Format(PyExc_TypeError,
-                            "clear_row_col_lanes takes 6 args");
-    double *mat = keybuf(args[0], "clear_row_col_lanes");
+    if (nargs != 5)
+        return PyErr_Format(PyExc_TypeError, "write_lanes takes 5 args");
+    double *mat = keybuf(args[0], "write_lanes");
     if (mat == NULL)
         return NULL;
     Py_ssize_t Jcap = PyLong_AsSsize_t(args[1]);
     Py_ssize_t cid = PyLong_AsSsize_t(args[2]);
-    double w = PyFloat_AsDouble(args[4]);
-    double e = PyFloat_AsDouble(args[5]);
     if (PyErr_Occurred())
         return NULL;
-    PyObject *fl = PySequence_Fast(args[3], "lanes not iterable");
-    if (fl == NULL)
+    PyObject *it = PyObject_GetIter(args[3]);
+    if (it == NULL)
         return NULL;
-    Py_ssize_t nl = PySequence_Fast_GET_SIZE(fl);
-    PyObject **lanes = PySequence_Fast_ITEMS(fl);
-    for (Py_ssize_t t = 0; t < nl; t++) {
-        Py_ssize_t j = PyLong_AsSsize_t(lanes[t]);
+    PyObject *lane;
+    while ((lane = PyIter_Next(it)) != NULL) {
+        Py_ssize_t j = PyLong_AsSsize_t(lane);
         if (j == -1 && PyErr_Occurred()) {
-            Py_DECREF(fl);
-            return NULL;
+            Py_DECREF(lane);
+            goto fail;
         }
+        if (j < 0 || j >= Jcap) {
+            Py_DECREF(lane);
+            PyErr_Format(PyExc_IndexError, "write_lanes: lane %zd", j);
+            goto fail;
+        }
+        PyObject *key = PyObject_GetItem(args[4], lane);
+        Py_DECREF(lane);
+        if (key == NULL)
+            goto fail;
+        PyObject *wo = PySequence_GetItem(key, 0);
+        PyObject *eo = (wo == NULL) ? NULL : PySequence_GetItem(key, 1);
+        Py_DECREF(key);
+        double w = (eo == NULL) ? 0.0 : PyFloat_AsDouble(wo);
+        double e = (eo == NULL) ? 0.0 : PyFloat_AsDouble(eo);
+        Py_XDECREF(wo);
+        Py_XDECREF(eo);
+        if (eo == NULL || PyErr_Occurred())
+            goto fail;
         double *rc = mat + 2 * (cid * Jcap + j);
-        rc[0] = w;
-        rc[1] = e;
         double *cc = mat + 2 * (j * Jcap + cid);
-        cc[0] = w;
-        cc[1] = e;
+        rc[0] = cc[0] = w;
+        rc[1] = cc[1] = e;
     }
-    Py_DECREF(fl);
-    Py_RETURN_NONE;
-}
-
-/* mirror_column_lanes(buf, Jcap, cid, lanes): column (j, cid) <- row
- * (cid, j) for each lane j only.  Exact when the untouched lanes already
- * mirror the row, which the symmetric-write invariant guarantees. */
-static PyObject *
-k_mirror_column_lanes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError,
-                            "mirror_column_lanes takes 4 args");
-    double *mat = keybuf(args[0], "mirror_column_lanes");
-    if (mat == NULL)
-        return NULL;
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[1]);
-    Py_ssize_t cid = PyLong_AsSsize_t(args[2]);
+    Py_DECREF(it);
     if (PyErr_Occurred())
         return NULL;
-    PyObject *fl = PySequence_Fast(args[3], "lanes not iterable");
-    if (fl == NULL)
-        return NULL;
-    Py_ssize_t nl = PySequence_Fast_GET_SIZE(fl);
-    PyObject **lanes = PySequence_Fast_ITEMS(fl);
-    for (Py_ssize_t t = 0; t < nl; t++) {
-        Py_ssize_t j = PyLong_AsSsize_t(lanes[t]);
-        if (j == -1 && PyErr_Occurred()) {
-            Py_DECREF(fl);
-            return NULL;
-        }
-        double *src = mat + 2 * (cid * Jcap + j);
-        double *dst = mat + 2 * (j * Jcap + cid);
-        dst[0] = src[0];
-        dst[1] = src[1];
-    }
-    Py_DECREF(fl);
     Py_RETURN_NONE;
+fail:
+    Py_DECREF(it);
+    return NULL;
 }
 
 /* -------------------------------------------------------------- module def */
@@ -2085,14 +1917,8 @@ k_mirror_column_lanes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef kernel_methods[] = {
     {"fill_keys", (PyCFunction)(void (*)(void))k_fill_keys,
      METH_FASTCALL, "fill_keys(buf, off, count, w, e)"},
-    {"clear_row_col", (PyCFunction)(void (*)(void))k_clear_row_col,
-     METH_FASTCALL, "clear_row_col(buf, Jcap, cid, w, e)"},
-    {"mirror_column", (PyCFunction)(void (*)(void))k_mirror_column,
-     METH_FASTCALL, "mirror_column(buf, Jcap, cid)"},
     {"set_entry", (PyCFunction)(void (*)(void))k_set_entry,
      METH_FASTCALL, "set_entry(buf, Jcap, i, j, w, e)"},
-    {"load_row", (PyCFunction)(void (*)(void))k_load_row,
-     METH_FASTCALL, "load_row(buf, Jcap, cid, seq)"},
     {"get_column_bytes", (PyCFunction)(void (*)(void))k_get_column_bytes,
      METH_FASTCALL, "get_column_bytes(buf, Jcap, j) -> bytes"},
     {"pull_node", (PyCFunction)(void (*)(void))k_pull_node,
@@ -2105,15 +1931,9 @@ static PyMethodDef kernel_methods[] = {
     {"col_sweep_many", (PyCFunction)(void (*)(void))k_col_sweep_many,
      METH_FASTCALL, "col_sweep_many(lists, j, buf, Jcap) -> node count"},
     {"rebuild_row_scan", (PyCFunction)(void (*)(void))k_rebuild_row_scan,
-     METH_FASTCALL,
-     "rebuild_row_scan(head, tail, buf, Jcap, cid[, prev_lanes])"
-     " -> (pairs, scanned)"},
-    {"clear_row_col_lanes",
-     (PyCFunction)(void (*)(void))k_clear_row_col_lanes,
-     METH_FASTCALL, "clear_row_col_lanes(buf, Jcap, cid, lanes, w, e)"},
-    {"mirror_column_lanes",
-     (PyCFunction)(void (*)(void))k_mirror_column_lanes,
-     METH_FASTCALL, "mirror_column_lanes(buf, Jcap, cid, lanes)"},
+     METH_FASTCALL, "rebuild_row_scan(head, tail, Jcap) -> {oid: key}"},
+    {"write_lanes", (PyCFunction)(void (*)(void))k_write_lanes,
+     METH_FASTCALL, "write_lanes(buf, Jcap, cid, lanes, row)"},
     {"lct_init_node", (PyCFunction)(void (*)(void))k_lct_init_node,
      METH_FASTCALL, "lct_init_node(bufs, idx, w, e)"},
     {"lct_make_root", (PyCFunction)(void (*)(void))k_lct_make_root,
@@ -2204,7 +2024,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddStringConstant(m, "__version__", "2") < 0) {
+    if (PyModule_AddStringConstant(m, "__version__", "3") < 0) {
         Py_DECREF(m);
         return NULL;
     }

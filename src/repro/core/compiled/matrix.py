@@ -50,25 +50,13 @@ class CompiledMatrix:
 
     # ------------------------------------------------------- maintenance
 
-    def clear_row_col(self, cid: int, lanes=None) -> None:
-        if lanes is None:
-            kernels.clear_row_col(self.buf, self.Jcap, cid, _INF, _INF)
-        elif lanes:
-            kernels.clear_row_col_lanes(self.buf, self.Jcap, cid,
-                                        list(lanes), _INF, _INF)
-
-    def mirror_column(self, cid: int, lanes=None) -> None:
-        if lanes is None:
-            kernels.mirror_column(self.buf, self.Jcap, cid)
-        elif lanes:
-            kernels.mirror_column_lanes(self.buf, self.Jcap, cid,
-                                        list(lanes))
+    def write_lanes(self, cid: int, lanes, row) -> None:
+        """Write ``row[j]`` at ``(cid, j)`` and ``(j, cid)`` for each lane
+        ``j`` of ``lanes`` (``row`` is the object row ``C[cid]``)."""
+        kernels.write_lanes(self.buf, self.Jcap, cid, lanes, row)
 
     def set_entry(self, i: int, j: int, key: tuple) -> None:
         kernels.set_entry(self.buf, self.Jcap, i, j, key[0], key[1])
-
-    def load_row_object(self, cid: int, obj_row) -> None:
-        kernels.load_row(self.buf, self.Jcap, cid, list(obj_row))
 
     # ------------------------------------------------------------ reads
 

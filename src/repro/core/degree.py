@@ -151,6 +151,8 @@ class DegreeReducer:
         # an id.
         check_weight(w)
         check_endpoints(u, v, self.n)
+        if u != v:
+            self._check_pool(u, v)
         eid = next(self._eid) if eid is None else eid
         if eid <= 0:
             raise InvalidInputError(
@@ -228,6 +230,21 @@ class DegreeReducer:
 
     # ------------------------------------------------------------- chains
 
+    def _check_pool(self, u: int, v: int) -> None:
+        """Reject an insert whose two slot claims need more fresh gadgets
+        than the pool holds, before either claim changes any state."""
+        need = 0
+        for x in (u, v):
+            # a vertex without a chain hosts its first edge on its anchor
+            chain = self.chains.get(x)
+            if chain is not None and not chain.free:
+                need += 1
+        spare = len(self._free_gadgets) + self._n_core - self._next_gadget
+        if need > spare:
+            raise InvalidInputError(
+                f"gadget pool exhausted ({len(self.real)} live edges); "
+                f"raise max_edges (now {self.max_edges})")
+
     def _claim_slot(self, v: int, eid: int) -> int:
         """A host slot on v's chain.  Invariant: ``free`` is empty unless the
         chain is just its anchor, so chain length stays 1 + hosted count."""
@@ -243,8 +260,8 @@ class DegreeReducer:
             elif self._next_gadget < self._n_core:
                 slot = self._next_gadget
                 self._next_gadget += 1
-            else:
-                raise RuntimeError("gadget pool exhausted; raise max_edges")
+            else:  # pragma: no cover - _check_pool rejects this first
+                raise AssertionError("gadget pool exhausted")
             # chain edges get fresh negative-infinity keys; *negative* edge
             # ids keep them in a namespace disjoint from real edges, so the
             # (weight, eid) total order stays strict inside the core

@@ -14,11 +14,15 @@ on but states informally:
 
 Chunk splits and merges walk only the occurrences that change chunk
 (``ChunkSpace.split_off`` / ``absorb``): a merged row is the lane-wise min
-of the two rows, and a split's kept half gets its totals by subtraction.
-Both are charged exactly what the rescans they replace were charged.
+of the two rows over their live lanes, and a split's kept half gets its
+totals by subtraction.  Both are charged exactly what the rescans they
+replace were charged, and both backends take this one path.
 
 Everything here is *sequential*; the parallel engine reuses the same state
-but executes the heavy inner loops as PRAM kernels (see ``core.par``).
+but executes the heavy inner loops as PRAM kernels, and its chunk space
+(``core.par.engine.ParChunkSpace``) keeps ``BT_c`` and adopts whole chunks
+on surgery: there ``absorb`` returns no row and the merged row is rebuilt
+by a scan.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ class Fabric:
     """Owns the chunk space and registry; exposes consistent mutations."""
 
     def __init__(self, n_max: int, K: Optional[int] = None, *,
-                 flavor: str = "sequential", with_bt: bool = False,
+                 flavor: str = "sequential",
                  ops: Optional[OpCounter] = None,
                  backend: str = "scalar") -> None:
-        self.space = ChunkSpace(n_max, K, flavor=flavor, with_bt=with_bt,
-                                ops=ops, backend=backend)
+        self.space = ChunkSpace(n_max, K, flavor=flavor, ops=ops,
+                                backend=backend)
         self.registry = ListRegistry(self.space)
         self.pull = self.registry.pull
         self._bind_compiled_plumbing()

@@ -16,6 +16,13 @@ the O(1) surgery decisions by ``p_1``) runs as host code and is charged
 analytically via :meth:`Machine.charge`; every charge site is tagged with a
 label so experiment E3's work breakdown can attribute it.
 
+The parallel chunk space (:class:`ParChunkSpace`) is the one that keeps
+``BT_c``: it overrides the ``bt_*`` hooks and adopts whole chunks on
+surgery, because ``getEdge`` descends ``BT_c`` and its shape is
+load-bearing.  Everything else -- the live-lane row path, id management --
+is the base :class:`~repro.core.chunks.ChunkSpace`'s; after each kernel
+row write the host re-derives the row's live lanes, uncharged.
+
 Per public update the engine records a :class:`KernelStats` aggregate
 (depth, work, max processors, EREW violations) -- the measured quantities of
 Theorem 3.1: depth ``O(log n)``, work ``O(sqrt(n) log n)``, processors
@@ -29,10 +36,12 @@ from typing import Optional
 
 from ...analysis.counters import OpCounter
 from ...pram.machine import KernelStats, Machine
+from ...structures import two_three_tree as tt
+from .. import compiled
 from ..chunks import Chunk, ChunkSpace
 from ..fabric import Fabric
 from ..lsds import EulerList, ListRegistry, node_cadj, node_memb
-from ..model import Edge
+from ..model import INF_KEY, Edge
 from ..seq_msf import SparseDynamicMSF
 from . import kernels as kn
 
@@ -40,8 +49,30 @@ __all__ = ["ParallelDynamicMSF", "ParFabric", "ParChunkSpace",
            "ParListRegistry"]
 
 
+def _bt_pull(node: tt.Node) -> None:
+    units = 0
+    edges = 0
+    for k in node.kids:
+        u, e = k.agg
+        units += u
+        edges += e
+    node.agg = (units, edges)
+
+
 class ParChunkSpace(ChunkSpace):
-    """Chunk space whose row maintenance runs as PRAM kernels."""
+    """Chunk space whose row maintenance runs as PRAM kernels and whose
+    chunks keep ``BT_c``.
+
+    ``BT_c`` is a 2-3 tree over the chunk's occurrences whose vertices
+    store ``(units, edges)`` aggregates -- ``edges`` are the paper's edge
+    counters ``ec_v`` driving ``getEdge``, ``units`` drive balanced
+    Invariant-1 splits.  Its shape is load-bearing (``getEdge`` descends
+    it, so measured depth/work depend on it), so chunk surgery here adopts
+    whole chunks, rebuilding ``BT_c`` of both halves of a split and of a
+    merge.  The live lanes are kept exact as in the base space: after each
+    kernel writes ``C``, the host re-derives the lanes it touched
+    (uncharged; the machine's depth and work are the kernels').
+    """
 
     def __init__(self, machine: Machine, *args, **kwargs) -> None:
         self.machine = machine
@@ -49,27 +80,114 @@ class ParChunkSpace(ChunkSpace):
 
     def rebuild_row(self, c: Chunk) -> None:
         kn.rebuild_row_kernel(self.machine, self, c)
+        # the kernel wrote the object row and column; re-derive the row's
+        # live lanes (the identity test short-cuts the INF_KEY cells the
+        # kernel wrote) and resync the flat mirror on the stale and new ones
+        row = self.C[c.id]
+        lanes = self.set_live(c.id, {j for j, key in enumerate(row.tolist())
+                                     if key is not INF_KEY
+                                     and key != INF_KEY})
         if self.compm is not None:
-            # the kernel wrote the object row/column directly; resync the
-            # flat mirror wholesale (no per-entry dual-write sites here)
-            self.compm.load_row_object(c.id, self.C[c.id])
-            self.compm.mirror_column(c.id)
+            self.compm.write_lanes(c.id, lanes, row)
 
     def entry_recompute_pair(self, c1: Chunk, c2: Chunk) -> None:
         kn.entry_pair_kernel(self.machine, self, c1, c2)
-        if self.compm is not None:
-            self.compm.set_entry(c1.id, c2.id, self.C[c1.id, c2.id])
+        self.set_pair(c1.id, c2.id, self.C[c1.id, c2.id])
 
     def entry_update_insert(self, c1, c2, key) -> None:
         super().entry_update_insert(c1, c2, key)
         self.machine.charge(depth=2, work=2, label="entry_insert")
 
+    def split_off(self, c: Chunk, c2: Chunk) -> None:
+        self.adopt_occurrences(c)
+        self.adopt_occurrences(c2)
+        if c.id is not None:
+            self.assign_id(c2)
+
+    def absorb(self, cl: Chunk, cr: Chunk) -> None:
+        if cr.id is not None:
+            self.release_id(cr)
+        cl.tail = cr.tail
+        self.adopt_occurrences(cl)
+        return None  # the caller rebuilds the merged row by a scan
+
     def adopt_occurrences(self, c: Chunk) -> None:
-        super().adopt_occurrences(c)
+        """Stamp and count ``c``'s occurrences and rebuild ``BT_c``.
+
+        Bulk O(K) construction: ``tt.build_rightmost`` produces the exact
+        shape (and aggregates) of the old insert-after loop without the
+        O(log K) root walk per occurrence.  On the compiled backend the
+        aggregates are summed level-at-a-time by ``bt_level_aggs``.
+        """
+        assert c.head is not None and c.tail is not None
+        count = 0
+        n_edges = 0
+        cid = c.id
+        tail = c.tail
+        tt_leaf = tt.leaf
+        bt_leaves: list[tt.Node] = []
+        append = bt_leaves.append
+        degs: Optional[list[int]] = ([] if self.backend == "compiled"
+                                     else None)
+        occ = c.head
+        while occ is not None:
+            occ.chunk = c
+            occ.chunk_id = cid
+            count += 1
+            vx = occ.vertex
+            deg = len(vx.edges) if vx.pc is occ else 0
+            n_edges += deg
+            lf = tt_leaf(occ, agg=(1 + deg, deg))
+            occ.bt_leaf = lf
+            append(lf)
+            if degs is not None:
+                degs.append(deg)
+            if occ is tail:
+                break
+            occ = occ.next
+        if degs is None or len(bt_leaves) < 2:
+            bt_root = tt.build_rightmost(bt_leaves, _bt_pull)
+        else:
+            levels: list[list[tt.Node]] = []
+            bt_root = tt.build_rightmost(bt_leaves, collect_levels=levels)
+            compiled.kernels.bt_level_aggs(levels, [1 + d for d in degs],
+                                           degs)
+        self.ops.charge("occ_scan", count)
+        c.count = count
+        c.n_edges = n_edges
+        c.bt_root = bt_root
         # modelled as a BT_c split/merge by p_1 plus a one-step restamp of
         # chunk-id replicas by `count` processors
         self.machine.charge(depth=kn.log2c(self.K) + 1, work=max(c.count, 1),
                             processors=max(c.count, 1), label="adopt")
+
+    def bt_refresh_occ(self, occ) -> None:
+        if occ.bt_leaf is None:
+            return
+        deg = occ.vertex.degree() if occ.is_principal else 0
+        occ.bt_leaf.agg = (1 + deg, deg)
+        tt.refresh_upward(occ.bt_leaf, _bt_pull)
+        occ.chunk.bt_root = tt.root_of(occ.bt_leaf)
+        self.ops.charge("bt_refresh", 1)
+
+    def bt_insert_occ(self, occ, after) -> None:
+        c: Chunk = occ.chunk
+        deg = occ.vertex.degree() if occ.is_principal else 0
+        lf = tt.leaf(occ, agg=(1 + deg, deg))
+        occ.bt_leaf = lf
+        if c.bt_root is None:
+            c.bt_root = lf
+        elif after is not None:
+            c.bt_root = tt.root_of(tt.insert_after(after.bt_leaf, lf, _bt_pull))
+        else:
+            c.bt_root = tt.insert_first(c.bt_root, lf, _bt_pull)
+
+    def bt_delete_occ(self, occ) -> None:
+        if occ.bt_leaf is None:
+            return
+        c: Chunk = occ.chunk
+        c.bt_root = tt.delete_leaf(occ.bt_leaf, _bt_pull)
+        occ.bt_leaf = None
 
     def assign_id(self, c: Chunk) -> int:
         cid = super().assign_id(c)
@@ -110,7 +228,7 @@ class ParFabric(Fabric):
                  backend: str = "scalar") -> None:
         self.machine = machine
         self.space = ParChunkSpace(machine, n_max, K, flavor="parallel",
-                                   with_bt=True, ops=ops, backend=backend)
+                                   ops=ops, backend=backend)
         self.registry = ParListRegistry(machine, self.space)
         self.pull = self.registry.pull
         # Same routed structural plumbing as the sequential fabric: the
@@ -165,11 +283,10 @@ class ParallelDynamicMSF(SparseDynamicMSF):
             audit=audit, impl=impl)
         self.update_stats: list[KernelStats] = []
         self._measuring = False
-        super().__init__(n_max, K, flavor="parallel", with_bt=True, ops=ops,
+        super().__init__(n_max, K, flavor="parallel", ops=ops,
                          backend=backend)
 
-    def _build_fabric(self, n_max, K, flavor, with_bt, ops,
-                      backend) -> Fabric:
+    def _build_fabric(self, n_max, K, flavor, ops, backend) -> Fabric:
         return ParFabric(self.machine, n_max, K, ops=ops, backend=backend)
 
     # ------------------------------------------------------------- updates

@@ -199,7 +199,7 @@ def get_edge_assignments(
     for 0-based ``k < n_edges``.  Depth ``O(log K)``, ``n_edges`` processors.
     """
     root = chunk.bt_root
-    assert root is not None, "getEdge requires BT_c (with_bt engines)"
+    assert root is not None, "getEdge requires BT_c (ParChunkSpace)"
     n_edges = chunk.n_edges
     if n_edges == 0:
         return [], KernelStats(label="getEdge", launches=1)

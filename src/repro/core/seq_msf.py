@@ -78,8 +78,6 @@ class SparseDynamicMSF:
         sparsification layer instantiates one engine per partition node).
     K:
         chunk-size parameter; default ``sqrt(n log n)`` (``flavor``-driven).
-    with_bt:
-        maintain per-chunk ``BT_c`` trees (required by the parallel engine).
     lazy_vertices:
         materialize per-vertex structures (Vertex, link-cut node, singleton
         Euler list) on first touch instead of in ``__init__``.  Used by the
@@ -94,7 +92,7 @@ class SparseDynamicMSF:
     """
 
     def __init__(self, n_max: int, K: Optional[int] = None, *,
-                 flavor: str = "sequential", with_bt: bool = False,
+                 flavor: str = "sequential",
                  ops: Optional[OpCounter] = None,
                  lazy_vertices: bool = False,
                  backend: str = "scalar") -> None:
@@ -116,8 +114,7 @@ class SparseDynamicMSF:
             from . import compiled as _compiled
             if _compiled.HAVE_COMPILED and self.ops._stream is None:
                 self.ops.attach_stream(_compiled.kernels.ChargeStream())
-        self.fabric = self._build_fabric(n_max, K, flavor, with_bt, self.ops,
-                                         backend)
+        self.fabric = self._build_fabric(n_max, K, flavor, self.ops, backend)
         self.lct = self._new_lct()
         self.edges: dict[int, Edge] = {}
         self.tree_edges: set[Edge] = set()
@@ -142,11 +139,9 @@ class SparseDynamicMSF:
                 self.vertices.append(vx)
         self.ops.flush()
 
-    def _build_fabric(self, n_max, K, flavor, with_bt, ops,
-                      backend) -> Fabric:
+    def _build_fabric(self, n_max, K, flavor, ops, backend) -> Fabric:
         """Hook: the parallel engine substitutes kernel-backed components."""
-        return Fabric(n_max, K, flavor=flavor, with_bt=with_bt, ops=ops,
-                      backend=backend)
+        return Fabric(n_max, K, flavor=flavor, ops=ops, backend=backend)
 
     def _new_lct(self):
         """Link-cut forest factory: the compiled tier swaps in the

@@ -221,15 +221,15 @@ def _audit_core(core, level: str) -> list[Finding]:
 
 
 def _sparse_and_lct_findings(core, space, level: str) -> list[Finding]:
-    """Audits specific to the mirror-bearing backends' acceleration state.
+    """Audits of derived acceleration state.
 
-    The live-lane sets (``ChunkSpace._live``) and the compiled link-cut
-    forest's flat slabs are *derived* structures: if either drifts from
-    the authoritative object state, sparse scans or path queries go
-    silently wrong, so the structural tier rechecks both.
+    The live-lane sets every chunk space keeps (``ChunkSpace._live``) and
+    the compiled link-cut forest's flat slabs are *derived* structures:
+    if either drifts from the authoritative object state, row writes or
+    path queries go silently wrong, so the structural tier rechecks both.
     """
     out: list[Finding] = []
-    if getattr(space, "_live", None) is not None:
+    if space is not None:
         def lanes_agree() -> None:
             for msg in space.verify_live_lanes():
                 out.append(Finding("sparse", msg, level))

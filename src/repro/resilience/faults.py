@@ -195,7 +195,7 @@ def _corrupt_sparsify_weight(param: int, ctx: dict) -> Optional[dict]:
 def _corrupt_compiled_kernel(param: int, ctx: dict) -> Optional[dict]:
     """Skew one float64 of the compiled backend's flat key mirror.
 
-    Fired from ``ChunkSpace.mirror_column`` (a write site every surgery
+    Fired from ``ChunkSpace.write_row`` (a write site every surgery
     passes through).  The authoritative object matrix stays intact; the
     corruption only shows through the native kernels' reads, which is
     exactly the torn dual-write the structural tier's

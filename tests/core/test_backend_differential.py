@@ -258,56 +258,47 @@ def test_transition_and_splay_parity(backend: str, workload: str) -> None:
 
 
 def test_sparse_lane_scans_match_full_width(backend: str) -> None:
-    """Lane-restricted mirror maintenance is indistinguishable from the
-    Theta(Jcap) full-width sweep whenever the lane set covers the row's
-    live entries -- exactly the invariant ``ChunkSpace._live``
-    maintains.  Two twin mirrors receive the same mutations, one routed
-    sparse and one full-width; both must stay clean against the same
-    authoritative object matrix."""
+    """Lane-restricted mirror writes keep the flat mirror equal to the
+    full-width object matrix whenever the lane set covers the row's live
+    entries -- exactly the invariant ``ChunkSpace._live`` maintains.  The
+    mirror receives every mutation through ``write_lanes`` only, and
+    ``verify_against`` rechecks it entrywise (all ``Jcap x Jcap`` cells)
+    after each phase: population, an id release, a row rewrite, and an
+    empty lane set."""
     Jcap = 16
     INF = float("inf")
     INF_KEY = (INF, INF)
     from repro.core.compiled.matrix import CompiledMatrix as Mat
     C = [[INF_KEY] * Jcap for _ in range(Jcap)]
     rng = random.Random(97)
-    full, sparse = Mat(Jcap), Mat(Jcap)
+    sparse = Mat(Jcap)
     live: dict[int, set[int]] = {i: set() for i in range(Jcap)}
     for _ in range(48):
         i, j = rng.sample(range(Jcap), 2)
         key = (rng.random(), float(rng.randrange(1 << 20)))
-        for m in (full, sparse):
-            m.set_entry(i, j, key)
         C[i][j] = C[j][i] = key
+        sparse.write_lanes(i, [j], C[i])
         live[i].add(j)
         live[j].add(i)
-    assert full.verify_against(C) == []
     assert sparse.verify_against(C) == []
-    # clear_row_col: lanes-restricted vs full sweep
+    # id release: clear the live lanes of row and column cid
     cid = max(live, key=lambda r: len(live[r]))
     assert live[cid], "population pass should hit the pivot row"
-    sparse.clear_row_col(cid, lanes=sorted(live[cid]))
-    full.clear_row_col(cid)
-    for j in live[cid]:
+    lanes = live[cid]
+    for j in lanes:
         C[cid][j] = C[j][cid] = INF_KEY
         live[j].discard(cid)
     live[cid] = set()
-    assert full.verify_against(C) == []
+    sparse.write_lanes(cid, lanes, C[cid])
     assert sparse.verify_against(C) == []
-    # mirror_column: reload row cid sparsely, then sweep the column
-    row = [INF_KEY] * Jcap
+    # row rewrite: new lanes written, then mirrored into the column
     lanes = sorted(rng.sample([j for j in range(Jcap) if j != cid], 5))
     for j in lanes:
-        row[j] = (rng.random(), float(rng.randrange(1 << 20)))
-    for m in (full, sparse):
-        m.load_row_object(cid, row)
-    sparse.mirror_column(cid, lanes=lanes)
-    full.mirror_column(cid)
-    for j in lanes:
-        C[cid][j] = C[j][cid] = row[j]
-    assert full.verify_against(C) == []
+        C[cid][j] = C[j][cid] = (rng.random(), float(rng.randrange(1 << 20)))
+    sparse.write_lanes(cid, set(lanes), C[cid])
     assert sparse.verify_against(C) == []
     # an empty lane set must be a no-op, not a full-width wipe
-    sparse.clear_row_col(cid, lanes=[])
+    sparse.write_lanes(cid, [], C[cid])
     assert sparse.verify_against(C) == []
 
 

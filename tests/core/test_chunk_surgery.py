@@ -2,8 +2,9 @@
 
 A small ``K`` makes link/cut churn split and merge chunks hundreds of
 times.  After every op the full structural audit runs with the matrix
-oracle (``C`` against a brute-force recomputation, ``count``/``n_edges``
-against a recount, the ``chunk_id`` replicas against their chunks), and
+oracle (``C`` against a brute-force recomputation, every row's live-lane
+set against its non-INF lanes, ``count``/``n_edges`` against a recount,
+the ``chunk_id`` replicas against their chunks), and
 at the end the per-label ``OpCounter`` totals must equal the totals the
 full-rescan surgery charged on the same stream (pinned below).  The
 stream runs on the scalar backend, the compiled backend and the scalar
@@ -124,8 +125,8 @@ def test_merge_without_lane_fold_fails_the_audit(monkeypatch):
     """Mutation check: a merged row whose lane ``id_cr`` is not folded
     into lane ``id_cl`` keeps a stale entry for a freed id and misses the
     edges inside ``cr``; the matrix oracle must reject it."""
-    def unfolded(row_l, row_r, lid, rid):
-        return [a if a < b else b for a, b in zip(row_l, row_r)]
+    def unfolded(row_l, row_r, lanes, lid, rid):
+        return {j: min(row_l[j], row_r[j]) for j in lanes}
 
     monkeypatch.setattr(chunks, "merge_rows", unfolded)
     engine = SparseDynamicMSF(N, K=K)

@@ -59,8 +59,7 @@ def test_id_assign_release_cycle():
     assert space.chunk_of_id[cid] is c
     assert occ.chunk_id == cid
     assert c.memb_row is not None and c.memb_row[cid]
-    space.C[cid, 3] = (1.0, 1)
-    space.C[3, cid] = (1.0, 1)
+    space.set_pair(cid, 3, (1.0, 1))  # both directions and the live lanes
     freed = space.release_id(c)
     assert freed == cid
     assert c.id is None and occ.chunk_id is None

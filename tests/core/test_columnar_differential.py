@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.chunks import ChunkSpace, _bt_pull
+from repro.core.chunks import ChunkSpace
 from repro.core.msf import DynamicMSF
+from repro.core.par.engine import _bt_pull
 from repro.serve import BatchedMSF
 from repro.structures import two_three_tree as tt
 from tests.core.test_backend_differential import _require_compiled

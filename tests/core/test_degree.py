@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import DynamicMSF
 from repro.core.audit import audit
 from repro.core.degree import DegreeReducer
 from repro.reference.oracle import KruskalOracle
+from repro.resilience.checks import state_fingerprint
+from repro.resilience.errors import InvalidInputError
 
 
 def check(red: DegreeReducer, orc: KruskalOracle) -> None:
@@ -161,6 +164,29 @@ def test_pool_exhaustion_raises():
     red = DegreeReducer(2, max_edges=2)
     red.insert_edge(0, 1, 1.0)
     red.insert_edge(0, 1, 2.0)
-    with pytest.raises(RuntimeError, match="max_edges"):
+    with pytest.raises(InvalidInputError, match="max_edges"):
         for i in range(10):
             red.insert_edge(0, 1, 3.0 + i)
+
+
+def test_pool_exhaustion_rejects_before_any_claim():
+    """An insert whose endpoints need two fresh gadgets when one is left
+    is rejected whole: no phantom slot on the first endpoint's chain, so
+    the reducer stays clean and its fingerprint unchanged, and a later
+    insert that fits still succeeds."""
+    msf = DynamicMSF(6)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    rejected = 0
+    for i in range(40):
+        u, v = pairs[i % 3]
+        before = state_fingerprint(msf)
+        try:
+            msf.insert_edge(u, v, float(i))
+        except InvalidInputError as exc:
+            assert "max_edges" in str(exc)
+            rejected += 1
+            assert state_fingerprint(msf) == before
+            assert msf.self_check("full") == []
+    assert rejected > 0
+    msf.insert_edge(5, 0, 1.0)
+    assert msf.self_check("full") == []

@@ -154,15 +154,6 @@ def test_random_churn_default_K(seed):
     _random_stream(eng, orc, rng, steps=150, n=n, audit_every=5)
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_random_churn_with_bt(seed):
-    rng = random.Random(200 + seed)
-    n = 20
-    eng = SparseDynamicMSF(n, K=8, with_bt=True)
-    orc = KruskalOracle()
-    _random_stream(eng, orc, rng, steps=80, n=n)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9))
 def test_hypothesis_churn(seed):

@@ -18,7 +18,13 @@ wrap), split after ``c_v`` into the tours of ``T_v = [b_v..c_v]`` and
 ``T_u = [d_u..a_u]``, then merge each seam (the two boundary occurrences of
 one vertex collapse into one, keeping the principal copy when present).
 
-``link_tour(e)``: rotate ``T_v``'s list to start at ``pc_v``, embed it as an
+``link_tour(e)``: when exactly one endpoint is an isolated vertex (a
+one-occurrence tour in a short, id-less list) it is linked as a *leaf
+excursion*: its occurrence and one new occurrence of the host endpoint are
+spliced after the host's principal copy (:meth:`Fabric.attach_singleton`),
+two occurrence inserts and no list split or join.  Every gadget-chain
+extension of the degree reducer and every path build takes this case.
+Otherwise rotate ``T_v``'s list to start at ``pc_v``, embed it as an
 excursion after ``pc_u``, adding one new occurrence of ``v`` (if ``T_v`` is
 not a singleton) and one of ``u`` (if ``T_u`` is not).
 """
@@ -108,13 +114,39 @@ def cut_tour(fabric: Fabric, e: Edge) -> tuple[EulerList, EulerList]:
 
 
 def link_tour(fabric: Fabric, e: Edge) -> EulerList:
-    """Insert ``e`` as a tree edge joining the tours of its endpoints."""
+    """Insert ``e`` as a tree edge joining the tours of its endpoints.
+
+    Leaf case: when exactly one endpoint's tour is a single occurrence in
+    a short, id-less list, that occurrence ``s*`` is spliced after the
+    host's principal copy ``h*`` together with a new host occurrence
+    ``h'`` (``[.. h*, s*, h' ..]``), the host's old outgoing arc ``(h*,
+    succ)`` -- ``succ`` cyclic, the list head when ``h*`` is the tail --
+    becomes ``(h', succ)``, and ``e`` owns ``(h*, s*)`` and ``(s*, h')``.
+    Every other link rotates, splits and joins as below.
+    """
     u, v = e.u, e.v
     u_star, v_star = u.pc, v.pc
     assert u_star is not None and v_star is not None
     lu = fabric.list_of(u_star.chunk)
     lv = fabric.list_of(v_star.chunk)
     assert lu is not lv, "endpoints already in one tree"
+    u_single = u_star.prev is None and u_star.next is None
+    v_single = v_star.prev is None and v_star.next is None
+    if u_single is not v_single:
+        leaf, host, lhost = ((v_star, u_star, lu) if v_single
+                             else (u_star, v_star, lv))
+        if leaf.chunk.id is None:
+            succ = host.next if host.next is not None else lhost.first_chunk().head
+            assert succ is not None
+            host_new = fabric.attach_singleton(host, leaf)
+            _retarget_arc((host, succ), (host_new, succ))
+            if v_single:
+                e.arc_uv = (u_star, v_star)
+                e.arc_vu = (v_star, host_new)
+            else:
+                e.arc_uv = (u_star, host_new)
+                e.arc_vu = (v_star, u_star)
+            return lhost
     # 1. rotate Euler(T_v) to start at pc_v
     if v_star.prev is not None:
         head_part, tail_part = fabric.split_list(v_star.prev)

@@ -9,6 +9,8 @@ on but states informally:
   chunk id when ``n_c < K`` and acquires one when it grows back;
 * **surgical list operations** (Lemma 2.4): splitting a list at an
   occurrence and joining two lists, with all CAdj/Memb bookkeeping;
+* **leaf links** (Lemma 2.1's cheapest case): an isolated vertex joins a
+  tour by two occurrence inserts (:meth:`Fabric.attach_singleton`);
 * **edge/occurrence/principal bookkeeping**: the O(K)-scan row rebuilds and
   ``UpdateAdj`` calls each mutation requires.
 
@@ -365,6 +367,60 @@ class Fabric:
         self.space.ops.charge("occ_insert")
         self.fix_chunk(c)
         return occ
+
+    def attach_singleton(self, host: Occurrence, s_occ: Occurrence) -> Occurrence:
+        """Link an isolated vertex into ``host``'s tour as a leaf excursion.
+
+        ``s_occ`` is the only occurrence of a short, id-less list (its
+        vertex's principal copy).  That list and its chunk are retired, and
+        ``s_occ`` plus a new non-principal occurrence ``host'`` of
+        ``host.vertex`` are spliced into ``host.chunk``, giving ``[.. host,
+        s_occ, host' ..]``: two occurrence inserts, no list split or join
+        (Lemma 2.1's leaf case).  The singleton's edge endpoints move with
+        it, and every one of its edges whose far chunk carries an id is
+        entered into ``C`` -- not only the edge being linked: an insert
+        whose swap just cut the vertex's only tree edge leaves that edge
+        attached as a non-tree edge.  Returns ``host'``; the caller
+        patches the arcs.
+        """
+        registry = self.registry
+        space = self.space
+        sc = s_occ.chunk
+        assert sc.id is None and sc.count == 1
+        registry.retire(registry.by_root[sc.leaf])
+        sc.dead = True
+        c = host.chunk
+        cid = c.id
+        h_new = Occurrence(host.vertex)
+        nxt = host.next
+        host.next = s_occ
+        s_occ.prev = host
+        s_occ.next = h_new
+        h_new.prev = s_occ
+        h_new.next = nxt
+        if nxt is not None:
+            nxt.prev = h_new
+        if c.tail is host:
+            c.tail = h_new
+        s_occ.chunk = h_new.chunk = c
+        s_occ.chunk_id = h_new.chunk_id = cid
+        c.count += 2
+        c.n_edges += sc.n_edges
+        space.bt_insert_occ(s_occ, host)
+        space.bt_insert_occ(h_new, s_occ)
+        space.ops.charge("occ_insert", 2)
+        if cid is not None:
+            touched = [c]
+            for side in s_occ.vertex.sides:
+                far = side.far.pc.chunk  # type: ignore[union-attr]
+                if far.id is not None:
+                    space.entry_update_insert(c, far, side.key)
+                    if far not in touched:
+                        touched.append(far)
+            for ch in touched:
+                registry.update_adj(ch)
+        self.fix_chunk(c)
+        return h_new
 
     def delete_occ(self, occ: Occurrence) -> None:
         """Remove a (non-principal) occurrence from its list."""

@@ -262,6 +262,13 @@ class ParFabric(Fabric):
                             work=kn.log2c(self.space.K), label="bt_insert")
         return super().insert_occ_after(ref, vertex)
 
+    def attach_singleton(self, host, s_occ):
+        # two BT_c inserts, charged as two insert_occ_after calls are
+        for _ in range(2):
+            self.machine.charge(depth=kn.log2c(self.space.K),
+                                work=kn.log2c(self.space.K), label="bt_insert")
+        return super().attach_singleton(host, s_occ)
+
     def delete_occ(self, occ):
         self.machine.charge(depth=kn.log2c(self.space.K),
                             work=kn.log2c(self.space.K), label="bt_delete")

@@ -34,24 +34,26 @@ SEED = 23
 #: ``OpCounter.breakdown()`` of :func:`churn` as charged by the
 #: full-rescan surgery (every split re-adopting both halves, every merge
 #: re-adopting and rescanning the merged chunk); the surgery that walks
-#: only what moved must charge exactly this
+#: only what moved must charge exactly this.  Links of an isolated vertex
+#: are leaf excursions (two occurrence inserts, no tour split or join), so
+#: the stream makes fewer surgeries than a rotate-split-join link would
 PINNED_BREAKDOWN = {
-    "col_mirror": 112_101,
-    "col_sweep": 122_043,
-    "edge_scan": 22_350,
-    "entry_update": 882,
-    "id_assign": 50_017,
-    "id_release": 90_882,
+    "col_mirror": 99_594,
+    "col_sweep": 116_868,
+    "edge_scan": 20_108,
+    "entry_update": 1_206,
+    "id_assign": 43_900,
+    "id_release": 79_266,
     "lct": 848,
-    "lsds_pull": 1_306_173,
+    "lsds_pull": 1_210_143,
     "mwr_argmin": 2_376,
     "mwr_gamma": 2_376,
-    "mwr_scan": 864,
+    "mwr_scan": 836,
     "occ_delete": 502,
-    "occ_insert": 540,
-    "occ_scan": 15_352,
-    "root_walk": 32_054,
-    "row_clear": 112_101,
+    "occ_insert": 634,
+    "occ_scan": 13_992,
+    "root_walk": 29_789,
+    "row_clear": 99_594,
 }
 
 #: at least this many splits and merges, or the stream tests nothing

@@ -118,29 +118,32 @@ FULL = {
                                 workload="tt-ops", steps=8000),
 }
 
+# ``reps``: a quick stream takes 1-6 ms, below what the gate resolves on a
+# shared host, so each round times it on that many fresh engines or fronts
+# (built before the clock) for a window of at least ~50 ms
 QUICK = {
-    "seq-core": dict(kind="seq-core", n=256, workload="churn", steps=80),
+    "seq-core": dict(kind="seq-core", n=256, workload="churn", steps=80,
+                     reps=40),
     "parallel-core": dict(kind="par-core", n=128, workload="adversarial",
                           rounds=4),
     "parallel-core-fast": dict(kind="par-core", n=128, workload="adversarial",
                                rounds=4, audit="fast"),
-    # ``reps``: the 80-update stream takes a few ms, below what the gate
-    # resolves on a shared host, so each round times it on 16 fresh fronts
     "facade-sequential": dict(kind="facade", n=256, workload="churn",
                               steps=80, reps=16),
     "facade-sparsified": dict(kind="facade-sparsified", n=128,
-                              workload="churn", steps=40),
+                              workload="churn", steps=40, reps=24),
     "facade-compiled": dict(kind="facade-sparsified", n=128,
-                            workload="churn", steps=40, backend="compiled"),
+                            workload="churn", steps=40, backend="compiled",
+                            reps=28),
     "seq-core-wide": dict(kind="seq-core", n=512, K=16,
                           workload="adversarial", rounds=1),
     "seq-core-wide-churn": dict(kind="seq-core", n=512, K=8,
                                 workload="churn", steps=300, max_degree=8),
     "facade-batched": dict(kind="facade-batched", n=128,
                            workload="query-mix", steps=400,
-                           read_ratio=0.8, batch=64),
+                           read_ratio=0.8, batch=64, reps=64),
     "query-path": dict(kind="query-path", n=128, workload="query-burst",
-                       prefill=120, queries=1500),
+                       prefill=120, queries=1500, reps=80),
     "structures-2-3-tree": dict(kind="structures", n=512,
                                 workload="tt-ops", steps=2500),
 }

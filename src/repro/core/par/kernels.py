@@ -561,71 +561,47 @@ def entry_pair_kernel(machine: Machine, space: ChunkSpace,
 # LSDS kernels (Lemma 3.2): per-column path refresh and global column sweep
 # ---------------------------------------------------------------------------
 
-def path_refresh_kernel(machine: Machine, space: ChunkSpace,
-                        leaf: tt.Node) -> KernelStats:
-    """Refresh all columns along the leaf-to-root path; p_j owns column j.
+def _segment_key(J: int, node: tt.Node) -> tuple:
+    """Replay key of one path node's segment: every processor runs the
+    identical 8-step program, steered only by the node's kid count."""
+    return ("path_refresh_node", J, len(node.kids))
 
-    The per-column independence realises the paper's ``S_j`` forest:
-    processor ``p_j`` touches only ``(array, j)`` cells, so all accesses are
-    exclusive.  Depth ``O(log J)``, ``J`` processors.
-    """
-    path: list[tt.Node] = []
-    node = leaf.parent
-    while node is not None:
-        path.append(node)
-        node = node.parent
-    if not path:
-        return KernelStats(label="path_refresh", launches=1)
-    J = space.Jcap
-    key = None
-    if machine.audit == "fast":
-        # shape = (J, kid count per path node): every processor runs the
-        # identical 8-steps-per-node program, values never steer branches
-        key = ("path_refresh", J, tuple(len(nd.kids) for nd in path))
-        plan = machine.replay_plan(key)
-        if plan is not None:
-            for nd in path:
-                cadj, memb = nd.agg
-                kids = nd.kids
-                first = kids[0]
-                if first.height:
-                    r0, m0 = first.agg
-                else:
-                    ch: Chunk = first.item
-                    r0, m0 = space.row_views[ch.id], ch.memb_row
-                if len(kids) == 1:  # transient single-kid rebalancing node
-                    cadj[:] = r0
-                    memb[:] = m0
-                    continue
-                cadj[:] = r0
-                memb[:] = m0
-                for kid in kids[1:]:
-                    if kid.height:
-                        rk, mk = kid.agg
-                    else:
-                        ch = kid.item
-                        rk, mk = space.row_views[ch.id], ch.memb_row
-                    np.minimum(cadj, rk, out=cadj)
-                    np.logical_or(memb, mk, out=memb)
-            stats = machine.replay(plan, "path_refresh",
-                                   n_effects=2 * len(path))
-            stats.add(machine.charge(depth=2 * log2c(J), work=J,
-                                     processors=J, label="descr_bcast"))
-            return stats
+
+def _refresh_node_host(space: ChunkSpace, node: tt.Node) -> None:
+    """Host equivalent of one node's segment: the column-wise min of the
+    kids' CAdj rows and the OR of their membership rows (a transient
+    single-kid rebalancing node copies its kid)."""
+    cadj, memb = node.agg
+    for i, kid in enumerate(node.kids):
+        if kid.height:
+            rk, mk = kid.agg
+        else:
+            ch: Chunk = kid.item
+            rk, mk = space.row_views[ch.id], ch.memb_row
+        if i == 0:
+            cadj[:] = rk
+            memb[:] = mk
+        else:
+            np.minimum(cadj, rk, out=cadj)
+            np.logical_or(memb, mk, out=memb)
+
+
+def _refresh_programs(machine: Machine, space: ChunkSpace,
+                      path: list[tt.Node]) -> list:
+    """The J processor programs refreshing ``path``, bottom-up."""
     # descriptor (structure pointers) handed to all processors: a broadcast
+    register = machine.mem.register
     descr = []
     for nd in path:
         kids = []
         for kid in nd.kids:
             if kid.is_leaf:
                 ch: Chunk = kid.item
-                kids.append((machine.mem.register(space.row_views[ch.id]),
-                             machine.mem.register(ch.memb_row)))
+                kids.append((register(space.row_views[ch.id]),
+                             register(ch.memb_row)))
             else:
-                kids.append((machine.mem.register(kid.agg[0]),
-                             machine.mem.register(kid.agg[1])))
-        descr.append(((machine.mem.register(nd.agg[0]),
-                       machine.mem.register(nd.agg[1])), kids))
+                kids.append((register(kid.agg[0]), register(kid.agg[1])))
+        descr.append(((register(nd.agg[0]), register(nd.agg[1])), kids))
 
     def prog(j: int):
         for (cadj_id, memb_id), kids in descr:
@@ -644,12 +620,67 @@ def path_refresh_kernel(machine: Machine, space: ChunkSpace,
             yield Write(("idx", cadj_id, j), best)
             yield Write(("idx", memb_id, j), memb)
 
-    progs = [prog(j) for j in range(J)]
-    if key is not None:
-        stats = machine.run_recorded(key, progs, label="path_refresh",
-                                     n_effects=2 * len(path))
+    return [prog(j) for j in range(space.Jcap)]
+
+
+def _compose_path_refresh(machine: Machine, space: ChunkSpace, key: tuple,
+                          path: list[tt.Node]) -> KernelStats:
+    """A whole-path miss: build the path's plan from per-node segment
+    plans (see *Composed plans* in :mod:`repro.pram.machine`).  A node
+    whose segment shape is known gets the host apply; only an unseen
+    shape is simulated, fully checked and unaccounted."""
+    J = space.Jcap
+    parts = []
+    for nd in path:
+        skey = _segment_key(J, nd)
+        seg = machine.replay_plan(skey)
+        if seg is None:
+            machine.run_recorded(skey, _refresh_programs(machine, space, [nd]),
+                                 label="path_refresh", n_effects=2,
+                                 account=False)
+            seg = machine.peek_plan(skey)
+        else:
+            _refresh_node_host(space, nd)
+        parts.append(seg)
+    return machine.run_composed(key, parts, "path_refresh",
+                                n_effects=2 * len(path), part_effects=2)
+
+
+def path_refresh_kernel(machine: Machine, space: ChunkSpace,
+                        leaf: tt.Node) -> KernelStats:
+    """Refresh all columns along the leaf-to-root path; p_j owns column j.
+
+    The per-column independence realises the paper's ``S_j`` forest:
+    processor ``p_j`` touches only ``(array, j)`` cells, so all accesses are
+    exclusive.  Depth ``O(log J)``, ``J`` processors.
+
+    Under ``audit="fast"`` a path shape seen before is one replay; an
+    unseen one is composed from per-node segment plans, so an engine
+    simulates at most one launch per ``(J, kid count)``.
+    """
+    path: list[tt.Node] = []
+    node = leaf.parent
+    while node is not None:
+        path.append(node)
+        node = node.parent
+    if not path:
+        return KernelStats(label="path_refresh", launches=1)
+    J = space.Jcap
+    if machine.audit == "fast":
+        # shape = (J, kid count per path node): every processor runs the
+        # identical 8-steps-per-node program, values never steer branches
+        key = ("path_refresh", J, tuple(len(nd.kids) for nd in path))
+        plan = machine.replay_plan(key)
+        if plan is not None:
+            for nd in path:
+                _refresh_node_host(space, nd)
+            stats = machine.replay(plan, "path_refresh",
+                                   n_effects=2 * len(path))
+        else:
+            stats = _compose_path_refresh(machine, space, key, path)
     else:
-        stats = machine.run(progs, label="path_refresh")
+        stats = machine.run(_refresh_programs(machine, space, path),
+                            label="path_refresh")
     # structure-descriptor broadcast (standard EREW doubling)
     stats.add(machine.charge(depth=2 * log2c(J), work=J,
                              processors=J, label="descr_bcast"))

@@ -88,6 +88,32 @@ The record/verify/replay contract:
 * **replay** -- later launches charge the plan's stats and skip
   simulation entirely.
 
+Composed plans
+--------------
+A kernel whose program is one fixed-length *segment* repeated back to
+back may build a whole-launch plan from per-segment plans instead of
+simulating the whole launch.  The LSDS path refresh is one: processor
+``p_j`` runs the same 8-step segment for every node of the refreshed
+path, and a node's segment shape is fixed by ``(J, kid count)``.  On a
+whole-key miss the kernel records only the segment shapes it has not
+seen (:meth:`Machine.run_recorded` with ``account=False``), applies the
+host equivalent of every other segment, and hands the segment plans to
+:meth:`Machine.run_composed`, which caches and charges the concatenation
+as *one* launch.
+
+Soundness: a segment is exactly 8 steps and every processor is live in
+all of them, so segment ``i`` of the whole launch occupies steps
+``8i+1 .. 8i+8`` and its per-step op counts are the segment plan's.
+Within a segment ``p_j`` touches only ``(array, j)`` cells, so no two
+processors ever meet on a cell -- neither inside one segment nor across
+the boundary of two.  The EREW proof of each segment shape is therefore
+the proof of every launch composed from it.  The composed plan's depth,
+work and processors are recomputed from the concatenated fingerprints
+(:func:`fingerprint_stats`), never summed from the segment plans' stored
+stats, so a corrupted segment plan cannot pass its error on; each
+segment's declared effect count is cross-checked as :meth:`Machine.replay`
+does.
+
 The plan cache is a bounded LRU (:class:`_LRU`) with hit/miss/eviction
 counters surfaced by :meth:`Machine.cache_info`; evicting a plan merely
 forces a clean re-record on next sighting.
@@ -100,7 +126,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from itertools import chain
+from typing import (Any, Callable, Generator, Iterable, Iterator, Optional,
+                    Sequence)
 
 from ..resilience import faults as _faults
 from .memory import Mem
@@ -114,6 +142,7 @@ __all__ = [
     "KernelHistory",
     "TracePlan",
     "ErewViolation",
+    "fingerprint_stats",
 ]
 
 #: op tags (class attributes on the op types; cheaper than isinstance in
@@ -123,6 +152,18 @@ _TAG_READ = 1
 _TAG_WRITE = 2
 #: conflict marker bit in the per-step touched table
 _FLAG_CONFLICT = 4
+#: field mask of a packed fingerprint entry ``(live << 42) | (reads << 21)
+#: | writes``
+_MASK21 = (1 << 21) - 1
+
+
+def fingerprint_stats(fingerprint: Sequence[int]) -> tuple[int, int, int]:
+    """``(depth, work, processors)`` of a packed per-step fingerprint:
+    the number of steps, the sum of reads and writes, and the largest
+    live count."""
+    work = sum(((p >> 21) & _MASK21) + (p & _MASK21) for p in fingerprint)
+    return (len(fingerprint), work,
+            max((p >> 42 for p in fingerprint), default=0))
 
 
 class Read:
@@ -686,7 +727,8 @@ class Machine:
 
     def run_recorded(self, key: tuple, programs: Iterable[Program],
                      label: str = "", mode: Optional[str] = None,
-                     n_effects: Optional[int] = None) -> KernelStats:
+                     n_effects: Optional[int] = None, *,
+                     account: bool = True) -> KernelStats:
         """Fully checked launch that *compiles a replay plan* under a key.
 
         Runs ``programs`` with strict conflict checking (violations raise,
@@ -696,6 +738,11 @@ class Machine:
         visible effects -- under ``key`` so later launches of the same
         shape can take the :meth:`replay_plan` / :meth:`replay` bypass.
         Counts as a ``fast_miss``.
+
+        ``account=False`` records a *segment* of a composed launch (see
+        *Composed plans* in the module docstring): the plan is compiled
+        but nothing is charged and no ``fast_miss`` is counted, because
+        :meth:`run_composed` charges the whole launch once.
         """
         policy = self.mode if mode is None else mode
         assert policy in ("erew", "crew")
@@ -708,9 +755,43 @@ class Machine:
             self._shaped.put(key, TracePlan(
                 key, label, stats.depth, stats.work, stats.processors,
                 tuple(fingerprint), n_effects))
+        if account:
+            self.fast_misses += 1
+            self._account(stats)
+        return stats
+
+    def run_composed(self, key: tuple, parts: Sequence[TracePlan],
+                     label: str = "", n_effects: Optional[int] = None,
+                     part_effects: Optional[int] = None) -> KernelStats:
+        """Compile and charge one launch made of recorded segments.
+
+        ``parts`` are the segment plans in launch order; the launch runs
+        them back to back (see *Composed plans* in the module docstring
+        for why their EREW proofs prove it).  Each part's recorded effect
+        count is cross-checked against ``part_effects``.  The composed
+        plan is cached under ``key`` with the concatenated fingerprint,
+        and its depth / work / processors are recomputed from that
+        fingerprint.  Charged once, as one launch; counts as a
+        ``fast_miss`` like the :meth:`run_recorded` launch it replaces.
+        """
+        for part in parts:
+            self._check_effects(part, part_effects)
+        fingerprint = tuple(chain.from_iterable(p.fingerprint
+                                                for p in parts))
+        depth, work, processors = fingerprint_stats(fingerprint)
+        self._shaped.put(key, TracePlan(key, label, depth, work, processors,
+                                        fingerprint, n_effects))
         self.fast_misses += 1
+        stats = KernelStats(depth=depth, work=work, processors=processors,
+                            launches=1, label=label)
         self._account(stats)
         return stats
+
+    def peek_plan(self, key: tuple) -> Optional[TracePlan]:
+        """The plan cached under ``key``, or ``None``: an uncounted,
+        recency-neutral lookup that fires no fault site (a composing
+        kernel fetches the segment plan it has just recorded)."""
+        return self._shaped.peek(key)
 
     def replay(self, plan: TracePlan, label: str = "",
                n_effects: Optional[int] = None) -> KernelStats:
@@ -726,13 +807,7 @@ class Machine:
         cross-checked against the recording launch to catch shape-key
         collisions between launches with different write sets.
         """
-        if (n_effects is not None and plan.n_effects is not None
-                and n_effects != plan.n_effects):
-            raise RuntimeError(
-                f"replay effect-count mismatch for key {plan.key!r}: "
-                f"plan recorded {plan.n_effects}, kernel applied "
-                f"{n_effects} -- shape key is not a pure function of the "
-                f"memory effects")
+        self._check_effects(plan, n_effects)
         stats = KernelStats(depth=plan.depth, work=plan.work,
                             processors=plan.processors,
                             launches=1, label=label or plan.label)
@@ -740,13 +815,25 @@ class Machine:
         self._account(stats)
         return stats
 
+    @staticmethod
+    def _check_effects(plan: TracePlan, n_effects: Optional[int]) -> None:
+        """Raise when a kernel's declared effect count disagrees with the
+        plan's recording launch (a shape-key collision)."""
+        if (n_effects is not None and plan.n_effects is not None
+                and n_effects != plan.n_effects):
+            raise RuntimeError(
+                f"replay effect-count mismatch for key {plan.key!r}: "
+                f"plan recorded {plan.n_effects}, kernel applied "
+                f"{n_effects} -- shape key is not a pure function of the "
+                f"memory effects")
+
     def charge_shaped(self, key: tuple, label: str = "") -> KernelStats:
         """Replay the recorded plan of ``key`` without an effect check.
 
         An uncounted-probe spelling of :meth:`replay` for callers that
         already hold a recorded key.
         """
-        return self.replay(self._shaped.peek(key), label)
+        return self.replay(self.peek_plan(key), label)
 
     # -- one-pass checked loop -------------------------------------------------
 

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..pram.machine import _MASK21, fingerprint_stats
+
 __all__ = [
     "Finding", "check_engine", "check_tree", "check_reducer",
     "check_machine", "check_batched", "check_cluster",
@@ -36,7 +38,6 @@ __all__ = [
 ]
 
 _LEVELS = ("cheap", "structural", "full")
-_MASK21 = (1 << 21) - 1
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,7 @@ def check_machine(machine, level: str = "structural") -> list[Finding]:
                 out.append(Finding(
                     "machine", f"plan {key!r}: {bad}", level))
                 continue
-            depth = len(fp)
-            work = sum(((p >> 21) & _MASK21) + (p & _MASK21) for p in fp)
-            procs = max(p >> 42 for p in fp)
+            depth, work, procs = fingerprint_stats(fp)
             if plan.depth != depth or plan.work != work \
                     or plan.processors != procs:
                 out.append(Finding(

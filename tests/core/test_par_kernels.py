@@ -117,6 +117,157 @@ def test_path_refresh_kernel_matches_host_pull():
         node = node.parent
 
 
+# ---------------------------------------------------------------------------
+# path_refresh under audit="fast": composed plans equal the strict launch
+# ---------------------------------------------------------------------------
+
+_J = 6
+#: kid count of every node on the refreshed path, bottom-up; the second
+#: node is a transient single-kid (rebalancing) node
+_PATH_KIDS = (3, 1, 2, 3)
+
+
+class _Chunk:
+    def __init__(self, cid):
+        self.id = cid
+        self.memb_row = np.zeros(_J, dtype=bool)
+        self.memb_row[cid] = True
+
+
+class _Space:
+    """The two fields path_refresh reads: ``Jcap`` and ``row_views``."""
+
+    def __init__(self, rng):
+        self.Jcap = _J
+        self.row_views = []
+        for _ in range(_J):
+            row = np.empty(_J, dtype=object)
+            for j in range(_J):
+                row[j] = INF_KEY if rng.random() < 0.3 else \
+                    (round(rng.uniform(0, 9), 3), rng.randrange(1000))
+            self.row_views.append(row)
+
+
+def _agg(rng, garbage=False):
+    cadj = np.empty(_J, dtype=object)
+    memb = np.zeros(_J, dtype=bool)
+    for j in range(_J):
+        cadj[j] = (-9.0, 9) if garbage else \
+            (round(rng.uniform(0, 9), 3), rng.randrange(1000))
+        memb[j] = garbage or rng.random() < 0.4
+    return [cadj, memb]
+
+
+def _refresh_fixture(kids_along_path=_PATH_KIDS, seed=11):
+    """A hand-built 2-3 forest whose leaf-to-root path has the given kid
+    counts; off-path kids are leaves (chunks) or internal nodes with
+    random aggregates, path aggregates start as garbage."""
+    from repro.structures import two_three_tree as tt
+    rng = random.Random(seed)
+    space = _Space(rng)
+    cids = iter(range(10 * _J))
+
+    def leaf():
+        node = tt.Node(item=_Chunk(next(cids) % _J), height=0)
+        return node
+
+    def off_path(height):
+        if height == 0:
+            return leaf()
+        node = tt.Node(height=height)
+        node.agg = _agg(rng)
+        return node
+
+    start = leaf()
+    below, path = start, []
+    for h, count in enumerate(kids_along_path, start=1):
+        node = tt.Node(height=h)
+        node.agg = _agg(rng, garbage=True)
+        kids = [off_path(h - 1) for _ in range(count)]
+        kids[rng.randrange(count)] = below
+        for pos, kid in enumerate(kids):
+            kid.parent, kid.pos = node, pos
+        node.kids = kids
+        path.append(node)
+        below = node
+    return space, start, path
+
+
+def _strict_refresh(kids_along_path=_PATH_KIDS):
+    """Strict launch: stats, written aggregates and the per-step packed
+    (live, reads, writes) counts read off the machine's trace hook."""
+    from repro.pram.machine import Read, Write
+    machine = Machine(audit="strict")
+    steps = {}
+
+    def trace(step, _pid, op):
+        live, nr, nw = steps.get(step, (0, 0, 0))
+        steps[step] = (live + 1, nr + isinstance(op, Read),
+                       nw + isinstance(op, Write))
+
+    machine._trace = trace
+    space, start, path = _refresh_fixture(kids_along_path)
+    stats = kn.path_refresh_kernel(machine, space, start)
+    fingerprint = tuple((live << 42) | (nr << 21) | nw
+                        for live, nr, nw in (steps[k] for k in sorted(steps)))
+    return stats, _written(path), fingerprint
+
+
+def _written(path):
+    return [(list(nd.agg[0]), [bool(x) for x in nd.agg[1]]) for nd in path]
+
+
+def _fast_refresh(machine, kids_along_path=_PATH_KIDS):
+    space, start, path = _refresh_fixture(kids_along_path)
+    stats = kn.path_refresh_kernel(machine, space, start)
+    plan = machine.peek_plan(("path_refresh", _J, tuple(kids_along_path)))
+    return stats, _written(path), plan.fingerprint
+
+
+def _as_tuple(stats):
+    return (stats.depth, stats.work, stats.processors, stats.launches,
+            stats.violations)
+
+
+def _assert_fast_matches_strict(prime=()):
+    """Every route of a fast launch -- composed cold, composed from known
+    segments, whole-path replay -- equals the strict launch."""
+    s_stats, s_aggs, s_fp = _strict_refresh()
+    machine = Machine(audit="fast")
+    for kids in prime:
+        _fast_refresh(machine, kids)
+    simulated = []
+    run_checked = machine._run_checked
+    machine._run_checked = lambda *a, **k: (simulated.append(1),
+                                            run_checked(*a, **k))[1]
+    for _route in ("composed", "replayed"):
+        stats, aggs, fp = _fast_refresh(machine)
+        assert _as_tuple(stats) == _as_tuple(s_stats)
+        assert aggs == s_aggs
+        assert fp == s_fp
+    # one simulated segment per unseen kid count, and never a whole path
+    assert len(simulated) == len({1, 2, 3} - {k for p in prime for k in p})
+    return machine
+
+
+def test_path_refresh_composed_plan_matches_strict_launch():
+    # cold: the unseen kid counts 3, 1, 2 are simulated, the last 3 is a
+    # host apply; then the path's own plan replays
+    _assert_fast_matches_strict()
+    # warm segments: every node is a host apply, nothing is simulated
+    machine = _assert_fast_matches_strict(prime=[(1, 2, 3)])
+    assert machine.fast_misses == 2 and machine.fast_hits == 1
+
+
+def test_path_refresh_segment_key_without_kid_count_is_caught(monkeypatch):
+    """Mutant: a segment shape keyed without ``len(kids)`` reuses the
+    3-kid segment for the 1- and 2-kid nodes and mis-charges the path."""
+    monkeypatch.setattr(kn, "_segment_key",
+                        lambda J, node: ("path_refresh_node", J))
+    with pytest.raises(AssertionError):
+        _assert_fast_matches_strict()
+
+
 def test_column_sweep_kernel_matches_sequential_sweep():
     eng = build_par_engine(96, K=8)
     space = eng.fabric.space

@@ -113,6 +113,31 @@ def test_recycled_machine_measures_bit_identically_and_all_warm():
     assert machine.fast_hits > 0
 
 
+def test_path_refresh_simulates_one_launch_per_segment_shape():
+    """Whole-path misses compose from per-node segment plans: across an
+    ``adversarial_cuts`` set-up the engine simulates at most one
+    ``path_refresh`` launch per distinct ``(J, kid count)``, while every
+    new path shape is still accounted as one recorded launch."""
+    n = 64
+    eng = ParallelDynamicMSF(n, audit="fast")
+    machine = eng.machine
+    simulated = []
+    run_recorded = machine.run_recorded
+
+    def counting(key, *args, **kwargs):
+        simulated.append(key)
+        return run_recorded(key, *args, **kwargs)
+
+    machine.run_recorded = counting
+    _drive(eng, adversarial_cuts(n, rounds=0, seed=3))
+    refresh = [k for k in simulated if k[0].startswith("path_refresh")]
+    assert refresh, "the set-up refreshed no path"
+    assert all(k[0] == "path_refresh_node" for k in refresh)
+    assert len(refresh) == len(set(refresh)) <= 3
+    paths = [k for k in machine._shaped.data if k[0] == "path_refresh"]
+    assert len(paths) > len(refresh)   # many path shapes, few simulated
+
+
 # --------------------------------------------------------------------------
 # recording launches stay fully checked
 # --------------------------------------------------------------------------

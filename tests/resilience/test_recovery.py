@@ -41,6 +41,70 @@ def test_recover_machine_purges_and_degrades():
     assert report["audit"] == {"before": "strict", "after": "strict"}
 
 
+def _segment_fault_run(fault_plan):
+    """A fast parallel engine over an adversarial stream, ``fault_plan``
+    armed; returns the engine."""
+    from repro.core.par import ParallelDynamicMSF
+    from repro.resilience import faults
+    from repro.workloads import adversarial_cuts
+
+    eng = ParallelDynamicMSF(48, audit="fast")
+    handles = {}
+    with faults.injected(fault_plan):
+        for idx, op in enumerate(adversarial_cuts(48, rounds=4, seed=3)):
+            if op[0] == "ins":
+                handles[idx] = eng.insert_edge(*op[1:], eid=10_000 + idx)
+            else:
+                eng.delete_edge(handles.pop(op[1]))
+    return eng
+
+
+def _first_segment_visit() -> int:
+    """The ``pram.plan`` visit index of the first segment-plan lookup."""
+    from repro.resilience import faults
+
+    class Spy(faults.FaultPlan):
+        def fire(self, site, ctx):
+            if site == "pram.plan" and not hasattr(self, "hit") \
+                    and ctx["key"][0] == "path_refresh_node":
+                self.hit = self.visits.get(site, 0)
+            return super().fire(site, ctx)
+
+    spy = Spy()
+    _segment_fault_run(spy)
+    return spy.hit
+
+
+@pytest.mark.parametrize("param", [0, 1], ids=["work", "depth"])
+def test_pram_plan_fault_on_segment_plan_is_found(param):
+    """A ``pram.plan`` fault that skews a path-refresh *segment* plan's
+    stats is found by ``check_machine``, and cannot leak into the
+    composed plans, whose stats come from the fingerprints."""
+    from repro.resilience import faults
+
+    plan = faults.FaultPlan([faults.Fault("pram.plan",
+                                          _first_segment_visit(), param)])
+    eng = _segment_fault_run(plan)
+    assert [e["outcome"] for e in plan.log] == ["injected"]
+    found = checks.check_machine(eng.machine)
+    assert found and all("path_refresh_node" in f.message for f in found)
+    clean = _segment_fault_run(faults.FaultPlan())
+    assert [(s.depth, s.work) for s in eng.update_stats] == \
+        [(s.depth, s.work) for s in clean.update_stats]
+
+
+def test_pram_plan_effect_fault_on_segment_plan_raises():
+    """The effect-count variant is caught by the composition's
+    per-segment cross-check, as a replay would catch it."""
+    from repro.resilience import faults
+
+    plan = faults.FaultPlan([faults.Fault("pram.plan",
+                                          _first_segment_visit(), 2)])
+    with pytest.raises(RuntimeError, match="effect-count mismatch"):
+        _segment_fault_run(plan)
+    assert not faults.armed
+
+
 def test_violation_after_recover_machine_rung_still_raises():
     """A fast machine raises on an EREW violation before a
     ``recover_machine`` rung and still raises after it."""

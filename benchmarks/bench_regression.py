@@ -509,12 +509,8 @@ def overhead_failures(rows: dict, tolerance: float = RES_OVERHEAD_TOL
 def _equiv_signature(engine, core_style: bool) -> tuple:
     """Backend-independent state signature for the equivalence gate."""
     if core_style:  # bare core engine: no facade fingerprint support
-        sig = (tuple(sorted(e.eid for e in engine.msf_edges())),
-               round(engine.msf_weight(), 9))
-        machine = getattr(engine, "machine", None)
-        if machine is not None:
-            sig += (machine.total.depth, machine.total.work)
-        return sig
+        return (tuple(sorted(e.eid for e in engine.msf_edges())),
+                round(engine.msf_weight(), 9))
     from repro.resilience import checks
     return (checks.state_fingerprint(engine._impl),
             tuple(sorted(engine.msf_ids())),
@@ -526,13 +522,13 @@ def _equiv_signature(engine, core_style: bool) -> tuple:
 #: full-profile rows under ~half a minute.
 CMP_MIN_PAIRS = 3
 #: rows replayed under both backends; every pair must be bit-identical
-#: and the wide-Jcap rows must clear their hard speedup bars
-COMPILED_ROWS = ("facade-sparsified", "parallel-core-fast", "seq-core-wide",
-                 "seq-core-wide-churn")
-#: compiled/scalar floor on the *narrow* gated rows: their residual time
-#: is facade / PRAM-simulator Python above the backend seam (measured
-#: ~1.0-1.3x after the PR 9 plumbing port; EXPERIMENTS.md E9), so they
-#: gate bit-identity plus catastrophe: the floor catches an accidental
+#: and the wide-Jcap rows must clear their hard speedup bars.  The
+#: parallel engine is scalar-only, so its rows have no compiled arm.
+COMPILED_ROWS = ("facade-sparsified", "seq-core-wide", "seq-core-wide-churn")
+#: compiled/scalar floor on the *narrow* gated row: its residual time is
+#: facade Python above the backend seam (measured ~1.0-1.3x with the
+#: structural plumbing native; EXPERIMENTS.md E9), so it gates
+#: bit-identity plus catastrophe: the floor catches an accidental
 #: O(J) -> O(J^2) mirror resync, say, without gating host noise
 COMPILED_RATIO_FLOOR = 0.5
 #: hard same-run speedup bar on ``seq-core-wide``: the deletion-heavy
@@ -569,14 +565,14 @@ def measure_compiled_equivalence(specs: dict, engines=None, *,
     """Paired scalar/compiled replay: bit-identity plus same-run ratio.
 
     Replays each gated row's exact op stream on a fresh engine per
-    backend and compares the end states (forest edge ids, ``msf_weight``,
-    the facade ``state_fingerprint``, and PRAM ``depth``/``work`` where
-    measured).  Both backends are arms of one ``rounds`` call, so each
-    round runs them back to back in alternating order; the recorded
-    ratio is the median of per-round ratios and carries neither
-    cross-host noise nor same-run arm-order drift (a fixed-order run
-    once read a ~1.0x row as 0.39x).  Signatures for the bit-identity
-    gate come from the first round; the replay is deterministic.
+    backend and compares the end states (forest edge ids, ``msf_weight``
+    and the facade ``state_fingerprint``).  Both backends are arms of one
+    ``rounds`` call, so each round runs them back to back in alternating
+    order; the recorded ratio is the median of per-round ratios and
+    carries neither cross-host noise nor same-run arm-order drift (a
+    fixed-order run once read a ~1.0x row as 0.39x).  Signatures for the
+    bit-identity gate come from the first round; the replay is
+    deterministic.
     Returns None (section omitted) when the native extension is not
     built.
     ``gate_churn=False`` (the quick profile) drops the hard
@@ -595,12 +591,10 @@ def measure_compiled_equivalence(specs: dict, engines=None, *,
         if spec is None or (engines and name not in engines):
             continue
         ops = _ops_for(spec)
-        machines: dict[str, object] = {}
         sigs: dict[str, tuple] = {}
 
         def arm(backend: str) -> float:
-            engine, core_style, machines[backend] = _build(
-                dict(spec, backend=backend), machine=machines.get(backend))
+            engine, core_style, _ = _build(dict(spec, backend=backend))
             _preallocate(engine)
             t0 = time.perf_counter()
             replay(engine, ops, core_style)
@@ -645,8 +639,7 @@ def compiled_failures(rows) -> list[str]:
         if not row["bit_identical"]:
             failures.append(
                 f"{name}: compiled backend diverged from scalar "
-                f"(forests/weight/fingerprint/depth/work must be "
-                f"bit-identical)")
+                f"(forests/weight/fingerprint must be bit-identical)")
         if name == "seq-core-wide":
             if row["compiled_speedup"] < COMPILED_WIDE_MIN:
                 failures.append(

@@ -9,6 +9,8 @@ Usage:
                                           [--backend {scalar,compiled}]
 
 engine: seq | par | par-fast | sparsify   (default seq, n=1024, steps=300)
+``par`` and ``par-fast`` run on ``--backend scalar`` only, as the
+parallel engine does.
 
 ``par-fast`` profiles the parallel engine with ``audit="fast"`` so the
 shape-keyed kernel bypass shows up in the profile instead of the lockstep
@@ -201,8 +203,13 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "pass and profile the recording pass instead")
     parser.add_argument("--backend", choices=BACKENDS, default="scalar",
                         help="execution backend to profile (compiled "
-                             "requires the built native extension)")
-    return parser.parse_args(argv)
+                             "requires the built native extension; the "
+                             "parallel engines are scalar-only)")
+    args = parser.parse_args(argv)
+    if args.engine in ("par", "par-fast") and args.backend != "scalar":
+        parser.error(f"{args.engine} runs the parallel engine, which is "
+                     f"scalar-only: drop --backend {args.backend}")
+    return args
 
 
 def main(argv=None) -> int:

@@ -50,24 +50,23 @@ class OpCounter:
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = defaultdict(int)
-        #: running sum of ``counts.values()``.  Maintained by ``charge`` so
-        #: the per-station ``ops.total`` reads of the sparsification tree
-        #: (two per visited node) are O(1) attribute loads instead of a
-        #: dict-wide sum.  ``counts`` is only ever mutated through
-        #: ``charge``/``reset``, which keep the two in lockstep.
-        self.total: int = 0
+        #: running sum of ``counts.values()``, so :attr:`total` is O(1)
+        #: instead of a dict-wide sum.  ``counts`` is only ever mutated
+        #: through ``charge``/``charge_many``/``reset``, which keep the two
+        #: in lockstep.
+        self._total: int = 0
         self._mark: int = 0
         self._paused: int = 0
         self._paused_cm = _Paused(self)
         #: optional batched charge accumulator (the compiled tier's C-side
         #: ChargeStream).  When attached, hot-path charges append to the
-        #: stream and are folded into ``counts``/``total`` at the next
-        #: ``flush()``.  Draining is *lazy*: every windowed read
-        #: (``grand_total``/``mark``/``since_mark``/``breakdown``) flushes
+        #: stream and are folded into ``counts`` and the running sum at the
+        #: next ``flush()``.  Draining is *lazy*: every read (``total``,
+        #: ``grand_total``, ``mark``, ``since_mark``, ``breakdown``) flushes
         #: first, so the observed totals are exactly the per-op sums
         #: (int() per add, same labels, same amounts), only batched --
-        #: readers must go through those accessors, never raw
-        #: ``counts``/``total``, when a stream may be attached.
+        #: readers must go through those accessors, never raw ``counts``,
+        #: when a stream may be attached.
         self._stream = None
 
     def charge(self, name: str, amount: int = 1) -> None:
@@ -79,7 +78,7 @@ class OpCounter:
             return
         amount = int(amount)
         self.counts[name] += amount
-        self.total += amount
+        self._total += amount
 
     def charge_many(self, pairs) -> None:
         """Fold a batch of ``(name, amount)`` charges in one call.
@@ -94,7 +93,7 @@ class OpCounter:
             amount = int(amount)
             counts[name] += amount
             total += amount
-        self.total += total
+        self._total += total
 
     def attach_stream(self, stream) -> None:
         """Route subsequent charges through a batched accumulator.
@@ -107,20 +106,26 @@ class OpCounter:
         self._stream = stream
 
     def flush(self) -> None:
-        """Fold pending stream charges into ``counts``/``total``.
+        """Fold pending stream charges into ``counts`` and the running sum.
 
         Safe at any point: flushing only moves already-owed sums, so extra
-        flushes never change totals.  The engines call this once per public
-        update so windowed reads (``mark``/``since_mark``/``total``) observe
-        the same numbers the scalar per-op path would have produced.
+        flushes never change totals.  Nothing flushes eagerly per update;
+        every read (``total``/``grand_total``/``mark``/``since_mark``/
+        ``breakdown``) flushes first, so it observes the same numbers the
+        scalar per-op path would have produced.
         """
         stream = self._stream
         if stream is not None and len(stream):
             self.charge_many(stream.drain())
 
-    def grand_total(self) -> int:
-        """``total`` including any pending stream charges (flushes first)."""
+    @property
+    def total(self) -> int:
+        """Every charge so far, pending stream charges included."""
         self.flush()
+        return self._total
+
+    def grand_total(self) -> int:
+        """The same read as :attr:`total`."""
         return self.total
 
     def paused(self) -> _Paused:
@@ -137,11 +142,9 @@ class OpCounter:
 
     def mark(self) -> None:
         """Start a per-operation measurement window."""
-        self.flush()
         self._mark = self.total
 
     def since_mark(self) -> int:
-        self.flush()
         return self.total - self._mark
 
     def breakdown(self) -> dict[str, int]:
@@ -153,5 +156,5 @@ class OpCounter:
         if stream is not None:
             stream.clear()
         self.counts.clear()
-        self.total = 0
+        self._total = 0
         self._mark = 0

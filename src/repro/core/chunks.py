@@ -48,12 +48,12 @@ from ..structures import two_three_tree as tt
 from . import compiled
 from .model import INF_KEY, Edge, Key, Occurrence, Vertex
 
-__all__ = ["BACKENDS", "Chunk", "ChunkSpace", "check_backend", "default_K",
-           "merge_rows"]
+__all__ = ["BACKENDS", "Chunk", "ChunkSpace", "check_backend",
+           "check_engine_backend", "default_K", "merge_rows"]
 
 #: the execution backends every front accepts: ``"scalar"`` (numpy, or the
 #: ``_nplite`` shim) and ``"compiled"`` (the native extension).  Both are
-#: bit-identical on forests, ``OpCounter`` totals and PRAM depth/work.
+#: bit-identical on forests and ``OpCounter`` totals.
 BACKENDS = ("scalar", "compiled")
 
 
@@ -63,6 +63,20 @@ def check_backend(backend: str) -> None:
         raise ValueError(f"backend must be "
                          f"{' or '.join(map(repr, BACKENDS))}, "
                          f"got {backend!r}")
+
+
+def check_engine_backend(engine: str, backend: str) -> None:
+    """:func:`check_backend`, plus: the parallel engine is scalar-only.
+
+    Its depth and work are PRAM-simulator quantities no host kernel can
+    change, and the wall time the compiled tier bought it did not pay for
+    the kernels that existed only for it, so ``engine="parallel"`` with
+    ``backend="compiled"`` raises ``ValueError``.
+    """
+    check_backend(backend)
+    if engine == "parallel" and backend != "scalar":
+        raise ValueError(f"the parallel engine runs on backend='scalar' "
+                         f"only, got backend={backend!r}")
 
 
 def default_K(n_max: int, flavor: str = "sequential") -> int:
@@ -215,13 +229,10 @@ class ChunkSpace:
         #: below.  ``None`` unless ``backend == "compiled"`` and ``C`` is
         #: allocated -- every mirror touch is gated on that.
         self.compm: Optional[compiled.CompiledMatrix] = None
-        #: compiled LSDS aggregates are sequential-only: under them the
-        #: aggregates become flat (bytearray) buffers the kernels walk
-        #: directly; the parallel engine's strict/recording PRAM programs
-        #: register the object aggregate vectors by identity, so the
-        #: parallel flavor keeps object aggregates and compiles the
-        #: host-side twins instead.
-        self.comp_lsds = backend == "compiled" and flavor == "sequential"
+        #: compiled LSDS aggregates: flat (bytearray) buffers the kernels
+        #: walk directly (the parallel engine, scalar-only, keeps object
+        #: aggregates: its PRAM programs register them by identity)
+        self.comp_lsds = backend == "compiled"
         #: the stamp-and-count walk over a run of occurrences, and the
         #: stamp-only walk for callers that know the counts; both run the
         #: compiled ``adopt_scan`` kernel on the compiled backend

@@ -6,9 +6,9 @@ interpreter cost of its hot loops (vectorizing them with numpy ufuncs
 only trades it for dispatch overhead).  This package removes that
 constraint by compiling the measured inner loops -- the ``(weight,
 eid)`` tuple-min LSDS pulls and column sweeps, the MWR gamma/argmin,
-the chunk adoption scan, the BT level aggregation and the
-``DegreeReducer`` change-log walk -- into a small hand-written CPython
-extension (``_kernels.c``), built on demand with the system C compiler:
+the chunk adoption scan and the ``DegreeReducer`` change-log walk --
+into a small hand-written CPython extension (``_kernels.c``), built on
+demand with the system C compiler:
 
     python -m repro.core.compiled.build
 
@@ -17,17 +17,24 @@ No third-party dependency is involved: the kernels operate on plain
 :mod:`.matrix`) and on the engine's own python objects via the C API,
 so the tier composes with either numpy or the ``_nplite`` shim.
 
+The tier serves the sequential engine only.  The parallel engine's
+depth and work are simulator quantities no host kernel can move, and
+the wall time the tier bought it did not pay for the kernels that
+existed only for it, so ``engine="parallel"`` runs on
+``backend="scalar"`` alone (see
+:func:`repro.core.chunks.check_engine_backend`).
+
 The extension is *optional*: without it, ``backend="compiled"`` raises
 :class:`BackendUnavailable` (naming the build command) and the scalar
-backend keeps working.  The contract: forests, edge-id streams, op-counter totals, PRAM
-depth/work and ``state_fingerprint`` are bit-identical to scalar --
-only wall clock changes (``tests/core/test_backend_differential.py``).
+backend keeps working.  The contract: forests, edge-id streams,
+op-counter totals and ``state_fingerprint`` are bit-identical to scalar
+-- only wall clock changes (``tests/core/test_backend_differential.py``).
 """
 
 from __future__ import annotations
 
 __all__ = ["HAVE_COMPILED", "kernels", "require", "compiled_version",
-           "BUILD_HINT", "CompiledMatrix", "DColumn"]
+           "BUILD_HINT", "CompiledMatrix"]
 
 #: How to materialize the extension (also named by ``BackendUnavailable``).
 BUILD_HINT = ("the _kernels extension "
@@ -56,4 +63,4 @@ def require(feature: str = "backend='compiled'") -> None:
         raise BackendUnavailable(feature, BUILD_HINT, "compiled")
 
 
-from .matrix import CompiledMatrix, DColumn  # noqa: E402
+from .matrix import CompiledMatrix  # noqa: E402

@@ -1,8 +1,8 @@
 /* Compiled hot-loop kernels for the repro dynamic-MSF substrate.
  *
- * The scalar engine's measured inner loops -- the (weight, eid) tuple-min
- * LSDS pulls and column sweeps, the MWR gamma/argmin, the chunk adoption
- * scan, BT level aggregation and the DegreeReducer change-log walk -- are
+ * The sequential engine's measured inner loops -- the (weight, eid)
+ * tuple-min LSDS pulls and column sweeps, the MWR gamma/argmin, the chunk
+ * adoption scan and the DegreeReducer change-log walk -- are
  * reimplemented here against flat float64 buffers and the engine's own
  * python objects.  No numpy (or any third-party) dependency: buffers are
  * plain bytearrays of interleaved (weight, eid) doubles, and structure
@@ -179,31 +179,6 @@ k_set_entry(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     a1[0] = w; a1[1] = e;
     a2[0] = w; a2[1] = e;
     Py_RETURN_NONE;
-}
-
-/* get_column_bytes(buf, Jcap, j) -> bytes of Jcap (w, e) pairs */
-static PyObject *
-k_get_column_bytes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "get_column_bytes takes 3 args");
-    double *b = keybuf(args[0], "get_column_bytes");
-    if (b == NULL)
-        return NULL;
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[1]);
-    Py_ssize_t j = PyLong_AsSsize_t(args[2]);
-    if (PyErr_Occurred())
-        return NULL;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, 16 * Jcap);
-    if (out == NULL)
-        return NULL;
-    double *o = (double *)PyBytes_AS_STRING(out);
-    for (Py_ssize_t i = 0; i < Jcap; i++) {
-        const double *cell = b + 2 * (i * Jcap + j);
-        o[2 * i] = cell[0];
-        o[2 * i + 1] = cell[1];
-    }
-    return out;
 }
 
 /* ------------------------------------------------------------- LSDS pulls */
@@ -451,104 +426,6 @@ k_col_sweep_many(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromLong(count);
 }
 
-/* Object-mode sweep: the parallel engine's LSDS aggregates stay object
- * arrays (PRAM programs register them by identity), so its host-side
- * sweep twin walks the same objects -- only the interpreter dispatch is
- * compiled away.  Writes exactly what _sweep_direct writes. */
-static PyObject *
-sweep_obj_rec(PyObject *node, PyObject *jidx, Py_ssize_t j,
-              PyObject *row_views, int *memb_out)
-{
-    long height = attr_long(node, s_height);
-    if (height == -1 && PyErr_Occurred())
-        return NULL;
-    if (!height) {
-        long cid = leaf_cid(node);
-        if (cid == -1 && PyErr_Occurred())
-            return NULL;
-        PyObject *row = PyList_GET_ITEM(row_views, cid);
-        *memb_out = cid == (long)j;
-        return PyObject_GetItem(row, jidx);
-    }
-    PyObject *kids = PyObject_GetAttr(node, s_kids);
-    if (kids == NULL || !PyList_Check(kids)) {
-        Py_XDECREF(kids);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "node.kids is not a list");
-        return NULL;
-    }
-    Py_ssize_t n = PyList_GET_SIZE(kids);
-    PyObject *best = NULL;
-    int memb = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        int km;
-        PyObject *kv = sweep_obj_rec(PyList_GET_ITEM(kids, i), jidx, j,
-                                     row_views, &km);
-        if (kv == NULL) {
-            Py_XDECREF(best);
-            Py_DECREF(kids);
-            return NULL;
-        }
-        if (best == NULL)
-            best = kv;
-        else {
-            int lt = PyObject_RichCompareBool(kv, best, Py_LT);
-            if (lt < 0) {
-                Py_DECREF(kv);
-                Py_DECREF(best);
-                Py_DECREF(kids);
-                return NULL;
-            }
-            if (lt) {
-                Py_DECREF(best);
-                best = kv;
-            }
-            else
-                Py_DECREF(kv);
-        }
-        memb |= km;
-    }
-    Py_DECREF(kids);
-    PyObject *agg = PyObject_GetAttr(node, s_agg);
-    if (agg == NULL || !PyTuple_Check(agg) || PyTuple_GET_SIZE(agg) != 2) {
-        Py_XDECREF(agg);
-        Py_DECREF(best);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "node.agg is not a 2-tuple");
-        return NULL;
-    }
-    int rc = PyObject_SetItem(PyTuple_GET_ITEM(agg, 0), jidx, best);
-    if (rc == 0)
-        rc = PyObject_SetItem(PyTuple_GET_ITEM(agg, 1), jidx,
-                              memb ? Py_True : Py_False);
-    Py_DECREF(agg);
-    if (rc < 0) {
-        Py_DECREF(best);
-        return NULL;
-    }
-    *memb_out = memb;
-    return best;
-}
-
-/* col_sweep_obj(node, j, row_views) -> None */
-static PyObject *
-k_col_sweep_obj(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "col_sweep_obj takes 3 args");
-    Py_ssize_t j = PyLong_AsSsize_t(args[1]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (!PyList_Check(args[2]))
-        return PyErr_Format(PyExc_TypeError, "row_views must be a list");
-    int memb;
-    PyObject *val = sweep_obj_rec(args[0], args[1], j, args[2], &memb);
-    if (val == NULL)
-        return NULL;
-    Py_DECREF(val);
-    Py_RETURN_NONE;
-}
-
 /* --------------------------------------------------------------- MWR scan */
 
 /* truthiness view of an arbitrary memb vector: 1-byte buffer when the
@@ -622,53 +499,6 @@ k_gamma_argmin(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(fast);
     }
     return Py_BuildValue("(ndd)", bj, bw, be);
-}
-
-/* ----------------------------------------------------- snapshot dirty diff */
-
-/* diff_keys(snap, col, Jcap) -> [changed indices]; snap/col are buffers
- * of Jcap (w, e) pairs (array('d') snapshots); value inequality. */
-static PyObject *
-k_diff_keys(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "diff_keys takes 3 args");
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[2]);
-    if (PyErr_Occurred())
-        return NULL;
-    Py_buffer va, vb;
-    if (PyObject_GetBuffer(args[0], &va, PyBUF_SIMPLE) < 0)
-        return NULL;
-    if (PyObject_GetBuffer(args[1], &vb, PyBUF_SIMPLE) < 0) {
-        PyBuffer_Release(&va);
-        return NULL;
-    }
-    if (va.len < 16 * Jcap || vb.len < 16 * Jcap) {
-        PyBuffer_Release(&va);
-        PyBuffer_Release(&vb);
-        return PyErr_Format(PyExc_ValueError, "diff_keys: buffers too short");
-    }
-    const double *a = (const double *)va.buf;
-    const double *b = (const double *)vb.buf;
-    PyObject *out = PyList_New(0);
-    if (out == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < Jcap; i++) {
-        if (a[2 * i] != b[2 * i] || a[2 * i + 1] != b[2 * i + 1]) {
-            PyObject *idx = PyLong_FromSsize_t(i);
-            if (idx == NULL || PyList_Append(out, idx) < 0) {
-                Py_XDECREF(idx);
-                Py_DECREF(out);
-                out = NULL;
-                goto done;
-            }
-            Py_DECREF(idx);
-        }
-    }
-done:
-    PyBuffer_Release(&va);
-    PyBuffer_Release(&vb);
-    return out;
 }
 
 /* -------------------------------------------------------- chunk adoption */
@@ -879,114 +709,6 @@ fail:
         Py_XDECREF(best[o]);
     PyMem_Free(best);
     PyMem_Free(touched);
-    return NULL;
-}
-
-/* ------------------------------------------------------ BT level aggregates */
-
-/* bt_level_aggs(levels, units, edges) -> None
- *
- * Level-at-a-time twin of _bt_pull (chunks.py): per collected level
- * (height 1 first), sum the previous level's (units, edges) columns by
- * each node's kid count and assign node.agg = (units, edges) as python
- * ints -- identical to the incremental _bt_pull results. */
-static PyObject *
-k_bt_level_aggs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "bt_level_aggs takes 3 args");
-    PyObject *levels = args[0];
-    PyObject *fu = PySequence_Fast(args[1], "units not iterable");
-    if (fu == NULL)
-        return NULL;
-    PyObject *fe = PySequence_Fast(args[2], "edges not iterable");
-    if (fe == NULL) {
-        Py_DECREF(fu);
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fu);
-    long long *u = PyMem_New(long long, (size_t)(n ? n : 1));
-    long long *e = PyMem_New(long long, (size_t)(n ? n : 1));
-    if (u == NULL || e == NULL) {
-        PyMem_Free(u);
-        PyMem_Free(e);
-        Py_DECREF(fu);
-        Py_DECREF(fe);
-        return PyErr_NoMemory();
-    }
-    PyObject **iu = PySequence_Fast_ITEMS(fu);
-    PyObject **ie = PySequence_Fast_ITEMS(fe);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        u[i] = PyLong_AsLongLong(iu[i]);
-        e[i] = PyLong_AsLongLong(ie[i]);
-    }
-    Py_DECREF(fu);
-    Py_DECREF(fe);
-    if (PyErr_Occurred())
-        goto fail;
-    PyObject *flv = PySequence_Fast(levels, "levels not iterable");
-    if (flv == NULL)
-        goto fail;
-    Py_ssize_t nlv = PySequence_Fast_GET_SIZE(flv);
-    for (Py_ssize_t li = 0; li < nlv; li++) {
-        PyObject *level = PySequence_Fast_ITEMS(flv)[li];
-        PyObject *flevel = PySequence_Fast(level, "level not iterable");
-        if (flevel == NULL) {
-            Py_DECREF(flv);
-            goto fail;
-        }
-        Py_ssize_t nn = PySequence_Fast_GET_SIZE(flevel);
-        Py_ssize_t src = 0;
-        for (Py_ssize_t ni = 0; ni < nn; ni++) {
-            PyObject *node = PySequence_Fast_ITEMS(flevel)[ni];
-            PyObject *kids = PyObject_GetAttr(node, s_kids);
-            if (kids == NULL) {
-                Py_DECREF(flevel);
-                Py_DECREF(flv);
-                goto fail;
-            }
-            Py_ssize_t k = PyObject_Length(kids);
-            Py_DECREF(kids);
-            if (k < 0 || src + k > n) {
-                Py_DECREF(flevel);
-                Py_DECREF(flv);
-                if (!PyErr_Occurred())
-                    PyErr_SetString(PyExc_ValueError,
-                                    "bt_level_aggs: level shape mismatch");
-                goto fail;
-            }
-            long long su = 0, se = 0;
-            for (Py_ssize_t t = 0; t < k; t++) {
-                su += u[src + t];
-                se += e[src + t];
-            }
-            src += k;
-            PyObject *agg = Py_BuildValue("(LL)", su, se);
-            if (agg == NULL) {
-                Py_DECREF(flevel);
-                Py_DECREF(flv);
-                goto fail;
-            }
-            int rc = PyObject_SetAttr(node, s_agg, agg);
-            Py_DECREF(agg);
-            if (rc < 0) {
-                Py_DECREF(flevel);
-                Py_DECREF(flv);
-                goto fail;
-            }
-            u[ni] = su;   /* safe: ni <= src positions already consumed */
-            e[ni] = se;
-        }
-        n = nn;
-        Py_DECREF(flevel);
-    }
-    Py_DECREF(flv);
-    PyMem_Free(u);
-    PyMem_Free(e);
-    Py_RETURN_NONE;
-fail:
-    PyMem_Free(u);
-    PyMem_Free(e);
     return NULL;
 }
 
@@ -1919,8 +1641,6 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL, "fill_keys(buf, off, count, w, e)"},
     {"set_entry", (PyCFunction)(void (*)(void))k_set_entry,
      METH_FASTCALL, "set_entry(buf, Jcap, i, j, w, e)"},
-    {"get_column_bytes", (PyCFunction)(void (*)(void))k_get_column_bytes,
-     METH_FASTCALL, "get_column_bytes(buf, Jcap, j) -> bytes"},
     {"pull_node", (PyCFunction)(void (*)(void))k_pull_node,
      METH_FASTCALL, "pull_node(node, buf, Jcap) -> len(kids)"},
     {"pull_node_changed", (PyCFunction)(void (*)(void))k_pull_node_changed,
@@ -1954,16 +1674,10 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL, "transition_probe(lst, K) -> 0|1|2"},
     {"fix_probe", (PyCFunction)(void (*)(void))k_fix_probe,
      METH_FASTCALL, "fix_probe(chunk, registry, K, stream) -> lst | None"},
-    {"col_sweep_obj", (PyCFunction)(void (*)(void))k_col_sweep_obj,
-     METH_FASTCALL, "col_sweep_obj(node, j, row_views)"},
     {"gamma_argmin", (PyCFunction)(void (*)(void))k_gamma_argmin,
      METH_FASTCALL, "gamma_argmin(keys, key_off, memb, Jcap) -> (j, w, e)"},
-    {"diff_keys", (PyCFunction)(void (*)(void))k_diff_keys,
-     METH_FASTCALL, "diff_keys(snap, col, Jcap) -> [changed indices]"},
     {"adopt_scan", (PyCFunction)(void (*)(void))k_adopt_scan,
      METH_FASTCALL, "adopt_scan(head, tail, chunk, cid) -> (count, n_edges)"},
-    {"bt_level_aggs", (PyCFunction)(void (*)(void))k_bt_level_aggs,
-     METH_FASTCALL, "bt_level_aggs(levels, units, edges)"},
     {"first_flip", (PyCFunction)(void (*)(void))k_first_flip,
      METH_FASTCALL, "first_flip(change_log, mark) -> {eid: flag}"},
     {NULL, NULL, 0, NULL}
@@ -2024,7 +1738,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddStringConstant(m, "__version__", "3") < 0) {
+    if (PyModule_AddStringConstant(m, "__version__", "4") < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.core.compiled.build            # build in place
-    python -m repro.core.compiled.build --check    # report, exit 1 if absent
+    python -m repro.core.compiled.build --check    # exit 1 if absent or stale
 
 No setuptools machinery is required at runtime: we invoke the compiler
 directly (``$CC``, else ``cc``, else ``gcc``) with the interpreter's
@@ -16,6 +16,7 @@ single-file C extension needs.  ``pip install repro[compiled]`` (see
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -42,6 +43,12 @@ def ext_path() -> Path:
     return HERE / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
 
 
+def source_version() -> str:
+    """The ``__version__`` that ``_kernels.c`` gives the module it builds."""
+    found = re.search(r'"__version__",\s*"([^"]*)"', SOURCE.read_text())
+    return found.group(1) if found else "unknown"
+
+
 def build(verbose: bool = True) -> Path:
     """Compile ``_kernels.c`` in place; returns the extension path.
 
@@ -66,13 +73,20 @@ def build(verbose: bool = True) -> Path:
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if "--check" in args:
+        from . import compiled_version
         out = ext_path()
-        if out.exists():
-            print(f"compiled backend present: {out}")
-            return 0
-        print("compiled backend absent (run: "
-              "python -m repro.core.compiled.build)")
-        return 1
+        if not out.exists():
+            print("compiled backend absent (run: "
+                  "python -m repro.core.compiled.build)")
+            return 1
+        built, want = compiled_version(), source_version()
+        if built != want:
+            print(f"compiled backend stale: {out} is version {built}, "
+                  f"_kernels.c is version {want} (run: "
+                  f"python -m repro.core.compiled.build)")
+            return 1
+        print(f"compiled backend present: {out} (version {built})")
+        return 0
     out = build()
     print(f"built {out}")
     return 0

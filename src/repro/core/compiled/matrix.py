@@ -17,25 +17,9 @@ against the object matrix; the resilience layer points it at the
 
 from __future__ import annotations
 
-from array import array
-
 from . import kernels
 
 _INF = float("inf")
-
-
-class DColumn(array):
-    """An ``array('d')`` column snapshot of ``(w, e)`` pairs.
-
-    The parallel snapshot cache (``par.kernels._snap_col``) needs
-    ``.copy()`` and slice assignment from its column snapshots; plain
-    ``array('d')`` lacks the former.
-    """
-
-    __slots__ = ()
-
-    def copy(self) -> "DColumn":
-        return DColumn("d", self)
 
 
 class CompiledMatrix:
@@ -64,12 +48,6 @@ class CompiledMatrix:
         view = memoryview(self.buf).cast("d")
         off = 2 * (i * self.Jcap + j)
         return (view[off], view[off + 1])
-
-    def column_snapshot(self, j: int) -> DColumn:
-        """A fresh ``DColumn`` of column ``j`` (Jcap ``(w, e)`` pairs)."""
-        col = DColumn("d")
-        col.frombytes(kernels.get_column_bytes(self.buf, self.Jcap, j))
-        return col
 
     # ------------------------------------------------------ verification
 

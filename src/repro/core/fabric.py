@@ -57,15 +57,16 @@ class Fabric:
         """Route the structural hot paths through the C probes.
 
         Only for ``backend="compiled"`` *and* when the counter carries a
-        ChargeStream (i.e. an engine owns this fabric and flushes once per
-        public update): ``fix_chunk``/``_transition``/``list_of_chunk`` are
-        shadowed with instance attributes whose read-only prefixes --
-        root walks, cache checks, transition predicates -- run in
-        ``_kernels.c``, charging ``root_walk`` into the stream with
-        scalar-identical amounts.  The rare mutating outcomes (make_long /
-        make_short / split / merge) replay the scalar bodies unchanged, so
-        structures, charges and fingerprints stay bit-identical.  Bare
-        fabrics (no engine, no stream) keep the scalar paths.
+        ChargeStream (i.e. a sequential engine owns this fabric and its
+        counter drains the stream on every read):
+        ``fix_chunk``/``_transition``/``list_of_chunk`` are shadowed with
+        instance attributes whose read-only prefixes -- root walks, cache
+        checks, transition predicates -- run in ``_kernels.c``, charging
+        ``root_walk`` into the stream with scalar-identical amounts.  The
+        rare mutating outcomes (make_long / make_short / split / merge)
+        replay the scalar bodies unchanged, so structures, charges and
+        fingerprints stay bit-identical.  Bare fabrics (no engine, no
+        stream) keep the scalar paths.
         """
         space = self.space
         if space.backend != "compiled":

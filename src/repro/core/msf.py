@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .chunks import check_backend
+from .chunks import check_engine_backend
 from .degree import DegreeReducer
 from .sparsify import SparsifiedMSF
 
@@ -51,8 +51,9 @@ class DynamicMSF:
         pure-python ``_nplite`` shim); ``"compiled"`` -- native C kernels
         for the tuple-min inner loops (build them with
         ``python -m repro.core.compiled.build``).  Forests, edge-id
-        streams, op counters and PRAM depth/work are bit-identical across
-        backends; only wall-clock changes.  Any other value raises
+        streams and op counters are bit-identical across backends; only
+        wall-clock changes.  The parallel engine is scalar-only.  Any
+        other value, and ``engine="parallel"`` with ``"compiled"``, raise
         ``ValueError``; ``"compiled"`` raises
         :class:`repro.resilience.errors.BackendUnavailable` when the
         ``_kernels`` C module is absent.
@@ -79,7 +80,7 @@ class DynamicMSF:
         if engine not in ("sequential", "parallel"):
             raise ValueError(
                 f"engine must be 'sequential' or 'parallel', got {engine!r}")
-        check_backend(backend)
+        check_engine_backend(engine, backend)
         self.n = n
         self.engine_kind = engine
         self.sparsified = sparsify
@@ -203,5 +204,9 @@ class DynamicMSF:
 
     @property
     def ops(self):
-        """The sequential elementary-operation counter (non-sparsified)."""
+        """The elementary-operation counter (non-sparsified engines)."""
+        if self.sparsified:
+            raise ValueError(
+                "ops is only exposed by the non-sparsified engines; "
+                "sparsified trees run one counter per tree node")
         return self._impl.core.ops

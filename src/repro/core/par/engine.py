@@ -37,8 +37,7 @@ from typing import Optional
 from ...analysis.counters import OpCounter
 from ...pram.machine import KernelStats, Machine
 from ...structures import two_three_tree as tt
-from .. import compiled
-from ..chunks import Chunk, ChunkSpace
+from ..chunks import Chunk, ChunkSpace, check_engine_backend
 from ..fabric import Fabric
 from ..lsds import EulerList, ListRegistry, node_cadj, node_memb
 from ..model import INF_KEY, Edge
@@ -74,21 +73,18 @@ class ParChunkSpace(ChunkSpace):
     (uncharged; the machine's depth and work are the kernels').
     """
 
-    def __init__(self, machine: Machine, *args, **kwargs) -> None:
+    def __init__(self, machine: Machine, n_max: int, K: Optional[int] = None,
+                 *, ops: Optional[OpCounter] = None) -> None:
         self.machine = machine
-        super().__init__(*args, **kwargs)
+        super().__init__(n_max, K, flavor="parallel", ops=ops)
 
     def rebuild_row(self, c: Chunk) -> None:
         kn.rebuild_row_kernel(self.machine, self, c)
         # the kernel wrote the object row and column; re-derive the row's
         # live lanes (the identity test short-cuts the INF_KEY cells the
-        # kernel wrote) and resync the flat mirror on the stale and new ones
-        row = self.C[c.id]
-        lanes = self.set_live(c.id, {j for j, key in enumerate(row.tolist())
-                                     if key is not INF_KEY
-                                     and key != INF_KEY})
-        if self.compm is not None:
-            self.compm.write_lanes(c.id, lanes, row)
+        # kernel wrote)
+        self.set_live(c.id, {j for j, key in enumerate(self.C[c.id].tolist())
+                             if key is not INF_KEY and key != INF_KEY})
 
     def entry_recompute_pair(self, c1: Chunk, c2: Chunk) -> None:
         kn.entry_pair_kernel(self.machine, self, c1, c2)
@@ -116,8 +112,7 @@ class ParChunkSpace(ChunkSpace):
 
         Bulk O(K) construction: ``tt.build_rightmost`` produces the exact
         shape (and aggregates) of the old insert-after loop without the
-        O(log K) root walk per occurrence.  On the compiled backend the
-        aggregates are summed level-at-a-time by ``bt_level_aggs``.
+        O(log K) root walk per occurrence.
         """
         assert c.head is not None and c.tail is not None
         count = 0
@@ -127,8 +122,6 @@ class ParChunkSpace(ChunkSpace):
         tt_leaf = tt.leaf
         bt_leaves: list[tt.Node] = []
         append = bt_leaves.append
-        degs: Optional[list[int]] = ([] if self.backend == "compiled"
-                                     else None)
         occ = c.head
         while occ is not None:
             occ.chunk = c
@@ -140,18 +133,10 @@ class ParChunkSpace(ChunkSpace):
             lf = tt_leaf(occ, agg=(1 + deg, deg))
             occ.bt_leaf = lf
             append(lf)
-            if degs is not None:
-                degs.append(deg)
             if occ is tail:
                 break
             occ = occ.next
-        if degs is None or len(bt_leaves) < 2:
-            bt_root = tt.build_rightmost(bt_leaves, _bt_pull)
-        else:
-            levels: list[list[tt.Node]] = []
-            bt_root = tt.build_rightmost(bt_leaves, collect_levels=levels)
-            compiled.kernels.bt_level_aggs(levels, [1 + d for d in degs],
-                                           degs)
+        bt_root = tt.build_rightmost(bt_leaves, _bt_pull)
         self.ops.charge("occ_scan", count)
         c.count = count
         c.n_edges = n_edges
@@ -224,17 +209,11 @@ class ParFabric(Fabric):
     """Fabric with analytic charges for the structural (p_1) phases."""
 
     def __init__(self, machine: Machine, n_max: int, K: Optional[int] = None,
-                 *, ops: Optional[OpCounter] = None,
-                 backend: str = "scalar") -> None:
+                 *, ops: Optional[OpCounter] = None) -> None:
         self.machine = machine
-        self.space = ParChunkSpace(machine, n_max, K, flavor="parallel",
-                                   ops=ops, backend=backend)
+        self.space = ParChunkSpace(machine, n_max, K, ops=ops)
         self.registry = ParListRegistry(machine, self.space)
         self.pull = self.registry.pull
-        # Same routed structural plumbing as the sequential fabric: the
-        # fix/transition/list_of paths carry no machine charges, so the
-        # PRAM depth/work identity is untouched.
-        self._bind_compiled_plumbing()
 
     def _charge_struct(self, label: str) -> None:
         J = self.space.Jcap
@@ -280,12 +259,15 @@ class ParallelDynamicMSF(SparseDynamicMSF):
 
     ``engine.update_stats[i]`` holds the measured (depth, work, processors,
     violations) of the i-th update; ``machine.total`` aggregates everything.
+    The engine is scalar-only: ``backend`` accepts ``"scalar"`` and
+    nothing else (:func:`~repro.core.chunks.check_engine_backend`).
     """
 
     def __init__(self, n_max: int, K: Optional[int] = None, *,
                  machine: Optional[Machine] = None, audit: str = "strict",
                  impl: str = "onepass", ops: Optional[OpCounter] = None,
                  backend: str = "scalar") -> None:
+        check_engine_backend("parallel", backend)
         self.machine = machine if machine is not None else Machine(
             audit=audit, impl=impl)
         self.update_stats: list[KernelStats] = []
@@ -294,7 +276,7 @@ class ParallelDynamicMSF(SparseDynamicMSF):
                          backend=backend)
 
     def _build_fabric(self, n_max, K, flavor, ops, backend) -> Fabric:
-        return ParFabric(self.machine, n_max, K, ops=ops, backend=backend)
+        return ParFabric(self.machine, n_max, K, ops=ops)
 
     # ------------------------------------------------------------- updates
 

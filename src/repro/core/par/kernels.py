@@ -757,7 +757,7 @@ def column_sweep_kernel(machine: Machine, space: ChunkSpace,
         # refresh the dirty-tracking snapshot so the next replay hit can
         # propagate only genuinely-changed entries
         snap = space.col_snap.get(j)
-        fresh = _snap_col(space, j)
+        fresh = space.C[:, j]
         if snap is None:
             space.col_snap[j] = fresh.copy()
         else:
@@ -784,19 +784,6 @@ def _sweep_direct(space: ChunkSpace, node: tt.Node, j: int):
     return val, memb
 
 
-def _snap_col(space: ChunkSpace, j: int):
-    """The dirty-tracking view of column ``j``.
-
-    The compiled backend snapshots its flat mirror into a fresh
-    ``DColumn`` (the C ``diff_keys`` kernel does the value diff); the
-    mirror is dual-written at every ``C`` write site, so the two columns
-    dirty identically.
-    """
-    if space.compm is not None:
-        return space.compm.column_snapshot(j)
-    return space.C[:, j]
-
-
 def _sweep_incremental(space: ChunkSpace, tall: list[tt.Node], j: int) -> None:
     """State-equivalent of the full column sweep on the replay hit path.
 
@@ -819,33 +806,18 @@ def _sweep_incremental(space: ChunkSpace, tall: list[tt.Node], j: int) -> None:
     stats are unaffected either way (the replay plan charges the recorded
     kernel cost).
     """
-    col = _snap_col(space, j)
+    col = space.C[:, j]
     snap = space.col_snap.get(j)
-    compiled_mode = space.compm is not None
     if snap is None:
         # first absorb of this column: full recompute, then snapshot
-        if compiled_mode:
-            # C object-mode sweep: identical writes to _sweep_direct (the
-            # parallel LSDS aggregates stay object arrays -- PRAM programs
-            # register them by identity -- so only dispatch is compiled)
-            from ..compiled import kernels as _ck
-            for root in tall:
-                _ck.col_sweep_obj(root, j, space.row_views)
-        else:
-            for root in tall:
-                _sweep_direct(space, root, j)
+        for root in tall:
+            _sweep_direct(space, root, j)
         space.col_snap[j] = col.copy()
         return
-    if compiled_mode:
-        from ..compiled import kernels as _ck
-        dirty = _ck.diff_keys(snap, col, space.Jcap)
-        if not dirty:
-            return
-    else:
-        neq = col != snap
-        if not neq.any():
-            return
-        dirty = np.nonzero(neq)[0]
+    neq = col != snap
+    if not neq.any():
+        return
+    dirty = np.nonzero(neq)[0]
     tall_ids = {id(r) for r in tall}
     row_views = space.row_views
     chunk_of_id = space.chunk_of_id
@@ -885,12 +857,7 @@ def _sweep_incremental(space: ChunkSpace, tall: list[tt.Node], j: int) -> None:
                     memb = memb or bool(smemb)
                 node.agg[0][j] = val
                 node.agg[1][j] = memb
-        if compiled_mode:
-            # DColumn stores (w, e) pairs: sync both halves of entry i
-            snap[2 * i] = col[2 * i]
-            snap[2 * i + 1] = col[2 * i + 1]
-        else:
-            snap[i] = col[i]
+        snap[i] = col[i]
 
 
 # ---------------------------------------------------------------------------

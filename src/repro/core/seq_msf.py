@@ -107,8 +107,8 @@ class SparseDynamicMSF:
         # super().__init__; the per-materialization getattr is hoisted here.
         self._machine = getattr(self, "machine", None)
         # Compiled tier: batch hot-path charges in a C-side accumulator,
-        # folded back into the counter once per public update (flush
-        # epilogues below).  Attached *before* the fabric is built so
+        # folded back into the counter lazily, by its next read (see
+        # OpCounter.flush).  Attached *before* the fabric is built so
         # Fabric._bind_compiled_plumbing sees it.
         if backend == "compiled":
             from . import compiled as _compiled

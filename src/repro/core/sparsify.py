@@ -63,6 +63,7 @@ from typing import Iterator, Optional, Sequence
 
 from ..resilience import faults as _faults
 from ..resilience.errors import InvalidInputError, UnknownEdgeError
+from .chunks import check_engine_backend
 from .degree import DegreeReducer
 from .model import check_endpoints, check_weight
 
@@ -373,6 +374,8 @@ class SparsifiedMSF:
                  backend: str = "scalar") -> None:
         if n < 2:  # raised, not asserted: survives `python -O`
             raise ValueError(f"need at least 2 vertices, got n={n}")
+        check_engine_backend("parallel" if parallel else "sequential",
+                             backend)
         # Per-instance edge-id counter (a class-level counter would make
         # assigned ids depend on how many other trees the process built,
         # breaking the bit-identical gates between serving fronts and the

@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Optional
 
-from ..core.chunks import check_backend
+from ..core.chunks import check_engine_backend
 from ..core.degree import DegreeReducer
 from ..core.model import check_endpoints, check_weight
 from ..core.sparsify import SparsifiedMSF
@@ -66,7 +66,7 @@ class BatchedMSF:
     backend:
         ``"scalar"`` (default) or ``"compiled"``, forwarded to the
         backend engines as in :class:`repro.DynamicMSF`; bit-identical
-        op streams either way.
+        op streams either way.  The parallel engine is scalar-only.
     durability:
         ``"off"`` (default) or ``"wal"``.  Under ``"wal"`` every
         committed batch's *effectively applied* canonical op stream is
@@ -110,7 +110,7 @@ class BatchedMSF:
                                       or pool_size < 1):
             raise ValueError(
                 f"pool_size must be None or an int >= 1, got {pool_size!r}")
-        check_backend(backend)
+        check_engine_backend(engine, backend)
         if durability not in ("off", "wal"):
             raise ValueError(
                 f"durability must be 'off' or 'wal', got {durability!r}")

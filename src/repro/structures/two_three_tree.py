@@ -343,8 +343,8 @@ def insert_first(root: Optional[Node], new_leaf: Node, pull: Pull = _noop_pull) 
     return _fix_overflow(p, pull)
 
 
-def build_rightmost(leaves: list[Node], pull: Pull = _noop_pull, *,
-                    collect_levels: Optional[list] = None) -> Optional[Node]:
+def build_rightmost(leaves: list[Node],
+                    pull: Pull = _noop_pull) -> Optional[Node]:
     """Build, in O(n), the exact tree that inserting ``leaves`` left to
     right with :func:`insert_after` (each after the current last leaf)
     would produce.
@@ -358,12 +358,6 @@ def build_rightmost(leaves: list[Node], pull: Pull = _noop_pull, *,
     aggregates, so the final aggregates match the incremental
     construction's.  ``tests/structures`` pins shape *and* aggregate
     equality against the incremental build.
-
-    When ``collect_levels`` is a list, each internal level's node list
-    (height 1 first, left to right) is appended to it and ``pull`` is
-    *not* called -- the caller batches the aggregate computation itself
-    (the compiled backend's level-at-a-time ``bt_level_aggs`` kernel).
-    Shapes are identical either way.
 
     The bulk path matters because ``ChunkSpace.adopt_occurrences``
     rebuilds each chunk's ``BT_c`` from scratch on every chunk surgery:
@@ -392,11 +386,8 @@ def build_rightmost(leaves: list[Node], pull: Pull = _noop_pull, *,
                 c.parent = node
                 c.pos = p
                 p += 1
-            if collect_levels is None:
-                pull(node)
+            pull(node)
             nxt.append(node)
-        if collect_levels is not None:
-            collect_levels.append(nxt)
         level = nxt
         h += 1
     return level[0]

@@ -2,13 +2,13 @@
 
 One contract for the optional execution backend: for any op stream,
 ``backend="compiled"`` must produce the same forests, edge-id streams,
-``msf_weight``, op-counter totals, PRAM depth/work and facade
-``state_fingerprint`` as the scalar path -- only wall clock may differ.
-The suite is parametrized over :data:`BACKENDS` so any future backend
-rides the identical gates instead of growing a diverged copy.  The
-compiled tier's own substrate pieces (the flat mirror, the BT level
-aggregation kernel) and the backend-selection errors are pinned at the
-end of the file.
+``msf_weight``, op-counter totals and facade ``state_fingerprint`` as
+the scalar path -- only wall clock may differ.  The parallel engine is
+scalar-only, so every row here runs the sequential engine.  The suite
+is parametrized over :data:`BACKENDS` so any future backend rides the
+identical gates instead of growing a diverged copy.  The compiled
+tier's own substrate piece (the flat mirror) and the backend-selection
+errors are pinned at the end of the file.
 
 Compiled rows skip without a C compiler -- when a compiler exists but
 the extension is stale or absent, the fixture builds it on the spot
@@ -26,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.msf import DynamicMSF
-from repro.core.par import ParallelDynamicMSF
 from repro.core.seq_msf import SparseDynamicMSF
 from repro.resilience.checks import state_fingerprint
 from repro.resilience.soak import run_campaign
@@ -59,7 +58,6 @@ def _ensure_compiled():
     importlib.reload(compiled)  # re-probes _kernels
     matrix = importlib.reload(sys.modules["repro.core.compiled.matrix"])
     compiled.CompiledMatrix = matrix.CompiledMatrix
-    compiled.DColumn = matrix.DColumn
     if not compiled.HAVE_COMPILED:
         return "native extension built but import still failed"
     return None
@@ -114,7 +112,7 @@ def test_facade_fuzz_bit_identity(backend: str, workload: str,
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("engine", ["sequential", "parallel"])
+@pytest.mark.parametrize("engine", ["sequential"])
 def test_facade_engines_identical(backend: str, engine: str) -> None:
     n = 48
     ops = _stream_for("churn", n, 100, seed=3)
@@ -153,30 +151,6 @@ def test_seq_core_counters_and_mirror(backend: str) -> None:
     assert space.compm is not None
     assert space.compm.verify_against(space.C) == []
     assert engines[0].fabric.space.compm is None
-
-
-def test_parallel_core_depth_work_identical(backend: str) -> None:
-    """PRAM depth/work are *model* quantities: an execution backend may
-    not change them by even one unit, per update or in total."""
-    n = 64
-    ops = list(adversarial_cuts(n, 3, seed=3))
-    outs = []
-    for bk in ("scalar", backend):
-        eng = ParallelDynamicMSF(n, audit="fast", backend=bk)
-        handles = {}
-        for idx, op in enumerate(ops):
-            if op[0] == "ins":
-                _t, u, v, w = op
-                handles[idx] = eng.insert_edge(u, v, w, eid=10_000 + idx)
-            else:
-                eng.delete_edge(handles.pop(op[1]))
-        outs.append((
-            [(s.depth, s.work) for s in eng.update_stats],
-            (eng.machine.total.depth, eng.machine.total.work),
-            tuple(sorted(e.eid for e in eng.msf_edges())),
-            round(eng.msf_weight(), 9),
-        ))
-    assert outs[0] == outs[1]
 
 
 # ------------------------------------- PR 9: structural-plumbing parity
@@ -374,3 +348,14 @@ def test_compiled_verify_against_pinpoints_skew() -> None:
     view[2 * (2 * space.Jcap + 1)] += 0.25
     assert len(space.compm.verify_against(space.C, max_findings=1)) == 1
     assert len(space.compm.verify_against(space.C)) == 2
+
+
+def test_extension_built_from_this_source() -> None:
+    """The loaded extension reports the ``__version__`` of this
+    ``_kernels.c``: a stale build (one that still exports kernels the
+    source has dropped) fails here and in ``build --check``."""
+    _require_compiled()
+    from repro.core import compiled
+    from repro.core.compiled import build
+    assert compiled.compiled_version() == build.source_version()
+    assert build.main(["--check"]) == 0

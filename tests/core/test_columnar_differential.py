@@ -4,11 +4,10 @@
 in ``test_backend_differential.py``.  Kept here, under their original
 names, are the checks whose subject outlived the backend:
 
-* the bulk BT build with ``collect_levels`` plus a vectorized level
-  aggregation, now pinned against the compiled ``bt_level_aggs`` kernel
-  (skipped without a C compiler);
-* backend selection: unknown and retired backend names are rejected at
-  every front;
+* the bulk ``BT_c`` build, pinned level by level against the incremental
+  insert-after build under the ``(units, edges)`` pull;
+* backend selection: unknown and retired backend names, and the parallel
+  engine on a backend other than scalar, are rejected at every front;
 * the no-numpy degradation path of the scalar backend.
 """
 
@@ -23,10 +22,11 @@ import pytest
 
 from repro.core.chunks import ChunkSpace
 from repro.core.msf import DynamicMSF
+from repro.core.par import ParallelDynamicMSF
 from repro.core.par.engine import _bt_pull
+from repro.core.sparsify import SparsifiedMSF
 from repro.serve import BatchedMSF
 from repro.structures import two_three_tree as tt
-from tests.core.test_backend_differential import _require_compiled
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -45,37 +45,36 @@ def _shape_of(root) -> list:
 
 @pytest.mark.parametrize("n_leaves", list(range(1, 41)))
 def test_build_rightmost_levels_shape_and_aggs(n_leaves: int) -> None:
-    """Exhaustive small-n equality of the compiled BT bulk build: the
-    ``collect_levels`` tree has the scalar ``build_rightmost`` shape, and
-    ``bt_level_aggs`` assigns the same ``(units, edges)`` aggregate, as
-    python ints, to every internal node that ``_bt_pull`` computes."""
-    _require_compiled()
-    from repro.core import compiled
+    """Exhaustive small-n equality of the ``BT_c`` bulk build that
+    ``ParChunkSpace.adopt_occurrences`` runs: ``build_rightmost`` under
+    ``_bt_pull`` has, level by level, the shape of the incremental
+    insert-after build, and the same ``(units, edges)`` aggregate, as
+    python ints, at every node."""
     rng = random.Random(n_leaves)
     degs = [rng.randrange(4) for _ in range(n_leaves)]
 
-    scalar_leaves = [tt.leaf(i, agg=(1 + d, d)) for i, d in enumerate(degs)]
-    scalar_root = tt.build_rightmost(scalar_leaves, _bt_pull)
+    bulk_leaves = [tt.leaf(i, agg=(1 + d, d)) for i, d in enumerate(degs)]
+    bulk_root = tt.build_rightmost(bulk_leaves, _bt_pull)
 
-    comp_leaves = [tt.leaf(i, agg=(1 + d, d)) for i, d in enumerate(degs)]
-    levels: list = []
-    comp_root = tt.build_rightmost(comp_leaves, collect_levels=levels)
-    if n_leaves >= 2:  # ChunkSpace.adopt_occurrences' own guard
-        compiled.kernels.bt_level_aggs(levels, [1 + d for d in degs], degs)
+    inc_leaves = [tt.leaf(i, agg=(1 + d, d)) for i, d in enumerate(degs)]
+    inc_root = inc_leaves[0]
+    for prev, lf in zip(inc_leaves, inc_leaves[1:]):
+        inc_root = tt.root_of(tt.insert_after(prev, lf, _bt_pull))
 
-    assert _shape_of(scalar_root) == _shape_of(comp_root)
-    for a, b in zip(tt.iter_nodes(scalar_root), tt.iter_nodes(comp_root)):
+    assert _shape_of(bulk_root) == _shape_of(inc_root)
+    for a, b in zip(tt.iter_nodes(bulk_root), tt.iter_nodes(inc_root)):
         assert a.agg == b.agg
-        assert type(a.agg[0]) is type(b.agg[0]) is int
-        assert type(a.agg[1]) is type(b.agg[1]) is int
+        assert type(a.agg[0]) is type(a.agg[1]) is int
 
 
 # ------------------------------------------------------ backend selection
 
-def test_bad_backend_rejected() -> None:
+def test_bad_backend_rejected(monkeypatch) -> None:
     """Only :data:`repro.core.chunks.BACKENDS` are accepted: an unknown
     name and the retired ``"columnar"`` backend raise ``ValueError`` at
-    every front, before any engine is built."""
+    every front, before any engine is built.  The parallel engine is
+    scalar-only: ``backend="compiled"`` with ``engine="parallel"`` is a
+    ``ValueError`` at all four fronts, extension built or not."""
     for bad in ("simd", "columnar"):
         with pytest.raises(ValueError, match="backend"):
             DynamicMSF(4, backend=bad)
@@ -85,6 +84,25 @@ def test_bad_backend_rejected() -> None:
             BatchedMSF(4, backend=bad)
         with pytest.raises(ValueError, match="backend"):
             ChunkSpace(4, backend=bad)
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built before the check")
+
+    monkeypatch.setattr(SparsifiedMSF, "_get_node", no_engine)
+    monkeypatch.setattr(ParallelDynamicMSF, "_build_fabric", no_engine)
+    fronts = (
+        lambda: DynamicMSF(4, engine="parallel", backend="compiled"),
+        lambda: DynamicMSF(4, engine="parallel", sparsify=True,
+                           backend="compiled"),
+        lambda: BatchedMSF(4, engine="parallel", backend="compiled"),
+        lambda: BatchedMSF(4, engine="parallel", sparsify=False,
+                           backend="compiled"),
+        lambda: SparsifiedMSF(4, parallel=True, backend="compiled"),
+        lambda: ParallelDynamicMSF(4, backend="compiled"),
+    )
+    for build in fronts:
+        with pytest.raises(ValueError, match="scalar"):
+            build()
 
 
 # -------------------------------------------------- no-numpy degradation

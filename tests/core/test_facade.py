@@ -65,10 +65,27 @@ def test_parallel_facade_exposes_stats():
     assert len(msf.update_stats) >= 2
 
 
-def test_sequential_facade_exposes_ops():
-    msf = DynamicMSF(6)
-    msf.insert_edge(0, 1, 1.0)
-    assert msf.ops.total > 0
+@pytest.mark.parametrize("backend", ["scalar", "compiled"])
+def test_sequential_facade_exposes_ops(backend):
+    """``ops.total`` is current after every update, also while the
+    compiled tier batches charges in a stream that drains lazily."""
+    if backend == "compiled":
+        from repro.core import compiled
+        if not compiled.HAVE_COMPILED:
+            pytest.skip("compiled extension not built")
+    msf = DynamicMSF(16, backend=backend)
+    for i in range(15):
+        msf.insert_edge(i, i + 1, float(i))
+        assert msf.ops.total == msf.ops.grand_total() > 0
+
+
+def test_sparsified_facade_has_no_single_counter():
+    """A sparsified tree runs one counter per node: ``ops`` says so with
+    a ``ValueError``, like ``machine`` and ``update_stats``."""
+    msf = DynamicMSF(6, sparsify=True)
+    for prop in ("ops", "machine", "update_stats"):
+        with pytest.raises(ValueError, match="sparsified"):
+            getattr(msf, prop)
 
 
 def test_engine_validation():

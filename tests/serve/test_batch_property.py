@@ -175,9 +175,11 @@ FUZZ_FRONTS = {
                                     processes=False),
 }
 
+#: the cluster and the parallel engine run the scalar backend only
 FUZZ_CASES = [(f, b) for f in sorted(FUZZ_FRONTS) for b in ("scalar",
                                                            "compiled")
-              if not (f == "cluster" and b == "compiled")]
+              if not (f in ("cluster", "facade-parallel")
+                      and b == "compiled")]
 
 
 def _settle(front) -> None:

@@ -1,7 +1,8 @@
-"""The regression gate's comparison rule and sampler, on synthetic data.
+"""The regression gate's comparison rule and sampler, on synthetic data,
+and the profiler's argument checks.
 
-``benchmarks/bench_regression.py`` is loaded by path; nothing here times
-anything.
+``benchmarks/bench_regression.py`` and ``benchmarks/profile_hotspots.py``
+are loaded by path; nothing here times anything.
 """
 
 from __future__ import annotations
@@ -19,17 +20,21 @@ HOST = {"cpu_count": 2, "implementation": "CPython", "python": "3.11.7",
 OTHER_HOST = dict(HOST, cpu_count=1)
 
 
-@pytest.fixture(scope="module")
-def gate():
+def _load(name: str):
     sys.path.insert(0, str(BENCHMARKS))
     try:
         spec = importlib.util.spec_from_file_location(
-            "bench_regression", BENCHMARKS / "bench_regression.py")
+            name, BENCHMARKS / f"{name}.py")
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
     finally:
         sys.path.remove(str(BENCHMARKS))
     return mod
+
+
+@pytest.fixture(scope="module")
+def gate():
+    return _load("bench_regression")
 
 
 def _row(ups, *, depth=None, work=None, n=128, workload="churn"):
@@ -124,3 +129,15 @@ def test_rounds_stopping_rule(gate, min_rounds, budget_s, expected):
     arms = {"plain": lambda: 0.25, "checked": lambda: 0.25}
     out = gate.rounds(arms, min_rounds=min_rounds, budget_s=budget_s)
     assert len(out) == expected
+
+
+@pytest.mark.parametrize("engine", ["par", "par-fast"])
+def test_profiler_rejects_parallel_on_compiled(engine, capsys):
+    """The parallel engine is scalar-only: profiling it with ``--backend
+    compiled`` is a usage error (exit 2) before any engine is built."""
+    hotspots = _load("profile_hotspots")
+    with pytest.raises(SystemExit) as exc:
+        hotspots.parse_args([engine, "--backend", "compiled"])
+    assert exc.value.code == 2
+    assert "scalar-only" in capsys.readouterr().err
+    assert hotspots.parse_args([engine]).backend == "scalar"

@@ -9,14 +9,23 @@ and they are inserted connecting a fresh isolated node, so they are never
 candidates for replacement and never leave the forest unless deleted).
 
 This layer makes the transformation *dynamic*, costing O(1) extra core
-updates per operation:
+work per operation and never a replacement search:
 
 * inserting a real edge may extend each endpoint's chain by one node
-  (one ``-inf`` core insertion each);
-* deleting a real edge frees its two host slots; free slots are kept in a
-  per-vertex pool and reused by later insertions, and trailing unused chain
-  nodes are trimmed (one core deletion each).
+  (one ``-inf`` core insertion each, a leaf link);
+* deleting a real edge is one core deletion, then each freed host slot
+  leaves its chain by a *gadget splice*: the anchor (the vertex itself)
+  just becomes the chain's free slot; a freed tail gadget is dropped as a
+  leaf (:meth:`SparseDynamicMSF.drop_leaf`); a freed mid-chain gadget is
+  bypassed, its two chain edges replaced by one
+  (:meth:`SparseDynamicMSF.bypass`).  No real edge ever moves.
 
+So every non-anchor chain node hosts an edge, and the gadgets in use never
+exceed the hosted slots: the pool of ``2 * max_edges`` gadget ids cannot
+run dry.  Freed gadgets return to a LIFO pool.
+
+Real edge ids and chain-edge ids come from separate counters, so an
+auto-assigned real id is its insert ordinal whatever the chains did.
 Self-loops never enter an MSF; they are tracked locally and ignored.
 Parallel edges are supported (each gets fresh host slots).
 """
@@ -37,18 +46,31 @@ _NEG_INF = float("-inf")
 
 
 class _Chain:
-    """The gadget chain of one real vertex (the anchor is the vertex)."""
+    """The gadget chain of one real vertex (the anchor is the vertex).
 
-    __slots__ = ("nodes", "free", "hosted")
+    A singly linked path ``anchor -> .. -> tail`` (``succ``); a gadget's
+    predecessor is the far end of its chain edge.  Every non-anchor node
+    hosts an edge, and ``free`` is ``[anchor]`` exactly when the anchor
+    hosts nothing.
+    """
+
+    __slots__ = ("anchor", "tail", "succ", "free", "hosted")
 
     def __init__(self, g0: int) -> None:
-        self.nodes: list[int] = [g0]
-        self.free: list[int] = [g0]   # gadget nodes with an open host slot
+        self.anchor = self.tail = g0
+        self.succ: dict[int, int] = {}  # node -> next node toward the tail
+        self.free: list[int] = [g0]     # the anchor, while it hosts nothing
         self.hosted: dict[int, int] = {}  # gadget node -> hosted real eid
 
-    @property
-    def anchor(self) -> int:
-        return self.nodes[0]
+    def nodes(self) -> list[int]:
+        """The chain in order, anchor first (checks and tests)."""
+        out = [self.anchor]
+        for _ in range(len(self.succ)):  # bounded: a corrupt cycle ends
+            nxt = self.succ.get(out[-1])
+            if nxt is None:
+                break
+            out.append(nxt)
+        return out
 
 
 class DegreeReducer:
@@ -60,9 +82,8 @@ class DegreeReducer:
         number of real vertices (ids ``0..n-1``).
     max_edges:
         maximum number of concurrently live real edges (sizes the core's
-        vertex pool: ``n + max_edges`` gadget nodes suffice, one fresh node
-        per live endpoint beyond the anchors... we allocate ``n + 2 *
-        max_edges`` for slack under churn).
+        vertex pool: ``n`` anchors plus ``2 * max_edges`` gadget nodes, one
+        per hosted non-anchor slot, which every live endpoint bounds).
     engine_factory:
         ``(n_core) -> engine``; defaults to the sequential sparse engine.
     """
@@ -71,14 +92,15 @@ class DegreeReducer:
                  engine_factory=None, K: Optional[int] = None,
                  ops: Optional[OpCounter] = None,
                  backend: str = "scalar") -> None:
-        # Per-instance edge-id counter.  A class-level counter would draw
+        # Per-instance edge-id counters.  A class-level counter would draw
         # ids in *global* call order, so a sparsification tree node's
         # gadget chain edges would get ids that depend on every other
         # engine in the process -- and chain-edge ids break (-inf, eid)
-        # key ties inside the core engines.  Per-instance counters keep
-        # every node engine's id stream a pure function of its own op
-        # sequence.
+        # key ties inside the core engines.  Real ids and (negated)
+        # chain-edge ids draw from separate counters, so an auto-assigned
+        # real id is its insert ordinal, independent of chain history.
         self._eid = itertools.count(1)
+        self._chain_eid = itertools.count(1)
         self.n = n
         self.max_edges = max_edges if max_edges is not None else max(2 * n, 16)
         n_core = self._n_core = n + 2 * self.max_edges
@@ -111,7 +133,8 @@ class DegreeReducer:
         # real-edge registry: eid -> (u, v, w, core Edge, host_u, host_v)
         self.real: dict[int, tuple[int, int, float, Edge, int, int]] = {}
         self.self_loops: dict[int, tuple[int, float]] = {}
-        # chain core-edges: gadget id -> core Edge to its chain predecessor
+        # chain core-edges: gadget id -> core Edge from its chain
+        # predecessor (``u``) to it (``v``)
         self._chain_edge: dict[int, Edge] = {}
 
     # ------------------------------------------------------------- queries
@@ -189,7 +212,7 @@ class DegreeReducer:
         The sparsification tree (Section 5) needs, per local-graph update,
         which edges entered/left the local MSF so it can forward O(1)
         updates to the parent node.  Net deltas are computed from the core's
-        change log, so gadget relocations and transient swaps cancel out.
+        change log, so chain-edge flips and transient swaps cancel out.
         """
         mark = len(self.core.change_log)
         self.insert_edge(u, v, w, eid=eid)
@@ -246,15 +269,15 @@ class DegreeReducer:
                 f"raise max_edges (now {self.max_edges})")
 
     def _claim_slot(self, v: int, eid: int) -> int:
-        """A host slot on v's chain.  Invariant: ``free`` is empty unless the
-        chain is just its anchor, so chain length stays 1 + hosted count."""
+        """A host slot on v's chain: the anchor if it is free, else a new
+        tail gadget (one leaf link)."""
         chain = self.chains.get(v)
         if chain is None:
             chain = self.chains[v] = _Chain(v)
         if chain.free:
             slot = chain.free.pop()
         else:
-            tail = chain.nodes[-1]
+            tail = chain.tail
             if self._free_gadgets:
                 slot = self._free_gadgets.pop()
             elif self._next_gadget < self._n_core:
@@ -266,54 +289,41 @@ class DegreeReducer:
             # ids keep them in a namespace disjoint from real edges, so the
             # (weight, eid) total order stays strict inside the core
             chain_edge = self.core.insert_edge(tail, slot, _NEG_INF,
-                                               eid=-next(self._eid))
+                                               eid=-next(self._chain_eid))
             assert chain_edge.is_tree
             self._chain_edge[slot] = chain_edge
-            chain.nodes.append(slot)
+            chain.succ[tail] = slot
+            chain.tail = slot
         chain.hosted[slot] = eid
         return slot
 
     def _release_slot(self, v: int, slot: int, eid: int) -> None:
-        """Free a host slot, compacting so no mid-chain holes survive.
+        """Free a host slot by one O(1) gadget splice, never moving an edge.
 
-        If the freed slot is not the tail, the tail's hosted edge (if any)
-        is *relocated* into the hole -- one core delete + insert with the
-        same key, which cannot change the (unique) MSF -- and the tail is
-        trimmed.  This keeps every chain at length 1 + hosted count, so the
-        gadget pool of ``2 * max_edges`` extra nodes never exhausts.  A
-        chain left hosting nothing is just its anchor again and is dropped.
+        The anchor becomes the chain's free slot.  A tail gadget is dropped
+        as a leaf; a mid-chain gadget is bypassed, its successor's chain
+        edge replaced by one from its predecessor (same id).  Either way
+        the gadget returns to the pool.  A chain left hosting nothing is
+        just its anchor again and is dropped.
         """
         chain = self.chains[v]
-        assert chain.hosted.pop(slot) == eid
-        tail = chain.nodes[-1]
-        if len(chain.nodes) > 1:
-            if slot != tail and tail in chain.hosted:
-                self._relocate(chain, tail, slot)
-            elif slot != tail:  # pragma: no cover - tail is always hosted
-                chain.free.append(slot)
-            self._trim(chain)
+        if chain.hosted.pop(slot) != eid:  # pragma: no cover - corruption
+            raise AssertionError(f"slot {slot} did not host edge {eid}")
+        if slot == chain.anchor:
+            chain.free = [slot]
+        else:
+            e_in = self._chain_edge.pop(slot)
+            pred = e_in.u.vid
+            if slot == chain.tail:
+                self.core.drop_leaf(e_in, slot)
+                del chain.succ[pred]
+                chain.tail = pred
+            else:
+                nxt = chain.succ.pop(slot)
+                e_out = self._chain_edge[nxt]
+                self._chain_edge[nxt] = self.core.bypass(
+                    e_in, e_out, slot, e_out.eid)
+                chain.succ[pred] = nxt
+            self._free_gadgets.append(slot)
         if not chain.hosted:
             del self.chains[v]
-
-    def _relocate(self, chain: _Chain, from_slot: int, to_slot: int) -> None:
-        eid2 = chain.hosted.pop(from_slot)
-        u2, v2, w2, core_e, hu, hv = self.real.pop(eid2)
-        self.core.delete_edge(core_e)
-        if hu == from_slot:
-            hu = to_slot
-        else:
-            assert hv == from_slot
-            hv = to_slot
-        new_e = self.core.insert_edge(hu, hv, w2, eid=eid2)
-        self.real[eid2] = (u2, v2, w2, new_e, hu, hv)
-        chain.hosted[to_slot] = eid2
-
-    def _trim(self, chain: _Chain) -> None:
-        while len(chain.nodes) > 1 and chain.nodes[-1] not in chain.hosted:
-            tail = chain.nodes.pop()
-            self.core.delete_edge(self._chain_edge.pop(tail))
-            self._free_gadgets.append(tail)
-        if len(chain.nodes) == 1 and chain.anchor not in chain.hosted:
-            chain.free = [chain.anchor]
-        else:
-            chain.free = []

@@ -27,6 +27,19 @@ extension of the degree reducer and every path build takes this case.
 Otherwise rotate ``T_v``'s list to start at ``pc_v``, embed it as an
 excursion after ``pc_u``, adding one new occurrence of ``v`` (if ``T_v`` is
 not a singleton) and one of ``u`` (if ``T_u`` is not).
+
+Two *gadget splices* serve the degree reducer's slot release; neither
+rotates, splits or joins a list:
+
+* :func:`detach_leaf` (the inverse of the leaf link) removes a tree edge
+  whose endpoint has no other edge: it deletes the leaf's occurrence and
+  one of the two host occurrences it separated (the principal copy is
+  kept), retargets the arc that ran through the dropped one, and gives the
+  leaf a fresh short, id-less list;
+* :func:`bypass_node` contracts a degree-2 node ``s`` out of a path ``p -
+  s - q``: it deletes both occurrences of ``s`` and hands the arcs ``(p_x,
+  q_x)`` and ``(q_y, p_y)`` that close over them to the new edge ``(p,
+  q)``; ``s`` gets a fresh singleton list too.
 """
 
 from __future__ import annotations
@@ -35,9 +48,10 @@ from typing import Optional
 
 from .fabric import Fabric
 from .lsds import EulerList
-from .model import Edge, Occurrence
+from .model import Edge, Occurrence, Vertex
 
-__all__ = ["cut_tour", "link_tour", "tour_occurrences"]
+__all__ = ["bypass_node", "cut_tour", "detach_leaf", "link_tour",
+           "tour_occurrences"]
 
 
 def tour_occurrences(lst: EulerList):
@@ -181,3 +195,96 @@ def link_tour(fabric: Fabric, e: Edge) -> EulerList:
     e.arc_uv = (u_star, v_star)
     e.arc_vu = (end_v, u_new if u_new is not None else u_star)
     return merged
+
+
+def _cyclic_next(fabric: Fabric, occ: Occurrence) -> Occurrence:
+    nxt = occ.next
+    if nxt is None:
+        nxt = fabric.list_of(occ.chunk).first_chunk().head
+    assert nxt is not None
+    return nxt
+
+
+def _cyclic_prev(fabric: Fabric, occ: Occurrence) -> Occurrence:
+    prv = occ.prev
+    if prv is None:
+        prv = fabric.list_of(occ.chunk).last_chunk().tail
+    assert prv is not None
+    return prv
+
+
+def _delete_vertex_occurrences(fabric: Fabric, vertex: Vertex,
+                               occs: tuple[Occurrence, ...]) -> None:
+    """Delete every occurrence of an edgeless ``vertex`` (principal copy
+    included) and give it a fresh singleton list."""
+    vertex.pc = None
+    for occ in occs:
+        fabric.delete_occ(occ)
+    fabric.new_singleton_list(vertex)
+
+
+def detach_leaf(fabric: Fabric, e: Edge, leaf: Vertex) -> None:
+    """Remove tree edge ``e``, whose endpoint ``leaf`` has no other edge.
+
+    The tour reads ``[.. x, s, y ..]`` cyclically, with ``s`` the leaf's
+    only occurrence and ``x``, ``y`` occurrences of the host, ``e`` owning
+    ``(x, s)`` and ``(s, y)``.  ``s`` is deleted; if ``x`` and ``y`` are
+    distinct copies they collapse into one, keeping the principal copy
+    when present: dropping ``y`` hands its outgoing arc ``(y, z)`` to
+    ``(x, z)``, dropping ``x`` hands ``(w, x)`` to ``(w, y)``.  The caller
+    has already taken ``e`` out of the adjacency and the fabric's edge
+    accounting, so the leaf carries no edge into its new list.
+    """
+    assert e.arc_uv is not None and e.arc_vu is not None
+    s = leaf.pc
+    assert s is not None and not leaf.edges
+    into, out = (e.arc_uv, e.arc_vu) if e.arc_uv[1] is s else (e.arc_vu,
+                                                                e.arc_uv)
+    assert into[1] is s and out[0] is s
+    x, y = into[0], out[1]
+    _delete_vertex_occurrences(fabric, leaf, (s,))
+    if x is not y:
+        if y.is_principal:
+            w = _cyclic_prev(fabric, x)
+            _retarget_arc((w, x), (w, y))
+            fabric.delete_occ(x)
+        else:
+            z = _cyclic_next(fabric, y)
+            _retarget_arc((y, z), (x, z))
+            fabric.delete_occ(y)
+    e.arc_uv = None
+    e.arc_vu = None
+
+
+def bypass_node(fabric: Fabric, e_in: Edge, e_out: Edge, e_new: Edge,
+                mid: Vertex) -> None:
+    """Replace tree edges ``e_in = (p, mid)``, ``e_out = (mid, q)`` by
+    ``e_new = (p, q)`` in the tour.
+
+    ``mid`` has no other edge, so it occurs exactly twice, cyclically
+    ``[.. p_x, s_a, q_x .. q_y, s_b, p_y ..]``.  Both ``s_a`` and ``s_b``
+    are deleted and ``e_new`` takes the two arcs that now close over them,
+    ``(p_x, q_x)`` and ``(q_y, p_y)``; every other arc is untouched.  The
+    caller has already taken ``e_in`` and ``e_out`` out of the adjacency
+    and the edge accounting and registers ``e_new`` afterwards.
+    """
+    assert e_in.arc_uv is not None and e_in.arc_vu is not None
+    assert e_out.arc_uv is not None and e_out.arc_vu is not None
+    assert not mid.edges
+    into, back = ((e_in.arc_uv, e_in.arc_vu)
+                  if e_in.arc_uv[1].vertex is mid
+                  else (e_in.arc_vu, e_in.arc_uv))
+    p_x, s_a = into
+    s_b, p_y = back
+    ahead, ret = ((e_out.arc_uv, e_out.arc_vu) if e_out.arc_uv[0] is s_a
+                  else (e_out.arc_vu, e_out.arc_uv))
+    assert ahead[0] is s_a and ret[1] is s_b and s_a is not s_b
+    q_x, q_y = ahead[1], ret[0]
+    _delete_vertex_occurrences(fabric, mid, (s_a, s_b))
+    if e_new.u is p_x.vertex:
+        e_new.arc_uv, e_new.arc_vu = (p_x, q_x), (q_y, p_y)
+    else:
+        e_new.arc_uv, e_new.arc_vu = (q_y, p_y), (p_x, q_x)
+    for g in (e_in, e_out):
+        g.arc_uv = None
+        g.arc_vu = None

@@ -11,6 +11,11 @@ on but states informally:
   occurrence and joining two lists, with all CAdj/Memb bookkeeping;
 * **leaf links** (Lemma 2.1's cheapest case): an isolated vertex joins a
   tour by two occurrence inserts (:meth:`Fabric.attach_singleton`);
+* **gadget splices** (the degree reducer's slot release): an edgeless
+  vertex leaves a tour by occurrence deletes (:meth:`Fabric.delete_occ`,
+  principal copy included) and gets a fresh singleton list
+  (:meth:`Fabric.new_singleton_list`); ``euler.detach_leaf`` and
+  ``euler.bypass_node`` drive them;
 * **edge/occurrence/principal bookkeeping**: the O(K)-scan row rebuilds and
   ``UpdateAdj`` calls each mutation requires.
 
@@ -424,7 +429,8 @@ class Fabric:
         return h_new
 
     def delete_occ(self, occ: Occurrence) -> None:
-        """Remove a (non-principal) occurrence from its list."""
+        """Remove a non-principal occurrence from its list (a vertex that
+        leaves its tour altogether clears ``pc`` first)."""
         assert not occ.is_principal, "move the principal copy first"
         c = occ.chunk
         if occ.prev is not None:

@@ -313,6 +313,14 @@ class ParallelDynamicMSF(SparseDynamicMSF):
         with self._measure("delete"):
             return super().delete_edge(e)
 
+    def drop_leaf(self, e: Edge, vid: int) -> None:
+        with self._measure("drop_leaf"):
+            super().drop_leaf(e, vid)
+
+    def bypass(self, e_in: Edge, e_out: Edge, vid: int, eid: int) -> Edge:
+        with self._measure("bypass"):
+            return super().bypass(e_in, e_out, vid, eid)
+
     # ------------------------------------------------------------- MWR
 
     def _find_mwr(self, lu: EulerList, lv: EulerList) -> Optional[Edge]:

@@ -9,6 +9,10 @@ Update algorithms follow Section 2.6 verbatim:
 * **delete(e)**: un-account the edge; if it was a tree edge, cut the tour,
   search for a minimum-weight replacement (Lemma 2.4) and reconnect.
 
+Two search-free splices serve the degree reducer: :meth:`drop_leaf`
+deletes the only edge of a vertex, and :meth:`bypass` contracts a vertex
+out of a path of ``-inf`` edges; neither can change the MSF.
+
 With ``K = Theta(sqrt(n log n))`` every update costs
 ``O(J log J + K + log n) = O(sqrt(n log n))`` elementary operations in the
 worst case.  General graphs are handled by wrapping this engine in
@@ -30,6 +34,8 @@ from .lsds import EulerList
 from .model import MAX_DEGREE, Edge, Vertex, adj_add, adj_remove
 
 __all__ = ["SparseDynamicMSF"]
+
+_NEG_INF = float("-inf")
 
 
 class _VertexTable:
@@ -259,30 +265,69 @@ class SparseDynamicMSF:
 
     def delete_edge(self, e: Edge) -> Optional[Edge]:
         """Delete edge ``e``; returns the replacement tree edge, if any."""
-        # NOT an assert: the old `assert self.edges.pop(...) is e` form
-        # performed the registry removal inside the assert statement, so
-        # `python -O` would have skipped the pop entirely -- the textbook
-        # load-bearing assert this PR's audit hunts for.
-        if self.edges.pop(e.eid, None) is not e:
+        # raised, not asserted: the registry check must survive `python -O`
+        if self.edges.get(e.eid) is not e:
             raise ValueError(f"unknown edge handle (eid {e.eid})")
-        adj_remove(e.u, e)
-        adj_remove(e.v, e)
-        self.fabric.unregister_edge(e)
+        self._retire_edge(e)
         if not e.is_tree:
             return None
-        self.tree_edges.discard(e)
-        e.is_tree = False
-        self._weight_remove(e.weight)
-        self.change_log.append((e.eid, False))
-        self.lct.cut_edge(e.lct, e.u.lct, e.v.lct)
-        self.lct.discard(e.lct)
-        e.lct = None
-        self.ops.charge("lct", 1)
+        self._clear_tree_status(e)
         lu, lv = euler.cut_tour(self.fabric, e)
         replacement = self._find_mwr(lu, lv)
         if replacement is not None:
             self._make_tree_edge(replacement)
         return replacement
+
+    def drop_leaf(self, e: Edge, vid: int) -> None:
+        """Delete tree edge ``e`` whose endpoint ``vid`` has no other edge.
+
+        No replacement can exist (nothing else touches ``vid``), so this
+        is the edge bookkeeping plus :func:`euler.detach_leaf`: no MWR
+        search, no list split or join.  The degree reducer frees a tail
+        gadget with it.
+        """
+        leaf = self.vertices[vid]
+        if (self.edges.get(e.eid) is not e or not e.is_tree
+                or leaf.edges != [e]):
+            raise ValueError(f"edge {e.eid} is not the only edge of "
+                             f"vertex {vid}")
+        self._retire_edge(e)
+        self._clear_tree_status(e)
+        euler.detach_leaf(self.fabric, e, leaf)
+
+    def bypass(self, e_in: Edge, e_out: Edge, vid: int, eid: int) -> Edge:
+        """Contract vertex ``vid`` out of the path ``p - vid - q``.
+
+        ``e_in = (p, vid)`` and ``e_out = (vid, q)`` are replaced by one
+        edge ``(p, q)`` with id ``eid``, returned; ``vid`` is left
+        isolated.  All three edges weigh ``-inf``: only then is the MSF
+        unchanged (every ``-inf`` edge is in it, and contracting a path of
+        them changes no path maximum a real edge is compared with), so
+        this is bookkeeping plus :func:`euler.bypass_node`, never a search.
+        The degree reducer frees a mid-chain gadget with it.
+        """
+        mid = self.vertices[vid]
+        retired = (e_in, e_out)
+        if (any(self.edges.get(g.eid) is not g or not g.is_tree
+                or g.weight != _NEG_INF for g in retired)
+                or len(mid.edges) != 2 or e_in not in mid.edges
+                or e_out not in mid.edges):
+            raise ValueError(f"bypass of vertex {vid} needs its two -inf "
+                             f"tree edges")
+        if eid in self.edges and eid not in (e_in.eid, e_out.eid):
+            raise ValueError(f"duplicate edge id {eid}")
+        p, q = e_in.other(mid), e_out.other(mid)
+        for g in retired:
+            self._retire_edge(g)
+            self._clear_tree_status(g)
+        e = Edge(p, q, _NEG_INF, eid)
+        euler.bypass_node(self.fabric, e_in, e_out, e, mid)
+        adj_add(p, e)
+        adj_add(q, e)
+        self.edges[eid] = e
+        self.fabric.register_edge(e)
+        self._set_tree_status(e)
+        return e
 
     def delete_between(self, u: int, v: int) -> Optional[Edge]:
         """Delete one (the lightest) edge between ``u`` and ``v``."""
@@ -299,6 +344,16 @@ class SparseDynamicMSF:
         return mwr.find_mwr(self.fabric, lu, lv)
 
     def _make_tree_edge(self, e: Edge) -> None:
+        self._set_tree_status(e)
+        euler.link_tour(self.fabric, e)
+
+    def _unmake_tree_edge(self, f: Edge) -> None:
+        """Demote tree edge ``f`` to a non-tree edge (it stays in G)."""
+        self._clear_tree_status(f)
+        euler.cut_tour(self.fabric, f)
+
+    def _set_tree_status(self, e: Edge) -> None:
+        """Tree set, weight, change log and link-cut link; no tour work."""
         e.is_tree = True
         self.tree_edges.add(e)
         self._weight_add(e.weight)
@@ -306,10 +361,9 @@ class SparseDynamicMSF:
         e.lct = self.lct.make_node(key=e.key, label=e)
         self.lct.link_edge(e.lct, e.u.lct, e.v.lct)
         self.ops.charge("lct", 1)
-        euler.link_tour(self.fabric, e)
 
-    def _unmake_tree_edge(self, f: Edge) -> None:
-        """Demote tree edge ``f`` to a non-tree edge (it stays in G)."""
+    def _clear_tree_status(self, f: Edge) -> None:
+        """Tree set, weight, change log and link-cut cut; no tour work."""
         f.is_tree = False
         self.tree_edges.discard(f)
         self._weight_remove(f.weight)
@@ -318,4 +372,10 @@ class SparseDynamicMSF:
         self.lct.discard(f.lct)
         f.lct = None
         self.ops.charge("lct", 1)
-        euler.cut_tour(self.fabric, f)
+
+    def _retire_edge(self, e: Edge) -> None:
+        """Take ``e`` out of the registry, adjacency and edge accounting."""
+        del self.edges[e.eid]
+        adj_remove(e.u, e)
+        adj_remove(e.v, e)
+        self.fabric.unregister_edge(e)

@@ -170,7 +170,7 @@ def check_reducer(red, level: str = "cheap") -> list[Finding]:
         return out
 
     def accounting() -> None:
-        in_chains = sum(len(c.nodes) - 1 for c in red.chains.values())
+        in_chains = sum(len(c.succ) for c in red.chains.values())
         issued = red._next_gadget - red.n
         returned = len(red._free_gadgets)
         if in_chains + returned != issued:
@@ -184,7 +184,42 @@ def check_reducer(red, level: str = "cheap") -> list[Finding]:
                 "reducer", f"{hosted} hosted slots for {len(red.real)} "
                 f"real edges", level))
 
+    def chain_shape() -> None:
+        non_anchor: set[int] = set()
+        for v, chain in red.chains.items():
+            nodes = chain.nodes()
+            if nodes[-1] != chain.tail:
+                out.append(Finding(
+                    "reducer", f"vertex {v}: chain ends at {nodes[-1]}, "
+                    f"tail is {chain.tail}", level))
+            for g in nodes[1:]:
+                if g not in chain.hosted:
+                    out.append(Finding(
+                        "reducer", f"vertex {v}: gadget {g} hosts no edge",
+                        level))
+            expect = [] if chain.anchor in chain.hosted else [chain.anchor]
+            if chain.free != expect:
+                out.append(Finding(
+                    "reducer", f"vertex {v}: free slots {chain.free}, "
+                    f"expected {expect}", level))
+            for a, b in zip(nodes, nodes[1:]):
+                e = red._chain_edge.get(b)
+                if e is None:
+                    continue  # reported by the key-set check below
+                if not (e.is_tree and core.edges.get(e.eid) is e
+                        and {e.u.vid, e.v.vid} == {a, b}):
+                    out.append(Finding(
+                        "reducer", f"vertex {v}: chain edge of gadget {b} "
+                        f"is not a live tree edge from {a}", level))
+            non_anchor.update(nodes[1:])
+        keys = set(red._chain_edge)
+        if keys != non_anchor:
+            out.append(Finding(
+                "reducer", f"chain-edge keys {sorted(keys ^ non_anchor)} "
+                f"disagree with the non-anchor chain nodes", level))
+
     _guard(out, "reducer", level, accounting)
+    _guard(out, "reducer", level, chain_shape)
     if getattr(core, "fabric", None) is not None:
         out.extend(_audit_core(core, level))
     machine = getattr(core, "machine", None)
@@ -627,12 +662,18 @@ def state_fingerprint(obj) -> tuple:
 
     Accepts :class:`~repro.core.msf.DynamicMSF`,
     :class:`~repro.serve.batched.BatchedMSF` (flush first for an exact
-    read), :class:`~repro.core.sparsify.SparsifiedMSF` and
-    :class:`~repro.core.degree.DegreeReducer`.
+    read), :class:`~repro.core.sparsify.SparsifiedMSF`,
+    :class:`~repro.core.degree.DegreeReducer` and the bare engines
+    (:class:`~repro.core.seq_msf.SparseDynamicMSF`,
+    :class:`~repro.core.par.ParallelDynamicMSF`), whose MSF ids are their
+    tree edges'.
     """
     edges = tuple(sorted(_edge_list(obj)))
     by_eid = {eid: w for eid, _u, _v, w in edges}
-    msf = tuple(sorted(obj.msf_ids()))
+    if hasattr(obj, "tree_edges"):                           # bare engine
+        msf = tuple(sorted(e.eid for e in obj.tree_edges))
+    else:
+        msf = tuple(sorted(obj.msf_ids()))
     weight = math.fsum(by_eid[eid] for eid in msf)
     return (edges, msf, weight)
 
@@ -647,4 +688,7 @@ def _edge_list(obj) -> Iterable[tuple[int, int, int, float]]:
     if hasattr(obj, "chains"):                               # DegreeReducer
         return ((eid, u, v, w)
                 for eid, (u, v, w, _e, _hu, _hv) in obj.real.items())
+    if hasattr(obj, "tree_edges"):                           # bare engine
+        return ((eid, e.u.vid, e.v.vid, e.weight)
+                for eid, e in obj.edges.items())
     raise TypeError(f"no edge listing for {type(obj).__name__}")

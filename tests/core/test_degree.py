@@ -22,6 +22,17 @@ def check(red: DegreeReducer, orc: KruskalOracle) -> None:
     assert red.msf_weight() == pytest.approx(orc.msf_weight())
 
 
+def assert_chain_shape(red: DegreeReducer) -> None:
+    """Every non-anchor node hosts an edge; the anchor is the only free
+    slot, and exactly while it hosts nothing."""
+    for chain in red.chains.values():
+        nodes = chain.nodes()
+        assert all(g in chain.hosted for g in nodes[1:])
+        assert len(nodes) - 1 <= len(chain.hosted)
+        anchor_free = chain.anchor not in chain.hosted
+        assert chain.free == ([chain.anchor] if anchor_free else [])
+
+
 def test_star_graph_high_degree():
     n = 12
     red = DegreeReducer(n, max_edges=32)
@@ -70,7 +81,8 @@ def test_parallel_edges_high_multiplicity():
 
 def test_gadget_pool_does_not_leak_under_moving_hotspot():
     """Churn that moves a high-degree hotspot across vertices must reuse
-    gadget nodes (the compaction invariant)."""
+    gadget nodes: every non-anchor chain node hosts an edge, so a chain
+    never holds more gadgets than hosted slots."""
     n = 10
     red = DegreeReducer(n, max_edges=6)
     orc = KruskalOracle()
@@ -82,17 +94,16 @@ def test_gadget_pool_does_not_leak_under_moving_hotspot():
             orc.insert(center, other, float(j) + center * 0.01, eid)
             eids.append(eid)
         check(red, orc)
-        # compaction: every live chain is exactly as long as it hosts
-        for chain in red.chains.values():
-            assert len(chain.nodes) == max(1, len(chain.hosted))
-        for eid in eids:
+        assert_chain_shape(red)
+        # free the hub's mid-chain gadgets first, then its tail, its
+        # anchor and its last gadget
+        for eid in eids[2:] + eids[:2]:
             red.delete_edge(eid)
             orc.delete(eid)
+            assert_chain_shape(red)
         check(red, orc)
-    # all chains compact again: emptied chains are dropped, and every
-    # gadget id ever issued is back on the free stack
-    for chain in red.chains.values():
-        assert len(chain.nodes) == 1
+    # emptied chains are dropped, and every gadget id ever issued is back
+    # on the free stack
     assert red.chains == {}
     assert len(red._free_gadgets) == red._next_gadget - n
     # the hotspot never needed more than its own degree in gadgets

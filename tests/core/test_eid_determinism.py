@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from repro import DynamicMSF
 from repro.core.degree import DegreeReducer
 from repro.core.seq_msf import SparseDynamicMSF
 
@@ -67,3 +68,22 @@ def test_reducer_chain_eids_unaffected_by_siblings():
     DegreeReducer(10).insert_edge(0, 1, 0.5)  # interloper
     b = chain_ids(DegreeReducer(10, max_edges=64))
     assert a == b
+
+
+def test_reducer_real_ids_are_insert_ordinals():
+    """Chain edges draw from their own counter: with high-degree vertices
+    growing and splicing chains between inserts, the auto-assigned real
+    ids still come back as 1, 2, 3, ..."""
+    rng = random.Random(7)
+    for red in (DegreeReducer(8, max_edges=40),
+                DynamicMSF(8, sparsify=False, max_edges=40)):
+        got = []
+        live = []
+        for i in range(40):
+            u = rng.choice((0, 1)) if i % 3 else rng.randrange(8)
+            v = rng.randrange(8)
+            got.append(red.insert_edge(u, v, rng.random()))
+            live.append(got[-1])
+            if i % 4 == 3:  # free a slot somewhere along a chain
+                red.delete_edge(live.pop(rng.randrange(len(live))))
+        assert got == list(range(1, 41))

@@ -62,19 +62,21 @@ def test_reducer_delete_reported_with_replacement():
     assert removed == {2} and added == set()
 
 
-def test_reducer_relocation_is_delta_silent():
-    """Gadget relocations (delete+insert of the same key) must not leak
-    into reported MSF deltas."""
+def test_reducer_splice_is_delta_silent():
+    """Gadget splices (a dropped tail, a bypassed mid-chain gadget) flip
+    only chain edges and must not leak into reported MSF deltas."""
     red = DegreeReducer(4, max_edges=16)
     eids = []
     for k in range(5):  # high degree at vertex 0 -> long chain
         _a, _r = red.insert_reported(0, (k % 3) + 1, 10.0 + k, eid=50 + k)
         eids.append(50 + k)
-    # deleting an early edge triggers chain compaction relocations
-    added, removed = red.delete_reported(50)
-    assert 50 in removed or 50 not in added
-    for eid in added | removed:
-        assert eid != 50 or eid in removed
+    # vertex 0's anchor, then a mid-chain gadget (a bypass), then its
+    # tail gadget (a leaf drop)
+    for gone in (50, 52, 54):
+        added, removed = red.delete_reported(gone)
+        assert gone in removed or gone not in added
+        for eid in added | removed:
+            assert eid > 0 and (eid != gone or eid in removed)
     # final state still matches a fresh recomputation
     from repro.reference.oracle import kruskal
     expect = kruskal((u, v, w, eid) for eid, (u, v, w, *_r) in

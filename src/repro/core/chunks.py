@@ -555,6 +555,14 @@ class ChunkSpace:
         c.count = count
         c.n_edges = n_edges
 
+    def adopt_run(self, c: Chunk, head: Occurrence, tail: Occurrence) -> None:
+        """Account a run ``head..tail`` just spliced into ``c``: restamp
+        it and add its counts (``occ_scan`` is charged the run length)."""
+        count, n_edges = self._adopt(head, tail, c, c.id)
+        self.ops.charge("occ_scan", count)
+        c.count += count
+        c.n_edges += n_edges
+
     # -- BT_c hooks: no-ops here; the parallel chunk space keeps BT_c --------
 
     def bt_refresh_occ(self, occ: Occurrence) -> None:

@@ -18,15 +18,21 @@ wrap), split after ``c_v`` into the tours of ``T_v = [b_v..c_v]`` and
 ``T_u = [d_u..a_u]``, then merge each seam (the two boundary occurrences of
 one vertex collapse into one, keeping the principal copy when present).
 
-``link_tour(e)``: when exactly one endpoint is an isolated vertex (a
-one-occurrence tour in a short, id-less list) it is linked as a *leaf
-excursion*: its occurrence and one new occurrence of the host endpoint are
-spliced after the host's principal copy (:meth:`Fabric.attach_singleton`),
-two occurrence inserts and no list split or join.  Every gadget-chain
-extension of the degree reducer and every path build takes this case.
-Otherwise rotate ``T_v``'s list to start at ``pc_v``, embed it as an
-excursion after ``pc_u``, adding one new occurrence of ``v`` (if ``T_v`` is
-not a singleton) and one of ``u`` (if ``T_u`` is not).
+``link_tour(e)``: when one endpoint's tour is *short* (one id-less chunk,
+fewer than ``K`` units) and the other endpoint's chunk carries an id -- or
+when one endpoint is an isolated vertex and the other is not -- the short
+tour is linked as one *excursion* (:meth:`Fabric.attach_tour`): rotated in
+place to start at its endpoint's principal copy, closed by one new
+occurrence of that endpoint (none for an isolated vertex), and spliced
+whole, with one new occurrence of the host endpoint, after the host's
+principal copy.  No list is split or joined; the host chunk takes at most
+``K + 1`` units, so one ``UpdateAdj`` and at most one balanced split
+follow.  Every gadget-chain extension of the degree reducer, every path
+build and every re-link of a small subtree into a long tour take this
+case.  Otherwise (two short tours, two long tours, two isolated vertices)
+rotate ``T_v``'s list to start at ``pc_v``, embed it as an excursion after
+``pc_u``, adding one new occurrence of ``v`` (if ``T_v`` is not a
+singleton) and one of ``u`` (if ``T_u`` is not).
 
 Two *gadget splices* serve the degree reducer's slot release; neither
 rotates, splits or joins a list:
@@ -127,16 +133,50 @@ def cut_tour(fabric: Fabric, e: Edge) -> tuple[EulerList, EulerList]:
     return lu, lv
 
 
+def _single(occ: Occurrence) -> bool:
+    return occ.prev is None and occ.next is None
+
+
+def _splices_into(s_star: Occurrence, h_star: Occurrence) -> bool:
+    """Whether ``s_star``'s tour links into ``h_star``'s as one excursion:
+    its list is short (id-less) and the host's chunk carries an id, or it
+    is an isolated vertex; the host is not a single occurrence."""
+    return (s_star.chunk.id is None and not _single(h_star)
+            and (h_star.chunk.id is not None or _single(s_star)))
+
+
+def _link_excursion(fabric: Fabric, e: Edge, s_star: Occurrence,
+                    h_star: Occurrence, lhost: EulerList) -> EulerList:
+    succ = h_star.next if h_star.next is not None else lhost.first_chunk().head
+    assert succ is not None
+    end, h_new = fabric.attach_tour(h_star, s_star)
+    if end is not s_star:  # the short tour's old wrap now closes on s'
+        last = end.prev
+        assert last is not None
+        _retarget_arc((last, s_star), (last, end))
+    _retarget_arc((h_star, succ), (h_new, succ))
+    if s_star.vertex is e.v:
+        e.arc_uv = (h_star, s_star)
+        e.arc_vu = (end, h_new)
+    else:
+        e.arc_uv = (end, h_new)
+        e.arc_vu = (h_star, s_star)
+    return lhost
+
+
 def link_tour(fabric: Fabric, e: Edge) -> EulerList:
     """Insert ``e`` as a tree edge joining the tours of its endpoints.
 
-    Leaf case: when exactly one endpoint's tour is a single occurrence in
-    a short, id-less list, that occurrence ``s*`` is spliced after the
-    host's principal copy ``h*`` together with a new host occurrence
-    ``h'`` (``[.. h*, s*, h' ..]``), the host's old outgoing arc ``(h*,
-    succ)`` -- ``succ`` cyclic, the list head when ``h*`` is the tail --
-    becomes ``(h', succ)``, and ``e`` owns ``(h*, s*)`` and ``(s*, h')``.
-    Every other link rotates, splits and joins as below.
+    Excursion case (:func:`_splices_into`): the short tour of one
+    endpoint, rotated to start at its principal copy ``s*`` and closed by
+    a new occurrence ``s'`` (none for an isolated vertex), is spliced
+    after the host's principal copy ``h*`` together with a new host
+    occurrence ``h'``: ``[.. h*, s* .. s', h' ..]``.  The short tour's old
+    wrap arc ``(last, s*)`` becomes ``(last, s')``, the host's old
+    outgoing arc ``(h*, succ)`` -- ``succ`` cyclic, the list head when
+    ``h*`` is the tail -- becomes ``(h', succ)``, and ``e`` owns ``(h*,
+    s*)`` and ``(s', h')``.  Every other link rotates, splits and joins as
+    below.
     """
     u, v = e.u, e.v
     u_star, v_star = u.pc, v.pc
@@ -144,30 +184,17 @@ def link_tour(fabric: Fabric, e: Edge) -> EulerList:
     lu = fabric.list_of(u_star.chunk)
     lv = fabric.list_of(v_star.chunk)
     assert lu is not lv, "endpoints already in one tree"
-    u_single = u_star.prev is None and u_star.next is None
-    v_single = v_star.prev is None and v_star.next is None
-    if u_single is not v_single:
-        leaf, host, lhost = ((v_star, u_star, lu) if v_single
-                             else (u_star, v_star, lv))
-        if leaf.chunk.id is None:
-            succ = host.next if host.next is not None else lhost.first_chunk().head
-            assert succ is not None
-            host_new = fabric.attach_singleton(host, leaf)
-            _retarget_arc((host, succ), (host_new, succ))
-            if v_single:
-                e.arc_uv = (u_star, v_star)
-                e.arc_vu = (v_star, host_new)
-            else:
-                e.arc_uv = (u_star, host_new)
-                e.arc_vu = (v_star, u_star)
-            return lhost
+    if _splices_into(v_star, u_star):
+        return _link_excursion(fabric, e, v_star, u_star, lu)
+    if _splices_into(u_star, v_star):
+        return _link_excursion(fabric, e, u_star, v_star, lv)
     # 1. rotate Euler(T_v) to start at pc_v
     if v_star.prev is not None:
         head_part, tail_part = fabric.split_list(v_star.prev)
         assert tail_part is not None
         lv = fabric.join_lists(tail_part, head_part)
-    v_singleton = v_star.prev is None and v_star.next is None
-    u_singleton = u_star.prev is None and u_star.next is None
+    v_singleton = _single(v_star)
+    u_singleton = _single(u_star)
     # 2. new occurrence of v closing the excursion (unless T_v is singleton)
     if not v_singleton:
         old_tail_v = lv.last_chunk().tail

@@ -9,8 +9,9 @@ on but states informally:
   chunk id when ``n_c < K`` and acquires one when it grows back;
 * **surgical list operations** (Lemma 2.4): splitting a list at an
   occurrence and joining two lists, with all CAdj/Memb bookkeeping;
-* **leaf links** (Lemma 2.1's cheapest case): an isolated vertex joins a
-  tour by two occurrence inserts (:meth:`Fabric.attach_singleton`);
+* **excursion links** (Lemma 2.1 without a split or join): a short tour
+  -- an isolated vertex included -- joins a tour as one spliced run, with
+  one ``UpdateAdj`` of the host chunk (:meth:`Fabric.attach_tour`);
 * **gadget splices** (the degree reducer's slot release): an edgeless
   vertex leaves a tour by occurrence deletes (:meth:`Fabric.delete_occ`,
   principal copy included) and gets a fresh singleton list
@@ -374,59 +375,75 @@ class Fabric:
         self.fix_chunk(c)
         return occ
 
-    def attach_singleton(self, host: Occurrence, s_occ: Occurrence) -> Occurrence:
-        """Link an isolated vertex into ``host``'s tour as a leaf excursion.
+    def attach_tour(self, host: Occurrence,
+                    s_star: Occurrence) -> tuple[Occurrence, Occurrence]:
+        """Link a short tour into ``host``'s tour as one excursion.
 
-        ``s_occ`` is the only occurrence of a short, id-less list (its
-        vertex's principal copy).  That list and its chunk are retired, and
-        ``s_occ`` plus a new non-principal occurrence ``host'`` of
-        ``host.vertex`` are spliced into ``host.chunk``, giving ``[.. host,
-        s_occ, host' ..]``: two occurrence inserts, no list split or join
-        (Lemma 2.1's leaf case).  The singleton's edge endpoints move with
-        it, and every one of its edges whose far chunk carries an id is
-        entered into ``C`` -- not only the edge being linked: an insert
-        whose swap just cut the vertex's only tree edge leaves that edge
-        attached as a non-tree edge.  Returns ``host'``; the caller
-        patches the arcs.
+        ``s_star`` is a principal copy in a short, id-less list.  That
+        list and its chunk are retired; its run is rotated in place to
+        start at ``s_star`` (pointer work only: the list has no id, no row
+        and no LSDS aggregate), closed by a new occurrence ``s'`` of
+        ``s_star.vertex`` unless it is a single occurrence, and spliced
+        whole after ``host`` with a new host occurrence ``host'``:
+        ``[.. host, s_star .. s', host' ..]``, with no list split or join
+        (Lemma 2.1).  The run is restamped into ``host.chunk``; when that
+        chunk carries an id, every edge side of the run's principal copies
+        whose far chunk carries one is entered into ``C`` -- not only the
+        edge being linked: the tour's own edges now lie in the host chunk,
+        and an insert whose swap just cut a small subtree off leaves the
+        cut edge attached as a non-tree edge.  ``C`` is symmetric, so one
+        ``UpdateAdj`` of the host chunk (its path refresh and its column
+        sweep) covers every pair written, whatever the number of far
+        chunks.  Returns ``(s', host')`` (``s' is s_star`` for a single
+        occurrence); the caller patches the arcs.
         """
         registry = self.registry
         space = self.space
-        sc = s_occ.chunk
-        assert sc.id is None and sc.count == 1
+        sc = s_star.chunk
+        assert sc.id is None
         registry.retire(registry.by_root[sc.leaf])
         sc.dead = True
+        end = s_star
+        if sc.count > 1:
+            last = s_star.prev
+            if last is None:
+                last = sc.tail
+            else:  # rotate: [s_star .. tail, head .. last]
+                head, tail = sc.head, sc.tail
+                tail.next = head
+                head.prev = tail
+                last.next = None
+                s_star.prev = None
+            end = Occurrence(s_star.vertex)
+            last.next = end
+            end.prev = last
         c = host.chunk
-        cid = c.id
         h_new = Occurrence(host.vertex)
         nxt = host.next
-        host.next = s_occ
-        s_occ.prev = host
-        s_occ.next = h_new
-        h_new.prev = s_occ
+        host.next = s_star
+        s_star.prev = host
+        end.next = h_new
+        h_new.prev = end
         h_new.next = nxt
         if nxt is not None:
             nxt.prev = h_new
         if c.tail is host:
             c.tail = h_new
-        s_occ.chunk = h_new.chunk = c
-        s_occ.chunk_id = h_new.chunk_id = cid
-        c.count += 2
-        c.n_edges += sc.n_edges
-        space.bt_insert_occ(s_occ, host)
-        space.bt_insert_occ(h_new, s_occ)
-        space.ops.charge("occ_insert", 2)
-        if cid is not None:
-            touched = [c]
-            for side in s_occ.vertex.sides:
-                far = side.far.pc.chunk  # type: ignore[union-attr]
-                if far.id is not None:
-                    space.entry_update_insert(c, far, side.key)
-                    if far not in touched:
-                        touched.append(far)
-            for ch in touched:
-                registry.update_adj(ch)
+        space.adopt_run(c, s_star, h_new)
+        space.ops.charge("occ_insert", 1 if end is s_star else 2)
+        if c.id is not None:
+            occ = s_star
+            while occ is not h_new:
+                vx = occ.vertex
+                if vx.pc is occ:
+                    for side in vx.sides:
+                        far = side.far.pc.chunk  # type: ignore[union-attr]
+                        if far.id is not None:
+                            space.entry_update_insert(c, far, side.key)
+                occ = occ.next  # type: ignore[assignment]
+            registry.update_adj(c)
         self.fix_chunk(c)
-        return h_new
+        return end, h_new
 
     def delete_occ(self, occ: Occurrence) -> None:
         """Remove a non-principal occurrence from its list (a vertex that
@@ -503,10 +520,10 @@ class Fabric:
         self.space.bt_refresh_occ(e.u.pc)  # type: ignore[arg-type]
         self.space.bt_refresh_occ(e.v.pc)  # type: ignore[arg-type]
         if c1.id is not None and c2.id is not None:
+            # C is symmetric: c1's path refresh and column sweep reach the
+            # (c2, c1) entry too, so c2 needs no UpdateAdj of its own
             self.space.entry_update_insert(c1, c2, e.key)
             self.registry.update_adj(c1)
-            if c2 is not c1:
-                self.registry.update_adj(c2)
         self.fix_chunk(c1)
         self.fix_chunk(e.v.pc.chunk)  # refetch: c2 may have merged/split
 

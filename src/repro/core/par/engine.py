@@ -107,6 +107,22 @@ class ParChunkSpace(ChunkSpace):
         self.adopt_occurrences(cl)
         return None  # the caller rebuilds the merged row by a scan
 
+    def adopt_run(self, c: Chunk, head, tail) -> None:
+        """``BT_c`` for a spliced excursion run.  A leaf link's run (the
+        isolated vertex and the new host occurrence) is two ``bt_insert``
+        by ``p_1``, depth and work ``log K`` each; a longer run re-adopts
+        the whole host chunk (depth ``log K + 1``, work its ``count``),
+        since one insert per occurrence would charge depth up to
+        ``K log K``."""
+        if head.next is not tail:
+            self.adopt_occurrences(c)
+            return
+        super().adopt_run(c, head, tail)
+        lg = kn.log2c(self.K)
+        for occ in (head, tail):
+            self.bt_insert_occ(occ, occ.prev)
+            self.machine.charge(depth=lg, work=lg, label="bt_insert")
+
     def adopt_occurrences(self, c: Chunk) -> None:
         """Stamp and count ``c``'s occurrences and rebuild ``BT_c``.
 
@@ -240,13 +256,6 @@ class ParFabric(Fabric):
         self.machine.charge(depth=kn.log2c(self.space.K),
                             work=kn.log2c(self.space.K), label="bt_insert")
         return super().insert_occ_after(ref, vertex)
-
-    def attach_singleton(self, host, s_occ):
-        # two BT_c inserts, charged as two insert_occ_after calls are
-        for _ in range(2):
-            self.machine.charge(depth=kn.log2c(self.space.K),
-                                work=kn.log2c(self.space.K), label="bt_insert")
-        return super().attach_singleton(host, s_occ)
 
     def delete_occ(self, occ):
         self.machine.charge(depth=kn.log2c(self.space.K),

@@ -34,26 +34,27 @@ SEED = 23
 #: ``OpCounter.breakdown()`` of :func:`churn` as charged by the
 #: full-rescan surgery (every split re-adopting both halves, every merge
 #: re-adopting and rescanning the merged chunk); the surgery that walks
-#: only what moved must charge exactly this.  Links of an isolated vertex
-#: are leaf excursions (two occurrence inserts, no tour split or join), so
-#: the stream makes fewer surgeries than a rotate-split-join link would
+#: only what moved must charge exactly this.  A link of a short tour into
+#: a long one (or of an isolated vertex) is one excursion splice, with no
+#: tour split or join, so the stream makes fewer surgeries than
+#: rotate-split-join links would, and an inserted edge runs one UpdateAdj
 PINNED_BREAKDOWN = {
-    "col_mirror": 99_594,
-    "col_sweep": 116_868,
-    "edge_scan": 20_108,
-    "entry_update": 1_206,
-    "id_assign": 43_900,
-    "id_release": 79_266,
+    "col_mirror": 91_047,
+    "col_sweep": 103_148,
+    "edge_scan": 18_530,
+    "entry_update": 1_512,
+    "id_assign": 39_347,
+    "id_release": 70_752,
     "lct": 848,
-    "lsds_pull": 1_210_143,
+    "lsds_pull": 1_119_327,
     "mwr_argmin": 2_376,
     "mwr_gamma": 2_376,
-    "mwr_scan": 836,
+    "mwr_scan": 854,
     "occ_delete": 502,
-    "occ_insert": 634,
-    "occ_scan": 13_992,
-    "root_walk": 29_789,
-    "row_clear": 99_594,
+    "occ_insert": 540,
+    "occ_scan": 13_283,
+    "root_walk": 28_303,
+    "row_clear": 91_047,
 }
 
 #: at least this many splits and merges, or the stream tests nothing

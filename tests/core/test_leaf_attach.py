@@ -1,21 +1,34 @@
-"""Every case of a tree link, with the leaf excursion under full audit.
+"""Every case of a tree link, with the excursion splice under full audit.
 
-A link whose one endpoint is an isolated vertex (a one-occurrence tour in
-a short, id-less list) splices that occurrence and a new host occurrence
-into the host's chunk (``Fabric.attach_singleton``) instead of rotating,
-splitting and joining tours.  The streams below run on the scalar,
-compiled and parallel engines, with the full structural audit (matrix
-oracle included) and a Kruskal check after every op, and count each link
-case so a stream that stops reaching one fails loudly:
+A link whose one endpoint's tour is short (one id-less chunk) and whose
+other endpoint's chunk carries an id -- or whose one endpoint is an
+isolated vertex -- splices the short tour whole into the host's chunk
+(``Fabric.attach_tour``) instead of rotating, splitting and joining tours.
+The streams below run on the scalar, compiled and parallel engines, with
+the full structural audit (matrix oracle included) and a Kruskal check
+after every op, and count each link case so a stream that stops reaching
+one fails loudly:
 
-* the ``v`` side isolated, the ``u`` side isolated, both, neither;
-* a host that is its list's tail, so the host's outgoing arc wraps;
-* an insert whose swap just cut the isolated vertex's only tree edge,
-  so it is linked while still holding non-tree edges;
+* an isolated vertex on the ``v`` side and on the ``u`` side;
+* a short tour of two or more occurrences on the ``v`` side and on the
+  ``u`` side, one whose endpoint is not its head (so the run is rotated),
+  and one holding non-tree edges into the host chunk and into other
+  chunks of the host's list (a non-tree edge never leaves its tree);
+* a host that is its list's tail, so the host's outgoing arc wraps, and a
+  host chunk that overflows into a split;
+* an insert whose swap just cut an isolated vertex, or a small subtree,
+  off and re-links it while it still holds the cut edge as a non-tree
+  edge;
+* links that keep rotate-split-join: two isolated vertices, two short
+  tours, two long tours;
 * gadget-chain growth in the degree reducer.
 
-The mutation check enters only the edge being linked into ``C`` and must
-be caught by the matrix oracle.
+A count test holds every excursion link to one ``UpdateAdj`` (of the host
+chunk) outside Invariant-1 restoration, however many far chunks the short
+tour's edges reach, and an inserted edge to one.  The mutation checks --
+entering only the linked edge into ``C``, skipping the closing
+occurrence's arc retarget, running no ``UpdateAdj`` for an inserted edge
+-- must each be caught by the audit.
 """
 
 from __future__ import annotations
@@ -39,9 +52,9 @@ K = 8
 SEED = 11
 N_OPS = 300
 
-#: a hand-made prefix that reaches every case on its own: a path, a leaf
-#: with a heavy tree edge and a non-tree edge that a light insert swaps
-#: away (so the leaf is re-linked holding two non-tree edges), a
+#: a hand-made prefix that reaches the leaf cases on its own: a path, a
+#: leaf with a heavy tree edge and a non-tree edge that a light insert
+#: swaps away (so the leaf is re-linked holding two non-tree edges), a
 #: two-vertex tour whose tail hosts the next leaf, and a link of two trees
 PREFIX = [
     (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),  # both, then v side
@@ -50,10 +63,15 @@ PREFIX = [
     (5, 2, 10.0),   # swap: cuts (5, 0), re-links 5 holding two non-tree edges
     (8, 9, 5.0),    # both isolated: the tour [8*, 9*]
     (9, 10, 5.0),   # v side isolated, host 9* is the tail: the arc wraps
-    (3, 8, 7.0),    # neither isolated
+    (3, 8, 7.0),    # a short tour into a long one
 ]
 
 FLAVORS = ["scalar", "compiled", "parallel"]
+
+#: the cases :func:`_count_cases` must see on the core stream
+CORE_CASES = ("v_leaf", "u_leaf", "v_short", "u_short", "rotate", "wrap",
+              "nontree_host", "nontree_far", "split", "swap_nontree",
+              "swap_short", "both", "short_short", "long_long")
 
 
 def _skip_without_extension(flavor: str) -> None:
@@ -67,35 +85,75 @@ def _engine(flavor: str, n: int = N):
     return SparseDynamicMSF(n, K=K, backend=flavor)
 
 
+def _one(occ) -> bool:
+    return occ.prev is None and occ.next is None
+
+
+def _run_of(s_star):
+    """The principal copies of ``s_star``'s short tour, head to tail."""
+    occ = s_star.chunk.head
+    while occ is not None:
+        if occ.vertex.pc is occ:
+            yield occ
+        occ = occ.next
+
+
+def _classify(e) -> tuple[str, ...]:
+    """The link cases of tree edge ``e``, read off the state before it is
+    linked (independently of ``euler``'s own case test)."""
+    us, vs = e.u.pc, e.v.pc
+    u_one, v_one = _one(us), _one(vs)
+    u_long, v_long = us.chunk.id is not None, vs.chunk.id is not None
+    if u_one and v_one:
+        return ("both",)
+    for s, h, side in ((vs, us, "v"), (us, vs, "u")):
+        if s.chunk.id is None and not _one(h) and (
+                h.chunk.id is not None or _one(s)):
+            break
+    else:
+        return ("long_long",) if u_long and v_long else ("short_short",)
+    cases = [f"{side}_leaf" if _one(s) else f"{side}_short"]
+    if s.prev is not None:
+        cases.append("rotate")
+    if h.next is None:
+        cases.append("wrap")
+    host = h.chunk
+    if host.id is not None:
+        # a non-tree edge joins two vertices of one tree, so it reaches
+        # the host's list: its host chunk or another chunk of it
+        for p in _run_of(s):
+            for f in p.vertex.edges:
+                if not f.is_tree:
+                    far = f.other(p.vertex).pc.chunk
+                    cases.append("nontree_host" if far is host
+                                 else "nontree_far")
+    return tuple(cases)
+
+
 def _count_cases(monkeypatch) -> Counter:
-    """Classify every ``link_tour`` call, flagging a swap link and a link
-    made while the degree reducer grows a chain."""
+    """Classify every ``link_tour`` call, flagging a swap link, a link
+    made while the degree reducer grows a chain, and a host-chunk split
+    inside an excursion splice."""
     counts: Counter = Counter()
-    state = {"swap": False, "chain": False}
+    state = {"swap": False, "chain": False, "attach": False}
     link_tour = euler.link_tour
     unmake = SparseDynamicMSF._unmake_tree_edge
-    attach = Fabric.attach_singleton
+    attach = Fabric.attach_tour
+    split = Fabric.split_chunk_balanced
     claim = DegreeReducer._claim_slot
 
     def counting_link(fabric, e):
-        us, vs = e.u.pc, e.v.pc
-        u_one = us.prev is None and us.next is None
-        v_one = vs.prev is None and vs.next is None
-        if u_one and v_one:
-            counts["both"] += 1
-        elif not (u_one or v_one):
-            counts["neither"] += 1
-        else:
-            leaf, host = (vs, us) if v_one else (us, vs)
-            if leaf.chunk.id is None:
-                counts["v_leaf" if v_one else "u_leaf"] += 1
-                if host.next is None:
-                    counts["wrap"] += 1
-                if state["swap"] and any(not f.is_tree
-                                         for f in leaf.vertex.edges):
-                    counts["swap_nontree"] += 1
-                if state["chain"]:
-                    counts["chain"] += 1
+        cases = _classify(e)
+        counts.update(cases)
+        excursion = cases[0][2:] in ("leaf", "short")
+        if excursion and state["swap"]:
+            s = e.v.pc if cases[0][0] == "v" else e.u.pc
+            if not _one(s):
+                counts["swap_short"] += 1
+            elif any(not f.is_tree for f in s.vertex.edges):
+                counts["swap_nontree"] += 1
+        if excursion and state["chain"]:
+            counts["chain"] += 1
         state["swap"] = False
         return link_tour(fabric, e)
 
@@ -103,9 +161,18 @@ def _count_cases(monkeypatch) -> Counter:
         state["swap"] = True
         return unmake(self, f)
 
-    def counting_attach(self, host, s_occ):
+    def counting_attach(self, host, s_star):
         counts["attach"] += 1
-        return attach(self, host, s_occ)
+        state["attach"] = True
+        try:
+            return attach(self, host, s_star)
+        finally:
+            state["attach"] = False
+
+    def counting_split(self, c):
+        if state["attach"]:
+            counts["split"] += 1
+        return split(self, c)
 
     def flagging_claim(self, v, eid):
         state["chain"] = True
@@ -117,7 +184,8 @@ def _count_cases(monkeypatch) -> Counter:
     monkeypatch.setattr(euler, "link_tour", counting_link)
     monkeypatch.setattr(SparseDynamicMSF, "_unmake_tree_edge",
                         flagging_unmake)
-    monkeypatch.setattr(Fabric, "attach_singleton", counting_attach)
+    monkeypatch.setattr(Fabric, "attach_tour", counting_attach)
+    monkeypatch.setattr(Fabric, "split_chunk_balanced", counting_split)
     monkeypatch.setattr(DegreeReducer, "_claim_slot", flagging_claim)
     return counts
 
@@ -162,10 +230,11 @@ def test_every_link_case_audits_clean(flavor, monkeypatch):
     counts = _count_cases(monkeypatch)
     engine = _engine(flavor)
     drive_core(engine, check=_check_core)
-    for case in ("v_leaf", "u_leaf", "both", "neither", "wrap",
-                 "swap_nontree"):
+    for case in CORE_CASES:
         assert counts[case] > 0, f"stream never reached the {case} case"
-    assert counts["attach"] == counts["v_leaf"] + counts["u_leaf"]
+    assert counts["attach"] == sum(counts[f"{side}_{kind}"]
+                                   for side in "uv"
+                                   for kind in ("leaf", "short"))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -200,14 +269,81 @@ def test_degree_reducer_chain_growth_links_leaves(flavor, monkeypatch):
     assert counts["attach"] >= counts["chain"]
 
 
+def _count_update_adj(engine, scope: str) -> list[tuple[int, int]]:
+    """Per call of ``fabric.<scope>``: the ``UpdateAdj`` runs it made
+    outside Invariant-1 restoration (``fix_chunk``), and -- for
+    ``attach_tour`` into an id'd host chunk -- the number of distinct
+    id'd far chunks the short tour's edges reach; ``-1`` otherwise."""
+    fab = engine.fabric
+    registry = fab.registry
+    update_adj, fix_chunk = registry.update_adj, fab.fix_chunk
+    inner = getattr(fab, scope)
+    state = {"in": False, "fix": 0, "calls": 0}
+    seen: list[tuple[int, int]] = []
+
+    def counting_update_adj(c):
+        if state["in"] and not state["fix"]:
+            state["calls"] += 1
+        return update_adj(c)
+
+    def fencing_fix_chunk(c):
+        state["fix"] += 1
+        try:
+            return fix_chunk(c)
+        finally:
+            state["fix"] -= 1
+
+    def scoped(*args):
+        far = -1
+        if scope == "attach_tour" and args[0].chunk.id is not None:
+            far = len({f.other(p.vertex).pc.chunk for p in _run_of(args[1])
+                       for f in p.vertex.edges
+                       if f.other(p.vertex).pc.chunk.id is not None})
+        state["in"], state["calls"] = True, 0
+        try:
+            return inner(*args)
+        finally:
+            state["in"] = False
+            seen.append((state["calls"], far))
+
+    registry.update_adj = counting_update_adj
+    fab.fix_chunk = fencing_fix_chunk
+    setattr(fab, scope, scoped)
+    return seen
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_one_update_adj_per_excursion_link(flavor):
+    """An excursion into an id'd host chunk runs exactly one UpdateAdj
+    however many far chunks its edges reach (an id-less host, none)."""
+    _skip_without_extension(flavor)
+    engine = _engine(flavor)
+    seen = _count_update_adj(engine, "attach_tour")
+    drive_core(engine)
+    assert seen, "no excursion link"
+    assert all(calls == (0 if far < 0 else 1) for calls, far in seen), seen
+    assert max(far for _calls, far in seen) >= 2, "never two far chunks"
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_one_update_adj_per_inserted_edge(flavor):
+    """C is symmetric, so an edge between two id'd chunks runs one
+    UpdateAdj (its u side's), not one per endpoint chunk."""
+    _skip_without_extension(flavor)
+    engine = _engine(flavor)
+    seen = _count_update_adj(engine, "register_edge")
+    drive_core(engine)
+    assert max(calls for calls, _far in seen) == 1
+
+
 def test_entering_only_the_linked_edge_fails_the_audit(monkeypatch):
-    """Mutation check: a leaf link that enters only its own edge into
-    ``C`` misses the non-tree edges the swapped leaf still holds; the
-    matrix oracle must reject it."""
+    """Mutation check: an excursion link that enters only its own edge
+    into ``C`` misses the short tour's other edges; the matrix oracle must
+    reject it."""
     linking: list = []
     inside = [False]
     link_tour = euler.link_tour
-    attach = Fabric.attach_singleton
+    attach = Fabric.attach_tour
     entry = ChunkSpace.entry_update_insert
 
     def recording_link(fabric, e):
@@ -217,21 +353,85 @@ def test_entering_only_the_linked_edge_fails_the_audit(monkeypatch):
         finally:
             linking.pop()
 
-    def marking_attach(self, host, s_occ):
+    def marking_attach(self, host, s_star):
         inside[0] = True
         try:
-            return attach(self, host, s_occ)
+            return attach(self, host, s_star)
         finally:
             inside[0] = False
 
     def linked_edge_only(self, c1, c2, key):
         if inside[0] and key != linking[-1].key:
-            return
-        entry(self, c1, c2, key)
+            return None
+        return entry(self, c1, c2, key)
 
     monkeypatch.setattr(euler, "link_tour", recording_link)
-    monkeypatch.setattr(Fabric, "attach_singleton", marking_attach)
+    monkeypatch.setattr(Fabric, "attach_tour", marking_attach)
     monkeypatch.setattr(ChunkSpace, "entry_update_insert", linked_edge_only)
     engine = SparseDynamicMSF(N, K=K)
     with pytest.raises(AssertionError, match="C mismatch"):
+        drive_core(engine, check=_check_core)
+
+
+def test_skipping_the_closing_arc_retarget_fails_the_audit(monkeypatch):
+    """Mutation check: an excursion link that leaves the short tour's old
+    wrap arc on ``s*`` instead of the closing occurrence ``s'`` breaks the
+    Euler tour; the audit must reject it."""
+    inside = [False]
+    excursion = euler._link_excursion
+    retarget = euler._retarget_arc
+
+    def marking_excursion(*args):
+        inside[0] = True
+        try:
+            return excursion(*args)
+        finally:
+            inside[0] = False
+
+    def no_closing_retarget(old, new):
+        if inside[0] and old[0] is new[0]:  # (last, s*) -> (last, s')
+            return None
+        return retarget(old, new)
+
+    monkeypatch.setattr(euler, "_link_excursion", marking_excursion)
+    monkeypatch.setattr(euler, "_retarget_arc", no_closing_retarget)
+    engine = SparseDynamicMSF(N, K=K)
+    with pytest.raises(AssertionError, match="tour adjacencies"):
+        drive_core(engine, check=_check_core)
+
+
+def test_inserted_edge_without_update_adj_fails_the_audit(monkeypatch):
+    """Mutation check: an inserted edge that runs no UpdateAdj at all (the
+    u side's dropped too) leaves LSDS aggregates stale; the audit must
+    reject it."""
+    engine = SparseDynamicMSF(N, K=K)
+    fab = engine.fabric
+    registry = fab.registry
+    update_adj, fix_chunk, register = (registry.update_adj, fab.fix_chunk,
+                                       fab.register_edge)
+    state = {"in": False, "fix": 0}
+
+    def gated_update_adj(c):
+        if state["in"] and not state["fix"]:
+            return None
+        return update_adj(c)
+
+    def fencing_fix_chunk(c):
+        state["fix"] += 1
+        try:
+            return fix_chunk(c)
+        finally:
+            state["fix"] -= 1
+
+    def register_without_update_adj(e):
+        state["in"] = True
+        try:
+            return register(e)
+        finally:
+            state["in"] = False
+
+    monkeypatch.setattr(registry, "update_adj", gated_update_adj)
+    monkeypatch.setattr(fab, "fix_chunk", fencing_fix_chunk)
+    monkeypatch.setattr(fab, "register_edge", register_without_update_adj)
+    with pytest.raises(AssertionError, match="stale LSDS"):
         drive_core(engine, check=_check_core)

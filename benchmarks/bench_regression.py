@@ -535,15 +535,17 @@ COMPILED_RATIO_FLOOR = 0.5
 #: wide-Jcap shape is *the* regime the compiled tier exists for (column
 #: sweeps over every long list plus MWR gamma/argmin scans, all Theta(J)
 #: python loops under the scalar backend), so a compiled tier that fails
-#: 2x here is not pulling its weight.  Measured ~4.7x at PR 8 and ~6.9x
-#: after the PR 9 plumbing port; see EXPERIMENTS.md E9.
+#: 2x here is not pulling its weight.  Measured ~4.7x when the tier
+#: landed, ~6.9x after the native plumbing and 3.7-3.8x on a 2-vCPU VM
+#: once chunk surgery walked only what moved; see EXPERIMENTS.md E9.
 COMPILED_WIDE_MIN = 2.0
 #: hard same-run speedup bar on ``seq-core-wide-churn`` (full profile
 #: only -- at quick sizes the pair is inside host noise): dense churn over
-#: a wide Jcap is the serving-traffic regime the PR 9 structural
-#: plumbing (batched charges, C-side splay/transition walks,
-#: sparse-aware mirror scans) targets; measured ~2x on the dev host
-#: against ~1.2x before the port.
+#: a wide Jcap is the serving-traffic regime the native charge batching,
+#: C-side splay/access loops and sparse-aware mirror scans target;
+#: measured ~2x on the dev host against ~1.2x before the native
+#: plumbing, and 1.37-1.45x on a 2-vCPU VM since chunk surgery walks
+#: only what moved (below this bar; EXPERIMENTS.md E9).
 COMPILED_CHURN_MIN = 1.5
 
 

@@ -168,8 +168,7 @@ def merge_rows(row_l, row_r, lanes, lid: int, rid: int) -> dict[int, Key]:
 def _restamp(head: Occurrence, tail: Occurrence, c: Chunk,
              cid: Optional[int]) -> tuple[int, int]:
     """Stamp ``occ.chunk``/``occ.chunk_id`` on ``head..tail``; return the
-    run's ``(count, n_edges)``.  The scalar twin of the compiled
-    ``adopt_scan`` kernel (same signature and result)."""
+    run's ``(count, n_edges)``."""
     count = 0
     n_edges = 0
     occ = head
@@ -233,13 +232,6 @@ class ChunkSpace:
         #: walk directly (the parallel engine, scalar-only, keeps object
         #: aggregates: its PRAM programs register them by identity)
         self.comp_lsds = backend == "compiled"
-        #: the stamp-and-count walk over a run of occurrences, and the
-        #: stamp-only walk for callers that know the counts; both run the
-        #: compiled ``adopt_scan`` kernel on the compiled backend
-        self._adopt = (compiled.kernels.adopt_scan
-                       if backend == "compiled" else _restamp)
-        self._stamp = (compiled.kernels.adopt_scan
-                       if backend == "compiled" else _stamp)
         #: per-row live-lane sets: ``_live[i]`` is exactly
         #: ``{j : C[i][j] != INF_KEY}``, maintained at every write site.
         #: Row rebuilds, column mirrors and id releases then touch O(live)
@@ -279,7 +271,7 @@ class ChunkSpace:
 
     def assign_id(self, c: Chunk) -> int:
         cid = self._claim_id(c)
-        self._stamp(c.head, c.tail, c, cid)  # fresh per-occurrence ids
+        _stamp(c.head, c.tail, c, cid)  # fresh per-occurrence ids
         self.ops.charge("id_assign", self.Jcap + c.count)
         return cid
 
@@ -309,7 +301,7 @@ class ChunkSpace:
 
     def release_id(self, c: Chunk) -> int:
         cid = self._free_id(c)
-        self._stamp(c.head, c.tail, c, None)
+        _stamp(c.head, c.tail, c, None)
         return cid
 
     def _free_id(self, c: Chunk) -> int:
@@ -351,7 +343,7 @@ class ChunkSpace:
         assert c2.head is not None and c2.tail is not None
         total = c.count
         cid2 = self._claim_id(c2) if c.id is not None else None
-        count, n_edges = self._adopt(c2.head, c2.tail, c2, cid2)
+        count, n_edges = _restamp(c2.head, c2.tail, c2, cid2)
         c2.count = count
         c2.n_edges = n_edges
         c.count = total - count
@@ -382,7 +374,7 @@ class ChunkSpace:
             vals = merge_rows(views[lid], views[rid], live[lid] | live[rid],
                               lid, rid)
             self._free_id(cr)
-        self._stamp(cr.head, cr.tail, cl, cl.id)
+        _stamp(cr.head, cr.tail, cl, cl.id)
         cl.tail = cr.tail
         cl.count += cr.count
         cl.n_edges += cr.n_edges
@@ -395,20 +387,15 @@ class ChunkSpace:
         """Recompute ``CAdj_c`` by scanning the <=3K edges touching ``c``
         (Lemma 2.2), then write it out with :meth:`write_row`.
 
-        The scan yields the sparse ``{lane: key}`` minima: the compiled
-        ``rebuild_row_scan`` kernel on the compiled backend, else a python
-        loop that inlines the ``edge_endpoints`` generator and the
-        ``is_principal`` / ``other()`` helpers via the per-endpoint
+        The scan yields the sparse ``{lane: key}`` minima on every
+        backend: a loop that inlines the ``edge_endpoints`` generator and
+        the ``is_principal`` / ``other()`` helpers via the per-endpoint
         :class:`SideRec` replicas and reads the far chunk's id from its
         occurrence's ``chunk_id`` replica.  ``edge_scan`` is charged once
         with the scan total -- ``c.n_edges``, since each principal copy
         has one side per edge (audited).
         """
         assert c.id is not None
-        if self.compm is not None:
-            self.write_row(c, compiled.kernels.rebuild_row_scan(
-                c.head, c.tail, self.Jcap))
-            return
         vals: dict[int, Key] = {}
         occ = c.head
         tail = c.tail
@@ -550,7 +537,7 @@ class ChunkSpace:
         """Stamp ``occ.chunk`` for every occurrence between head and tail
         and recompute ``count``/``n_edges`` (the O(K) scan of Lemma 2.2)."""
         assert c.head is not None and c.tail is not None
-        count, n_edges = self._adopt(c.head, c.tail, c, c.id)
+        count, n_edges = _restamp(c.head, c.tail, c, c.id)
         self.ops.charge("occ_scan", count)
         c.count = count
         c.n_edges = n_edges
@@ -558,7 +545,7 @@ class ChunkSpace:
     def adopt_run(self, c: Chunk, head: Occurrence, tail: Occurrence) -> None:
         """Account a run ``head..tail`` just spliced into ``c``: restamp
         it and add its counts (``occ_scan`` is charged the run length)."""
-        count, n_edges = self._adopt(head, tail, c, c.id)
+        count, n_edges = _restamp(head, tail, c, c.id)
         self.ops.charge("occ_scan", count)
         c.count += count
         c.n_edges += n_edges

@@ -6,9 +6,9 @@ interpreter cost of its hot loops (vectorizing them with numpy ufuncs
 only trades it for dispatch overhead).  This package removes that
 constraint by compiling the measured inner loops -- the ``(weight,
 eid)`` tuple-min LSDS pulls and column sweeps, the MWR gamma/argmin,
-the chunk adoption scan and the ``DegreeReducer`` change-log walk --
-into a small hand-written CPython extension (``_kernels.c``), built on
-demand with the system C compiler:
+the link-cut splay/access loops (:mod:`.lct`) and the batched charge
+accumulator (``ChargeStream``) -- into a small hand-written CPython
+extension (``_kernels.c``), built on demand with the system C compiler:
 
     python -m repro.core.compiled.build
 

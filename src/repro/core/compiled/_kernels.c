@@ -1,12 +1,12 @@
 /* Compiled hot-loop kernels for the repro dynamic-MSF substrate.
  *
  * The sequential engine's measured inner loops -- the (weight, eid)
- * tuple-min LSDS pulls and column sweeps, the MWR gamma/argmin, the chunk
- * adoption scan and the DegreeReducer change-log walk -- are
- * reimplemented here against flat float64 buffers and the engine's own
- * python objects.  No numpy (or any third-party) dependency: buffers are
- * plain bytearrays of interleaved (weight, eid) doubles, and structure
- * walks use the generic C API over the 2-3-tree / occurrence objects.
+ * tuple-min LSDS pulls and column sweeps, the MWR gamma/argmin and the
+ * link-cut splay/access loops -- are reimplemented here against flat
+ * buffers and the engine's own python objects.  No numpy (or any
+ * third-party) dependency: buffers are plain bytearrays of interleaved
+ * (weight, eid) doubles, and structure walks use the generic C API over
+ * the 2-3-tree objects.
  *
  * Contract: every kernel computes the *bit-identical* result of its
  * scalar twin -- lexicographic strict-< with leftmost-wins ties, value
@@ -30,11 +30,7 @@
 #include <string.h>
 
 /* interned attribute names (module init) */
-static PyObject *s_kids, *s_height, *s_agg, *s_item, *s_id,
-    *s_next, *s_chunk, *s_chunk_id, *s_vertex, *s_pc, *s_edges,
-    *s_root, *s_sides, *s_far, *s_key,
-    *s_dead, *s_count, *s_n_edges, *s_parent, *s_cache_ver,
-    *s_cache_lst, *s_version, *s_by_root, *s_leaf, *s_root_walk;
+static PyObject *s_kids, *s_height, *s_agg, *s_item, *s_id, *s_root;
 
 #define KEY_LT(w1, e1, w2, e2) ((w1) < (w2) || ((w1) == (w2) && (e1) < (e2)))
 
@@ -499,264 +495,6 @@ k_gamma_argmin(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(fast);
     }
     return Py_BuildValue("(ndd)", bj, bw, be);
-}
-
-/* -------------------------------------------------------- chunk adoption */
-
-/* adopt_scan(head, tail, chunk, cid) -> (count, n_edges)
- *
- * The sequential adopt_occurrences hot loop: stamp occ.chunk / occ.chunk_id
- * on every occurrence from head through tail, count occurrences and the
- * edge endpoints of principal copies. */
-static PyObject *
-k_adopt_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "adopt_scan takes 4 args");
-    PyObject *occ = args[0];
-    PyObject *tail = args[1];
-    PyObject *chunk = args[2];
-    PyObject *cid = args[3];
-    long count = 0, n_edges = 0;
-    Py_INCREF(occ);
-    while (occ != Py_None) {
-        if (PyObject_SetAttr(occ, s_chunk, chunk) < 0 ||
-            PyObject_SetAttr(occ, s_chunk_id, cid) < 0)
-            goto fail;
-        count++;
-        PyObject *vx = PyObject_GetAttr(occ, s_vertex);
-        if (vx == NULL)
-            goto fail;
-        PyObject *pc = PyObject_GetAttr(vx, s_pc);
-        if (pc == NULL) {
-            Py_DECREF(vx);
-            goto fail;
-        }
-        if (pc == occ) {  /* inlined is_principal */
-            PyObject *edges = PyObject_GetAttr(vx, s_edges);
-            if (edges == NULL) {
-                Py_DECREF(pc);
-                Py_DECREF(vx);
-                goto fail;
-            }
-            Py_ssize_t deg = PyObject_Length(edges);
-            Py_DECREF(edges);
-            if (deg < 0) {
-                Py_DECREF(pc);
-                Py_DECREF(vx);
-                goto fail;
-            }
-            n_edges += (long)deg;
-        }
-        Py_DECREF(pc);
-        Py_DECREF(vx);
-        if (occ == tail)
-            break;
-        PyObject *nxt = PyObject_GetAttr(occ, s_next);
-        if (nxt == NULL)
-            goto fail;
-        Py_DECREF(occ);
-        occ = nxt;
-    }
-    Py_DECREF(occ);
-    return Py_BuildValue("(ll)", count, n_edges);
-fail:
-    Py_DECREF(occ);
-    return NULL;
-}
-
-/* rebuild_row_scan(head, tail, Jcap) -> {oid: key}
- *
- * The Lemma 2.2 row scan of ChunkSpace.rebuild_row: walk the chunk's
- * occurrences, and for each principal copy fold every incident edge's key
- * into the per-destination-chunk minimum (strict python < on the key
- * objects, so int/float eid ties break exactly like the scalar loop).
- * Returns the live lanes as a dict of the *original* key objects in
- * first-touch order; ChunkSpace.write_row installs them in the object
- * row, and write_lanes in the flat mirror. */
-static PyObject *
-k_rebuild_row_scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "rebuild_row_scan takes 3 args");
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[2]);
-    if (PyErr_Occurred())
-        return NULL;
-    PyObject *tail = args[1];
-    PyObject **best = PyMem_New(PyObject *, (size_t)Jcap);
-    Py_ssize_t *touched = PyMem_New(Py_ssize_t, (size_t)Jcap);
-    Py_ssize_t n_touched = 0;
-    if (best == NULL || touched == NULL) {
-        PyMem_Free(best);
-        PyMem_Free(touched);
-        return PyErr_NoMemory();
-    }
-    memset(best, 0, sizeof(PyObject *) * (size_t)Jcap);
-    PyObject *occ = args[0];
-    Py_INCREF(occ);
-    while (occ != Py_None) {
-        PyObject *vx = PyObject_GetAttr(occ, s_vertex);
-        if (vx == NULL)
-            goto fail;
-        PyObject *pc = PyObject_GetAttr(vx, s_pc);
-        if (pc == NULL) {
-            Py_DECREF(vx);
-            goto fail;
-        }
-        int principal = pc == occ;
-        Py_DECREF(pc);
-        if (principal) {
-            PyObject *sides = PyObject_GetAttr(vx, s_sides);
-            if (sides == NULL) {
-                Py_DECREF(vx);
-                goto fail;
-            }
-            PyObject *fs = PySequence_Fast(sides, "vertex.sides");
-            Py_DECREF(sides);
-            if (fs == NULL) {
-                Py_DECREF(vx);
-                goto fail;
-            }
-            Py_ssize_t ns = PySequence_Fast_GET_SIZE(fs);
-            PyObject **srecs = PySequence_Fast_ITEMS(fs);
-            for (Py_ssize_t si = 0; si < ns; si++) {
-                PyObject *s = srecs[si];
-                PyObject *far = PyObject_GetAttr(s, s_far);
-                if (far == NULL)
-                    goto sidefail;
-                PyObject *fpc = PyObject_GetAttr(far, s_pc);
-                Py_DECREF(far);
-                if (fpc == NULL)
-                    goto sidefail;
-                PyObject *oc = PyObject_GetAttr(fpc, s_chunk);
-                Py_DECREF(fpc);
-                if (oc == NULL)
-                    goto sidefail;
-                PyObject *oid_obj = PyObject_GetAttr(oc, s_id);
-                Py_DECREF(oc);
-                if (oid_obj == NULL)
-                    goto sidefail;
-                if (oid_obj == Py_None) {
-                    Py_DECREF(oid_obj);
-                    continue;
-                }
-                long oid = PyLong_AsLong(oid_obj);
-                Py_DECREF(oid_obj);
-                if (oid == -1 && PyErr_Occurred())
-                    goto sidefail;
-                PyObject *key = PyObject_GetAttr(s, s_key);
-                if (key == NULL)
-                    goto sidefail;
-                if (best[oid] == NULL) {
-                    best[oid] = key;  /* steal */
-                    touched[n_touched++] = (Py_ssize_t)oid;
-                }
-                else {
-                    int lt = PyObject_RichCompareBool(key, best[oid], Py_LT);
-                    if (lt < 0) {
-                        Py_DECREF(key);
-                        goto sidefail;
-                    }
-                    if (lt) {
-                        Py_DECREF(best[oid]);
-                        best[oid] = key;
-                    }
-                    else
-                        Py_DECREF(key);
-                }
-                continue;
-            sidefail:
-                Py_DECREF(fs);
-                Py_DECREF(vx);
-                goto fail;
-            }
-            Py_DECREF(fs);
-        }
-        Py_DECREF(vx);
-        if (occ == tail)
-            break;
-        PyObject *nxt = PyObject_GetAttr(occ, s_next);
-        if (nxt == NULL)
-            goto fail;
-        Py_DECREF(occ);
-        occ = nxt;
-    }
-    Py_DECREF(occ);
-    occ = NULL;
-    {
-        PyObject *lanes = PyDict_New();
-        if (lanes == NULL)
-            goto fail;
-        for (Py_ssize_t t = 0; t < n_touched; t++) {
-            Py_ssize_t o = touched[t];
-            PyObject *oid = PyLong_FromSsize_t(o);
-            if (oid == NULL || PyDict_SetItem(lanes, oid, best[o]) < 0) {
-                Py_XDECREF(oid);
-                Py_DECREF(lanes);
-                goto fail;
-            }
-            Py_DECREF(oid);
-        }
-        for (Py_ssize_t o = 0; o < Jcap; o++)
-            Py_XDECREF(best[o]);
-        PyMem_Free(best);
-        PyMem_Free(touched);
-        return lanes;
-    }
-fail:
-    Py_XDECREF(occ);
-    for (Py_ssize_t o = 0; o < Jcap; o++)
-        Py_XDECREF(best[o]);
-    PyMem_Free(best);
-    PyMem_Free(touched);
-    return NULL;
-}
-
-/* ------------------------------------------------- DegreeReducer log walk */
-
-/* first_flip(change_log, mark) -> {eid: flag}
- *
- * Single pass over the log tail keeping the *first* flip per positive
- * eid (the status before the update), like DegreeReducer._net_delta. */
-static PyObject *
-k_first_flip(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError, "first_flip takes 2 args");
-    Py_ssize_t mark = PyLong_AsSsize_t(args[1]);
-    if (PyErr_Occurred())
-        return NULL;
-    PyObject *fast = PySequence_Fast(args[0], "change_log not iterable");
-    if (fast == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    PyObject *out = PyDict_New();
-    if (out == NULL) {
-        Py_DECREF(fast);
-        return NULL;
-    }
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = mark; i < n; i++) {
-        PyObject *rec = items[i];
-        if (!PyTuple_Check(rec) || PyTuple_GET_SIZE(rec) != 2)
-            goto typefail;
-        PyObject *eid = PyTuple_GET_ITEM(rec, 0);
-        long long v = PyLong_AsLongLong(eid);
-        if (v == -1 && PyErr_Occurred())
-            goto fail;
-        if (v > 0 && !PyDict_Contains(out, eid)) {
-            if (PyDict_SetItem(out, eid, PyTuple_GET_ITEM(rec, 1)) < 0)
-                goto fail;
-        }
-    }
-    Py_DECREF(fast);
-    return out;
-typefail:
-    PyErr_SetString(PyExc_TypeError, "change_log items must be (eid, flag)");
-fail:
-    Py_DECREF(fast);
-    Py_DECREF(out);
-    return NULL;
 }
 
 /* ------------------------------------------------------------ ChargeStream */
@@ -1363,217 +1101,6 @@ k_lct_path_max(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(LL)", f.mx[y], ops + ops2);
 }
 
-/* ----------------------------------------------------- fabric plumbing */
-
-/* chunk -> its SDS list, charging root_walk into the stream exactly like
- * ListRegistry.list_of_chunk: a cache hit charges lst.root.height or 1;
- * a miss walks leaf->root (tt.root_of), charges the walked root's height
- * or 1, resolves registry.by_root[root] and stamps the chunk cache.
- * Returns a new reference, with *height_out = the charged root height. */
-static PyObject *
-resolve_list(PyObject *chunk, PyObject *registry, ChargeStream *cs,
-             long *height_out)
-{
-    PyObject *ver = PyObject_GetAttr(registry, s_version);
-    if (ver == NULL)
-        return NULL;
-    PyObject *cver = PyObject_GetAttr(chunk, s_cache_ver);
-    if (cver == NULL) {
-        Py_DECREF(ver);
-        return NULL;
-    }
-    int hit = PyObject_RichCompareBool(cver, ver, Py_EQ);
-    Py_DECREF(cver);
-    if (hit < 0) {
-        Py_DECREF(ver);
-        return NULL;
-    }
-    PyObject *lst = NULL;
-    long height;
-    if (hit) {
-        lst = PyObject_GetAttr(chunk, s_cache_lst);
-        if (lst == NULL)
-            goto fail;
-        PyObject *root = PyObject_GetAttr(lst, s_root);
-        if (root == NULL)
-            goto fail;
-        height = attr_long(root, s_height);
-        Py_DECREF(root);
-        if (height == -1 && PyErr_Occurred())
-            goto fail;
-    }
-    else {
-        PyObject *node = PyObject_GetAttr(chunk, s_leaf);
-        if (node == NULL)
-            goto fail;
-        for (;;) {
-            PyObject *p = PyObject_GetAttr(node, s_parent);
-            if (p == NULL) {
-                Py_DECREF(node);
-                goto fail;
-            }
-            if (p == Py_None) {
-                Py_DECREF(p);
-                break;
-            }
-            Py_DECREF(node);
-            node = p;
-        }
-        height = attr_long(node, s_height);
-        if (height == -1 && PyErr_Occurred()) {
-            Py_DECREF(node);
-            goto fail;
-        }
-        PyObject *by_root = PyObject_GetAttr(registry, s_by_root);
-        if (by_root == NULL) {
-            Py_DECREF(node);
-            goto fail;
-        }
-        lst = PyObject_GetItem(by_root, node);
-        Py_DECREF(by_root);
-        Py_DECREF(node);
-        if (lst == NULL)
-            goto fail;
-        if (PyObject_SetAttr(chunk, s_cache_ver, ver) < 0 ||
-            PyObject_SetAttr(chunk, s_cache_lst, lst) < 0)
-            goto fail;
-    }
-    Py_DECREF(ver);
-    if (cs_add_internal(cs, s_root_walk, height ? height : 1) < 0) {
-        Py_DECREF(lst);
-        return NULL;
-    }
-    *height_out = height;
-    return lst;
-fail:
-    Py_DECREF(ver);
-    Py_XDECREF(lst);
-    return NULL;
-}
-
-/* list_of(chunk, registry, stream) -> lst */
-static PyObject *
-k_list_of(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError, "list_of takes 3 args");
-    if (!PyObject_TypeCheck(args[2], &ChargeStream_Type))
-        return PyErr_Format(PyExc_TypeError,
-                            "list_of: stream must be a ChargeStream");
-    long height;
-    return resolve_list(args[0], args[1], (ChargeStream *)args[2], &height);
-}
-
-/* Would _transition(lst) act?  0 = no-op, 1 = make_long, 2 = make_short */
-static long
-transition_action(PyObject *lst, long K)
-{
-    PyObject *root = PyObject_GetAttr(lst, s_root);
-    if (root == NULL)
-        return -1;
-    long height = attr_long(root, s_height);
-    if (height == -1 && PyErr_Occurred()) {
-        Py_DECREF(root);
-        return -1;
-    }
-    if (height) {
-        Py_DECREF(root);
-        return 0;
-    }
-    PyObject *c = PyObject_GetAttr(root, s_item);
-    Py_DECREF(root);
-    if (c == NULL)
-        return -1;
-    long cnt = attr_long(c, s_count);
-    long ne = (cnt == -1 && PyErr_Occurred()) ? -1 : attr_long(c, s_n_edges);
-    if (ne == -1 && PyErr_Occurred()) {
-        Py_DECREF(c);
-        return -1;
-    }
-    PyObject *idobj = PyObject_GetAttr(c, s_id);
-    Py_DECREF(c);
-    if (idobj == NULL)
-        return -1;
-    int id_none = idobj == Py_None;
-    Py_DECREF(idobj);
-    long n_c = cnt + ne;
-    if (id_none)
-        return n_c >= K ? 1 : 0;
-    return n_c < K ? 2 : 0;
-}
-
-/* transition_probe(lst, K) -> 0 | 1 | 2 */
-static PyObject *
-k_transition_probe(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError, "transition_probe takes 2 args");
-    long K = PyLong_AsLong(args[1]);
-    if (K == -1 && PyErr_Occurred())
-        return NULL;
-    long act = transition_action(args[0], K);
-    if (act < 0)
-        return NULL;
-    return PyLong_FromLong(act);
-}
-
-/* fix_probe(chunk, registry, K, stream) -> lst | None
- *
- * One native pass over fix_chunk's read-only prefix.  None means the
- * scalar body would have been a no-op past this point: either the chunk
- * is dead (uncharged early return), or it resolved to lst (root_walk
- * charged into the stream, cache stamped) and is provably settled --
- * the leading _transition is a no-op, K <= n_c <= 3K, and not
- * (n_c < K with a tall list), which also makes the trailing _transition
- * a no-op.  Otherwise returns lst and the python wrapper replays the
- * scalar fix_chunk body (transition / split / merge / re-fix). */
-static PyObject *
-k_fix_probe(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "fix_probe takes 4 args");
-    if (!PyObject_TypeCheck(args[3], &ChargeStream_Type))
-        return PyErr_Format(PyExc_TypeError,
-                            "fix_probe: stream must be a ChargeStream");
-    PyObject *chunk = args[0];
-    long K = PyLong_AsLong(args[2]);
-    if (K == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *dead = PyObject_GetAttr(chunk, s_dead);
-    if (dead == NULL)
-        return NULL;
-    int is_dead = PyObject_IsTrue(dead);
-    Py_DECREF(dead);
-    if (is_dead < 0)
-        return NULL;
-    if (is_dead)
-        Py_RETURN_NONE;
-    long height;
-    PyObject *lst = resolve_list(chunk, args[1],
-                                 (ChargeStream *)args[3], &height);
-    if (lst == NULL)
-        return NULL;
-    long act = transition_action(lst, K);
-    if (act < 0) {
-        Py_DECREF(lst);
-        return NULL;
-    }
-    if (act)
-        return lst;
-    long cnt = attr_long(chunk, s_count);
-    long ne = (cnt == -1 && PyErr_Occurred()) ? -1
-        : attr_long(chunk, s_n_edges);
-    if (ne == -1 && PyErr_Occurred()) {
-        Py_DECREF(lst);
-        return NULL;
-    }
-    long n_c = cnt + ne;
-    if (n_c > 3 * K || (n_c < K && height))
-        return lst;
-    Py_DECREF(lst);
-    Py_RETURN_NONE;
-}
-
 /* ------------------------------------------------------- lane writes */
 
 /* write_lanes(buf, Jcap, cid, lanes, row): for each lane j, write the
@@ -1650,8 +1177,6 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL, "col_sweep(node, j, buf, Jcap) -> node count"},
     {"col_sweep_many", (PyCFunction)(void (*)(void))k_col_sweep_many,
      METH_FASTCALL, "col_sweep_many(lists, j, buf, Jcap) -> node count"},
-    {"rebuild_row_scan", (PyCFunction)(void (*)(void))k_rebuild_row_scan,
-     METH_FASTCALL, "rebuild_row_scan(head, tail, Jcap) -> {oid: key}"},
     {"write_lanes", (PyCFunction)(void (*)(void))k_write_lanes,
      METH_FASTCALL, "write_lanes(buf, Jcap, cid, lanes, row)"},
     {"lct_init_node", (PyCFunction)(void (*)(void))k_lct_init_node,
@@ -1668,18 +1193,8 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL, "lct_cut(bufs, x, y) -> ops"},
     {"lct_path_max", (PyCFunction)(void (*)(void))k_lct_path_max,
      METH_FASTCALL, "lct_path_max(bufs, x, y) -> (mx_idx, ops)"},
-    {"list_of", (PyCFunction)(void (*)(void))k_list_of,
-     METH_FASTCALL, "list_of(chunk, registry, stream) -> lst"},
-    {"transition_probe", (PyCFunction)(void (*)(void))k_transition_probe,
-     METH_FASTCALL, "transition_probe(lst, K) -> 0|1|2"},
-    {"fix_probe", (PyCFunction)(void (*)(void))k_fix_probe,
-     METH_FASTCALL, "fix_probe(chunk, registry, K, stream) -> lst | None"},
     {"gamma_argmin", (PyCFunction)(void (*)(void))k_gamma_argmin,
      METH_FASTCALL, "gamma_argmin(keys, key_off, memb, Jcap) -> (j, w, e)"},
-    {"adopt_scan", (PyCFunction)(void (*)(void))k_adopt_scan,
-     METH_FASTCALL, "adopt_scan(head, tail, chunk, cid) -> (count, n_edges)"},
-    {"first_flip", (PyCFunction)(void (*)(void))k_first_flip,
-     METH_FASTCALL, "first_flip(change_log, mark) -> {eid: flag}"},
     {NULL, NULL, 0, NULL}
 };
 
@@ -1705,26 +1220,7 @@ PyInit__kernels(void)
     INTERN(s_agg, "agg");
     INTERN(s_item, "item");
     INTERN(s_id, "id");
-    INTERN(s_next, "next");
-    INTERN(s_chunk, "chunk");
-    INTERN(s_chunk_id, "chunk_id");
-    INTERN(s_vertex, "vertex");
-    INTERN(s_pc, "pc");
-    INTERN(s_edges, "edges");
     INTERN(s_root, "root");
-    INTERN(s_sides, "sides");
-    INTERN(s_far, "far");
-    INTERN(s_key, "key");
-    INTERN(s_dead, "dead");
-    INTERN(s_count, "count");
-    INTERN(s_n_edges, "n_edges");
-    INTERN(s_parent, "parent");
-    INTERN(s_cache_ver, "cache_ver");
-    INTERN(s_cache_lst, "cache_lst");
-    INTERN(s_version, "version");
-    INTERN(s_by_root, "by_root");
-    INTERN(s_leaf, "leaf");
-    INTERN(s_root_walk, "root_walk");
 #undef INTERN
     if (PyType_Ready(&ChargeStream_Type) < 0)
         return NULL;
@@ -1738,7 +1234,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddStringConstant(m, "__version__", "4") < 0) {
+    if (PyModule_AddStringConstant(m, "__version__", "5") < 0) {
         Py_DECREF(m);
         return NULL;
     }

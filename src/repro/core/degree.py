@@ -116,13 +116,6 @@ class DegreeReducer:
                                          lazy_vertices=True, backend=backend)
         else:
             self.core = engine_factory(n_core)
-        # compiled backend: the change-log first-flip walk is the one
-        # reducer-level loop the profile surfaces; C twin when available
-        self._first_flip = None
-        if backend == "compiled":
-            from . import compiled
-            if compiled.HAVE_COMPILED:
-                self._first_flip = compiled.kernels.first_flip
         # gadget ids: never-used ids from the high-water mark up, returned
         # ids on a LIFO stack that is drained first
         self._next_gadget = n
@@ -232,14 +225,10 @@ class DegreeReducer:
         # single pass over the log tail: the first flip of each touched
         # edge tells its status *before* the update (the old per-edge
         # `next()` rescans made this quadratic in the tail length)
-        if self._first_flip is not None:
-            first_flip: dict[int, bool] = self._first_flip(
-                self.core.change_log, mark)
-        else:
-            first_flip = {}
-            for eid, flag in self.core.change_log[mark:]:
-                if eid > 0 and eid not in first_flip:
-                    first_flip[eid] = flag
+        first_flip: dict[int, bool] = {}
+        for eid, flag in self.core.change_log[mark:]:
+            if eid > 0 and eid not in first_flip:
+                first_flip[eid] = flag
         added: set[int] = set()
         removed: set[int] = set()
         for t, flip in first_flip.items():

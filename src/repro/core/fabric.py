@@ -57,69 +57,6 @@ class Fabric:
                                 backend=backend)
         self.registry = ListRegistry(self.space)
         self.pull = self.registry.pull
-        self._bind_compiled_plumbing()
-
-    def _bind_compiled_plumbing(self) -> None:
-        """Route the structural hot paths through the C probes.
-
-        Only for ``backend="compiled"`` *and* when the counter carries a
-        ChargeStream (i.e. a sequential engine owns this fabric and its
-        counter drains the stream on every read):
-        ``fix_chunk``/``_transition``/``list_of_chunk`` are shadowed with
-        instance attributes whose read-only prefixes -- root walks, cache
-        checks, transition predicates -- run in ``_kernels.c``, charging
-        ``root_walk`` into the stream with scalar-identical amounts.  The
-        rare mutating outcomes (make_long / make_short / split / merge)
-        replay the scalar bodies unchanged, so structures, charges and
-        fingerprints stay bit-identical.  Bare fabrics (no engine, no
-        stream) keep the scalar paths.
-        """
-        space = self.space
-        if space.backend != "compiled":
-            return
-        from . import compiled
-        if not compiled.HAVE_COMPILED:
-            return
-        kn = compiled.kernels
-        stream = getattr(space.ops, "_stream", None)
-        if stream is None or not isinstance(stream, kn.ChargeStream):
-            return
-        registry = self.registry
-        K = space.K
-        fix_probe = kn.fix_probe
-        transition_probe = kn.transition_probe
-        list_of_kernel = kn.list_of
-
-        def _transition(lst: EulerList) -> None:
-            act = transition_probe(lst, K)
-            if act == 1:
-                self._make_long(lst)
-            elif act == 2:
-                self._make_short(lst)
-
-        def fix_chunk(c: Chunk) -> None:
-            lst = fix_probe(c, registry, K, stream)
-            if lst is None:  # dead, or provably settled (no-op body)
-                return
-            _transition(lst)
-            n_c = c.count + c.n_edges
-            if n_c > 3 * K:
-                c1, c2 = self.split_chunk_balanced(c)
-                fix_chunk(c1)
-                fix_chunk(c2)
-                return
-            if n_c < K and lst.root.height:
-                merged = self._merge_with_neighbor(c)
-                fix_chunk(merged)
-                return
-            _transition(lst)
-
-        def list_of_chunk(chunk: Chunk) -> EulerList:
-            return list_of_kernel(chunk, registry, stream)
-
-        self._transition = _transition    # type: ignore[method-assign]
-        self.fix_chunk = fix_chunk        # type: ignore[method-assign]
-        registry.list_of_chunk = list_of_chunk  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------ lists
 
@@ -536,9 +473,9 @@ class Fabric:
         self.space.bt_refresh_occ(e.u.pc)  # type: ignore[arg-type]
         self.space.bt_refresh_occ(e.v.pc)  # type: ignore[arg-type]
         if c1.id is not None and c2.id is not None:
+            # both directions are rewritten (set_pair), so c1's UpdateAdj
+            # covers the pair, as in register_edge
             self.space.entry_recompute_pair(c1, c2)
             self.registry.update_adj(c1)
-            if c2 is not c1:
-                self.registry.update_adj(c2)
         self.fix_chunk(c1)
         self.fix_chunk(e.v.pc.chunk)  # refetch: c2 may have merged/split

@@ -114,8 +114,8 @@ class SparseDynamicMSF:
         self._machine = getattr(self, "machine", None)
         # Compiled tier: batch hot-path charges in a C-side accumulator,
         # folded back into the counter lazily, by its next read (see
-        # OpCounter.flush).  Attached *before* the fabric is built so
-        # Fabric._bind_compiled_plumbing sees it.
+        # OpCounter.flush).  Attached before any structure is built, so
+        # every charge of the engine's life goes through it.
         if backend == "compiled":
             from . import compiled as _compiled
             if _compiled.HAVE_COMPILED and self.ops._stream is None:

@@ -198,9 +198,10 @@ def _connectivity_partition(eng, n: int) -> tuple:
 
 @pytest.mark.parametrize("workload", ["churn", "adversarial"])
 def test_transition_and_splay_parity(backend: str, workload: str) -> None:
-    """The backend-routed fabric-transition walk and splay/access loops
-    must leave the engine a twin of the scalar walks: per-update charge
-    totals, connectivity partition, forests, weights and the facade
+    """The backend-routed splay/access loops and the batched charge
+    stream must leave the engine a twin of the scalar walks (fabric
+    transitions run the one python path on both backends): per-update
+    charge totals, connectivity partition, forests, weights and the facade
     fingerprint all agree, and the structural self-check (which audits
     the LCT mirror and live-lane index) stays clean."""
     n = 80

@@ -37,16 +37,17 @@ SEED = 23
 #: only what moved must charge exactly this.  A link of a short tour into
 #: a long one (or of an isolated vertex) is one excursion splice, with no
 #: tour split or join, so the stream makes fewer surgeries than
-#: rotate-split-join links would, and an inserted edge runs one UpdateAdj
+#: rotate-split-join links would, and an inserted or deleted edge runs
+#: one UpdateAdj
 PINNED_BREAKDOWN = {
     "col_mirror": 91_047,
-    "col_sweep": 103_148,
+    "col_sweep": 100_004,
     "edge_scan": 18_530,
     "entry_update": 1_512,
     "id_assign": 39_347,
     "id_release": 70_752,
     "lct": 848,
-    "lsds_pull": 1_119_327,
+    "lsds_pull": 1_109_097,
     "mwr_argmin": 2_376,
     "mwr_gamma": 2_376,
     "mwr_scan": 854,

@@ -25,10 +25,11 @@ one fails loudly:
 
 A count test holds every excursion link to one ``UpdateAdj`` (of the host
 chunk) outside Invariant-1 restoration, however many far chunks the short
-tour's edges reach, and an inserted edge to one.  The mutation checks --
-entering only the linked edge into ``C``, skipping the closing
-occurrence's arc retarget, running no ``UpdateAdj`` for an inserted edge
--- must each be caught by the audit.
+tour's edges reach, and an inserted or deleted edge between two id'd
+chunks to one.  The mutation checks -- entering only the linked edge into
+``C``, skipping the closing occurrence's arc retarget, running no
+``UpdateAdj`` for an inserted or a deleted edge -- must each be caught by
+the audit.
 """
 
 from __future__ import annotations
@@ -273,7 +274,9 @@ def _count_update_adj(engine, scope: str) -> list[tuple[int, int]]:
     """Per call of ``fabric.<scope>``: the ``UpdateAdj`` runs it made
     outside Invariant-1 restoration (``fix_chunk``), and -- for
     ``attach_tour`` into an id'd host chunk -- the number of distinct
-    id'd far chunks the short tour's edges reach; ``-1`` otherwise."""
+    id'd far chunks the short tour's edges reach, or -- for
+    ``register_edge``/``unregister_edge`` of an edge whose endpoint chunks
+    both carry ids -- 1; ``-1`` otherwise."""
     fab = engine.fabric
     registry = fab.registry
     update_adj, fix_chunk = registry.update_adj, fab.fix_chunk
@@ -295,10 +298,15 @@ def _count_update_adj(engine, scope: str) -> list[tuple[int, int]]:
 
     def scoped(*args):
         far = -1
-        if scope == "attach_tour" and args[0].chunk.id is not None:
-            far = len({f.other(p.vertex).pc.chunk for p in _run_of(args[1])
-                       for f in p.vertex.edges
-                       if f.other(p.vertex).pc.chunk.id is not None})
+        if scope == "attach_tour":
+            if args[0].chunk.id is not None:
+                far = len({f.other(p.vertex).pc.chunk
+                           for p in _run_of(args[1])
+                           for f in p.vertex.edges
+                           if f.other(p.vertex).pc.chunk.id is not None})
+        elif (args[0].u.pc.chunk.id is not None
+              and args[0].v.pc.chunk.id is not None):
+            far = 1
         state["in"], state["calls"] = True, 0
         try:
             return inner(*args)
@@ -325,15 +333,20 @@ def test_one_update_adj_per_excursion_link(flavor):
     assert max(far for _calls, far in seen) >= 2, "never two far chunks"
 
 
-@pytest.mark.parametrize("flavor", FLAVORS)
-def test_one_update_adj_per_inserted_edge(flavor):
-    """C is symmetric, so an edge between two id'd chunks runs one
-    UpdateAdj (its u side's), not one per endpoint chunk."""
+@pytest.mark.parametrize("flavor, scope", [
+    *(pytest.param(f, "register_edge", id=f) for f in FLAVORS),
+    *(pytest.param(f, "unregister_edge", id=f"{f}-delete") for f in FLAVORS),
+])
+def test_one_update_adj_per_inserted_edge(flavor, scope):
+    """C is symmetric, so an inserted or deleted edge between two id'd
+    chunks runs one UpdateAdj (its u side's), not one per endpoint chunk,
+    and an edge with an id-less endpoint chunk runs none."""
     _skip_without_extension(flavor)
     engine = _engine(flavor)
-    seen = _count_update_adj(engine, "register_edge")
+    seen = _count_update_adj(engine, scope)
     drive_core(engine)
-    assert max(calls for calls, _far in seen) == 1
+    assert any(far == 1 for _calls, far in seen), "no edge between id'd chunks"
+    assert all(calls == (0 if far < 0 else 1) for calls, far in seen), seen
 
 
 def test_entering_only_the_linked_edge_fails_the_audit(monkeypatch):
@@ -400,15 +413,13 @@ def test_skipping_the_closing_arc_retarget_fails_the_audit(monkeypatch):
         drive_core(engine, check=_check_core)
 
 
-def test_inserted_edge_without_update_adj_fails_the_audit(monkeypatch):
-    """Mutation check: an inserted edge that runs no UpdateAdj at all (the
-    u side's dropped too) leaves LSDS aggregates stale; the audit must
-    reject it."""
-    engine = SparseDynamicMSF(N, K=K)
+def _without_update_adj(monkeypatch, engine, scope: str) -> None:
+    """Make ``fabric.<scope>`` run no UpdateAdj outside Invariant-1
+    restoration (``fix_chunk``)."""
     fab = engine.fabric
     registry = fab.registry
-    update_adj, fix_chunk, register = (registry.update_adj, fab.fix_chunk,
-                                       fab.register_edge)
+    update_adj, fix_chunk, inner = (registry.update_adj, fab.fix_chunk,
+                                    getattr(fab, scope))
     state = {"in": False, "fix": 0}
 
     def gated_update_adj(c):
@@ -423,15 +434,33 @@ def test_inserted_edge_without_update_adj_fails_the_audit(monkeypatch):
         finally:
             state["fix"] -= 1
 
-    def register_without_update_adj(e):
+    def without_update_adj(e):
         state["in"] = True
         try:
-            return register(e)
+            return inner(e)
         finally:
             state["in"] = False
 
     monkeypatch.setattr(registry, "update_adj", gated_update_adj)
     monkeypatch.setattr(fab, "fix_chunk", fencing_fix_chunk)
-    monkeypatch.setattr(fab, "register_edge", register_without_update_adj)
+    monkeypatch.setattr(fab, scope, without_update_adj)
+
+
+def test_inserted_edge_without_update_adj_fails_the_audit(monkeypatch):
+    """Mutation check: an inserted edge that runs no UpdateAdj at all (the
+    u side's dropped too) leaves LSDS aggregates stale; the audit must
+    reject it."""
+    engine = SparseDynamicMSF(N, K=K)
+    _without_update_adj(monkeypatch, engine, "register_edge")
+    with pytest.raises(AssertionError, match="stale LSDS"):
+        drive_core(engine, check=_check_core)
+
+
+def test_deleted_edge_without_update_adj_fails_the_audit(monkeypatch):
+    """Mutation check: a deleted edge between two id'd chunks that runs no
+    UpdateAdj at all (the u side's dropped too) leaves LSDS aggregates
+    stale; the audit must reject it."""
+    engine = SparseDynamicMSF(N, K=K)
+    _without_update_adj(monkeypatch, engine, "unregister_edge")
     with pytest.raises(AssertionError, match="stale LSDS"):
         drive_core(engine, check=_check_core)

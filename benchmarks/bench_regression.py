@@ -313,7 +313,7 @@ def _build(spec: dict, machine=None):
         eng = BatchedMSF(n)
         drive(eng, churn(n, spec["prefill"], seed=5))
         eng.flush()
-        eng.connected(0, n - 1)  # warm the epoch snapshot
+        eng.connected(0, n - 1)  # build this epoch's read view
         return eng, False, None
     raise ValueError(f"unknown engine kind {kind!r}")
 

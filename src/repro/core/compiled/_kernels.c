@@ -302,7 +302,7 @@ k_pull_node_changed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* ----------------------------------------------------------- column sweep */
 
 /* post-order recompute of entry j; leftmost-wins strict <, like the
- * scalar _col_sweep.  Returns 0/1 memb, -1 on error. */
+ * scalar column sweep.  Returns 0/1 memb, -1 on error. */
 static int
 sweep_rec(PyObject *node, Py_ssize_t j, double *mat, Py_ssize_t Jcap,
           double *w_out, double *e_out, long *count)
@@ -357,26 +357,6 @@ sweep_rec(PyObject *node, Py_ssize_t j, double *mat, Py_ssize_t Jcap,
     *w_out = bw;
     *e_out = be;
     return memb;
-}
-
-/* col_sweep(node, j, buf, Jcap) -> visited node count */
-static PyObject *
-k_col_sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError, "col_sweep takes 4 args");
-    Py_ssize_t j = PyLong_AsSsize_t(args[1]);
-    double *mat = keybuf(args[2], "col_sweep");
-    if (mat == NULL)
-        return NULL;
-    Py_ssize_t Jcap = PyLong_AsSsize_t(args[3]);
-    if (PyErr_Occurred())
-        return NULL;
-    long count = 0;
-    double w, e;
-    if (sweep_rec(args[0], j, mat, Jcap, &w, &e, &count) < 0)
-        return NULL;
-    return PyLong_FromLong(count);
 }
 
 /* col_sweep_many(lists, j, buf, Jcap) -> total visited node count
@@ -1173,8 +1153,6 @@ static PyMethodDef kernel_methods[] = {
     {"pull_node_changed", (PyCFunction)(void (*)(void))k_pull_node_changed,
      METH_FASTCALL,
      "pull_node_changed(node, buf, Jcap, scratch_k, scratch_m) -> bool"},
-    {"col_sweep", (PyCFunction)(void (*)(void))k_col_sweep,
-     METH_FASTCALL, "col_sweep(node, j, buf, Jcap) -> node count"},
     {"col_sweep_many", (PyCFunction)(void (*)(void))k_col_sweep_many,
      METH_FASTCALL, "col_sweep_many(lists, j, buf, Jcap) -> node count"},
     {"write_lanes", (PyCFunction)(void (*)(void))k_write_lanes,
@@ -1234,7 +1212,7 @@ PyInit__kernels(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddStringConstant(m, "__version__", "5") < 0) {
+    if (PyModule_AddStringConstant(m, "__version__", "6") < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -42,13 +42,6 @@ class CompiledMatrix:
     def set_entry(self, i: int, j: int, key: tuple) -> None:
         kernels.set_entry(self.buf, self.Jcap, i, j, key[0], key[1])
 
-    # ------------------------------------------------------------ reads
-
-    def get_entry(self, i: int, j: int) -> tuple:
-        view = memoryview(self.buf).cast("d")
-        off = 2 * (i * self.Jcap + j)
-        return (view[off], view[off + 1])
-
     # ------------------------------------------------------ verification
 
     def verify_against(self, C, max_findings: int = 5) -> list:

@@ -341,23 +341,29 @@ class ListRegistry:
 
     # -- lookups ---------------------------------------------------------------
 
-    def list_of_chunk(self, chunk: Chunk) -> EulerList:
-        """Resolve a chunk's list, with a version-stamped cache.
+    def resolve(self, chunk: Chunk) -> EulerList:
+        """A chunk's list through the version-stamped cache, uncharged.
 
-        The cached path charges exactly what the walk would have charged
-        (``max(root.height, 1)`` with ``root`` the list's maintained root),
-        so op counters are bit-identical with and without a warm cache.
+        The serving fronts' read path; engine code calls
+        :meth:`list_of_chunk`, which charges the walk.
         """
         if chunk.cache_ver == self.version:
-            lst: EulerList = chunk.cache_lst
-            # `height or 1` == max(height, 1) for the nonnegative heights
-            self._charge("root_walk", lst.root.height or 1)
-            return lst
-        root = tt.root_of(chunk.leaf)
-        self._charge("root_walk", root.height or 1)
-        lst = self.by_root[root]
+            return chunk.cache_lst
+        lst = self.by_root[tt.root_of(chunk.leaf)]
         chunk.cache_ver = self.version
         chunk.cache_lst = lst
+        return lst
+
+    def list_of_chunk(self, chunk: Chunk) -> EulerList:
+        """Resolve a chunk's list and charge the root walk.
+
+        The charge is ``max(root.height, 1)`` with ``root`` the list's
+        maintained root, whether or not the cache was warm, so op
+        counters are bit-identical with and without a warm cache.
+        """
+        lst = self.resolve(chunk)
+        # `height or 1` == max(height, 1) for the nonnegative heights
+        self._charge("root_walk", lst.root.height or 1)
         return lst
 
     def lists(self) -> Iterator[EulerList]:

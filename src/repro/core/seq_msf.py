@@ -41,21 +41,23 @@ _NEG_INF = float("-inf")
 class _VertexTable:
     """List-like vertex container materializing entries on first access."""
 
-    __slots__ = ("_engine", "_slots")
+    __slots__ = ("_engine", "slots")
 
     def __init__(self, engine: "SparseDynamicMSF") -> None:
         self._engine = engine
-        self._slots: list[Optional[Vertex]] = [None] * engine.n_max
+        #: vertices by id, ``None`` until first touch; reading a slot
+        #: builds nothing (the serving read view relies on this)
+        self.slots: list[Optional[Vertex]] = [None] * engine.n_max
 
     def __getitem__(self, vid: int) -> Vertex:
-        vx = self._slots[vid]
+        vx = self.slots[vid]
         if vx is None:
             vx = self._engine._materialize_vertex(vid)
-            self._slots[vid] = vx
+            self.slots[vid] = vx
         return vx
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self.slots)
 
     def __iter__(self) -> Iterator[Vertex]:
         """Iterate *materialized* vertices only.
@@ -65,13 +67,13 @@ class _VertexTable:
         structural auditor being the only one -- would both skew and
         defeat laziness by forcing the whole pool into existence.
         """
-        for vx in self._slots:
+        for vx in self.slots:
             if vx is not None:
                 yield vx
 
     def materialized(self) -> int:
         """How many vertices have been built (diagnostics)."""
-        return sum(1 for vx in self._slots if vx is not None)
+        return sum(1 for vx in self.slots if vx is not None)
 
 
 class SparseDynamicMSF:

@@ -569,13 +569,6 @@ class Machine:
         self._shaped.clear()
         return dropped
 
-    def evict_plan(self, key: tuple) -> bool:
-        """Evict one compiled plan (forces a clean re-record of ``key``)."""
-        if key in self._shaped:
-            del self._shaped.data[key]
-            return True
-        return False
-
     # -- accounting suspension ------------------------------------------------
 
     def paused(self):

@@ -1,17 +1,18 @@
-"""repro.serve -- the batched-update / snapshot-read serving layer.
+"""repro.serve -- the batched-update / epoch-read serving layer.
 
 Turns the reproduction's dynamic-MSF engines into a read-heavy serving
 stack (see README "Serving layer"):
 
 * :class:`BatchedMSF` -- facade-compatible front that coalesces update
-  batches deterministically and serves reads from an epoch-versioned
-  union-find snapshot;
+  batches deterministically and serves reads from the root engine's
+  Euler lists, through one read view per epoch;
 * :class:`LevelExecutor` -- runs a batch's sparsification-tree
   propagation plans serially, in submission order (Section 5.3's
   per-level parallelism is modelled by cost accounting, not threads);
 * :func:`coalesce` / :class:`CoalescedBatch` -- canonical batch algebra
   (insert+delete annihilation, dedupe, stable ordering);
-* :class:`ConnectivitySnapshot` -- the O(alpha(n))-per-query read path.
+* :class:`ConnectivitySnapshot` -- that read view: an O(1), uncharged
+  Euler-list identity test per query.
 """
 
 from .batch import CoalescedBatch, coalesce

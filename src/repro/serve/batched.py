@@ -1,4 +1,4 @@
-"""`BatchedMSF` -- the batched-update, snapshot-read serving front.
+"""`BatchedMSF` -- the batched-update, epoch-read serving front.
 
 Wraps a dynamic-MSF engine (the sparsification tree by default) behind a
 write buffer and an epoch-versioned read path:
@@ -9,9 +9,9 @@ write buffer and an epoch-versioned read path:
   applied as one canonical batch, whose sparsification-tree plans run
   through a :class:`~repro.serve.executor.LevelExecutor`;
 * **reads** are strongly consistent (a query first flushes pending
-  writes) and served from an epoch-stamped union-find snapshot
-  (:mod:`repro.serve.snapshot`) plus the engines' delta-maintained
-  ``msf_weight`` -- near-O(1) per query instead of a root-engine walk.
+  writes) and served from an epoch-stamped read view of the root
+  engine's Euler lists (:mod:`repro.serve.snapshot`) plus the engines'
+  delta-maintained ``msf_weight`` -- O(1) per query and uncharged.
 
 The facade API mirrors :class:`repro.DynamicMSF`; ``flush()`` is the
 only addition callers may want to invoke explicitly.
@@ -36,7 +36,7 @@ __all__ = ["BatchedMSF"]
 
 
 class BatchedMSF:
-    """Batched-update / snapshot-read dynamic MSF for serving workloads.
+    """Batched-update / epoch-read dynamic MSF for serving workloads.
 
     Parameters
     ----------
@@ -243,8 +243,7 @@ class BatchedMSF:
             for eid, u, v, w in applied_ins:
                 self._live.add(eid)
                 self._edges[eid] = (u, v, w)
-            self._epoch += 1         # invalidates the read snapshot
-            self._snapshot = None
+            self._epoch += 1         # invalidates the read view
             if self._durable is not None:
                 self._durable_commit(applied_dels, applied_ins)
         self.stats["batches"] += 1
@@ -430,16 +429,16 @@ class BatchedMSF:
     def _snap(self) -> ConnectivitySnapshot:
         snap = self._snapshot
         if snap is None or snap.epoch != self._epoch:
+            impl = self._impl
             snap = ConnectivitySnapshot(
-                self.n,
-                ((u, v) for u, v, _w, _eid in self._impl.msf_edges()),
+                self.n, impl.root.engine if self.sparsified else impl,
                 self._epoch)
             self._snapshot = snap
             self.stats["snapshot_builds"] += 1
         return snap
 
     def connected(self, u: int, v: int) -> bool:
-        """Union-find snapshot query: ~O(alpha(n)) after a lazy rebuild."""
+        """Same Euler list in the root engine: O(1), uncharged."""
         self._sync()
         self.stats["queries"] += 1
         return self._snap().connected(u, v)

@@ -1,8 +1,8 @@
 """`ClusterMSF` -- the multi-process sharded serving front.
 
 Same facade contract as :class:`repro.serve.BatchedMSF` (buffered
-writes, deterministic coalescing, epoch-versioned snapshot reads,
-strong/deferred consistency) but the backend is a
+writes, deterministic coalescing, epoch-stamped reads from the merge
+tree's root engine, strong/deferred consistency) but the backend is a
 :class:`repro.cluster.Coordinator`: a pool of worker *processes*, each
 owning a warm shard-scoped sparsification engine over a contiguous
 vertex range, plus one coordinator-owned merge tree that holds the shard
@@ -183,8 +183,7 @@ class ClusterMSF:
             self.stats["ops_applied"] += len(batch)
             self._live.difference_update(batch.deletes)
             self._live.update(rec[0] for rec in batch.inserts)
-            self._epoch += 1         # invalidates the read snapshot
-            self._snapshot = None
+            self._epoch += 1         # invalidates the read view
             if self._durable is not None:
                 self._durable_commit(batch)
         self.stats["batches"] += 1
@@ -272,9 +271,7 @@ class ClusterMSF:
         snap = self._snapshot
         if snap is None or snap.epoch != self._epoch:
             snap = ConnectivitySnapshot(
-                self.n,
-                ((u, v) for u, v, _w, _eid in self._coord.merge.msf_edges()),
-                self._epoch)
+                self.n, self._coord.merge.root.engine, self._epoch)
             self._snapshot = snap
             self.stats["snapshot_builds"] += 1
         return snap

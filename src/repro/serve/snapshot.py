@@ -1,60 +1,63 @@
-"""Epoch-versioned connectivity snapshot for the read path.
+"""Epoch-stamped connectivity read view over the root engine.
 
-``connected()`` on the sparsified engine walks the root engine's gadget
-chains and Euler-list structures -- correct, but far too heavy for a
-read-dominated serving workload.  A :class:`ConnectivitySnapshot` is a
-plain union-find built *once* from the current MSF edge set (the forest
-has at most ``n - 1`` edges, so a build is ``O(n alpha(n))``), stamped
-with the epoch of the batch it reflects.  Queries are then near-O(1)
-finds with path halving; the serving front throws the snapshot away
-whenever a batch is applied and rebuilds lazily on the first query of
-the new epoch.
+Two vertices are connected exactly when their chunks lie in the same
+Euler list, and the root engine's :class:`~repro.core.lsds.ListRegistry`
+keeps that chunk -> list answer in a version-stamped cache.  A
+:class:`ConnectivitySnapshot` reads that cache directly: a copy of n
+vertex pointers to build, two cache lookups per query, no op charged
+and no vertex built.  The serving fronts build one per epoch, on the
+first read after a batch is applied.  The root engine changes only when
+a batch is applied, a restore runs or a recovery rebuild runs; each of
+those bumps the epoch or drops the view.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Optional
 
 __all__ = ["ConnectivitySnapshot"]
 
 
 class ConnectivitySnapshot:
-    """Immutable-by-convention union-find over one epoch's MSF."""
+    """Connectivity of one epoch, read from a root degree reducer's core."""
 
-    __slots__ = ("n", "epoch", "edge_count", "_parent", "_components")
+    __slots__ = ("n", "epoch", "_slots", "_registry", "_msf_ids",
+                 "_components")
 
-    def __init__(self, n: int, msf_edges: Iterable[tuple[int, int]],
-                 epoch: int) -> None:
+    def __init__(self, n: int, engine, epoch: int) -> None:
         self.n = n
         self.epoch = epoch
-        parent = list(range(n))
-        self._parent = parent
-        count = 0
-        components = n
-        find = self._find
-        for u, v in msf_edges:
-            count += 1
-            ru, rv = find(u), find(v)
-            if ru != rv:  # MSF edges never cycle, but stay defensive
-                # union by index keeps the build deterministic
-                if rv < ru:
-                    ru, rv = rv, ru
-                parent[rv] = ru
-                components -= 1
-        self.edge_count = count
-        self._components = components
-
-    def _find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
+        core = engine.core
+        # the sequential core builds vertices on first touch and a vertex
+        # never built is isolated; the parallel core's list is eager.  Ids
+        # past n are the core's gadgets, so the view copies the first n
+        # slots (n pointers; only a batch builds a vertex, and a batch
+        # retires the view)
+        self._slots = getattr(core.vertices, "slots", core.vertices)[:n]
+        self._registry = core.fabric.registry
+        self._msf_ids = engine.msf_ids
+        self._components: Optional[int] = None
 
     # ------------------------------------------------------------- queries
 
     def connected(self, u: int, v: int) -> bool:
-        return self._find(u) == self._find(v)
+        a = self._slots[u]
+        b = self._slots[v]
+        if a is None or b is None:
+            return u == v
+        # the registry's version cache read in place (a hit is the common
+        # case and a call per lookup was a third of a read); a miss goes
+        # through the same resolve the engine's charged lookups use
+        reg = self._registry
+        ver = reg.version
+        ca = a.pc.chunk
+        cb = b.pc.chunk
+        la = ca.cache_lst if ca.cache_ver == ver else reg.resolve(ca)
+        lb = cb.cache_lst if cb.cache_ver == ver else reg.resolve(cb)
+        return la is lb
 
     def component_count(self) -> int:
+        # the MSF is a forest: each of its edges joins two components
+        if self._components is None:
+            self._components = self.n - len(self._msf_ids())
         return self._components

@@ -87,10 +87,6 @@ def _pull(node: tt.Node) -> None:
         node.agg = [size, vflag, markers]
 
 
-def _leaf_agg(leaf: tt.Node) -> tuple[int, bool, int]:
-    return leaf.item.agg()
-
-
 def _node_agg(node: tt.Node) -> tuple[int, bool, int]:
     return node.item.agg() if node.is_leaf else node.agg
 

@@ -284,11 +284,15 @@ def test_epoch_and_snapshot_invalidation():
     assert front.connected(0, 2) is True      # strong read flushes
     assert front.epoch == 1 and front.pending_ops == 0
     builds = front.stats["snapshot_builds"]
-    front.connected(0, 1)                     # same epoch: cached snapshot
+    view = front._snapshot
+    front.connected(0, 1)                     # same epoch: same read view
+    assert front._snapshot is view
     assert front.stats["snapshot_builds"] == builds
     front.delete_edge(e1)
-    assert front.connected(0, 1) is False     # new epoch: lazy rebuild
+    front.flush()                             # the epoch check retires it
     assert front.epoch == 2
+    assert front.connected(0, 1) is False     # new epoch: a fresh view
+    assert front._snapshot is not view and front._snapshot.epoch == 2
     assert front.stats["snapshot_builds"] == builds + 1
 
 

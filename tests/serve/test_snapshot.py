@@ -1,7 +1,8 @@
-"""ConnectivitySnapshot vs a BFS oracle on random forests."""
+"""ConnectivitySnapshot over a degree reducer vs a BFS oracle."""
 
 import random
 
+from repro.core.degree import DegreeReducer
 from repro.serve.snapshot import ConnectivitySnapshot
 
 
@@ -31,16 +32,19 @@ def test_snapshot_matches_bfs_oracle():
     rng = random.Random(11)
     n = 64
     for trial in range(8):
-        edges = []
-        comp, _ = _components(n, edges)
-        # grow a random forest: accept only edges joining components
-        for _ in range(n):
+        eng = DegreeReducer(n, max_edges=4 * n)
+        live = {}
+        # random inserts (cycles included) and a few deletes, so the view
+        # reads a forest that has both grown and been cut
+        for _ in range(2 * n):
             u, v = rng.sample(range(n), 2)
-            if comp[u] != comp[v]:
-                edges.append((u, v))
-                comp, _ = _components(n, edges)
-        snap = ConnectivitySnapshot(n, edges, epoch=trial)
-        comp, count = _components(n, edges)
+            eid = eng.insert_edge(u, v, rng.random())
+            live[eid] = (u, v)
+        for eid in rng.sample(sorted(live), n // 2):
+            eng.delete_edge(eid)
+            del live[eid]
+        snap = ConnectivitySnapshot(n, eng, epoch=trial)
+        comp, count = _components(n, list(live.values()))
         assert snap.epoch == trial
         assert snap.component_count() == count
         for _ in range(200):
@@ -50,7 +54,7 @@ def test_snapshot_matches_bfs_oracle():
 
 
 def test_empty_snapshot():
-    snap = ConnectivitySnapshot(5, [], epoch=0)
+    snap = ConnectivitySnapshot(5, DegreeReducer(5), epoch=0)
     assert snap.component_count() == 5
     assert not snap.connected(0, 4)
     assert snap.connected(2, 2)

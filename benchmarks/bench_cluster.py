@@ -101,8 +101,8 @@ def _run_cluster(prof: dict, ops: list, pool: int, *, kill_at=None):
 def identity_gate(prof: dict, ops: list) -> dict:
     """Pool {1,2,4} must be bit-identical to the serial path, every round;
     on the full profile the best pool >= 2 must also beat pool 1."""
-    ref = BatchedMSF(prof["n"], sparsify=True,
-                     batch_size=prof["batch"], consistency="deferred")
+    ref = BatchedMSF(prof["n"], batch_size=prof["batch"],
+                     consistency="deferred")
     sref = drive(ref, ops)
     ref.flush()
     fp_ref = state_fingerprint(ref)

@@ -729,8 +729,7 @@ def measure_durability_overhead(specs: dict, engines=None):
         durable = ({"durability": "wal", "durable_dir": tmp,
                     "snapshot_every": DURABILITY_SNAPSHOT_EVERY}
                    if mode == "on" else {})
-        front = BatchedMSF(spec["n"], sparsify=True,
-                           batch_size=DURABILITY_BATCH,
+        front = BatchedMSF(spec["n"], batch_size=DURABILITY_BATCH,
                            consistency="deferred", **durable)
         spent_durable = [0.0]
         if mode == "on":

@@ -18,7 +18,7 @@ Usage:
     python benchmarks/bench_soak.py                    # full profile
     python benchmarks/bench_soak.py --quick --seed 0
     python benchmarks/bench_soak.py --out soak.json
-    python benchmarks/bench_soak.py --engine parallel --sparsify
+    python benchmarks/bench_soak.py --engine parallel
 """
 
 from __future__ import annotations
@@ -34,15 +34,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.resilience.soak import (run_campaign,  # noqa: E402
                                    run_crash_campaign)
 
-#: (engine, sparsify) configurations; parallel streams are shorter (the
-#: lockstep simulator is the cost driver) but flip machines to the
-#: ``fast`` audit tier so the pram.* sites are reachable.
-CONFIGS = [
-    ("sequential", True),
-    ("sequential", False),
-    ("parallel", True),
-    ("parallel", False),
-]
+#: engine kinds, each behind the sparsified front; parallel streams are
+#: shorter (the lockstep simulator is the cost driver) but flip machines
+#: to the ``fast`` audit tier so the pram.* sites are reachable.
+CONFIGS = ["sequential", "parallel"]
 
 PROFILES = {
     "full": dict(seeds=3, seq=dict(n=48, n_ops=320, n_faults=6),
@@ -66,84 +61,52 @@ PROFILES = {
 }
 
 
-def run_soak(profile: str, base_seed: int, *, engines=None,
-             sparsify=None) -> dict:
+def _rows(prof: dict, engines) -> list[tuple[str, dict]]:
+    """``(tag, run_campaign kwargs)`` per campaign row, in print order."""
+    rows = [(engine, dict(engine=engine,
+                          **prof["par" if engine == "parallel" else "seq"]))
+            for engine in CONFIGS if engines is None or engine in engines]
+    if engines is not None and "sequential" not in engines:
+        return rows
+    # the sharded serving profile (clustered ranges + cross-shard edges),
+    # on the engine the cluster's workers run: sequential
+    rows.append(("worker_mix/sparse",
+                 dict(engine="sequential", **prof["mix"])))
+    # the compiled backend adds the mirror-tearing ``compiled.kernel``
+    # site; only runs when the native extension is built
+    from repro.core import compiled as _compiled
+    if _compiled.HAVE_COMPILED:
+        rows.append(("compiled/sparse", dict(
+            engine="sequential", backend="compiled", **prof["seq"])))
+    else:
+        print("  compiled/sparse       skipped: native extension not built")
+    # the durable WAL profile (restart_heavy churn/burst stream with the
+    # crash-shaped ``wal.*``/``snapshot.write`` sites armed), ending in a
+    # full close -> restore -> fingerprint-identity gate
+    rows.append(("restart_heavy/wal",
+                 dict(engine="sequential", **prof["dur"])))
+    return rows
+
+
+def run_soak(profile: str, base_seed: int, *, engines=None) -> dict:
     prof = PROFILES[profile]
     campaigns = []
     t0 = time.perf_counter()
-    for engine, sp in CONFIGS:
-        if engines is not None and engine not in engines:
-            continue
-        if sparsify is not None and sp != sparsify:
-            continue
-        kw = prof["par"] if engine == "parallel" else prof["seq"]
+    for tag, kw in _rows(prof, engines):
         for s in range(prof["seeds"]):
-            report = run_campaign(base_seed + s, engine=engine,
-                                  sparsify=sp, **kw)
+            report = run_campaign(base_seed + s, **kw)
             campaigns.append(report)
-            tag = f"{engine}/{'sparse' if sp else 'flat'}"
             verdict = "ok" if report["ok"] else "FAIL"
+            durable = report["final"].get("durable")
+            restored = (f"restore_identical="
+                        f"{durable.get('restore_fingerprint_match')} "
+                        if durable is not None else "")
             print(f"  {tag:20s} seed={base_seed + s}: {verdict}  "
                   f"injected={report['n_injected']} "
                   f"detected={report['n_detected']} "
                   f"masked={report['n_masked']} "
                   f"wrong={report['wrong_answers']} "
-                  f"sites={report['sites_hit']}")
-    # the sharded serving profile (clustered ranges + cross-shard edges),
-    # on the configuration the cluster's workers run: sequential+sparsify
-    if (engines is None or "sequential" in engines) and sparsify in (
-            None, True):
-        for s in range(prof["seeds"]):
-            report = run_campaign(base_seed + s, engine="sequential",
-                                  sparsify=True, **prof["mix"])
-            campaigns.append(report)
-            verdict = "ok" if report["ok"] else "FAIL"
-            print(f"  {'worker_mix/sparse':20s} seed={base_seed + s}: "
-                  f"{verdict}  injected={report['n_injected']} "
-                  f"detected={report['n_detected']} "
-                  f"masked={report['n_masked']} "
-                  f"wrong={report['wrong_answers']} "
-                  f"sites={report['sites_hit']}")
-    # the compiled backend adds the mirror-tearing ``compiled.kernel``
-    # site; only runs when the native extension is built
-    if (engines is None or "sequential" in engines) and sparsify in (
-            None, True):
-        from repro.core import compiled as _compiled
-        if not _compiled.HAVE_COMPILED:
-            print("  compiled/sparse       skipped: native extension "
-                  "not built")
-        else:
-            for s in range(prof["seeds"]):
-                report = run_campaign(base_seed + s, engine="sequential",
-                                      sparsify=True, backend="compiled",
-                                      **prof["seq"])
-                campaigns.append(report)
-                verdict = "ok" if report["ok"] else "FAIL"
-                print(f"  {'compiled/sparse':20s} seed={base_seed + s}: "
-                      f"{verdict}  injected={report['n_injected']} "
-                      f"detected={report['n_detected']} "
-                      f"masked={report['n_masked']} "
-                      f"wrong={report['wrong_answers']} "
-                      f"sites={report['sites_hit']}")
-    # the durable WAL profile (restart_heavy churn/burst stream with the
-    # crash-shaped ``wal.*``/``snapshot.write`` sites armed), ending in a
-    # full close -> restore -> fingerprint-identity gate
-    if (engines is None or "sequential" in engines) and sparsify in (
-            None, True):
-        for s in range(prof["seeds"]):
-            report = run_campaign(base_seed + s, engine="sequential",
-                                  sparsify=True, **prof["dur"])
-            campaigns.append(report)
-            verdict = "ok" if report["ok"] else "FAIL"
-            restored = report["final"].get("durable", {}).get(
-                "restore_fingerprint_match")
-            print(f"  {'restart_heavy/wal':20s} seed={base_seed + s}: "
-                  f"{verdict}  injected={report['n_injected']} "
-                  f"detected={report['n_detected']} "
-                  f"masked={report['n_masked']} "
-                  f"wrong={report['wrong_answers']} "
-                  f"restore_identical={restored} "
-                  f"sites={report['sites_hit']}")
+                  f"{restored}sites={report['sites_hit']}")
     elapsed = time.perf_counter() - t0
     n_ok = sum(1 for c in campaigns if c["ok"])
     agg = {
@@ -222,8 +185,6 @@ def main(argv=None) -> int:
                     help="write the aggregate JSON report here")
     ap.add_argument("--engine", choices=["sequential", "parallel"],
                     default=None, help="restrict to one engine kind")
-    ap.add_argument("--sparsify", action="store_true", default=None,
-                    help="restrict to sparsified backends")
     ap.add_argument("--crash", action="store_true",
                     help="run the crash-restart (SIGKILL + WAL recovery) "
                          "campaign instead of the fault-injection soak")
@@ -249,8 +210,7 @@ def main(argv=None) -> int:
         return 0
     print(f"soak profile={profile} base_seed={args.seed}")
     agg = run_soak(profile, args.seed,
-                   engines={args.engine} if args.engine else None,
-                   sparsify=args.sparsify)
+                   engines={args.engine} if args.engine else None)
     print(f"\ncampaigns: {agg['campaigns_ok']}/{agg['campaigns']} ok; "
           f"injected={agg['injected']} detected={agg['detected']} "
           f"masked={agg['masked']} wrong_answers={agg['wrong_answers']} "

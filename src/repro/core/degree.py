@@ -133,7 +133,9 @@ class DegreeReducer:
     # ------------------------------------------------------------- queries
 
     def connected(self, u: int, v: int) -> bool:
-        # every chain is anchored at its own vertex id
+        # the core's ids past n are gadget nodes, not vertices; every
+        # chain is anchored at its own vertex id
+        check_endpoints(u, v, self.n)
         return self.core.connected(u, v)
 
     def msf_edges(self) -> Iterator[tuple[int, int, float, int]]:

@@ -34,10 +34,12 @@ def check_endpoints(u: Any, v: Any, n: int) -> None:
     """Reject an edge whose endpoints are not vertex ids ``0..n-1``.
 
     Called by every public insert path before an edge id is drawn and
-    before any registry write, so a rejected insert changes nothing.
-    ``bool`` and non-integral values (``0.0``, ``0.5``, ``"1"``) are
-    rejected too: ``True`` would silently alias vertex 1 and a float
-    would fail deep inside an update, after the registry was written.
+    before any registry write, so a rejected insert changes nothing, and
+    by every public ``connected``, whose core ids past ``n`` are gadget
+    nodes and where ``-1`` would alias vertex ``n-1``.  ``bool`` and
+    non-integral values (``0.0``, ``0.5``, ``"1"``) are rejected too:
+    ``True`` would silently alias vertex 1 and a float would fail deep
+    inside an update, after the registry was written.
     """
     for x in (u, v):
         if isinstance(x, bool) or not isinstance(x, numbers.Integral):

@@ -138,6 +138,8 @@ class SparseDynamicMSF:
         self._w_pinf = 0
         if lazy_vertices:
             self.vertices: list[Vertex] = _VertexTable(self)
+            #: vertices by id, ``None`` while unbuilt; reading builds none
+            self._slots: list[Optional[Vertex]] = self.vertices.slots
         else:
             self.vertices = []
             for vid in range(n_max):
@@ -145,6 +147,7 @@ class SparseDynamicMSF:
                 vx.lct = self.lct.make_node(label=("v", vid))
                 self.fabric.new_singleton_list(vx)
                 self.vertices.append(vx)
+            self._slots = self.vertices
         self.ops.flush()
 
     def _build_fabric(self, n_max, K, flavor, ops, backend) -> Fabric:
@@ -185,10 +188,23 @@ class SparseDynamicMSF:
     # ------------------------------------------------------------- queries
 
     def connected(self, u: int, v: int) -> bool:
-        """Same-tree test via Euler-list identity, O(log n)."""
-        a = self.vertices[u].pc.chunk  # type: ignore[union-attr]
-        b = self.vertices[v].pc.chunk  # type: ignore[union-attr]
-        return self.fabric.list_of(a) is self.fabric.list_of(b)
+        """Same-tree test via Euler-list identity, O(log n).
+
+        Builds no vertex: one a lazy engine has not built yet has no
+        edges, so it is alone in its tree, and its side is charged the
+        root walk of the singleton list it would get (1).
+        """
+        la = self._list_of_vertex(u)
+        lb = self._list_of_vertex(v)
+        return la is lb if la is not None else u == v
+
+    def _list_of_vertex(self, vid: int) -> Optional[EulerList]:
+        """``vid``'s Euler list, charged; ``None`` if not built yet."""
+        vx = self._slots[vid]
+        if vx is None:
+            self.ops.charge("root_walk", 1)
+            return None
+        return self.fabric.list_of(vx.pc.chunk)
 
     def msf_edges(self) -> Iterator[Edge]:
         yield from self.tree_edges
@@ -254,7 +270,8 @@ class SparseDynamicMSF:
         adj_add(vv, e)
         self.edges[e.eid] = e
         self.fabric.register_edge(e)
-        if not self.connected(u, v):
+        fabric = self.fabric
+        if fabric.list_of(vu.pc.chunk) is not fabric.list_of(vv.pc.chunk):
             self._make_tree_edge(e)
         else:
             heaviest = self.lct.path_max(vu.lct, vv.lct)

@@ -51,12 +51,23 @@ __all__ = ["restore", "resume_point", "STRUCTURAL_KEYS"]
 #: configuration keys that name *what* was persisted (as opposed to how
 #: it is operated); an override conflicting with the stored value cannot
 #: restore the same structure and raises SnapshotStaleError
-STRUCTURAL_KEYS = ("kind", "n", "engine", "sparsify", "backend", "K",
-                   "max_edges")
+STRUCTURAL_KEYS = ("kind", "n", "engine", "backend", "K")
 
 
 def _build_front(config: dict, directory: str, overrides: dict):
     cfg = dict(config)
+    if cfg.get("kind") == "batched":
+        # logs written while BatchedMSF could also run a bare degree
+        # reducer record ``sparsify`` and that reducer's ``max_edges``;
+        # the sparsified front never read ``max_edges``, so its logs
+        # restore as they are, and a flat-front log names a structure
+        # that no longer exists
+        if not cfg.pop("sparsify", True):
+            raise SnapshotStaleError(
+                "stored config names the retired flat BatchedMSF "
+                "(sparsify=False), a structure this version cannot build",
+                path=os.path.join(directory, WAL_FILENAME))
+        cfg.pop("max_edges", None)
     cfg.update(overrides)
     kind = cfg.pop("kind")
     if kind == "batched":

@@ -82,8 +82,8 @@ def main(argv=None) -> int:
             raise SystemExit(f"restore found: {report['findings']}")
     else:
         front = BatchedMSF(
-            cfg["n"], engine=cfg["engine"], sparsify=cfg["sparsify"],
-            batch_size=cfg["batch_size"], pool_size=1,
+            cfg["n"], engine=cfg["engine"], batch_size=cfg["batch_size"],
+            pool_size=1,
             backend=cfg["backend"], consistency="deferred",
             durability="wal", durable_dir=directory,
             snapshot_every=cfg["snapshot_every"])

@@ -44,15 +44,12 @@ __all__ = ["SITES_BY_CONFIG", "DURABLE_SITES", "generate_ops",
            "run_campaign", "run_crash_campaign", "worker_mix_ops",
            "restart_heavy_ops"]
 
-#: injection sites reachable per engine configuration (scheduling a fault
-#: on an unreachable site would just report "unreached")
+#: injection sites reachable per engine kind (scheduling a fault on an
+#: unreachable site would just report "unreached")
 SITES_BY_CONFIG = {
-    ("sequential", True): ["tt.agg", "serve.batch", "sparsify.weight"],
-    ("sequential", False): ["tt.agg", "serve.batch"],
-    ("parallel", True): ["pram.cell", "pram.plan", "tt.agg", "serve.batch",
-                         "sparsify.weight"],
-    ("parallel", False): ["pram.cell", "pram.plan", "tt.agg",
-                          "serve.batch"],
+    "sequential": ["tt.agg", "serve.batch", "sparsify.weight"],
+    "parallel": ["pram.cell", "pram.plan", "tt.agg", "serve.batch",
+                 "sparsify.weight"],
 }
 
 #: crash-shaped sites reachable only when the front runs durability="wal"
@@ -147,26 +144,16 @@ def restart_heavy_ops(seed: int, n: int, n_ops: int, *, burst: int = 24,
 
 # ------------------------------------------------------------- recovery
 
-def _machines(impl):
-    if hasattr(impl, "engines"):        # SparsifiedMSF
-        for _key, machine in impl.machines():
-            yield machine
-    else:                               # DegreeReducer
-        machine = getattr(getattr(impl, "core", None), "machine", None)
-        if machine is not None:
-            yield machine
-
-
 def _set_fast_audit(impl) -> None:
     """Put every reachable machine on the ``fast`` tier.
 
     The ``pram.plan`` site lives inside the trace-replay tier, which only
     engages under ``audit="fast"`` -- facade-built machines default to
     ``strict``, so a campaign that schedules that site must flip the
-    tier.  Called every iteration because sparsified backends create node
-    engines lazily and a backend rebuild replaces the machines wholesale;
+    tier.  Called every iteration because the tree creates node engines
+    lazily and a backend rebuild replaces the machines wholesale;
     the call is a cheap no-op once a machine is already fast."""
-    for machine in _machines(impl):
+    for _key, machine in impl.machines():
         if machine.audit != "fast":
             machine.set_audit("fast")
 
@@ -174,9 +161,7 @@ def _set_fast_audit(impl) -> None:
 def _charged_work(impl) -> int:
     """Total elementary work charged to the backend's own counters,
     including the counters of node engines the tree has retired."""
-    if hasattr(impl, "ops_by_node"):
-        return sum(impl.ops_by_node().values()) + impl.retired["ops"]
-    return impl.core.ops.grand_total()
+    return sum(impl.ops_by_node().values()) + impl.retired["ops"]
 
 
 def _recover_from_findings(front, findings) -> list[str]:
@@ -184,7 +169,7 @@ def _recover_from_findings(front, findings) -> list[str]:
     rungs: list[str] = []
     components = {f.component for f in findings}
     if "machine" in components:
-        for machine in _machines(front._impl):
+        for _key, machine in front._impl.machines():
             recover.recover_machine(machine, degrade=False)
         rungs.append("machine-cache-purge")
     if "durability" in components:
@@ -198,9 +183,8 @@ def _recover_from_findings(front, findings) -> list[str]:
 
 # ------------------------------------------------------------- campaign
 
-def run_campaign(seed: int, *, engine: str = "sequential",
-                 sparsify: bool = True, n: int = 48, n_ops: int = 320,
-                 n_faults: int = 6, batch_size: int = 16,
+def run_campaign(seed: int, *, engine: str = "sequential", n: int = 48,
+                 n_ops: int = 320, n_faults: int = 6, batch_size: int = 16,
                  check_every: int = 16,
                  sites: Optional[list[str]] = None,
                  horizon: Optional[int] = None,
@@ -233,7 +217,7 @@ def run_campaign(seed: int, *, engine: str = "sequential",
         raise ValueError(f"durability must be 'off' or 'wal', "
                          f"got {durability!r}")
     if sites is None:
-        sites = list(SITES_BY_CONFIG[(engine, sparsify)])
+        sites = list(SITES_BY_CONFIG[engine])
         if backend == "compiled":
             sites.append("compiled.kernel")
         if durability == "wal":
@@ -252,13 +236,13 @@ def run_campaign(seed: int, *, engine: str = "sequential",
     plan = faults.FaultPlan.scheduled(
         seed, sites=sites, n_faults=n_faults,
         horizon=horizon if horizon is not None else max(50, n_ops // 2),
-        label=f"{engine}/{'sparse' if sparsify else 'flat'}/seed={seed}")
+        label=f"{engine}/seed={seed}")
 
     temp_dir = None
     if durability == "wal" and durable_dir is None:
         durable_dir = temp_dir = tempfile.mkdtemp(prefix="repro-soak-wal-")
-    front = BatchedMSF(n, engine=engine, sparsify=sparsify,
-                       batch_size=batch_size, pool_size=1, backend=backend,
+    front = BatchedMSF(n, engine=engine, batch_size=batch_size,
+                       pool_size=1, backend=backend,
                        durability=durability, durable_dir=durable_dir,
                        snapshot_every=snapshot_every)
     oracle = KruskalOracle()
@@ -372,8 +356,8 @@ def run_campaign(seed: int, *, engine: str = "sequential",
                                          oracle.msf_weight())
 
     # clean twin: identical op stream, never armed
-    twin = BatchedMSF(n, engine=engine, sparsify=sparsify,
-                      batch_size=batch_size, pool_size=1, backend=backend)
+    twin = BatchedMSF(n, engine=engine, batch_size=batch_size,
+                      pool_size=1, backend=backend)
     for op in ops:
         if op[0] == "ins":
             twin.insert_edge(op[1], op[2], op[3])
@@ -423,7 +407,7 @@ def run_campaign(seed: int, *, engine: str = "sequential",
           and wrong_answers == 0 and unexpected_rejections == 0)
     return {
         "seed": seed,
-        "config": {"engine": engine, "sparsify": sparsify, "n": n,
+        "config": {"engine": engine, "n": n,
                    "n_ops": n_ops, "batch_size": batch_size,
                    "check_every": check_every, "sites": sites,
                    "workload": workload, "backend": backend,
@@ -486,7 +470,7 @@ def _read_round_file(directory: str, name: str):
 
 
 def run_crash_campaign(seed: int, *, engine: str = "sequential",
-                       sparsify: bool = True, backend: str = "scalar",
+                       backend: str = "scalar",
                        n: int = 40, n_ops: int = 240, batch_size: int = 12,
                        snapshot_every: int = 4, kills: int = 3,
                        burst: int = 24, churn: int = 16,
@@ -516,7 +500,7 @@ def run_crash_campaign(seed: int, *, engine: str = "sequential",
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     ops = restart_heavy_ops(seed, n, n_ops, burst=burst, churn=churn)
     base_cfg = {"dir": directory, "seed": seed, "n": n, "n_ops": n_ops,
-                "engine": engine, "sparsify": sparsify, "backend": backend,
+                "engine": engine, "backend": backend,
                 "batch_size": batch_size, "snapshot_every": snapshot_every,
                 "burst": burst, "churn": churn}
     rounds_out: list[dict] = []
@@ -554,9 +538,9 @@ def run_crash_campaign(seed: int, *, engine: str = "sequential",
             rounds_out.append(entry)
 
         # ---- never-crashed twin + oracle -------------------------------
-        twin = BatchedMSF(n, engine=engine, sparsify=sparsify,
-                          batch_size=batch_size, pool_size=1,
-                          backend=backend, consistency="deferred")
+        twin = BatchedMSF(n, engine=engine, batch_size=batch_size,
+                          pool_size=1, backend=backend,
+                          consistency="deferred")
         oracle = KruskalOracle()
         next_eid = 1
         for op in ops:

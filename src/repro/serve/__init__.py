@@ -3,9 +3,10 @@
 Turns the reproduction's dynamic-MSF engines into a read-heavy serving
 stack (see README "Serving layer"):
 
-* :class:`BatchedMSF` -- facade-compatible front that coalesces update
-  batches deterministically and serves reads from the root engine's
-  Euler lists, through one read view per epoch;
+* :class:`BatchedMSF` -- facade-compatible front over one engine, the
+  sparsification tree, that coalesces update batches deterministically
+  and serves reads from the tree's root engine's Euler lists, through
+  one read view per epoch;
 * :class:`LevelExecutor` -- runs a batch's sparsification-tree
   propagation plans serially, in submission order (Section 5.3's
   per-level parallelism is modelled by cost accounting, not threads);

@@ -1,6 +1,8 @@
 """`BatchedMSF` -- the batched-update, epoch-read serving front.
 
-Wraps a dynamic-MSF engine (the sparsification tree by default) behind a
+Wraps one dynamic-MSF engine, the sparsification tree
+(:class:`~repro.core.sparsify.SparsifiedMSF`, whose root is one flat
+degree reducer while the graph has at most ``2n`` live edges), behind a
 write buffer and an epoch-versioned read path:
 
 * **writes** (``insert_edge`` / ``delete_edge``) are buffered and
@@ -10,7 +12,7 @@ write buffer and an epoch-versioned read path:
   through a :class:`~repro.serve.executor.LevelExecutor`;
 * **reads** are strongly consistent (a query first flushes pending
   writes) and served from an epoch-stamped read view of the root
-  engine's Euler lists (:mod:`repro.serve.snapshot`) plus the engines'
+  engine's Euler lists (:mod:`repro.serve.snapshot`) plus the tree's
   delta-maintained ``msf_weight`` -- O(1) per query and uncharged.
 
 The facade API mirrors :class:`repro.DynamicMSF`; ``flush()`` is the
@@ -23,7 +25,6 @@ import contextlib
 from typing import Iterator, Optional
 
 from ..core.chunks import check_engine_backend
-from ..core.degree import DegreeReducer
 from ..core.model import check_endpoints, check_weight
 from ..core.sparsify import SparsifiedMSF
 from ..resilience import faults as _faults
@@ -46,7 +47,9 @@ class BatchedMSF:
         ``"sequential"`` or ``"parallel"`` core engines, as in
         :class:`repro.DynamicMSF`.
     sparsify:
-        route updates through the sparsification tree (default: True).
+        accepted only as ``True`` (the default): the front always runs
+        the sparsification tree.  ``False`` raises ``ValueError``; the
+        bare degree-reducer engine is ``DynamicMSF(sparsify=False)``.
     batch_size:
         auto-flush threshold for the write buffer.
     pool_size:
@@ -88,7 +91,6 @@ class BatchedMSF:
                  pool_size: Optional[int] = None,
                  consistency: str = "strong",
                  K: Optional[int] = None,
-                 max_edges: Optional[int] = None,
                  backend: str = "scalar",
                  durability: str = "off",
                  durable_dir: Optional[str] = None,
@@ -96,6 +98,10 @@ class BatchedMSF:
                  durable_resume: bool = False) -> None:
         # raised (not asserted): public entry-point validation must survive
         # `python -O`
+        if not sparsify:
+            raise ValueError(
+                "BatchedMSF always runs the sparsification tree; use "
+                "DynamicMSF(sparsify=False) for the bare degree reducer")
         if engine not in ("sequential", "parallel"):
             raise ValueError(
                 f"engine must be 'sequential' or 'parallel', got {engine!r}")
@@ -119,15 +125,10 @@ class BatchedMSF:
         self.consistency = consistency
         self.n = n
         self.engine_kind = engine
-        self.sparsified = sparsify
         self.batch_size = batch_size
         self.backend = backend
         self._K = K
-        self._max_edges = max_edges
-        if sparsify:
-            self.executor: Optional[LevelExecutor] = LevelExecutor()
-        else:
-            self.executor = None
+        self.executor = LevelExecutor()
         self._impl = self._make_impl()
         # plain int (not itertools.count) so durability can record and
         # restore the counter exactly -- annihilated in-batch inserts
@@ -156,26 +157,14 @@ class BatchedMSF:
     def _durable_config(self) -> dict:
         """Construction parameters recorded in the durable log's meta."""
         return {"kind": "batched", "n": self.n,
-                "engine": self.engine_kind, "sparsify": self.sparsified,
+                "engine": self.engine_kind,
                 "batch_size": self.batch_size, "backend": self.backend,
-                "K": self._K, "max_edges": self._max_edges,
-                "consistency": self.consistency}
+                "K": self._K, "consistency": self.consistency}
 
-    def _make_impl(self):
+    def _make_impl(self) -> SparsifiedMSF:
         """Construct a fresh backend engine (also used by recovery)."""
-        if self.sparsified:
-            return SparsifiedMSF(self.n, K=self._K,
-                                 parallel=(self.engine_kind == "parallel"),
-                                 backend=self.backend)
-        if self.engine_kind == "parallel":
-            from ..core.par import ParallelDynamicMSF
-            K = self._K
-            bk = self.backend
-            return DegreeReducer(
-                self.n, self._max_edges,
-                engine_factory=lambda nc: ParallelDynamicMSF(
-                    nc, K=K, backend=bk))
-        return DegreeReducer(self.n, self._max_edges, K=self._K,
+        return SparsifiedMSF(self.n, K=self._K,
+                             parallel=(self.engine_kind == "parallel"),
                              backend=self.backend)
 
     # ------------------------------------------------------------- updates
@@ -285,18 +274,7 @@ class BatchedMSF:
 
     def _apply_ops(self, ops: list[tuple]) -> None:
         """Feed one canonical op stream to the backend engine."""
-        impl = self._impl
-        if self.sparsified:
-            impl.apply_batch(ops, executor=self.executor)
-            return
-        # degree-reducer backend: no level structure to fork-join over;
-        # apply the canonical stream one op at a time
-        for op in ops:
-            if op[0] == "del":
-                impl.delete_edge(op[1])
-            else:
-                _t, eid, u, v, w = op
-                impl.insert_edge(u, v, w, eid=eid)
+        self._impl.apply_batch(ops, executor=self.executor)
 
     def _post_apply_check(self, batch: CoalescedBatch) -> None:
         """O(1) audit after every batch: the backend's live-edge count
@@ -345,14 +323,8 @@ class BatchedMSF:
 
     def _op_counters(self):
         """The backend's op counters (for measurement-paused sections)."""
-        impl = self._impl
-        if hasattr(impl, "engines"):            # SparsifiedMSF
-            for _key, engine in impl.engines():
-                yield engine.core.ops
-        else:                                   # DegreeReducer
-            core = getattr(impl, "core", None)
-            if core is not None and hasattr(core, "ops"):
-                yield core.ops
+        for _key, engine in self._impl.engines():
+            yield engine.core.ops
 
     def _write_durable_snapshot(self) -> str:
         """Write one engine snapshot; the fingerprint computation is
@@ -429,16 +401,15 @@ class BatchedMSF:
     def _snap(self) -> ConnectivitySnapshot:
         snap = self._snapshot
         if snap is None or snap.epoch != self._epoch:
-            impl = self._impl
-            snap = ConnectivitySnapshot(
-                self.n, impl.root.engine if self.sparsified else impl,
-                self._epoch)
+            snap = ConnectivitySnapshot(self.n, self._impl.root.engine,
+                                        self._epoch)
             self._snapshot = snap
             self.stats["snapshot_builds"] += 1
         return snap
 
     def connected(self, u: int, v: int) -> bool:
         """Same Euler list in the root engine: O(1), uncharged."""
+        check_endpoints(u, v, self.n)
         self._sync()
         self.stats["queries"] += 1
         return self._snap().connected(u, v)
@@ -448,7 +419,7 @@ class BatchedMSF:
         return self._snap().component_count()
 
     def msf_weight(self) -> float:
-        """Delta-maintained total weight (O(1) on the sparsified engine)."""
+        """Delta-maintained total weight, O(1)."""
         self._sync()
         self.stats["queries"] += 1
         return self._impl.msf_weight()
@@ -490,41 +461,19 @@ class BatchedMSF:
     # --------------------------------------------------------------- costs
 
     def erew_violations(self) -> int:
-        """EREW violations of the backing engines; 0 when not measured.
-
-        Guarded for every backend configuration (sequential engines and
-        partially-materialized sparsification trees report 0).
-        """
+        """EREW violations of the tree's level engines, retired ones
+        included (0 on the sequential engine)."""
         self._sync()
-        impl = self._impl
-        fn = getattr(impl, "erew_violations", None)
-        if fn is not None:
-            return fn()
-        machine = getattr(getattr(impl, "core", None), "machine", None)
-        return machine.total.violations if machine is not None else 0
+        return self._impl.erew_violations()
 
     def pram_cache_info(self) -> dict:
-        """Replay/shape cache counters of the backing engines; ``{}``
-        when not measured.  Guarded like ``erew_violations`` and synced
-        first so pending ops are reflected in the counters."""
+        """Replay/shape cache counters per level machine (``{}`` on the
+        sequential engine); synced first so pending ops are reflected in
+        the counters."""
         self._sync()
-        impl = self._impl
-        fn = getattr(impl, "pram_cache_info", None)
-        if fn is not None:
-            return fn()
-        machine = getattr(getattr(impl, "core", None), "machine", None)
-        info = getattr(machine, "cache_info", None) if machine is not None else None
-        return info() if info is not None else {}
+        return self._impl.pram_cache_info()
 
     def parallel_cost_of_last_update(self) -> dict:
-        """Section 5.3 cost composition of the last applied batch.
-
-        Falls back to an explicit zero-cost report for backends without
-        level accounting, so the serving layer can always report costs.
-        """
+        """Section 5.3 cost composition of the last applied batch."""
         self._sync()
-        fn = getattr(self._impl, "parallel_cost_of_last_update", None)
-        if fn is not None:
-            return fn()
-        return {"depth": 0, "processors": 0, "levels_touched": 0,
-                "measured": False}
+        return self._impl.parallel_cost_of_last_update()

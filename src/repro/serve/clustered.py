@@ -11,7 +11,7 @@ forests and the raw cross-shard edges together.
 **Determinism contract.**  For any op stream and any ``pool_size``, the
 final forest (``msf_ids``), the eid streams, and the incrementally
 folded ``msf_weight`` are bit-identical to the serial
-``BatchedMSF(sparsify=True, pool_size=1)`` path with the same batch
+``BatchedMSF(pool_size=1)`` path with the same batch
 boundaries: batches are coalesced by the same canonical algebra, ops
 are merged in the same canonical order, and each op's net global MSF
 delta (at most one edge in, one out -- the MSF is unique under the
@@ -277,6 +277,7 @@ class ClusterMSF:
         return snap
 
     def connected(self, u: int, v: int) -> bool:
+        check_endpoints(u, v, self.n)
         self._sync()
         self.stats["queries"] += 1
         return self._snap().connected(u, v)

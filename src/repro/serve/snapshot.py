@@ -28,12 +28,11 @@ class ConnectivitySnapshot:
         self.n = n
         self.epoch = epoch
         core = engine.core
-        # the sequential core builds vertices on first touch and a vertex
-        # never built is isolated; the parallel core's list is eager.  Ids
-        # past n are the core's gadgets, so the view copies the first n
-        # slots (n pointers; only a batch builds a vertex, and a batch
-        # retires the view)
-        self._slots = getattr(core.vertices, "slots", core.vertices)[:n]
+        # a vertex the core has not built is isolated.  Ids past n are
+        # the core's gadgets, so the view copies the first n slots (n
+        # pointers; only a batch builds a vertex, and a batch retires
+        # the view)
+        self._slots = core._slots[:n]
         self._registry = core.fabric.registry
         self._msf_ids = engine.msf_ids
         self._components: Optional[int] = None

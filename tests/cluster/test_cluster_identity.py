@@ -20,7 +20,7 @@ BATCH = 32
 
 
 def serial_ref(ops):
-    ref = BatchedMSF(N, sparsify=True, pool_size=1, batch_size=BATCH)
+    ref = BatchedMSF(N, pool_size=1, batch_size=BATCH)
     stream = drive(ref, ops)
     ref.flush()
     return ref, stream
@@ -165,7 +165,7 @@ def test_dense_cross_traffic_grows_and_folds_the_merge_tree(pool):
     live = [i for i, op in enumerate(ops) if op[0] == "ins"]
     random.Random(pool).shuffle(live)
     ops += [("del", ref) for ref in live[n // 4:]]
-    ref = BatchedMSF(n, sparsify=True, pool_size=1, batch_size=BATCH)
+    ref = BatchedMSF(n, pool_size=1, batch_size=BATCH)
     c = ClusterMSF(n, pool_size=pool, batch_size=BATCH, processes=False)
     sref, sc = OpStream(ref), OpStream(c)
     grew = False

@@ -322,9 +322,9 @@ def test_compiled_mirror_fault_detected_and_recovered() -> None:
     tiered checks and recovered by the ladder: the campaign must end
     ``ok`` with zero wrong answers."""
     _require_compiled()
-    report = run_campaign(7, engine="sequential", sparsify=True,
-                          backend="compiled", sites=["compiled.kernel"],
-                          n=32, n_ops=200, n_faults=4)
+    report = run_campaign(7, engine="sequential", backend="compiled",
+                          sites=["compiled.kernel"], n=32, n_ops=200,
+                          n_faults=4)
     assert report["ok"], report["final"]
     assert report["wrong_answers"] == 0
     assert report["n_detected"] + report["n_masked"] >= report["n_injected"]

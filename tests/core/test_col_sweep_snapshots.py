@@ -70,9 +70,9 @@ def test_incremental_sweep_survives_id_churn(replay_col_sweep_only):
     one flush).  Without snapshot invalidation the engine self-corrupts
     and the serving front logs spurious recoveries."""
     ops = generate_ops(3, 24, 160)
-    front = BatchedMSF(24, engine="parallel", sparsify=False,
-                       batch_size=16, pool_size=1)
-    core = front._impl.core
+    front = BatchedMSF(24, engine="parallel", batch_size=16, pool_size=1)
+    # the stream never passes 2n live edges: the root engine serves alone
+    core = front._impl.root.engine.core
     core.machine.set_audit("fast")
     for i, op in enumerate(ops):
         if op[0] == "ins":
@@ -88,6 +88,7 @@ def test_incremental_sweep_survives_id_churn(replay_col_sweep_only):
             _validate_all_columns(core.fabric.space, core.fabric.registry)
     assert front.stats["recoveries"] == 0, \
         "clean run must not trigger recovery"
+    assert front._impl.root.engine.core is core
     assert front.self_check("full") == []
 
 

@@ -95,8 +95,6 @@ def test_bad_backend_rejected(monkeypatch) -> None:
         lambda: DynamicMSF(4, engine="parallel", sparsify=True,
                            backend="compiled"),
         lambda: BatchedMSF(4, engine="parallel", backend="compiled"),
-        lambda: BatchedMSF(4, engine="parallel", sparsify=False,
-                           backend="compiled"),
         lambda: SparsifiedMSF(4, parallel=True, backend="compiled"),
         lambda: ParallelDynamicMSF(4, backend="compiled"),
     )

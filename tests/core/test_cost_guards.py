@@ -67,14 +67,12 @@ def test_facade_guards_every_configuration():
 
 
 def test_serving_front_guards_every_backend():
-    for kwargs in (dict(), dict(sparsify=False, max_edges=16),
-                   dict(engine="parallel"),
-                   dict(engine="parallel", sparsify=False, max_edges=16)):
-        front = BatchedMSF(8, **kwargs)
+    for engine in ("sequential", "parallel"):
+        front = BatchedMSF(8, engine=engine)
         front.insert_edge(0, 1, 1.0)           # left pending on purpose
         assert front.erew_violations() == 0    # flushes, then reports
         rep = front.parallel_cost_of_last_update()
         assert set(rep) >= {"depth", "processors", "levels_touched",
                             "measured"}
-        if not kwargs.get("sparsify", True):
-            _zero_report(rep)
+        assert rep["measured"] is (engine == "parallel")
+        assert bool(front.pram_cache_info()) is (engine == "parallel")

@@ -126,18 +126,23 @@ BAD_ENDPOINTS = ((0, 9), (9, 0), (-1, 2), (4, 4),
 
 
 def _assert_bad_endpoints_change_nothing(**config) -> None:
-    """Every :data:`BAD_ENDPOINTS` insert raises ``ValueError`` before any
-    state changes or an id is drawn."""
+    """Every :data:`BAD_ENDPOINTS` insert and read raises ``ValueError``
+    before any state changes or an id is drawn.  Ids 4 and up are the
+    degree reducer's gadget nodes: the parallel edge gives vertex 0 a
+    gadget, so an unchecked ``connected(4, 4)`` would answer ``True``."""
     from repro.resilience.checks import state_fingerprint
 
     m = DynamicMSF(4, **config)
     twin = DynamicMSF(4, **config)
     for eng in (m, twin):
         eng.insert_edge(0, 1, 1.0)
+        eng.insert_edge(0, 1, 2.0)
     before = (state_fingerprint(m), m.edge_count())
     for u, v in BAD_ENDPOINTS:
         with pytest.raises(ValueError, match="range 0..3"):
             m.insert_edge(u, v, 1.0)
+        with pytest.raises(ValueError, match="range 0..3"):
+            m.connected(u, v)
         assert (state_fingerprint(m), m.edge_count()) == before
     assert not m.connected(0, 2)
     # no id was drawn by a rejection: the next id is the twin's

@@ -93,7 +93,7 @@ def _twin(backend):
 
 def _run_child(directory, backend, kill_op):
     cfg = {"dir": str(directory), "ops": [list(op) for op in TRACE],
-           "seed": 1, "n": N, "engine": "sequential", "sparsify": True,
+           "seed": 1, "n": N, "engine": "sequential",
            "backend": backend, "batch_size": BATCH,
            "snapshot_every": SNAP_EVERY, "round": 0, "kill_op": kill_op}
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(

@@ -125,24 +125,27 @@ def test_violation_after_recover_machine_rung_still_raises():
 
 # -------------------------------------------------------------- backends
 
-@pytest.mark.parametrize("engine,sparsify", [("sequential", True),
-                                             ("sequential", False),
-                                             ("parallel", False)])
-def test_rebuild_backend_restores_forest(engine, sparsify):
-    front = BatchedMSF(16, engine=engine, sparsify=sparsify, batch_size=4,
+@pytest.mark.parametrize("engine,grown", [("sequential", True),
+                                          ("sequential", False),
+                                          ("parallel", False)])
+def test_rebuild_backend_restores_forest(engine, grown):
+    """Twelve edges on 16 vertices keep the tree one flat root; on 4
+    they grow it past its ``2n`` switch."""
+    front = BatchedMSF(4 if grown else 16, engine=engine, batch_size=4,
                        pool_size=1)
     _fill(front, 12)
+    assert front._impl.flat is not grown
     want = front.msf_ids()
     old_impl = front._impl
     recover.rebuild_backend(front)
     assert front._impl is not old_impl
+    assert front._impl.flat is not grown
     assert front.msf_ids() == want
     assert front.self_check("full") == []
 
 
 def test_rebuild_backend_exhausts_on_persistent_corruption(monkeypatch):
-    front = BatchedMSF(16, engine="sequential", sparsify=False,
-                       batch_size=4, pool_size=1)
+    front = BatchedMSF(16, engine="sequential", batch_size=4, pool_size=1)
     _fill(front, 6)
     # a rebuild that always comes back dirty: pretend the checker finds a
     # persistent problem
@@ -157,8 +160,8 @@ def test_rebuild_backend_exhausts_on_persistent_corruption(monkeypatch):
 # ----------------------------------------------------------------- batch
 
 def test_batch_bisection_rejects_only_poisoned_op():
-    front = BatchedMSF(16, engine="sequential", sparsify=True,
-                       batch_size=16, pool_size=1)
+    front = BatchedMSF(16, engine="sequential", batch_size=16,
+                       pool_size=1)
     _fill(front, 8)
     # white-box: append a poisoned op the submit path would have refused
     front._pending.append(("ins", 999, 0, 9999, 1.0))  # endpoint OOB
@@ -177,8 +180,7 @@ def test_batch_bisection_rejects_only_poisoned_op():
 
 
 def test_unknown_delete_is_structured_and_a_keyerror():
-    front = BatchedMSF(8, engine="sequential", sparsify=False,
-                       batch_size=4, pool_size=1)
+    front = BatchedMSF(8, engine="sequential", batch_size=4, pool_size=1)
     with pytest.raises(UnknownEdgeError) as ei:
         front.delete_edge(12345)
     assert isinstance(ei.value, KeyError)  # legacy guards keep working

@@ -202,18 +202,14 @@ def test_bad_endpoint_rejected_at_submit(front_kind):
             front.close()
 
 
-def test_degree_reducer_backend_matches_facade():
-    """sparsify=False routes through the DegreeReducer; same contract."""
-    n, ops = 32, list(churn(32, 150, seed=5))
-    base = DynamicMSF(n, max_edges=4 * n)
-    drive(base, ops)
-    served = BatchedMSF(n, sparsify=False, max_edges=4 * n, batch_size=16)
-    drive(served, ops)
-    served.flush()
-    assert _forest(served) == _forest(base)
-    assert _weights_close(served.msf_weight(), base.msf_weight())
-    assert served.erew_violations() == 0
-    assert served.parallel_cost_of_last_update()["measured"] is False
+def test_flat_front_is_refused():
+    """The front always runs the sparsification tree: ``sparsify=False``
+    raises and names the bare reducer's facade, and ``max_edges`` is no
+    parameter."""
+    with pytest.raises(ValueError, match=r"DynamicMSF\(sparsify=False\)"):
+        BatchedMSF(8, sparsify=False)
+    with pytest.raises(TypeError, match="max_edges"):
+        BatchedMSF(8, max_edges=16)
 
 
 # ---------------------------------------------------------------------------

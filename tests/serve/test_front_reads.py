@@ -2,11 +2,13 @@
 
 ``connected`` and ``component_count`` on the serving fronts read the
 root engine's Euler lists through one view per epoch.  These tests drive
-every front configuration through batches that grow the sparsification
-tree and fold it back, and check each read against BFS over the applied
-edges.  They also check that reads charge nothing and change nothing,
-that deferred reads see the last applied epoch, and that reads after a
-backend rebuild, a batch recovery or a restore come from the new engine.
+every front configuration through batches that either grow the
+sparsification tree and fold it back or keep it one flat root, and check
+each read against BFS over the applied edges.  They also check that
+reads charge nothing, change nothing and reject ids that are not
+vertices, that deferred reads see the last applied epoch, and that reads
+after a backend rebuild, a batch recovery or a restore come from the new
+engine.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.core import compiled
 from repro.persist import restore
 from repro.resilience import recover
 from repro.resilience.checks import state_fingerprint
-from repro.resilience.errors import CorruptionError
+from repro.resilience.errors import CorruptionError, InvalidInputError
 from repro.serve.batched import BatchedMSF
 from repro.serve.clustered import ClusterMSF
 
@@ -57,22 +59,27 @@ def _check_reads(front, edges):
             assert front.connected(u, v) == (comp[u] == comp[v]), (u, v)
 
 
-#: (sparsify, engine, backend); the parallel engine is scalar-only
-BATCHED = [(s, e, b) for s in (True, False)
+#: (grows, engine, backend): whether the stream of
+#: :func:`test_reads_match_bfs_after_every_batch` grows the tree past its
+#: flat root; the parallel engine is scalar-only
+BATCHED = [(g, e, b) for g in (True, False)
            for e in ("sequential", "parallel")
            for b in ("scalar", "compiled")
            if not (e == "parallel" and b == "compiled")]
-FRONTS = [f"batched-{s}-{e}-{b}" for s, e, b in BATCHED] + ["cluster"]
+FRONTS = [f"batched-{g}-{e}-{b}" for g, e, b in BATCHED] + ["cluster"]
 
 
 def _make(name, **kw):
     if name == "cluster":
         return ClusterMSF(N, pool_size=2, processes=False, **kw)
-    _b, sparsify, engine, backend = name.split("-")
+    _b, _grows, engine, backend = name.split("-")
     if backend == "compiled" and not compiled.HAVE_COMPILED:
         pytest.skip("native extension not built")
-    return BatchedMSF(N, sparsify=sparsify == "True", engine=engine,
-                      backend=backend, max_edges=4 * N, **kw)
+    return BatchedMSF(N, engine=engine, backend=backend, **kw)
+
+
+def _grows(name):
+    return name == "cluster" or name.split("-")[1] == "True"
 
 
 def _counters(front):
@@ -84,22 +91,24 @@ def _counters(front):
 def _root_core(front):
     if isinstance(front, ClusterMSF):
         return front._coord.merge.root.engine.core
-    impl = front._impl
-    return (impl.root.engine if front.sparsified else impl).core
+    return front._impl.root.engine.core
 
 
 @pytest.mark.parametrize("name", FRONTS)
 def test_reads_match_bfs_after_every_batch(name):
     """Grow past the sparsification tree's ``2n`` switch, then fold
-    back, reading every pair after every batch."""
+    back (or churn below it, on one flat root), reading every pair after
+    every batch."""
     rng = random.Random(f"front-reads/{name}")
     front = _make(name, batch_size=5)
+    # the tree grows once it holds more than 2n live edges
+    peak = 3 * N if _grows(name) else 2 * N - 1
     live: dict[int, tuple[int, int]] = {}
     try:
         _check_reads(front, [])
         for step in range(160):
             grow = step < 100
-            target = 3 * N if grow else N // 2
+            target = peak if grow else N // 2
             if live and (len(live) > target
                          or rng.random() < (0.1 if grow else 0.3)):
                 eid = rng.choice(sorted(live))
@@ -111,6 +120,8 @@ def test_reads_match_bfs_after_every_batch(name):
             if step % 5 == 4:
                 front.flush()
                 _check_reads(front, live.values())
+                if not _grows(name):
+                    assert front._impl.flat
         assert front.self_check("full") == []
     finally:
         front.close()
@@ -138,8 +149,11 @@ def test_read_burst_charges_and_changes_nothing(name):
         assert [c.grand_total() for c in _counters(front)] == charged
         assert state_fingerprint(front) == fingerprint
         assert list(_root_core(front).vertices) == built
-        with pytest.raises(IndexError):           # a gadget id, not a vertex
-            front.connected(0, N)
+        # -1 would alias vertex N-1 and N is a gadget id: neither is a vertex
+        for bad in ((-1, 0), (0, -1), (0, N), (N, 0), (True, 0), (0, 1.0)):
+            with pytest.raises(InvalidInputError):
+                front.connected(*bad)
+        assert [c.grand_total() for c in _counters(front)] == charged
     finally:
         front.close()
 
@@ -170,7 +184,7 @@ def test_deferred_reads_answer_the_last_applied_epoch(name):
 def _bridged_front():
     """Vertices 0-1-2 joined by the front's only edges; returns the
     front and the eid of the bridge 1-2."""
-    front = BatchedMSF(N, sparsify=False, batch_size=8)
+    front = BatchedMSF(N, batch_size=8)
     front.insert_edge(0, 1, 1.0)
     bridge = front.insert_edge(1, 2, 2.0)
     front.flush()

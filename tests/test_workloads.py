@@ -193,8 +193,8 @@ def test_worker_mix_validates_shard_count():
 def test_worker_mix_replays_identically_on_an_engine():
     from repro.serve import BatchedMSF
     ops = list(worker_mix(24, 150, seed=2, shards=3, cross_fraction=0.1))
-    a = BatchedMSF(24, sparsify=True, pool_size=1, batch_size=16)
-    b = BatchedMSF(24, sparsify=True, pool_size=1, batch_size=16)
+    a = BatchedMSF(24, pool_size=1, batch_size=16)
+    b = BatchedMSF(24, pool_size=1, batch_size=16)
     ra = drive(a, ops)
     rb = drive(b, ops)
     assert ra.results == rb.results

@@ -21,7 +21,9 @@ holding a key), so row rebuilds, column mirrors and id releases write only
 the stale and new lanes, and chunk surgery walks only what moved
 (:meth:`ChunkSpace.split_off`, :meth:`ChunkSpace.absorb`): a merge's row is
 the lane-wise min of the two rows (:func:`merge_rows`), only the moved side
-is restamped, and a split's kept half gets its totals by subtraction.  One
+is restamped, and a split's kept half gets its totals by subtraction.  An
+excursion run spliced into a chunk or cut out of one is restamped alone
+(:meth:`ChunkSpace.adopt_run`, :meth:`ChunkSpace.release_run`).  One
 path serves both backends; ``backend`` only picks which kernel runs a loop.
 The charges are those of the full-width O(K) rescan this replaces (Lemma
 2.2): the ``OpCounter`` models the paper's algorithm, not the host's loop.
@@ -549,6 +551,40 @@ class ChunkSpace:
         self.ops.charge("occ_scan", count)
         c.count += count
         c.n_edges += n_edges
+
+    def run_is_short(self, c: Chunk, first: Occurrence,
+                     last: Occurrence) -> bool:
+        """Whether ``first .. last`` (both in ``c``) runs forward inside
+        ``c`` with fewer than ``K`` units (one per occurrence plus the
+        edges of each principal copy).  Walks from ``first`` toward
+        ``c``'s tail and gives up at ``K`` units, or at the tail when the
+        run wraps; ``occ_scan`` is charged the occurrences walked."""
+        K = self.K
+        tail = c.tail
+        units = scanned = 0
+        occ = first
+        while True:
+            scanned += 1
+            vx = occ.vertex
+            units += 1 + (len(vx.edges) if vx.pc is occ else 0)
+            if units >= K or occ is last or occ is tail:
+                break
+            occ = occ.next  # type: ignore[assignment]
+        self.ops.charge("occ_scan", scanned)
+        return units < K and occ is last
+
+    def release_run(self, c: Chunk, first: Occurrence, last: Occurrence,
+                    c2: Chunk) -> None:
+        """Account a run ``first..last`` just unlinked from ``c`` into the
+        fresh id-less chunk ``c2`` (the inverse of :meth:`adopt_run`):
+        restamp it and move its counts (``occ_scan`` is charged the run
+        length)."""
+        count, n_edges = _restamp(first, last, c2, None)
+        self.ops.charge("occ_scan", count)
+        c2.count = count
+        c2.n_edges = n_edges
+        c.count -= count
+        c.n_edges -= n_edges
 
     # -- BT_c hooks: no-ops here; the parallel chunk space keeps BT_c --------
 

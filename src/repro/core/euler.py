@@ -13,10 +13,17 @@ adjacency, so arcs stay valid across all surgery; only :func:`cut_tour` and
 :func:`link_tour` create/destroy adjacencies, and they patch the affected
 arcs explicitly.
 
-``cut_tour(e)``: rotate the list to ``[b_v ... a_u]`` (so ``arc_uv`` is the
-wrap), split after ``c_v`` into the tours of ``T_v = [b_v..c_v]`` and
-``T_u = [d_u..a_u]``, then merge each seam (the two boundary occurrences of
-one vertex collapse into one, keeping the principal copy when present).
+``cut_tour(e)``: when one side's run (``[b_v..c_v]`` or ``[d_u..a_u]``)
+lies in list order inside one id'd chunk and holds fewer than ``K`` units,
+it leaves as one *excursion* (:meth:`Fabric.detach_run`, the inverse of the
+excursion link): it is unlinked into a fresh short list, the host chunk's
+row is rebuilt once and one ``UpdateAdj`` of the host chunk follows, and
+both seams collapse.  No list is split or joined, and a cut whose side
+ends lie in different chunks charges nothing for the test.  Every other
+cut rotates the list to ``[b_v ... a_u]`` (so ``arc_uv`` is the wrap),
+splits after ``c_v`` into the tours of ``T_v = [b_v..c_v]`` and ``T_u =
+[d_u..a_u]``, then merges each seam (the two boundary occurrences of one
+vertex collapse into one, keeping the principal copy when present).
 
 ``link_tour(e)``: when one endpoint's tour is *short* (one id-less chunk,
 fewer than ``K`` units) and the other endpoint's chunk carries an id -- or
@@ -104,11 +111,55 @@ def _drop_seam_occurrence(fabric: Fabric, keep: Occurrence, drop: Occurrence,
     fabric.delete_occ(drop)
 
 
+def _short_run(fabric: Fabric, first: Occurrence, last: Occurrence) -> bool:
+    """Whether the side ``[first .. last]`` of a cut leaves its tour as one
+    excursion: both ends lie in one id'd chunk (tested first, uncharged)
+    and the run lies forward inside it with fewer than ``K`` units
+    (:meth:`~repro.core.chunks.ChunkSpace.run_is_short`, charged)."""
+    c = first.chunk
+    return (c is last.chunk and c.id is not None
+            and fabric.space.run_is_short(c, first, last))
+
+
+def _cut_excursion(fabric: Fabric, first: Occurrence, last: Occurrence,
+                   x: Occurrence, y: Occurrence) -> tuple[EulerList, EulerList]:
+    """Cut the short side ``[first .. last]`` out of ``[.. x, first ..
+    last, y ..]``; returns ``(host list, run list)``."""
+    host = first.chunk
+    lhost = fabric.list_of(host)
+    lrun = fabric.detach_run(first, last)
+    _collapse_seam(fabric, last, first)  # the run's wrap closes its tour
+    _collapse_seam(fabric, x, y)
+    fabric.fix_chunk(host)
+    return lhost, lrun
+
+
 def cut_tour(fabric: Fabric, e: Edge) -> tuple[EulerList, EulerList]:
-    """Remove tree edge ``e``; returns ``(list_of_u_side, list_of_v_side)``."""
+    """Remove tree edge ``e``; returns ``(list_of_u_side, list_of_v_side)``.
+
+    The tour reads ``[.. a_u, b_v .. c_v, d_u ..]`` cyclically, ``e``
+    owning ``(a_u, b_v)`` and ``(c_v, d_u)``.  Excursion case
+    (:func:`_short_run`, the ``v`` side tried first): one side's run lies
+    forward inside one id'd chunk with fewer than ``K`` units.  It is cut
+    out whole (:meth:`Fabric.detach_run`: one row rebuild and one
+    ``UpdateAdj`` of the host chunk), then its own seam -- its wrap from
+    its last to its first occurrence -- and the host's -- the two host
+    copies it separated -- each collapse into one copy, keeping the
+    principal copy (:func:`_collapse_seam`), and the host chunk is fixed.
+    Every other cut (two long sides, a short run across a chunk boundary
+    or around the list's end, a short list) rotates, splits and joins as
+    below.
+    """
     assert e.arc_uv is not None and e.arc_vu is not None
     a_u, b_v = e.arc_uv
     c_v, d_u = e.arc_vu
+    e.arc_uv = None
+    e.arc_vu = None
+    if _short_run(fabric, b_v, c_v):
+        return _cut_excursion(fabric, b_v, c_v, a_u, d_u)
+    if _short_run(fabric, d_u, a_u):
+        lv, lu = _cut_excursion(fabric, d_u, a_u, c_v, b_v)
+        return lu, lv
     # 1. rotate so the list is [b_v ... a_u] (arc_uv becomes the wrap)
     if a_u.next is not None:
         p1, p2 = fabric.split_list(a_u)
@@ -128,8 +179,6 @@ def cut_tour(fabric: Fabric, e: Edge) -> tuple[EulerList, EulerList]:
             _drop_seam_occurrence(fabric, b_v, c_v, drop_is_tail=True)
         else:
             _drop_seam_occurrence(fabric, c_v, b_v, drop_is_tail=False)
-    e.arc_uv = None
-    e.arc_vu = None
     return lu, lv
 
 
@@ -240,6 +289,23 @@ def _cyclic_prev(fabric: Fabric, occ: Occurrence) -> Occurrence:
     return prv
 
 
+def _collapse_seam(fabric: Fabric, x: Occurrence, y: Occurrence) -> None:
+    """Collapse ``x`` and ``y``, cyclically adjacent copies of one vertex
+    (``[.. w, x, y, z ..]``), into one, keeping the principal copy when
+    present: dropping ``y`` hands its outgoing arc ``(y, z)`` to ``(x,
+    z)``, dropping ``x`` hands ``(w, x)`` to ``(w, y)``."""
+    if x is y:
+        return
+    if y.is_principal:
+        w = _cyclic_prev(fabric, x)
+        _retarget_arc((w, x), (w, y))
+        fabric.delete_occ(x)
+    else:
+        z = _cyclic_next(fabric, y)
+        _retarget_arc((y, z), (x, z))
+        fabric.delete_occ(y)
+
+
 def _delete_vertex_occurrences(fabric: Fabric, vertex: Vertex,
                                occs: tuple[Occurrence, ...]) -> None:
     """Delete every occurrence of an edgeless ``vertex`` (principal copy
@@ -256,11 +322,9 @@ def detach_leaf(fabric: Fabric, e: Edge, leaf: Vertex) -> None:
     The tour reads ``[.. x, s, y ..]`` cyclically, with ``s`` the leaf's
     only occurrence and ``x``, ``y`` occurrences of the host, ``e`` owning
     ``(x, s)`` and ``(s, y)``.  ``s`` is deleted; if ``x`` and ``y`` are
-    distinct copies they collapse into one, keeping the principal copy
-    when present: dropping ``y`` hands its outgoing arc ``(y, z)`` to
-    ``(x, z)``, dropping ``x`` hands ``(w, x)`` to ``(w, y)``.  The caller
-    has already taken ``e`` out of the adjacency and the fabric's edge
-    accounting, so the leaf carries no edge into its new list.
+    distinct copies they collapse into one (:func:`_collapse_seam`).  The
+    caller has already taken ``e`` out of the adjacency and the fabric's
+    edge accounting, so the leaf carries no edge into its new list.
     """
     assert e.arc_uv is not None and e.arc_vu is not None
     s = leaf.pc
@@ -270,15 +334,7 @@ def detach_leaf(fabric: Fabric, e: Edge, leaf: Vertex) -> None:
     assert into[1] is s and out[0] is s
     x, y = into[0], out[1]
     _delete_vertex_occurrences(fabric, leaf, (s,))
-    if x is not y:
-        if y.is_principal:
-            w = _cyclic_prev(fabric, x)
-            _retarget_arc((w, x), (w, y))
-            fabric.delete_occ(x)
-        else:
-            z = _cyclic_next(fabric, y)
-            _retarget_arc((y, z), (x, z))
-            fabric.delete_occ(y)
+    _collapse_seam(fabric, x, y)
     e.arc_uv = None
     e.arc_vu = None
 

@@ -12,6 +12,10 @@ on but states informally:
 * **excursion links** (Lemma 2.1 without a split or join): a short tour
   -- an isolated vertex included -- joins a tour as one spliced run, with
   one ``UpdateAdj`` of the host chunk (:meth:`Fabric.attach_tour`);
+* **excursion unsplices** (Lemma 2.1's cut without a split or join, the
+  inverse): a short run inside one id'd chunk leaves its tour as a fresh
+  short list, with one row rebuild and one ``UpdateAdj`` of the host chunk
+  (:meth:`Fabric.detach_run`); ``euler.cut_tour`` collapses the seams;
 * **gadget splices** (the degree reducer's slot release): an edgeless
   vertex leaves a tour by occurrence deletes (:meth:`Fabric.delete_occ`,
   principal copy included) and gets a fresh singleton list
@@ -381,6 +385,45 @@ class Fabric:
             registry.update_adj(c)
         self.fix_chunk(c)
         return end, h_new
+
+    def detach_run(self, first: Occurrence, last: Occurrence) -> EulerList:
+        """Cut a short run out of its tour as one excursion (the inverse
+        of :meth:`attach_tour`).
+
+        ``first .. last`` lies, in list order, inside one id'd chunk ``c``
+        and holds fewer than ``K`` units.  The run is unlinked, restamped
+        into a fresh id-less chunk and registered as a short list; ``c``
+        loses its counts, and its row is rebuilt once -- the run's far
+        ids now read ``None``, so the rebuild drops the run's edges from
+        the row and, by the mirror, from column ``id_c``, whichever
+        chunks they reached -- followed by one ``UpdateAdj`` of ``c``.
+        No list is split or joined and ``c`` is not fixed: the caller
+        collapses both seams and then runs ``fix_chunk(c)``.  Returns the
+        run's new list.
+        """
+        c = first.chunk
+        assert c.id is not None and last.chunk is c
+        prv, nxt = first.prev, last.next
+        if prv is not None:
+            prv.next = nxt
+        if nxt is not None:
+            nxt.prev = prv
+        if c.head is first:
+            c.head = nxt
+        if c.tail is last:
+            c.tail = prv
+        assert c.head is not None and c.tail is not None, "run empties c"
+        first.prev = None
+        last.next = None
+        c2 = Chunk()
+        c2.head = first
+        c2.tail = last
+        space = self.space
+        space.release_run(c, first, last, c2)
+        lst = self.registry.register(EulerList(c2.leaf))
+        space.rebuild_row(c)
+        self.registry.update_adj(c)
+        return lst
 
     def delete_occ(self, occ: Occurrence) -> None:
         """Remove a non-principal occurrence from its list (a vertex that

@@ -58,6 +58,18 @@ def _bt_pull(node: tt.Node) -> None:
     node.agg = (units, edges)
 
 
+def _bt_prefix(leaf: tt.Node) -> int:
+    """Units of the ``BT_c`` leaves before ``leaf``: the left siblings'
+    aggregates summed on the way to the root."""
+    units = 0
+    node = leaf
+    while node.parent is not None:
+        for k in node.parent.kids[:node.pos]:
+            units += k.agg[0]
+        node = node.parent
+    return units
+
+
 class ParChunkSpace(ChunkSpace):
     """Chunk space whose row maintenance runs as PRAM kernels and whose
     chunks keep ``BT_c``.
@@ -122,6 +134,32 @@ class ParChunkSpace(ChunkSpace):
         for occ in (head, tail):
             self.bt_insert_occ(occ, occ.prev)
             self.machine.charge(depth=lg, work=lg, label="bt_insert")
+
+    def run_is_short(self, c: Chunk, first, last) -> bool:
+        """Size ``first .. last`` from ``BT_c``'s ``units`` aggregates: two
+        prefix queries, one per end, by two processors (depth and work
+        ``log K`` each), instead of a ``K``-step walk."""
+        lg = kn.log2c(self.K)
+        self.machine.charge(depth=lg, work=2 * lg, processors=2,
+                            label="bt_prefix")
+        start = _bt_prefix(first.bt_leaf)
+        end = _bt_prefix(last.bt_leaf) + last.bt_leaf.agg[0]
+        return start < end and end - start < self.K
+
+    def release_run(self, c: Chunk, first, last, c2: Chunk) -> None:
+        """``BT_c`` for a run cut out of ``c`` (the inverse of
+        :meth:`adopt_run`).  A one-occurrence run is one ``bt_delete`` by
+        ``p_1`` (depth and work ``log K``) and a one-leaf ``BT_c`` for
+        ``c2``; a longer run re-adopts the host chunk and adopts ``c2``."""
+        if first is not last:
+            self.adopt_occurrences(c)
+            self.adopt_occurrences(c2)
+            return
+        self.bt_delete_occ(first)
+        lg = kn.log2c(self.K)
+        self.machine.charge(depth=lg, work=lg, label="bt_delete")
+        super().release_run(c, first, last, c2)
+        self.bt_insert_occ(first, None)
 
     def adopt_occurrences(self, c: Chunk) -> None:
         """Stamp and count ``c``'s occurrences and rebuild ``BT_c``.

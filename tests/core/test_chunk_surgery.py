@@ -38,24 +38,25 @@ SEED = 23
 #: a long one (or of an isolated vertex) is one excursion splice, with no
 #: tour split or join, so the stream makes fewer surgeries than
 #: rotate-split-join links would, and an inserted or deleted edge runs
-#: one UpdateAdj
+#: one UpdateAdj; a cut whose one side is a short run inside one id'd
+#: chunk is the inverse unsplice, likewise with no split or join
 PINNED_BREAKDOWN = {
-    "col_mirror": 91_047,
-    "col_sweep": 100_004,
-    "edge_scan": 18_530,
+    "col_mirror": 81_213,
+    "col_sweep": 89_346,
+    "edge_scan": 17_096,
     "entry_update": 1_512,
-    "id_assign": 39_347,
-    "id_release": 70_752,
+    "id_assign": 33_530,
+    "id_release": 60_192,
     "lct": 848,
-    "lsds_pull": 1_109_097,
+    "lsds_pull": 969_606,
     "mwr_argmin": 2_376,
     "mwr_gamma": 2_376,
-    "mwr_scan": 854,
+    "mwr_scan": 850,
     "occ_delete": 502,
     "occ_insert": 540,
-    "occ_scan": 13_283,
-    "root_walk": 28_303,
-    "row_clear": 91_047,
+    "occ_scan": 12_261,
+    "root_walk": 25_924,
+    "row_clear": 81_213,
 }
 
 #: at least this many splits and merges, or the stream tests nothing

@@ -4,16 +4,21 @@ Interned cells are launch-scoped and sequence registrations and scratch
 registers are update-scoped, so between two public updates the memory of a
 parallel engine's machine is empty and pins no host object.  These tests
 pin that contract end to end -- telemetry, object liveness, a bounded heap
-on a long adversarial stream -- and check that the shorter lifetimes move
-no measured depth or work.
+on a long adversarial stream (counted in a fresh interpreter) -- and
+check that the shorter lifetimes move no measured depth or work.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core.par import ParallelDynamicMSF
 from repro.pram.machine import ErewViolation, Machine, Read, Write
@@ -110,23 +115,44 @@ def test_memory_pins_no_retired_chunk_or_scratch_list(monkeypatch):
     assert n_retired and n_scratch, "the stream retired nothing"
 
 
+#: the long stream of :func:`test_heap_stays_flat_on_a_long_adversarial_stream`,
+#: run in a fresh interpreter: ``gc.get_objects()`` counts every object of
+#: the process, so objects other tests leave behind must not land inside
+#: its window
+_HEAP_SCRIPT = """
+import gc
+from repro.core.par import ParallelDynamicMSF
+from repro.workloads import OpStream, adversarial_cuts
+
+engine = ParallelDynamicMSF(64, audit="fast")
+stream = OpStream(engine)
+ops = list(adversarial_cuts(64, 200))
+cut_50 = len(ops) - 2 * 150
+
+
+def tracked():
+    gc.collect()
+    # one KernelStats per update is the engine's own per-update record
+    return len(gc.get_objects()) - len(engine.update_stats)
+
+
+for op in ops[:cut_50]:
+    stream.apply(op)
+after_50 = tracked()
+for op in ops[cut_50:]:
+    stream.apply(op)
+print(after_50, tracked())
+"""
+
+
 def test_heap_stays_flat_on_a_long_adversarial_stream():
-    engine = ParallelDynamicMSF(64, audit="fast")
-    stream = OpStream(engine)
-    ops = list(adversarial_cuts(64, 200))
-    cut_50 = len(ops) - 2 * 150
-
-    def tracked() -> int:
-        gc.collect()
-        # one KernelStats per update is the engine's own per-update record
-        return len(gc.get_objects()) - len(engine.update_stats)
-
-    for op in ops[:cut_50]:
-        stream.apply(op)
-    after_50 = tracked()
-    for op in ops[cut_50:]:
-        stream.apply(op)
-    after_200 = tracked()
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _HEAP_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    after_50, after_200 = map(int, out.stdout.split())
     assert after_200 <= after_50 + 100, (after_50, after_200)
 
 
